@@ -35,23 +35,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_jobs() -> int:
-    return os.cpu_count() or 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qpq", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(p):
+    def common(p, jobs=False):
         p.add_argument("--seed", type=int, default=None,
                        help=f"base seed (fallback: ${SEED_ENV_VAR}, then {DEFAULT_SEED})")
         p.add_argument("--config", type=Path, default=None,
                        help="JSON file with defaults; explicit flags win")
         p.add_argument("--out", "-o", type=Path, default=None,
                        help="JSON report path (default qpq_<command>.json)")
-        p.add_argument("--jobs", type=int, default=None,
-                       help="worker processes for trial loops (default: all cores)")
+        if jobs:
+            p.add_argument("--jobs", type=int, default=None,
+                           help="worker processes for trial loops (default: all cores)")
 
     p = sub.add_parser("run", help="one honest private query")
     common(p)
@@ -69,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("attack-alice", help="user-side attack experiments")
-    common(p)
+    common(p, jobs=True)
     p.add_argument("--strategy", choices=("usd", "helstrom", "bb84"), required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
@@ -98,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV path (default qpq_usd_curve.csv)")
 
     p = sub.add_parser("combine", help="combine several keys with chosen shifts")
-    common(p)
+    common(p, jobs=True)
     p.add_argument("--m", type=int, default=None, help="strings combined (default 3)")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
@@ -128,6 +125,14 @@ def _resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
             value = file_cfg.get(key, fallback)
         out[key] = value
     return out
+
+
+def _resolve_jobs(args: argparse.Namespace, file_cfg: dict) -> int:
+    """Worker count from --jobs, else the config file, else all cores; at least 1."""
+    jobs = _resolve(args, file_cfg, {"jobs": os.cpu_count() or 1})["jobs"]
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise UsageError(f"jobs must be an integer >= 1, got {jobs!r}")
+    return jobs
 
 
 def _resolve_seed(args: argparse.Namespace, file_cfg: dict) -> int:
@@ -222,7 +227,7 @@ def _cmd_table1(args, file_cfg, seed) -> int:
 
 
 def _cmd_attack_alice(args, file_cfg, seed) -> int:
-    jobs = _resolve(args, file_cfg, {"jobs": _default_jobs()})["jobs"]
+    jobs = _resolve_jobs(args, file_cfg)
     if args.strategy == "usd":
         opts = _resolve(args, file_cfg, {"n": 50_000, "k": 7, "trials": 600})
         report = experiments.usd_attack_experiment(
@@ -289,11 +294,10 @@ def _cmd_usd_curve(args, file_cfg, seed) -> int:
 
 
 def _cmd_combine(args, file_cfg, seed) -> int:
-    opts = _resolve(args, file_cfg, {"m": 3, "n": 10_000, "k": 6, "trials": 200,
-                                     "jobs": _default_jobs()})
+    opts = _resolve(args, file_cfg, {"m": 3, "n": 10_000, "k": 6, "trials": 200})
+    jobs = _resolve_jobs(args, file_cfg)
     report = experiments.multi_string_combine(m=opts["m"], n=opts["n"], k=opts["k"],
-                                              trials=opts["trials"], seed=seed,
-                                              jobs=opts["jobs"])
+                                              trials=opts["trials"], seed=seed, jobs=jobs)
     return _report_exit(report, args.out or Path("qpq_combine.json"), report.to_text())
 
 

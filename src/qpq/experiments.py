@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -196,9 +197,34 @@ def _run_trial(config: ProtocolConfig, alice, bob, trial: int) -> TrialResult:
     )
 
 
-def _trial_range(args) -> list[TrialResult]:
-    config, alice, bob, lo, hi = args
-    return [_run_trial(config, alice, bob, t) for t in range(lo, hi)]
+def _worker_count(jobs: int, chunks: int, cpus: int | None = None) -> int:
+    """Processes worth starting: min(jobs, cores, chunks), at least one.
+
+    `cpus` defaults to `os.cpu_count()`. Raises ValueError for jobs < 1.
+    """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    cpus = cpus if cpus is not None else os.cpu_count() or 1
+    return max(1, min(jobs, cpus, chunks))
+
+
+def _trial_chunk(task) -> list:
+    fn, args, lo, hi = task
+    return [fn(*args, t) for t in range(lo, hi)]
+
+
+def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
+    """[fn(*args, t) for t in range(trials)], split over at most `_worker_count` processes.
+
+    Every trial seeds its own stream, so the result does not depend on jobs.
+    """
+    workers = _worker_count(jobs, trials)
+    if workers == 1:
+        return _trial_chunk((fn, args, 0, trials))
+    bounds = np.linspace(0, trials, workers + 1, dtype=int)
+    tasks = [(fn, args, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [result for part in pool.map(_trial_chunk, tasks) for result in part]
 
 
 def _expected_conclusive(alice, bob, config: ProtocolConfig) -> float | None:
@@ -230,17 +256,7 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     if trials < 1:
         raise ValueError("need at least one trial")
     start = time.perf_counter()
-    if jobs > 1:
-        bounds = np.linspace(0, trials, jobs + 1, dtype=int)
-        chunks = [(config, alice, bob, int(lo), int(hi))
-                  for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        results: list[TrialResult] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_trial_range, chunks):
-                results.extend(part)
-        results.sort(key=lambda r: r.trial)
-    else:
-        results = [_run_trial(config, alice, bob, t) for t in range(trials)]
+    results: list[TrialResult] = _map_trials(_run_trial, (config, alice, bob), trials, jobs)
 
     first_known = np.array([r.first_known for r in results], dtype=float)
     restarted = sum(r.restarted for r in results)
@@ -501,11 +517,6 @@ def _combine_trial(config: ProtocolConfig, m: int, trial: int) -> int:
     return int(combine_known_sets(sets, config.n).size)
 
 
-def _combine_range(args) -> list[tuple[int, int]]:
-    config, m, lo, hi = args
-    return [(t, _combine_trial(config, m, t)) for t in range(lo, hi)]
-
-
 def multi_string_combine(m: int, n: int, k: int, trials: int = 200,
                          seed: int = 0, jobs: int = 1) -> ExperimentReport:
     """Distribution of the combined known-bit count over seeded trials.
@@ -518,18 +529,7 @@ def multi_string_combine(m: int, n: int, k: int, trials: int = 200,
         raise ValueError("need at least one string")
     start = time.perf_counter()
     config = ProtocolConfig(n=n, k=k, seed=seed, max_restarts=200)
-    if jobs > 1:
-        bounds = np.linspace(0, trials, jobs + 1, dtype=int)
-        chunks = [(config, m, int(lo), int(hi))
-                  for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
-        pairs: list[tuple[int, int]] = []
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for part in pool.map(_combine_range, chunks):
-                pairs.extend(part)
-        pairs.sort()
-        counts = [c for _, c in pairs]
-    else:
-        counts = [_combine_trial(config, m, t) for t in range(trials)]
+    counts = _map_trials(_combine_trial, (config, m), trials, jobs)
 
     values, freqs = np.unique(np.asarray(counts), return_counts=True)
     distribution = {int(v): int(f) for v, f in zip(values, freqs)}

@@ -6,16 +6,27 @@ a non-orthogonal state pair per kept qubit, Alice interprets her outcomes,
 the raw string is XOR-folded into an N-bit oblivious key, and a single
 database bit is retrieved through a user-chosen cyclic shift.
 
-Scalar operations (`bob_prepare`, `transmit`, `alice_measure`,
-`bob_announce`, `interpret`, ...) define the per-qubit contracts.
-`run_protocol` drives whole runs on columnar numpy arrays for speed; its
-lookup tables are tabulated from the scalar operations at import time, so
-both paths share one source of truth.
+`interpret` is the per-qubit contract: it classifies one outcome against an
+announced pair. The scalar helpers (`bob_prepare`, `transmit`,
+`alice_measure`, `bob_announce`) state the other per-qubit steps.
+`run_protocol` drives whole runs on columnar numpy arrays. Its tables
+(`OUTCOME_SECOND_PROB`, `CONCLUSIVE_TABLE`, `BIT_TABLE`) are tabulated at
+import time from the exact states and from `interpret`.
+
+Every outcome probability of an honest signal state is 0, 1/2 or 1, so an
+honest round needs only fair coins. Each side draws one byte per qubit, and
+one packed table (`fair_coin_table`), indexed by (kind, announcement, basis,
+coin), gives outcome, conclusiveness and bit. A strategy whose outcome
+probabilities are not all 0, 1/2 or 1 (a biased preparation at a generic
+angle, the entangled register) takes a float coin per qubit instead. The
+full-length per-qubit record (`Transcript.records`) is built only when a
+caller reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -262,6 +273,94 @@ def _tabulate_interpretations() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 OUTCOME_SECOND_PROB = _tabulate_outcome_probs()
 CONCLUSIVE_TABLE, BIT_TABLE, POSTERIOR_TABLE = _tabulate_interpretations()
 
+# An outcome probability counts as 0, 1/2 or 1 within this distance. The
+# orthogonal entries of OUTCOME_SECOND_PROB hold round-off near 1e-33.
+DYADIC_TOLERANCE = 1e-12
+
+
+def _pack(outcome, conclusive, bit) -> np.ndarray:
+    """One byte per entry: outcome in bits 0-1, conclusive in bit 2, bit + 1 in bits 3-4."""
+    return (outcome | conclusive << 2 | (bit + 1) << 3).astype(np.uint8)
+
+
+def _unpack(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outcome, conclusive flag and bit (-1 where inconclusive) of packed bytes."""
+    return ((packed & 3).view(np.int8), (packed & 4) != 0,
+            (packed >> 3).view(np.int8) - 1)
+
+
+def _interpretation_table(announcement: str) -> np.ndarray:
+    """Packed interpretation per (announcement, basis, second-outcome flag).
+
+    The announcement is the pair id in "sarg" mode and the basis of the sent
+    symbol in "bb84" mode, where only the values 0 and 1 occur.
+    """
+    announced, basis, second = np.indices((4, 2, 2))
+    outcome = basis + 2 * second
+    if announcement == "sarg":
+        return _pack(outcome, CONCLUSIVE_TABLE[announced, outcome],
+                     BIT_TABLE[announced, outcome])
+    conclusive = basis == announced
+    return _pack(outcome, conclusive, np.where(conclusive, second, -1))
+
+
+def _snap_to_halves(kind_table: np.ndarray) -> tuple[np.ndarray, float]:
+    """2p of each entry rounded into {0, 1, 2}, and the largest rounding distance of p."""
+    table = np.asarray(kind_table, dtype=float)
+    halves = np.clip(np.rint(2.0 * table), 0, 2)
+    return halves.astype(np.int8), float(np.abs(table - halves / 2.0).max())
+
+
+def is_dyadic(kind_table: np.ndarray) -> bool:
+    """True when every outcome probability lies within 1e-12 of 0, 1/2 or 1."""
+    return _snap_to_halves(kind_table)[1] <= DYADIC_TOLERANCE
+
+
+def fair_coin_table(kind_table: np.ndarray, announcement: str) -> np.ndarray:
+    """Packed interpretation per (kind, announcement, basis, coin) for a dyadic table.
+
+    A fair coin c is an exact Bernoulli(p) draw for p in {0, 1/2, 1} through
+    0.5 * (1 - c) < p, so the coin fixes whether Alice sees the second member
+    of her basis. Raises ValueError when an entry of `kind_table` is more
+    than 1e-12 from 0, 1/2 or 1, or when it has more than 16 kinds (the
+    packed index keeps 4 bits for the kind).
+    """
+    halves, miss = _snap_to_halves(kind_table)
+    if miss > DYADIC_TOLERANCE:
+        raise ValueError(f"outcome probabilities must lie within {DYADIC_TOLERANCE} "
+                         f"of 0, 1/2 or 1; an entry is {miss:.3g} away")
+    if len(halves) > 16:
+        raise ValueError(f"the packed index holds at most 16 kinds, got {len(halves)}")
+    kind, announced, basis, coin = np.indices((len(halves), 4, 2, 2))
+    second = (1 - coin) < halves[kind, basis]
+    return _interpretation_table(announcement)[announced, basis, second.astype(np.int8)]
+
+
+@lru_cache(maxsize=64)
+def _cached_fair_lookup(table_bytes: bytes, rows: int, announcement: str) -> np.ndarray | None:
+    kind_table = np.frombuffer(table_bytes).reshape(rows, 2)
+    if not is_dyadic(kind_table):
+        return None
+    lookup = fair_coin_table(kind_table, announcement).ravel()
+    lookup.setflags(write=False)
+    return lookup
+
+
+def _fair_lookup(kind_table: np.ndarray, announcement: str) -> np.ndarray | None:
+    """Flat `fair_coin_table` of a dyadic kind table, else None; cached by content."""
+    table = np.ascontiguousarray(kind_table, dtype=float)
+    return _cached_fair_lookup(table.tobytes(), len(table), announcement)
+
+
+def _byte_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` independent uniform bytes."""
+    return np.frombuffer(rng.bytes(count), dtype=np.uint8)
+
+
+def _at_kept(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
+    """values[kept]; `kept` holds increasing indices, so full length means all of them."""
+    return values if kept.size == values.size else values[kept]
+
 
 # --------------------------------------------------------------------------
 # vectorized strategy interface
@@ -288,13 +387,17 @@ class BobRounds:
 
 @dataclass(eq=False)
 class AliceRecords:
-    """Columnar measurement records for the kept qubits of one attempt."""
+    """Columnar measurement records for the kept qubits of one attempt.
+
+    `posterior_bit1` is None for a mechanical interpretation; the records
+    then derive it from the announcement and the outcome when read.
+    """
 
     basis: np.ndarray
     outcome: np.ndarray
     conclusive: np.ndarray
     bit: np.ndarray            # -1 where inconclusive
-    posterior_bit1: np.ndarray  # nan where conclusive
+    posterior_bit1: np.ndarray | None = None  # nan where conclusive
 
 
 @dataclass(frozen=True)
@@ -304,19 +407,18 @@ class HonestBob:
     kind = "honest"
 
     def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
-        sent = rng.integers(0, 4, count).astype(np.int8)
+        draw = _byte_draws(rng, count)  # bits 0-1: sent symbol, bit 2: pair choice
+        sent = (draw & 3).view(np.int8)
         if config.announcement == "sarg":
-            pair = ((sent - rng.integers(0, 2, count)) % 4).astype(np.int8)
+            pair = ((draw - ((draw >> 2) & 1)) & 3).view(np.int8)
         else:
             pair = np.full(count, -1, dtype=np.int8)
         return BobRounds(sent=sent, pair=pair, kind=sent, kind_table=OUTCOME_SECOND_PROB)
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
                  config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
-        sent = rounds.sent[kept]
-        if config.announcement == "sarg":
-            return (sent & 1).astype(np.uint8)
-        return (sent >> 1).astype(np.uint8)
+        sent = _at_kept(rounds.sent, kept).astype(np.uint8)
+        return sent & 1 if config.announcement == "sarg" else sent >> 1
 
 
 @dataclass(frozen=True)
@@ -327,22 +429,23 @@ class HonestAlice:
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
-        count = kept.size
-        basis = rng.integers(0, 2, count).astype(np.int8)
-        second = rng.random(count) < rounds.kind_table[rounds.kind[kept], basis]
-        outcome = (basis + 2 * second).astype(np.int8)
+        draw = _byte_draws(rng, kept.size)  # bit 0: fair coin, bit 1: basis
+        basis = (draw >> 1) & 1
         if config.announcement == "sarg":
-            pair = rounds.pair[kept]
-            conclusive = CONCLUSIVE_TABLE[pair, outcome]
-            bit = BIT_TABLE[pair, outcome]
-            posterior = POSTERIOR_TABLE[pair, outcome]
+            announced = _at_kept(rounds.pair, kept).astype(np.uint8)
         else:
-            announced = rounds.sent[kept] & 1
-            conclusive = basis == announced
-            bit = np.where(conclusive, outcome >> 1, -1).astype(np.int8)
-            posterior = np.where(conclusive, np.nan, 0.5)
-        return AliceRecords(basis=basis, outcome=outcome, conclusive=conclusive,
-                            bit=bit, posterior_bit1=posterior)
+            announced = _at_kept(rounds.sent, kept).astype(np.uint8) & 1
+        kind = _at_kept(rounds.kind, kept).astype(np.uint8)
+        lookup = _fair_lookup(rounds.kind_table, config.announcement)
+        if lookup is not None:
+            index = (kind << 4) | (announced << 2) | (draw & 3)
+        else:
+            second = rng.random(kept.size) < rounds.kind_table[kind, basis]
+            lookup = _interpretation_table(config.announcement).ravel()
+            index = (announced << 2) | (basis << 1) | second
+        outcome, conclusive, bit = _unpack(lookup[index])
+        return AliceRecords(basis=basis.view(np.int8), outcome=outcome,
+                            conclusive=conclusive, bit=bit)
 
 
 # --------------------------------------------------------------------------
@@ -451,20 +554,34 @@ class RawRecords:
 
 
 @dataclass(eq=False)
+class _Attempt:
+    rounds: BobRounds
+    detected: np.ndarray
+    kept: np.ndarray
+    alice: AliceRecords
+    bob_bits: np.ndarray
+
+
+@dataclass(eq=False)
 class Transcript:
     """Everything one protocol run produced."""
 
     config: ProtocolConfig
     restarts: int
-    records: RawRecords
     key: ObliviousKey
     target_index: int
     chosen_index: int
     shift: int
     ciphertext: np.ndarray
     retrieved_bit: int
+    final_attempt: _Attempt = field(repr=False)
     attempt_known_counts: list[int] = field(default_factory=list)
     attempt_conclusive_counts: list[int] = field(default_factory=list)
+
+    @cached_property
+    def records(self) -> RawRecords:
+        """Per-qubit record of the final attempt, built on first read."""
+        return _scatter_records(self.final_attempt)
 
     def to_dict(self, verbose: bool = False) -> dict:
         doc = {
@@ -483,39 +600,32 @@ class Transcript:
         return doc
 
 
-@dataclass(eq=False)
-class _Attempt:
-    rounds: BobRounds
-    detected: np.ndarray
-    kept: np.ndarray
-    alice: AliceRecords
-    bob_bits: np.ndarray
-
-
 def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -> _Attempt:
     """Send until n*k qubits are detected, then measure and announce."""
     need = config.raw_length
-    chunks: list[BobRounds] = []
-    detected_chunks: list[np.ndarray] = []
-    have = 0
-    while have < need:
-        missing = need - have
-        count = missing if config.eta == 1.0 else int(missing / config.eta * 1.05) + 16
-        rounds = bob.rounds(count, config, rng)
-        det = (rng.random(count) < config.eta) if config.eta < 1.0 \
-            else np.ones(count, dtype=bool)
-        chunks.append(rounds)
-        detected_chunks.append(det)
-        have += int(det.sum())
-    sent = np.concatenate([c.sent for c in chunks])
-    pair = np.concatenate([c.pair for c in chunks])
-    kind = np.concatenate([c.kind for c in chunks])
-    detected = np.concatenate(detected_chunks)
-    # Drop everything after the qubit that completed the raw string.
-    last = np.nonzero(detected)[0][need - 1]
-    sent, pair, kind, detected = (a[:last + 1] for a in (sent, pair, kind, detected))
-    rounds = BobRounds(sent=sent, pair=pair, kind=kind, kind_table=chunks[0].kind_table)
-    kept = np.nonzero(detected)[0]
+    if config.eta == 1.0:
+        rounds = bob.rounds(need, config, rng)
+        detected = np.ones(need, dtype=bool)
+        kept = np.arange(need)
+    else:
+        chunks: list[BobRounds] = []
+        detected_chunks: list[np.ndarray] = []
+        have = 0
+        while have < need:
+            count = int((need - have) / config.eta * 1.05) + 16
+            chunks.append(bob.rounds(count, config, rng))
+            detected_chunks.append(rng.random(count) < config.eta)
+            have += int(np.count_nonzero(detected_chunks[-1]))
+        detected = np.concatenate(detected_chunks)
+        kept = np.nonzero(detected)[0][:need]
+        # Drop everything after the qubit that completed the raw string.
+        end = kept[-1] + 1
+        rounds = BobRounds(
+            sent=np.concatenate([c.sent for c in chunks])[:end],
+            pair=np.concatenate([c.pair for c in chunks])[:end],
+            kind=np.concatenate([c.kind for c in chunks])[:end],
+            kind_table=chunks[0].kind_table)
+        detected = detected[:end]
     alice_rec = alice.respond(rounds, kept, config, rng)
     bob_bits = bob.key_bits(rounds, kept, alice_rec, config, rng)
     return _Attempt(rounds=rounds, detected=detected, kept=kept,
@@ -524,6 +634,7 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
 
 def _scatter_records(att: _Attempt) -> RawRecords:
     total = len(att.rounds)
+    pair = att.rounds.pair
     basis = np.full(total, -1, dtype=np.int8)
     outcome = np.full(total, -1, dtype=np.int8)
     conclusive = np.zeros(total, dtype=bool)
@@ -534,10 +645,18 @@ def _scatter_records(att: _Attempt) -> RawRecords:
     outcome[att.kept] = att.alice.outcome
     conclusive[att.kept] = att.alice.conclusive
     alice_bit[att.kept] = att.alice.bit
-    posterior[att.kept] = att.alice.posterior_bit1
     bob_bit[att.kept] = att.bob_bits
+    if att.alice.posterior_bit1 is not None:
+        posterior[att.kept] = att.alice.posterior_bit1
+    else:
+        # Mechanical interpretation: by pair and outcome, or 1/2 on an
+        # inconclusive round against a basis announcement (pair -1).
+        kept_pair, kept_outcome = pair[att.kept], outcome[att.kept]
+        posterior[att.kept] = np.where(
+            kept_pair >= 0, POSTERIOR_TABLE[kept_pair, kept_outcome],
+            np.where(conclusive[att.kept], np.nan, 0.5))
     return RawRecords(sent=att.rounds.sent, detected=att.detected,
-                      pair=att.rounds.pair, basis=basis, outcome=outcome,
+                      pair=pair, basis=basis, outcome=outcome,
                       conclusive=conclusive, alice_bit=alice_bit,
                       posterior_bit1=posterior, bob_bit=bob_bit)
 
@@ -547,8 +666,9 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     """Execute attempts until Alice knows a key bit, then retrieve one database bit.
 
     Raises RestartLimitExceeded when max_restarts + 1 attempts all end with
-    an empty known set. The returned transcript records the final attempt in
-    full plus per-attempt summary counts.
+    an empty known set. The returned transcript keeps the final attempt,
+    whose per-qubit record is built on first read, plus per-attempt summary
+    counts.
     """
     alice = alice if alice is not None else HonestAlice()
     bob = bob if bob is not None else HonestBob()
@@ -557,7 +677,7 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     x = np.asarray(database, dtype=np.uint8)
     if x.ndim != 1 or x.size != config.n:
         raise ValueError(f"database must hold {config.n} bits, got shape {x.shape}")
-    if not np.isin(x, (0, 1)).all():
+    if x.max() > 1:
         raise ValueError("database entries must be 0 or 1")
     if not 0 <= target_index < config.n:
         raise ValueError(f"target index {target_index} outside [0, {config.n})")
@@ -572,7 +692,7 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
         key = _reduce_arrays(att.bob_bits, att.alice.conclusive,
                              att.alice.bit, config.n, config.k)
         known_counts.append(len(key.alice_known))
-        conclusive_counts.append(int(att.alice.conclusive.sum()))
+        conclusive_counts.append(int(np.count_nonzero(att.alice.conclusive)))
         if key.alice_known:
             break
     else:
@@ -581,10 +701,8 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     chosen_j, shift = query_shift(key.alice_known, target_index, config.n, rng)
     ciphertext = encrypt_database(x, key.bob_key, shift)
     retrieved = decrypt_bit(ciphertext, target_index, key.alice_known[chosen_j])
-    return Transcript(config=config, restarts=len(known_counts) - 1,
-                      records=_scatter_records(att), key=key,
+    return Transcript(config=config, restarts=len(known_counts) - 1, key=key,
                       target_index=target_index, chosen_index=chosen_j,
                       shift=shift, ciphertext=ciphertext, retrieved_bit=retrieved,
-                      attempt_known_counts=known_counts,
+                      final_attempt=att, attempt_known_counts=known_counts,
                       attempt_conclusive_counts=conclusive_counts)
-

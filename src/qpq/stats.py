@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import math
+from functools import lru_cache
+from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as sps
+
+
+@lru_cache(maxsize=64)
+def _normal_quantile(p: float) -> float:
+    return NormalDist().inv_cdf(p)
 
 
 def z_value(confidence: float = 0.99) -> float:
     """Two-sided normal quantile for the given confidence level."""
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    return float(sps.norm.ppf(0.5 + confidence / 2.0))
+    return _normal_quantile(0.5 + confidence / 2.0)
 
 
 def mean_ci(values: Sequence[float] | np.ndarray, confidence: float = 0.99) -> tuple[float, float]:

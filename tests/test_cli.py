@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from qpq.cli import main
 
 
@@ -25,6 +27,32 @@ class TestUsageAndValidation:
     def test_bad_env_seed_exits_one(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QPQ_SEED", "not-a-number")
         assert run_cli(["table1", "--out", str(tmp_path / "t.json")]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["combine", "--jobs", "0"],
+        ["combine", "--jobs", "-2"],
+        ["attack-alice", "--strategy", "usd", "--jobs", "0"],
+    ])
+    def test_jobs_below_one_exits_one(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -1, "two", 1.5])
+    def test_jobs_from_config_file_checked(self, jobs, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": jobs}))
+        out = tmp_path / "r.json"
+        assert run_cli(["combine", "--config", str(cfg), "--out", str(out)]) == 1
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["table1"], ["attack-bob", "--strategy", "bias"], ["sweep"], ["usd-curve"],
+    ])
+    def test_jobs_only_where_a_trial_loop_reads_it(self, command, tmp_path):
+        assert run_cli(command + ["--jobs", "1", "--out", str(tmp_path / "r.json")]) == 1
 
 
 class TestTable1:

@@ -1,10 +1,12 @@
 """Experiment-layer tests: closed forms, drivers, reports, combining."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+from qpq import experiments
 from qpq.adversaries import USD_SUCCESS, UsdAlice
 from qpq.experiments import (
     TABLE1_REFERENCE,
@@ -196,6 +198,38 @@ class TestCombine:
         a = multi_string_combine(m=2, n=150, k=3, trials=16, seed=3, jobs=1)
         b = multi_string_combine(m=2, n=150, k=3, trials=16, seed=3, jobs=2)
         assert a.to_json() == b.to_json()
+
+
+def _square(base, t):
+    return base + t * t
+
+
+class TestTrialMapper:
+    def test_workers_clamp_to_jobs_cores_and_chunks(self):
+        assert experiments._worker_count(8, 100, cpus=2) == 2
+        assert experiments._worker_count(8, 3, cpus=64) == 3
+        assert experiments._worker_count(2, 100, cpus=64) == 2
+        assert experiments._worker_count(1, 100, cpus=64) == 1
+        assert experiments._worker_count(4, 0, cpus=4) == 1
+        assert experiments._worker_count(4, 10) <= (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            experiments._worker_count(jobs, 10, cpus=4)
+        with pytest.raises(ValueError, match="jobs"):
+            monte_carlo(ProtocolConfig(n=10, k=1), trials=2, jobs=jobs)
+
+    def test_one_chunk_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        assert experiments._map_trials(_square, (10,), 1, jobs=64) == [10]
+        assert experiments._map_trials(_square, (10,), 4, jobs=1) == [10, 11, 14, 19]
+
+    def test_two_workers_keep_trial_order(self):
+        assert experiments._map_trials(_square, (1,), 5, jobs=2) == [1, 2, 5, 10, 17]
 
 
 class TestReportRendering:

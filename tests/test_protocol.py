@@ -1,17 +1,26 @@
 """Protocol-engine tests: per-qubit contracts, reduction, retrieval, full runs."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
+from scipy.stats import chi2_contingency, chisquare
 
+from qpq import protocol
 from qpq.protocol import (
+    BIT_TABLE,
+    CONCLUSIVE_TABLE,
+    OUTCOME_SECOND_PROB,
     AnnouncedPair,
+    BobRounds,
     EmptyKnownSet,
+    HonestAlice,
+    HonestBob,
     Interpretation,
     ObliviousKey,
     ProtocolConfig,
+    RawRecords,
     RestartLimitExceeded,
     SargSymbol,
     alice_measure,
@@ -19,7 +28,9 @@ from qpq.protocol import (
     bob_prepare,
     decrypt_bit,
     encrypt_database,
+    fair_coin_table,
     interpret,
+    is_dyadic,
     query_shift,
     reduce_key,
     run_protocol,
@@ -361,3 +372,124 @@ class TestConfigValidation:
             ProtocolConfig(n=1, k=1, eta=1.5)
         with pytest.raises(ValueError):
             ProtocolConfig(n=1, k=1, announcement="phase")
+
+
+def _unpacked(packed):
+    outcome, conclusive, bit = protocol._unpack(np.asarray(packed, dtype=np.uint8))
+    return int(outcome), bool(conclusive), int(bit)
+
+
+def category_counts(alice: HonestAlice, rounds: BobRounds, config: ProtocolConfig,
+                    rng) -> np.ndarray:
+    """Counts of the eight (outcome, conclusive) categories of one response."""
+    res = alice.respond(rounds, np.arange(len(rounds)), config, rng)
+    return np.bincount(res.outcome.astype(np.int64) * 2 + res.conclusive, minlength=8)
+
+
+# Each outcome symbol has probability 1/4 and is conclusive with chance 1/4.
+EXACT_CATEGORY_SPLIT = np.tile([3 / 16, 1 / 16], 4)
+
+
+class TestFairCoinEngine:
+    def test_packed_table_composes_the_reference_tables(self):
+        """Every entry equals OUTCOME_SECOND_PROB (snapped) then CONCLUSIVE/BIT_TABLE."""
+        table = fair_coin_table(OUTCOME_SECOND_PROB, "sarg")
+        assert table.shape == (4, 4, 2, 2)
+        for kind in range(4):
+            for pair in range(4):
+                for basis in (0, 1):
+                    for coin in (0, 1):
+                        p = round(2 * OUTCOME_SECOND_PROB[kind, basis]) / 2
+                        second = 0.5 * (1 - coin) < p
+                        outcome = basis + 2 * second
+                        expected = (outcome, bool(CONCLUSIVE_TABLE[pair, outcome]),
+                                    int(BIT_TABLE[pair, outcome]))
+                        assert _unpacked(table[kind, pair, basis, coin]) == expected
+
+    def test_basis_announcement_table(self):
+        table = fair_coin_table(OUTCOME_SECOND_PROB, "bb84")
+        for kind in range(4):
+            for basis in (0, 1):
+                for coin in (0, 1):
+                    second = 0.5 * (1 - coin) < round(2 * OUTCOME_SECOND_PROB[kind, basis]) / 2
+                    outcome, conclusive, bit = _unpacked(table[kind, kind & 1, basis, coin])
+                    assert outcome == basis + 2 * second
+                    assert conclusive == (basis == kind & 1)
+                    assert bit == (int(second) if conclusive else -1)
+
+    def test_honest_table_is_dyadic_after_snapping(self):
+        # The orthogonal entries hold round-off, not exact zeros.
+        assert 0.0 < OUTCOME_SECOND_PROB[0, 0] < 1e-12
+        assert is_dyadic(OUTCOME_SECOND_PROB)
+
+    def test_dyadic_check_rejects_other_probabilities(self):
+        table = np.array([[0.3, 0.5]])
+        assert not is_dyadic(table)
+        with pytest.raises(ValueError, match="0, 1/2 or 1"):
+            fair_coin_table(table, "sarg")
+
+    def test_fair_engine_fits_the_exact_category_split(self):
+        config = ProtocolConfig(n=50_000, k=4)
+        rng = np.random.default_rng(4401)
+        rounds = HonestBob().rounds(config.raw_length, config, rng)
+        counts = category_counts(HonestAlice(), rounds, config, rng)
+        _, p_value = chisquare(counts, EXACT_CATEGORY_SPLIT * counts.sum())
+        assert p_value > 0.01
+
+    def test_float_coin_path_agrees_with_the_fair_engine(self):
+        """A non-dyadic table (zeros lifted by 1e-9) forces the float coin."""
+        config = ProtocolConfig(n=50_000, k=4)
+        rng = np.random.default_rng(4402)
+        fair = HonestBob().rounds(config.raw_length, config, rng)
+        lifted = np.rint(2 * OUTCOME_SECOND_PROB) / 2
+        lifted[lifted == 0.0] = 1e-9
+        assert not is_dyadic(lifted)
+        floated = dataclasses.replace(HonestBob().rounds(config.raw_length, config, rng),
+                                      kind_table=lifted)
+        fair_counts = category_counts(HonestAlice(), fair, config, rng)
+        float_counts = category_counts(HonestAlice(), floated, config, rng)
+        _, p_fit = chisquare(float_counts, EXACT_CATEGORY_SPLIT * float_counts.sum())
+        _, p_same, _, _ = chi2_contingency(np.stack([fair_counts, float_counts]))
+        assert p_fit > 0.01
+        assert p_same > 0.01
+
+
+class TestLazyRecords:
+    def test_non_verbose_run_builds_no_records(self, monkeypatch):
+        def forbidden(att):
+            raise AssertionError("records were built")
+
+        monkeypatch.setattr(protocol, "_scatter_records", forbidden)
+        config = ProtocolConfig(n=200, k=3, eta=0.5, seed=31)
+        t = run_protocol(config, np.zeros(200, dtype=np.uint8), 4)
+        assert "records" not in t.to_dict()
+        assert "records" not in vars(t)
+
+    @pytest.mark.parametrize("announcement", ["sarg", "bb84"])
+    def test_verbose_records_match_a_direct_scatter(self, announcement):
+        config = ProtocolConfig(n=60, k=2, eta=0.5, seed=32, announcement=announcement)
+        t = run_protocol(config, np.zeros(60, dtype=np.uint8), 9)
+        direct = protocol._scatter_records(t.final_attempt)
+        for f in dataclasses.fields(RawRecords):
+            assert np.array_equal(getattr(t.records, f.name), getattr(direct, f.name),
+                                  equal_nan=True), f.name
+        assert t.to_dict(verbose=True)["records"] == list(direct.iter_dicts())
+
+    def test_record_posteriors_follow_interpret(self):
+        config = ProtocolConfig(n=80, k=2, eta=0.5, seed=33)
+        t = run_protocol(config, np.zeros(80, dtype=np.uint8), 0)
+        for rec in t.to_dict(verbose=True)["records"]:
+            if not rec["detected"]:
+                continue
+            res = interpret(rec["basis"], SargSymbol(rec["outcome"]),
+                            AnnouncedPair(rec["pair"]))
+            assert (rec["conclusive"], rec["bit"]) == (res.conclusive, res.bit)
+            if res.conclusive:
+                assert rec["posterior_bit1"] is None
+            else:
+                assert rec["posterior_bit1"] == pytest.approx(res.posterior_bit1)
+
+    def test_category_counts_repeat_for_a_seed(self):
+        config = ProtocolConfig(n=300, k=2, eta=0.4, seed=34)
+        first = honest_category_counts(config, trials=5)
+        assert np.array_equal(first, honest_category_counts(config, trials=5))
