@@ -9,6 +9,7 @@ from .quantum import (
     fidelity,
     helstrom_guess,
     measure,
+    parity_bounds,
     parity_mixtures,
     sarg_state,
     state_at_angle,

@@ -19,13 +19,16 @@ import numpy as np
 
 from . import stats
 from .quantum import (
+    K_MAX,
     DensityMatrix,
     MeasurementBasis,
     PureState,
     SargSymbol,
     helstrom_guess,
+    helstrom_parity_table,
     measure,
-    parity_mixtures,
+    parity_bounds,
+    parity_mixtures,  # noqa: F401 (bench/tests/test_bench.py traces through it)
     sarg_state,
     state_at_angle,
     usd_bound,
@@ -139,45 +142,32 @@ class JointHelstromValue(NamedTuple):
     matrix_value: float | None
 
 
-def alice_joint_helstrom(k: int, matrix_max_k: int = 12) -> JointHelstromValue:
+def alice_joint_helstrom(k: int, matrix_max_k: int = K_MAX) -> JointHelstromValue:
     """Per-final-bit guessing probability of the joint minimum-error measurement.
 
-    The closed form is 1/2 + 1/(2 sqrt(2**k)); for small k the value is
-    recomputed from the parity mixtures through the Helstrom bound, and the
-    two routes must agree to 1e-9.
+    The closed form is 1/2 + 1/(2 sqrt(2**k)); for k <= matrix_max_k the
+    value is recomputed through the Helstrom bound of the parity mixtures'
+    permutation-symmetric blocks, and the two routes must agree to 1e-9.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     closed = 0.5 + 0.5 * 2.0 ** (-k / 2.0)
     matrix_value = None
     if k <= matrix_max_k:
-        even, odd = parity_mixtures(k)
-        matrix_value = helstrom_guess(even, odd, 0.5)
+        matrix_value = parity_bounds(k).helstrom_guess
     return JointHelstromValue(closed_form=closed, matrix_value=matrix_value)
-
-
-def _parity_product_states(bits: np.ndarray) -> np.ndarray:
-    """Stack of product states (rows) for a (trials, k) bit array."""
-    up = sarg_state(SargSymbol.UP).amplitudes
-    right = sarg_state(SargSymbol.RIGHT).amplitudes
-    states = np.ones((bits.shape[0], 1))
-    for col in range(bits.shape[1]):
-        qubit = np.where(bits[:, col, None] == 0, up, right)
-        states = (states[:, :, None] * qubit[:, None, :]).reshape(bits.shape[0], -1)
-    return states
 
 
 def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator,
                                 batch: int = 4096) -> float:
     """Empirical guess rate of the simulated joint minimum-error measurement.
 
-    Each trial draws a parity, a uniform bit string of that parity, builds
-    the product state, and Born-samples the two-outcome measurement onto the
-    sign eigenspaces of the mixture difference.
+    Each trial draws a parity and a uniform bit string of that parity, then
+    Born-samples the two-outcome measurement onto the sign eigenspaces of
+    the mixture difference. The even-outcome probability depends only on
+    the string's Hamming weight, so it is read from a (k+1)-entry table.
     """
-    even, odd = parity_mixtures(k)
-    w, u = np.linalg.eigh(even.matrix - odd.matrix)
-    positive = u[:, w >= 0.0]
+    p_even = helstrom_parity_table(k)
     correct = 0
     done = 0
     while done < trials:
@@ -186,8 +176,7 @@ def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator,
         bits = rng.integers(0, 2, (m, k))
         bits[:, -1] = parity ^ np.bitwise_xor.reduce(bits[:, :-1], axis=1) \
             if k > 1 else parity
-        p_even_outcome = ((_parity_product_states(bits) @ positive) ** 2).sum(axis=1)
-        guess_even = rng.random(m) < p_even_outcome
+        guess_even = rng.random(m) < p_even[bits.sum(axis=1)]
         correct += int((guess_even == (parity == 0)).sum())
         done += m
     return correct / trials

@@ -695,6 +695,7 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
         conclusive_counts.append(int(np.count_nonzero(att.alice.conclusive)))
         if key.alice_known:
             break
+        att = key = None  # release this attempt's arrays before the next one
     else:
         raise RestartLimitExceeded(config.max_restarts + 1)
 

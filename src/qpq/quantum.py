@@ -5,10 +5,16 @@ SARG signal states, Born-rule sampling, and the two-state discrimination
 figures of merit (trace distance, fidelity, Helstrom guessing probability,
 unambiguous-discrimination bound). All states carry real amplitudes; the
 protocol never produces a complex coefficient.
+
+The k-qubit parity mixtures behind one final key bit have two routes: the
+dense 2**k x 2**k matrices (`parity_mixtures`, capped at DENSE_K_MAX) and
+the permutation-symmetric blocks of size at most k + 1 (`parity_blocks`,
+`parity_bounds`, capped at K_MAX), which the drivers use.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import lru_cache
@@ -22,7 +28,8 @@ EIG_FLOOR = -1e-10      # eigenvalues below this are an error, above are clipped
 SUPPORT_TOL = 1e-10     # eigenvalue threshold defining the support of a state
 PROB_TOL = 1e-9         # measurement probabilities must sum to 1 within this
 
-K_MAX = 16              # largest joint-state construction (dimension 2**16)
+K_MAX = 16              # largest k of the block route (blocks of size k + 1)
+DENSE_K_MAX = 12        # largest k of the dense route (two 2**k x 2**k matrices)
 
 
 class SargSymbol(IntEnum):
@@ -309,6 +316,11 @@ def kron_power(m: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def dense_route_bytes(k: int) -> int:
+    """Bytes held by the two dense 2**k x 2**k float64 parity mixtures."""
+    return 2 * 4 ** k * 8
+
+
 def parity_mixtures(k: int) -> tuple[DensityMatrix, DensityMatrix]:
     """Even- and odd-parity mixtures of k-fold UP/RIGHT signal products.
 
@@ -319,11 +331,133 @@ def parity_mixtures(k: int) -> tuple[DensityMatrix, DensityMatrix]:
 
         rho_even/odd = (M^(x)k +/- D^(x)k) / 2**k,
         M = P_up + P_right,  D = P_up - P_right.
+
+    This is the dense cross-check route; k above DENSE_K_MAX is rejected
+    before anything is allocated.
     """
-    if not 1 <= k <= K_MAX:
-        raise ValueError(f"k must lie in 1..{K_MAX}, got {k}")
+    if not 1 <= k <= DENSE_K_MAX:
+        raise ValueError(f"k must lie in 1..{DENSE_K_MAX} for the dense route, got {k} "
+                         f"({dense_route_bytes(k)} bytes of matrices)")
     p_up = np.outer(*2 * (sarg_state(SargSymbol.UP).amplitudes,))
     p_right = np.outer(*2 * (sarg_state(SargSymbol.RIGHT).amplitudes,))
     total = kron_power(p_up + p_right, k) / 2.0 ** k
     signed = kron_power(p_up - p_right, k) / 2.0 ** k
     return DensityMatrix(total + signed), DensityMatrix(total - signed)
+
+
+def _parity_factor() -> np.ndarray:
+    """G = [UP, RIGHT] as columns: M = G G^T and D = G diag(1, -1) G^T."""
+    return np.column_stack([sarg_state(SargSymbol.UP).amplitudes,
+                            sarg_state(SargSymbol.RIGHT).amplitudes])
+
+
+def symmetric_power(a: np.ndarray, n: int) -> np.ndarray:
+    """Action Sym^n(a) of a real 2x2 matrix on the symmetric subspace of n qubits.
+
+    The basis is the orthonormal Dicke basis |n, j> (j qubits in state 1),
+    in which Sym^n(a b) = Sym^n(a) Sym^n(b) and Sym^n(a^T) = Sym^n(a)^T.
+    Column j holds the coefficients of (a00 + a10 y)^(n-j) (a01 + a11 y)^j,
+    rescaled by sqrt(C(n, j) / C(n, i)) from monomials to Dicke states.
+    """
+    (a00, a01), (a10, a11) = np.asarray(a, dtype=float)
+    out = np.empty((n + 1, n + 1))
+    for j in range(n + 1):
+        column = np.ones(1)
+        for _ in range(n - j):
+            column = np.convolve(column, (a00, a10))
+        for _ in range(j):
+            column = np.convolve(column, (a01, a11))
+        out[:, j] = column
+    binom = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
+    return out * np.sqrt(binom / binom[:, None])
+
+
+class ParityBlock(NamedTuple):
+    """One spin block of rho_even and rho_odd and the number of its copies.
+
+    `cross` is X_even^T X_odd for the factors rho = X X^T of the block, so
+    its nuclear norm is the block's fidelity.
+    """
+
+    multiplicity: int
+    even: np.ndarray
+    odd: np.ndarray
+    cross: np.ndarray
+
+
+def parity_blocks(k: int) -> list[ParityBlock]:
+    """Permutation-symmetric blocks of the k-qubit parity mixtures.
+
+    By Schur-Weyl duality, for q = 0..k//2 and n = k - 2q, A^(x)k acts on
+    C(k, q) - C(k, q - 1) copies of the spin block as det(A)^q Sym^n(A).
+    With M = G G^T, D = G J G^T, J = diag(1, -1), det G^2 = 1/2 and
+    Sym^n(J) = diag((-1)^j), each block is
+        even_q = c_q S P_e S^T,  odd_q = c_q S P_o S^T,
+        S = Sym^n(G),  c_q = 2 * 2^-q / 2^k,
+    where P_e keeps the Dicke states with j + q even and P_o the rest.
+    Both are PSD by construction; the total trace of each mixture must be
+    1 within 1e-12, or the route raises.
+    """
+    if not 1 <= k <= K_MAX:
+        raise ValueError(f"k must lie in 1..{K_MAX}, got {k}")
+    g = _parity_factor()
+    blocks = []
+    for q in range(k // 2 + 1):
+        n = k - 2 * q
+        s = symmetric_power(g, n)
+        even_mask = (np.arange(n + 1) + q) % 2 == 0
+        scale = 2.0 ** (1 - q - k)
+        blocks.append(ParityBlock(
+            multiplicity=math.comb(k, q) - (math.comb(k, q - 1) if q else 0),
+            even=scale * (s * even_mask) @ s.T,
+            odd=scale * (s * ~even_mask) @ s.T,
+            cross=scale * (s.T @ s)[np.ix_(even_mask, ~even_mask)]))
+    for name in ("even", "odd"):
+        total = sum(b.multiplicity * float(np.trace(getattr(b, name))) for b in blocks)
+        if abs(total - 1.0) > NORM_TOL:
+            raise ValueError(f"block route: trace of rho_{name} is {total!r}, not 1")
+    return blocks
+
+
+class ParityBounds(NamedTuple):
+    """Discrimination figures of rho_even against rho_odd at equal priors."""
+
+    fidelity: float
+    trace_distance: float
+    helstrom_guess: float
+
+
+def parity_bounds(k: int) -> ParityBounds:
+    """Fidelity, trace distance and Helstrom value of the parity mixtures.
+
+    Block route: F = sum_q mult_q ||cross_q||_* (no square roots of
+    rank-deficient spectra), and ||rho_even - rho_odd||_1 = sum_q mult_q
+    ||even_q - odd_q||_1. The usd bound is 1 - F.
+    """
+    fid = 0.0
+    norm1 = 0.0
+    for block in parity_blocks(k):
+        if block.cross.size:
+            fid += block.multiplicity * float(np.linalg.svd(block.cross, compute_uv=False).sum())
+        norm1 += block.multiplicity * float(
+            np.abs(np.linalg.eigvalsh(block.even - block.odd)).sum())
+    return ParityBounds(fidelity=fid, trace_distance=0.5 * norm1,
+                        helstrom_guess=0.5 * (1.0 + 0.5 * norm1))
+
+
+def helstrom_parity_table(k: int) -> np.ndarray:
+    """p(even outcome | w), w = 0..k, of the joint Helstrom measurement.
+
+    The measurement projects onto the positive part of rho_even - rho_odd
+    = 2 D^(x)k / 2**k, i.e. onto (1 + sign(D)^(x)k) / 2, so a product of
+    k - w UP and w RIGHT states gives the even outcome with probability
+    (1 + t_up^(k-w) t_right^w) / 2, t = <phi|sign(D)|phi>.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    g = _parity_factor()
+    w, u = np.linalg.eigh(g @ np.diag([1.0, -1.0]) @ g.T)
+    sign_d = (u * np.sign(w)) @ u.T
+    t_up, t_right = np.diag(g.T @ sign_d @ g)
+    weight = np.arange(k + 1)
+    return 0.5 * (1.0 + t_up ** (k - weight) * t_right ** weight)

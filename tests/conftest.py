@@ -1,11 +1,23 @@
 """Shared helpers: random states and brute-force twins used as oracles."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from qpq.quantum import DensityMatrix, MeasurementBasis, PureState, SargSymbol, sarg_state
+from qpq.quantum import (
+    DensityMatrix,
+    MeasurementBasis,
+    ParityBounds,
+    PureState,
+    SargSymbol,
+    fidelity,
+    helstrom_guess,
+    parity_mixtures,
+    sarg_state,
+    trace_distance,
+)
 
 
 @pytest.fixture
@@ -84,6 +96,69 @@ def parity_usd_bound_50_digits(k: int):
         inner = sqrt_even * odd * sqrt_even
         inner = (inner + inner.T) / 2
         return 1 - mp.fsum(clipped_sqrts(mp.eigsy(inner, eigvals_only=True)))
+
+
+def parity_usd_bound_closed_form_50_digits(k: int):
+    """Binomial closed form of 1 - F(rho_even, rho_odd), at 50 digits.
+
+    F = ||[s^d(x, y)]_{x even, y odd}||_* / 2**(k-1), s = 1/sqrt(2), with d
+    the Hamming distance. In the Hadamard basis the Gram matrix is diagonal
+    and the parity flip pairs z with its complement, which gives
+        F(k) = E[sign(k - 2B)],  B ~ Binomial(k, p),  p = (1 - 1/sqrt(2)) / 2.
+    Shares no code with either matrix route. Returns an mpmath number.
+    """
+    from mpmath import mp
+
+    with mp.workdps(50):
+        p = (1 - 1 / mp.sqrt(2)) / 2
+        f = mp.fsum(math.comb(k, w) * (1 - p) ** (k - w) * p ** w * mp.sign(k - 2 * w)
+                    for w in range(k + 1))
+        return 1 - f
+
+
+def parity_bounds_dense(k: int) -> ParityBounds:
+    """Dense-route twin of `qpq.quantum.parity_bounds`."""
+    even, odd = parity_mixtures(k)
+    return ParityBounds(fidelity=fidelity(even, odd),
+                        trace_distance=trace_distance(even, odd),
+                        helstrom_guess=helstrom_guess(even, odd, 0.5))
+
+
+def _parity_product_states(bits: np.ndarray) -> np.ndarray:
+    """Stack of product states (rows) for a (trials, k) bit array."""
+    up = sarg_state(SargSymbol.UP).amplitudes
+    right = sarg_state(SargSymbol.RIGHT).amplitudes
+    states = np.ones((bits.shape[0], 1))
+    for col in range(bits.shape[1]):
+        qubit = np.where(bits[:, col, None] == 0, up, right)
+        states = (states[:, :, None] * qubit[:, None, :]).reshape(bits.shape[0], -1)
+    return states
+
+
+def helstrom_measurement_trials_dense(k: int, trials: int, rng: np.random.Generator,
+                                      batch: int = 4096) -> float:
+    """Dense twin of `qpq.adversaries.helstrom_measurement_trials`.
+
+    Builds the 2**k-dimensional product state of every trial and projects it
+    onto the positive eigenspace of the dense rho_even - rho_odd; draws from
+    the stream in the same order as the table route.
+    """
+    even, odd = parity_mixtures(k)
+    w, u = np.linalg.eigh(even.matrix - odd.matrix)
+    positive = u[:, w >= 0.0]
+    correct = 0
+    done = 0
+    while done < trials:
+        m = min(batch, trials - done)
+        parity = rng.integers(0, 2, m)
+        bits = rng.integers(0, 2, (m, k))
+        bits[:, -1] = parity ^ np.bitwise_xor.reduce(bits[:, :-1], axis=1) \
+            if k > 1 else parity
+        p_even_outcome = ((_parity_product_states(bits) @ positive) ** 2).sum(axis=1)
+        guess_even = rng.random(m) < p_even_outcome
+        correct += int((guess_even == (parity == 0)).sum())
+        done += m
+    return correct / trials
 
 
 def xor_error_bruteforce(eps: float, k: int) -> float:

@@ -37,7 +37,7 @@ from qpq.experiments import monte_carlo
 from qpq.protocol import AnnouncedPair, ProtocolConfig, SargSymbol, run_protocol
 from qpq.quantum import usd_bound
 
-from conftest import xor_error_bruteforce
+from conftest import helstrom_measurement_trials_dense, xor_error_bruteforce
 
 
 def three_sigma(p, n):
@@ -89,10 +89,23 @@ class TestJointHelstrom:
     def test_large_k_approaches_coin_flipping(self):
         assert alice_joint_helstrom(200, matrix_max_k=0).closed_form == pytest.approx(0.5)
 
-    @pytest.mark.parametrize("k", range(1, 11))
+    @pytest.mark.parametrize("k", range(1, 17))
     def test_matrix_route_matches_closed_form(self, k):
         value = alice_joint_helstrom(k)
         assert abs(value.closed_form - value.matrix_value) <= 1e-9
+
+    def test_matrix_route_stops_at_matrix_max_k(self):
+        assert alice_joint_helstrom(17).matrix_value is None
+        assert alice_joint_helstrom(12, matrix_max_k=12).matrix_value is not None
+        assert alice_joint_helstrom(13, matrix_max_k=12).matrix_value is None
+
+    @pytest.mark.parametrize("k,trials", [(1, 30_000), (3, 30_000), (7, 10_000), (10, 8_192)])
+    def test_weight_table_repeats_the_dense_measurement(self, k, trials):
+        for seed in range(3):
+            table = helstrom_measurement_trials(k, trials, np.random.default_rng([seed, k]))
+            dense = helstrom_measurement_trials_dense(k, trials,
+                                                      np.random.default_rng([seed, k]))
+            assert table == dense
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_simulated_measurement_reaches_the_bound(self, k, rng):

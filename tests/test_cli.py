@@ -1,10 +1,14 @@
 """Command-line interface tests: dispatch, exit codes, files, determinism."""
 
 import json
+import math
 
 import pytest
 
-from qpq.cli import main
+from qpq import adversaries, experiments
+from qpq.cli import SEED_ENV_VAR, main
+
+from conftest import helstrom_measurement_trials_dense, parity_bounds_dense
 
 
 def run_cli(argv):
@@ -223,6 +227,14 @@ class TestSweepCurveCombine:
         doc = json.loads(out.read_text())
         assert sum(doc["extra"]["distribution"].values()) == 25
 
+    def test_combine_zero_trials_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "combine.json"
+        code = run_cli(["combine", "--trials", "0", "--n", "100", "--k", "2",
+                        "--jobs", "1", "--out", str(out)])
+        assert code == 1
+        assert "trial" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_sweep_reports_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = ["sweep", "--points", "7", "--trials-per-point", "2000", "--seed", "3"]
@@ -230,3 +242,50 @@ class TestSweepCurveCombine:
         assert run_cli(argv + ["--out", str(b), "--csv", str(tmp_path / "b.csv")]) == 0
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def _diff_reports(block, dense, path=""):
+    """Paths where two report documents differ; floats may differ by 1e-12."""
+    if isinstance(block, dict) and isinstance(dense, dict):
+        if block.keys() != dense.keys():
+            return [f"{path}: keys {sorted(block)} vs {sorted(dense)}"]
+        return [d for key in block for d in _diff_reports(block[key], dense[key],
+                                                          f"{path}/{key}")]
+    if isinstance(block, list) and isinstance(dense, list):
+        if len(block) != len(dense):
+            return [f"{path}: length {len(block)} vs {len(dense)}"]
+        return [d for i, (a, b) in enumerate(zip(block, dense))
+                for d in _diff_reports(a, b, f"{path}/{i}")]
+    if isinstance(block, float) and isinstance(dense, float):
+        ok = math.isclose(block, dense, rel_tol=0.0, abs_tol=1e-12)
+    else:
+        ok = type(block) is type(dense) and block == dense
+    return [] if ok else [f"{path}: {block!r} vs {dense!r}"]
+
+
+class TestGoldenReports:
+    """The block route's reports against the dense route's, at default argv and seed."""
+
+    @pytest.mark.parametrize("argv,name", [
+        (["usd-curve"], "qpq_usd_curve.json"),
+        (["attack-alice", "--strategy", "helstrom"], "qpq_attack_alice_helstrom.json"),
+    ])
+    def test_report_matches_the_dense_route(self, argv, name, tmp_path, monkeypatch):
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        docs = {}
+        for route in ("block", "dense"):
+            workdir = tmp_path / route
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            with monkeypatch.context() as patch:
+                if route == "dense":
+                    patch.setattr(experiments, "parity_bounds", parity_bounds_dense)
+                    patch.setattr(adversaries, "parity_bounds", parity_bounds_dense)
+                    patch.setattr(experiments, "helstrom_measurement_trials",
+                                  helstrom_measurement_trials_dense)
+                assert run_cli(argv) == 0
+            docs[route] = json.loads((workdir / name).read_text())
+        assert _diff_reports(docs["block"], docs["dense"]) == []
+        if "guess_rate" in docs["block"]["empirical"]:
+            assert docs["block"]["empirical"]["guess_rate"] == \
+                docs["dense"]["empirical"]["guess_rate"]

@@ -126,6 +126,12 @@ class TestUsdCurve:
         bounds = [p.bound for p in usd_curve(4)]
         assert bounds == pytest.approx([float(b) for b in exact], abs=1e-12)
 
+    def test_reaches_k_max_flat_on_every_depth_pair(self):
+        bounds = [p.bound for p in usd_curve(16)]
+        for m in range(1, 9):
+            assert abs(bounds[2 * m - 1] - bounds[2 * m - 2]) <= 1e-12
+        assert all(b < a - 1e-6 for a, b in zip(bounds[1::2], bounds[2::2]))
+
     def test_range_validation(self):
         with pytest.raises(ValueError):
             usd_curve(0)
@@ -193,6 +199,11 @@ class TestCombine:
         dist = report.extra["distribution"]
         values, freqs = np.unique(counts, return_counts=True)
         assert dist == {int(v): int(f) for v, f in zip(values, freqs)}
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_driver_rejects_fewer_than_one_trial(self, trials):
+        with pytest.raises(ValueError, match="trial"):
+            multi_string_combine(m=2, n=100, k=2, trials=trials)
 
     def test_driver_job_count_is_immaterial(self):
         a = multi_string_combine(m=2, n=150, k=3, trials=16, seed=3, jobs=1)

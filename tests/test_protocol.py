@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -292,6 +293,34 @@ class TestRunProtocol:
             assert t.retrieved_bit == int(x[target])
             assert t.key.mismatched_indices() == []
             assert t.records.kept_count == config.raw_length
+
+    def test_failed_attempt_is_released_before_the_next(self, monkeypatch):
+        real = protocol._run_attempt
+        previous: list[weakref.ref] = []
+        alive_at_call: list[bool] = []
+
+        def tracked(*args):
+            alive_at_call.append(any(ref() is not None for ref in previous))
+            att = real(*args)
+            previous[:] = [weakref.ref(att), weakref.ref(att.bob_bits),
+                           weakref.ref(att.alice.conclusive), weakref.ref(att.rounds)]
+            return att
+
+        class NeverConclusiveAlice:
+            kind = "never_conclusive"
+
+            def respond(self, rounds, kept, config, rng):
+                none = np.full(kept.size, -1, dtype=np.int8)
+                return protocol.AliceRecords(
+                    basis=none, outcome=none, conclusive=np.zeros(kept.size, dtype=bool),
+                    bit=none, posterior_bit1=np.full(kept.size, 0.5))
+
+        monkeypatch.setattr(protocol, "_run_attempt", tracked)
+        config = ProtocolConfig(n=50, k=2, seed=1, max_restarts=3)
+        with pytest.raises(RestartLimitExceeded):
+            run_protocol(config, np.zeros(50, dtype=np.uint8), 0,
+                         alice=NeverConclusiveAlice())
+        assert alive_at_call == [False] * 4
 
     def test_restart_fraction_near_two_percent(self):
         """First-attempt failure rate for n=1000, k=4 sits at 0.020."""

@@ -1,27 +1,44 @@
 """Kernel tests: states, distances, discrimination bounds, Born sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qpq import quantum
 from qpq.quantum import (
+    DENSE_K_MAX,
+    K_MAX,
     DensityMatrix,
     MeasurementBasis,
     PureState,
     SargSymbol,
+    dense_route_bytes,
     fidelity,
     helstrom_guess,
+    helstrom_parity_table,
     measure,
+    parity_blocks,
+    parity_bounds,
     parity_mixtures,
     sarg_basis,
     sarg_state,
     state_at_angle,
+    symmetric_power,
     trace_distance,
     usd_bound,
 )
 
-from conftest import parity_mixtures_bruteforce, random_basis, random_density, random_pure
+from conftest import (
+    parity_bounds_dense,
+    parity_mixtures_bruteforce,
+    parity_usd_bound_50_digits,
+    parity_usd_bound_closed_form_50_digits,
+    random_basis,
+    random_density,
+    random_pure,
+)
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -303,3 +320,123 @@ class TestParityMixtures:
             parity_mixtures(0)
         with pytest.raises(ValueError, match="k must"):
             parity_mixtures(17)
+
+    def test_dense_route_rejects_k_above_its_cap_before_allocating(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the dense route allocated")
+        monkeypatch.setattr(quantum, "kron_power", refuse)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="dense route") as info:
+                parity_mixtures(DENSE_K_MAX + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert str(dense_route_bytes(DENSE_K_MAX + 1)) in str(info.value)
+        assert peak < 64 * 1024
+
+    def test_dense_byte_estimate(self):
+        assert dense_route_bytes(1) == 64
+        assert dense_route_bytes(13) == 2 * 4 ** 13 * 8
+
+
+class TestParityBlocks:
+    @pytest.mark.parametrize("k", range(1, 11))
+    def test_block_route_matches_dense_route(self, k):
+        block = parity_bounds(k)
+        dense = parity_bounds_dense(k)
+        assert abs(block.fidelity - dense.fidelity) <= 1e-12
+        assert abs(block.trace_distance - dense.trace_distance) <= 1e-12
+        assert abs(block.helstrom_guess - dense.helstrom_guess) <= 1e-12
+
+    def test_block_route_at_50_digits(self):
+        pytest.importorskip("mpmath")
+        exact = float(parity_usd_bound_50_digits(5))
+        assert abs((1.0 - parity_bounds(5).fidelity) - exact) <= 1e-12
+
+    def test_block_route_matches_the_binomial_closed_form(self):
+        pytest.importorskip("mpmath")
+        for k in range(1, K_MAX + 1):
+            exact = float(parity_usd_bound_closed_form_50_digits(k))
+            assert abs((1.0 - parity_bounds(k).fidelity) - exact) <= 1e-12, k
+
+    def test_closed_form_matches_the_frozen_oracle(self):
+        pytest.importorskip("mpmath")
+        for k, value in USD_BOUND_ORACLE.items():
+            assert float(parity_usd_bound_closed_form_50_digits(k)) == pytest.approx(
+                value, abs=1e-17)
+
+    @pytest.mark.parametrize("k", range(1, K_MAX + 1))
+    def test_trace_distance_and_helstrom_closed_forms(self, k):
+        bounds = parity_bounds(k)
+        assert abs(bounds.trace_distance - 2.0 ** (-k / 2.0)) <= 1e-12
+        assert abs(bounds.helstrom_guess - (0.5 + 0.5 * 2.0 ** (-k / 2.0))) <= 1e-12
+
+    @pytest.mark.parametrize("k", range(1, K_MAX + 1))
+    def test_blocks_fill_the_whole_space(self, k):
+        blocks = parity_blocks(k)
+        assert sum(b.multiplicity * b.even.shape[0] for b in blocks) == 2 ** k
+        assert all(b.multiplicity >= 1 for b in blocks)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_blocks_carry_the_dense_spectra(self, k):
+        dense = parity_mixtures(k)
+        for index, rho in enumerate(dense):
+            block_spectrum = np.concatenate([
+                np.repeat(np.linalg.eigvalsh(b[1 + index]), b.multiplicity)
+                for b in parity_blocks(k)])
+            np.testing.assert_allclose(np.sort(block_spectrum),
+                                       np.linalg.eigvalsh(rho.matrix), atol=1e-12)
+
+    def test_blocks_are_psd(self):
+        for k in range(1, K_MAX + 1):
+            for block in parity_blocks(k):
+                for part in (block.even, block.odd):
+                    assert np.linalg.eigvalsh(part).min() >= -1e-15
+
+    def test_trace_check_rejects_a_broken_block(self, monkeypatch):
+        real = quantum.symmetric_power
+        monkeypatch.setattr(quantum, "symmetric_power", lambda a, n: 1.001 * real(a, n))
+        with pytest.raises(ValueError, match="trace of rho_even"):
+            parity_blocks(3)
+
+    def test_symmetric_power_is_a_transpose_homomorphism(self, rng):
+        a, b = rng.normal(size=(2, 2, 2))
+        for n in range(6):
+            np.testing.assert_allclose(symmetric_power(a @ b, n),
+                                       symmetric_power(a, n) @ symmetric_power(b, n),
+                                       atol=1e-12)
+            np.testing.assert_allclose(symmetric_power(a.T, n), symmetric_power(a, n).T,
+                                       atol=1e-12)
+        np.testing.assert_allclose(symmetric_power(np.eye(2), 5), np.eye(6), atol=0)
+
+    def test_k_range(self):
+        with pytest.raises(ValueError, match="k must"):
+            parity_blocks(0)
+        with pytest.raises(ValueError, match="k must"):
+            parity_bounds(K_MAX + 1)
+
+
+class TestHelstromParityTable:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_table_matches_the_dense_projector(self, k):
+        even, odd = parity_mixtures(k)
+        w, u = np.linalg.eigh(even.matrix - odd.matrix)
+        positive = u[:, w >= 0.0]
+        up = sarg_state(SargSymbol.UP).amplitudes
+        right = sarg_state(SargSymbol.RIGHT).amplitudes
+        table = helstrom_parity_table(k)
+        for weight in range(k + 1):
+            state = np.ones(1)
+            for i in range(k):
+                state = np.kron(state, right if i < weight else up)
+            assert abs(table[weight] - float(((state @ positive) ** 2).sum())) <= 1e-12
+
+    def test_closed_form(self):
+        table = helstrom_parity_table(9)
+        expected = 0.5 * (1.0 + (-1.0) ** np.arange(10) * 2.0 ** (-9 / 2.0))
+        np.testing.assert_allclose(table, expected, atol=1e-15)
+
+    def test_k_below_one_raises(self):
+        with pytest.raises(ValueError, match="k must"):
+            helstrom_parity_table(0)
