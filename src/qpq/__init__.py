@@ -2,13 +2,11 @@
 
 from .quantum import (
     DensityMatrix,
-    MeasurementBasis,
     PureState,
     SargSymbol,
     UsdBound,
     fidelity,
     helstrom_guess,
-    measure,
     parity_bounds,
     parity_mixtures,
     sarg_state,
@@ -25,15 +23,10 @@ from .protocol import (
     ProtocolError,
     RestartLimitExceeded,
     Transcript,
-    alice_measure,
-    bob_announce,
-    bob_prepare,
     encrypt_database,
     interpret,
     query_shift,
-    reduce_key,
     run_protocol,
-    transmit,
 )
 from .adversaries import (
     USD_SUCCESS,
@@ -43,11 +36,7 @@ from .adversaries import (
     EntangledBob,
     UsdAlice,
     alice_joint_helstrom,
-    alice_usd_interpret,
-    bb84_memory_attack,
     biased_analytics,
-    bob_biased_send,
-    bob_entangled_round,
     cheat_detection,
     no_signaling_audit,
 )

@@ -5,12 +5,14 @@ announced pair, the joint minimum-error (Helstrom) measurement on the k
 qubits behind one final key bit, and the basis-announcement contrast mode
 that breaks the scheme entirely. Provider-side attacks: biased state
 preparation at an arbitrary Hilbert angle, and an entangled register held
-back per qubit. The audit machinery verifies the guessing bounds and the
-no-signaling product limit for the whole family.
+back per qubit. Each provider strategy evaluates its own round statistics
+against its analytic p_c and p_b (`round_statistics`); the attack reports
+and the no-signaling audit over the whole family share that evaluation.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
@@ -21,12 +23,10 @@ from . import stats
 from .quantum import (
     K_MAX,
     DensityMatrix,
-    MeasurementBasis,
     PureState,
     SargSymbol,
     helstrom_guess,
     helstrom_parity_table,
-    measure,
     parity_bounds,
     parity_mixtures,  # noqa: F401 (bench/tests/test_bench.py traces through it)
     sarg_state,
@@ -35,19 +35,14 @@ from .quantum import (
 )
 from .protocol import (
     AliceRecords,
-    AnnouncedPair,
     BIT_TABLE,
     BobRounds,
     CONCLUSIVE_TABLE,
-    Interpretation,
     ProtocolConfig,
     RestartLimitExceeded,
     Transcript,
-    interpret,
     run_protocol,
 )
-
-CANONICAL_PAIR = AnnouncedPair(0)  # {UP, RIGHT}
 
 # Optimal unambiguous-discrimination success rate for the equal-prior
 # announced pair, taken straight from the discrimination bound (the
@@ -56,25 +51,14 @@ USD_SUCCESS = usd_bound(sarg_state(SargSymbol.UP).density(),
                         sarg_state(SargSymbol.RIGHT).density()).bound
 
 
+def _require_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 # --------------------------------------------------------------------------
 # user-side attacks
 # --------------------------------------------------------------------------
-
-def alice_usd_interpret(pair: AnnouncedPair, sent: SargSymbol,
-                        rng: np.random.Generator) -> Interpretation:
-    """Optimal unambiguous discrimination of the announced pair.
-
-    Succeeds with probability 1 - 1/sqrt(2) and is then always correct; the
-    failure outcome is symmetric between the two equal-prior candidates, so
-    it carries posterior 1/2.
-    """
-    sent = SargSymbol(sent)
-    if sent not in pair:
-        raise ValueError(f"sent symbol {sent!r} is not in the announced pair")
-    if rng.random() < USD_SUCCESS:
-        return Interpretation.conclusive_bit(sent.bit)
-    return Interpretation.inconclusive(0.5)
-
 
 def usd_success_trials(trials: int, rng: np.random.Generator) -> np.ndarray:
     """Vectorized success mask of the discrimination measurement."""
@@ -83,9 +67,18 @@ def usd_success_trials(trials: int, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UsdAlice:
-    """Quantum-memory user: unambiguous discrimination after each announcement."""
+    """Quantum-memory user: unambiguous discrimination after each announcement.
+
+    Each stored qubit is identified with probability 1 - 1/sqrt(2) and then
+    always correctly; the failure outcome is symmetric between the two
+    equal-prior candidates, so it carries posterior 1/2.
+    """
 
     kind = "usd"
+    keeps_key_sound = True
+
+    def expected_conclusive(self, config: ProtocolConfig) -> float:
+        return USD_SUCCESS
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
@@ -111,6 +104,10 @@ class Bb84MemoryAlice:
     """
 
     kind = "bb84_memory"
+    keeps_key_sound = True
+
+    def expected_conclusive(self, config: ProtocolConfig) -> float:
+        return 1.0 if config.announcement == "bb84" else USD_SUCCESS
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
@@ -122,17 +119,6 @@ class Bb84MemoryAlice:
                             conclusive=np.ones(kept.size, dtype=bool),
                             bit=(sent >> 1).astype(np.int8),
                             posterior_bit1=np.full(kept.size, np.nan))
-
-
-def bb84_memory_attack(config: ProtocolConfig, database, target_index: int,
-                       rng: np.random.Generator | None = None) -> Transcript:
-    """Run the protocol against a perfect-memory user.
-
-    With `config.announcement == "bb84"` her known set is the whole key;
-    with pair announcements the same attacker only reaches the unambiguous
-    discrimination rates.
-    """
-    return run_protocol(config, database, target_index, alice=Bb84MemoryAlice(), rng=rng)
 
 
 class JointHelstromValue(NamedTuple):
@@ -167,6 +153,7 @@ def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator,
     the mixture difference. The even-outcome probability depends only on
     the string's Hamming weight, so it is read from a (k+1)-entry table.
     """
+    _require_positive("trials", trials)
     p_even = helstrom_parity_table(k)
     correct = 0
     done = 0
@@ -183,6 +170,56 @@ def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator,
 
 
 # --------------------------------------------------------------------------
+# provider-side attacks: round statistics
+# --------------------------------------------------------------------------
+
+@dataclass
+class RoundTrialStats:
+    """Aggregates from a batch of single-qubit attack rounds."""
+
+    trials: int
+    conclusive_rate: float
+    bit_guess_rate: float          # conditioned on conclusive rounds
+    bit_error_rate: float
+    basis_guess_rate: float
+    conclusive_count: int
+    conclusiveness_guess_rate: float | None = None
+    rho_conclusive: np.ndarray | None = None
+    rho_inconclusive: np.ndarray | None = None
+
+
+class ProviderRounds(NamedTuple):
+    """Round statistics of one provider strategy and its analytic references.
+
+    `p_c` is the rate the strategy targets: Alice's conclusiveness, or his
+    guess of it when that is what he measures. `p_c_empirical` is its
+    sampled value. The audit takes the binomial sigma of `p_c_empirical` at
+    `p_c_sigma_rate`: the sampled rate for a biased state, the widest (1/2)
+    for the register.
+    """
+
+    stats: RoundTrialStats
+    p_c: float
+    p_b: float
+    p_c_empirical: float
+    p_c_sigma_rate: float
+
+
+def _round_stats(trials: int, conclusive: np.ndarray, bit_hits: int,
+                 basis_guess_rate: float, **extra) -> RoundTrialStats:
+    n_c = int(conclusive.sum())
+    return RoundTrialStats(
+        trials=trials,
+        conclusive_rate=n_c / trials,
+        bit_guess_rate=bit_hits / n_c if n_c else float("nan"),
+        bit_error_rate=1.0 - bit_hits / n_c if n_c else float("nan"),
+        basis_guess_rate=basis_guess_rate,
+        conclusive_count=n_c,
+        **extra,
+    )
+
+
+# --------------------------------------------------------------------------
 # provider-side attacks: biased state
 # --------------------------------------------------------------------------
 
@@ -196,25 +233,40 @@ class BiasedAnalytics(NamedTuple):
     ml_bit: int         # his maximum-likelihood bit guess
 
 
-def bob_biased_send(phi: float) -> tuple[PureState, AnnouncedPair]:
-    """State actually sent at Hilbert angle phi, with the canonical pair announced."""
-    return state_at_angle(phi), CANONICAL_PAIR
+def _biased_second_prob(phi: float) -> np.ndarray:
+    """Born probabilities of DOWN (vertical basis) and LEFT (diagonal basis) at angle phi."""
+    psi = state_at_angle(phi)
+    return np.array([psi.overlap(sarg_state(SargSymbol.DOWN)) ** 2,
+                     psi.overlap(sarg_state(SargSymbol.LEFT)) ** 2])
 
 
 def biased_analytics(phi: float) -> BiasedAnalytics:
     """Born-rule conclusiveness and bit statistics for the biased preparation.
 
-    Against the canonical pair the conclusive outcomes are DOWN (bit 1) and
-    LEFT (bit 0), each reached through the matching basis choice with
-    probability 1/2.
+    Against the announced pair {UP, RIGHT} the conclusive outcomes are DOWN
+    (bit 1) and LEFT (bit 0), each reached through the matching basis choice
+    with probability 1/2.
     """
-    psi = state_at_angle(phi)
-    q1 = 0.5 * psi.overlap(sarg_state(SargSymbol.DOWN)) ** 2
-    q0 = 0.5 * psi.overlap(sarg_state(SargSymbol.LEFT)) ** 2
+    q1, q0 = (0.5 * p for p in _biased_second_prob(phi).tolist())
     p_c = q0 + q1
     ml_bit = 1 if q1 > q0 else 0
     p_b = (max(q0, q1) / p_c) if p_c > 0.0 else 1.0
     return BiasedAnalytics(p_c=p_c, p_b=p_b, q_bit0=q0, q_bit1=q1, ml_bit=ml_bit)
+
+
+def biased_round_trials(phi: float, trials: int, rng: np.random.Generator) -> RoundTrialStats:
+    """Simulate biased-preparation rounds against an honest user."""
+    _require_positive("trials", trials)
+    ana = biased_analytics(phi)
+    basis = rng.integers(0, 2, trials)
+    second = rng.random(trials) < _biased_second_prob(phi)[basis]
+    outcome = basis + 2 * second
+    conclusive = CONCLUSIVE_TABLE[0, outcome]
+    alice_bit = BIT_TABLE[0, outcome]
+    bit_hits = int((alice_bit[conclusive] == ana.ml_bit).sum())
+    basis_guess = 0 if ana.ml_bit == 1 else 1
+    basis_hits = int((basis == basis_guess).sum())
+    return _round_stats(trials, conclusive, bit_hits, basis_hits / trials)
 
 
 @dataclass(frozen=True)
@@ -224,22 +276,33 @@ class BiasedBob:
     His raw-key record is his maximum-likelihood guess of the bit Alice
     writes down on a conclusive round. Other announced pairs behave the
     same way up to a relabeling, so only the canonical pair is modeled.
+    `phi` is kept as given, so reports show the caller's angle.
     """
 
     phi: float
 
     kind = "biased"
+    keeps_key_sound = False
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", float(self.phi) % math.pi)
+        object.__setattr__(self, "phi", float(self.phi))
+
+    @property
+    def label(self) -> str:
+        return f"biased(phi={self.phi:.6f})"
 
     def analytics(self) -> BiasedAnalytics:
         return biased_analytics(self.phi)
 
-    def _kind_table(self) -> np.ndarray:
-        psi = state_at_angle(self.phi)
-        return np.array([[psi.overlap(sarg_state(SargSymbol.DOWN)) ** 2,
-                          psi.overlap(sarg_state(SargSymbol.LEFT)) ** 2]])
+    def expected_conclusive(self, config: ProtocolConfig) -> float:
+        return self.analytics().p_c
+
+    def round_statistics(self, trials: int, rng: np.random.Generator) -> ProviderRounds:
+        res = biased_round_trials(self.phi, trials, rng)
+        ana = self.analytics()
+        return ProviderRounds(res, p_c=ana.p_c, p_b=ana.p_b,
+                              p_c_empirical=res.conclusive_rate,
+                              p_c_sigma_rate=max(res.conclusive_rate, 1e-9))
 
     def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
         if config.announcement != "sarg":
@@ -247,7 +310,7 @@ class BiasedBob:
         return BobRounds(sent=np.full(count, -1, dtype=np.int8),
                          pair=np.zeros(count, dtype=np.int8),
                          kind=np.zeros(count, dtype=np.int8),
-                         kind_table=self._kind_table())
+                         kind_table=_biased_second_prob(self.phi)[None])
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
                  config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
@@ -260,21 +323,12 @@ class BiasedBob:
 
 ER_MODES = ("honest_basis", "conclusiveness_basis")
 
-REGISTER_R0 = PureState(np.array([1.0, 0.0]))
-REGISTER_R1 = PureState(np.array([0.0, 1.0]))
-REGISTER_BASIS_HONEST = MeasurementBasis((REGISTER_R0, REGISTER_R1))
-REGISTER_BASIS_CONCLUSIVENESS = MeasurementBasis((
-    PureState(np.array([1.0, 1.0]) / math.sqrt(2)),
-    PureState(np.array([1.0, -1.0]) / math.sqrt(2)),
-))
-
 
 def entangled_joint_state() -> PureState:
     """(|UP>|R0> + |RIGHT>|R1>) / sqrt(2); signal qubit first."""
     up = sarg_state(SargSymbol.UP).amplitudes
     right = sarg_state(SargSymbol.RIGHT).amplitudes
-    return PureState((np.kron(up, REGISTER_R0.amplitudes)
-                      + np.kron(right, REGISTER_R1.amplitudes)) / math.sqrt(2))
+    return PureState((np.kron(up, [1.0, 0.0]) + np.kron(right, [0.0, 1.0])) / math.sqrt(2))
 
 
 def _conditional_register_states() -> tuple[np.ndarray, np.ndarray]:
@@ -296,6 +350,14 @@ def _conditional_register_states() -> tuple[np.ndarray, np.ndarray]:
 
 
 ER_OUTCOME_PROBS, ER_REGISTERS = _conditional_register_states()
+# P(DOWN | vertical basis), P(LEFT | diagonal basis): Alice's kind table.
+ER_SECOND_PROB = ER_OUTCOME_PROBS[2:]
+# P(register outcome 1 | Alice's outcome o) per mode: the projector onto |R1>
+# in the honest basis, onto |-> = (|R0> - |R1>) / sqrt(2) in the other.
+ER_REGISTER_ONE_PROB = {
+    "honest_basis": ER_REGISTERS[:, 1] ** 2,
+    "conclusiveness_basis": ((ER_REGISTERS[:, 0] - ER_REGISTERS[:, 1]) ** 2) / 2.0,
+}
 
 
 def conditional_register_mixtures() -> tuple[DensityMatrix, DensityMatrix]:
@@ -321,151 +383,33 @@ def conclusiveness_guess_bound() -> float:
     return helstrom_guess(rho_c, rho_n, 0.25)
 
 
-@dataclass(frozen=True)
-class EntangledRound:
-    """One exactly-simulated register round."""
-
-    alice_basis: int
-    alice_outcome: SargSymbol
-    interpretation: Interpretation
-    register_state: PureState
-    register_outcome: int
-    bob_bit: int
-    conclusiveness_guess: bool | None
-    basis_guess: int
+def _check_mode(mode: str) -> None:
+    if mode not in ER_MODES:
+        raise ValueError(f"mode must be one of {ER_MODES}")
 
 
-def bob_entangled_round(mode: str, rng: np.random.Generator) -> EntangledRound:
-    """Play one round of the entangled-register attack exactly.
+def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> RoundTrialStats:
+    """Simulate register rounds; also reconstructs the conditional register states.
 
     Alice measures her half of the joint state in a random basis; her
     outcome fixes the register state, which Bob then measures in the basis
     selected by `mode` ("honest_basis" recovers the sent bit,
     "conclusiveness_basis" estimates conclusiveness and erases the bit).
     """
-    if mode not in ER_MODES:
-        raise ValueError(f"mode must be one of {ER_MODES}")
-    basis = int(rng.integers(2))
-    second = rng.random() < ER_OUTCOME_PROBS[basis + 2]
-    outcome = SargSymbol(basis + 2 * second)
-    register = PureState(ER_REGISTERS[int(outcome)].copy())
-    interp = interpret(basis, outcome, CANONICAL_PAIR)
-    if mode == "honest_basis":
-        reg_out = measure(register, REGISTER_BASIS_HONEST, rng)
-        bob_bit = reg_out
-        conclusiveness_guess = None
-        basis_guess = 0 if bob_bit == 1 else 1
-    else:
-        reg_out = measure(register, REGISTER_BASIS_CONCLUSIVENESS, rng)
-        bob_bit = int(rng.integers(2))  # the register kept no bit information
-        conclusiveness_guess = reg_out == 1
-        implied = 0 if bob_bit == 1 else 1
-        basis_guess = implied if conclusiveness_guess else 1 - implied
-    return EntangledRound(alice_basis=basis, alice_outcome=outcome,
-                          interpretation=interp, register_state=register,
-                          register_outcome=reg_out, bob_bit=bob_bit,
-                          conclusiveness_guess=conclusiveness_guess,
-                          basis_guess=basis_guess)
-
-
-@dataclass(frozen=True)
-class EntangledBob:
-    """Provider keeping one register qubit per signal and measuring it late."""
-
-    mode: str = "honest_basis"
-
-    kind = "entangled"
-
-    def __post_init__(self):
-        if self.mode not in ER_MODES:
-            raise ValueError(f"mode must be one of {ER_MODES}")
-
-    def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
-        if config.announcement != "sarg":
-            raise ValueError("register attack only targets pair announcements")
-        table = np.array([[ER_OUTCOME_PROBS[SargSymbol.DOWN],
-                           ER_OUTCOME_PROBS[SargSymbol.LEFT]]])
-        return BobRounds(sent=np.full(count, -1, dtype=np.int8),
-                         pair=np.zeros(count, dtype=np.int8),
-                         kind=np.zeros(count, dtype=np.int8),
-                         kind_table=table)
-
-    def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
-                 config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
-        # Alice's outcome pins his register state exactly; sampling his own
-        # measurement from it reproduces the joint statistics without any
-        # signaling shortcut (the correlation lives in the shared state).
-        registers = ER_REGISTERS[alice.outcome]
-        if self.mode == "honest_basis":
-            p_r1 = registers[:, 1] ** 2
-            return (rng.random(kept.size) < p_r1).astype(np.uint8)
-        return rng.integers(0, 2, kept.size).astype(np.uint8)
-
-
-# --------------------------------------------------------------------------
-# per-round trial batteries
-# --------------------------------------------------------------------------
-
-@dataclass
-class RoundTrialStats:
-    """Aggregates from a batch of single-qubit attack rounds."""
-
-    trials: int
-    conclusive_rate: float
-    bit_guess_rate: float          # conditioned on conclusive rounds
-    bit_error_rate: float
-    basis_guess_rate: float
-    conclusive_count: int
-    conclusiveness_guess_rate: float | None = None
-    rho_conclusive: np.ndarray | None = None
-    rho_inconclusive: np.ndarray | None = None
-
-
-def biased_round_trials(phi: float, trials: int, rng: np.random.Generator) -> RoundTrialStats:
-    """Simulate biased-preparation rounds against an honest user."""
-    ana = biased_analytics(phi)
-    psi = state_at_angle(phi)
-    second_prob = np.array([psi.overlap(sarg_state(SargSymbol.DOWN)) ** 2,
-                            psi.overlap(sarg_state(SargSymbol.LEFT)) ** 2])
+    _check_mode(mode)
+    _require_positive("trials", trials)
     basis = rng.integers(0, 2, trials)
-    second = rng.random(trials) < second_prob[basis]
+    second = rng.random(trials) < ER_SECOND_PROB[basis]
     outcome = basis + 2 * second
     conclusive = CONCLUSIVE_TABLE[0, outcome]
     alice_bit = BIT_TABLE[0, outcome]
-    n_c = int(conclusive.sum())
-    bit_hits = int((alice_bit[conclusive] == ana.ml_bit).sum())
-    basis_guess = 0 if ana.ml_bit == 1 else 1
-    basis_hits = int((basis == basis_guess).sum())
-    return RoundTrialStats(
-        trials=trials,
-        conclusive_rate=n_c / trials,
-        bit_guess_rate=bit_hits / n_c if n_c else float("nan"),
-        bit_error_rate=1.0 - bit_hits / n_c if n_c else float("nan"),
-        basis_guess_rate=basis_hits / trials,
-        conclusive_count=n_c,
-    )
 
-
-def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> RoundTrialStats:
-    """Simulate register rounds; also reconstructs the conditional register states."""
-    if mode not in ER_MODES:
-        raise ValueError(f"mode must be one of {ER_MODES}")
-    basis = rng.integers(0, 2, trials)
-    second = rng.random(trials) < np.array([ER_OUTCOME_PROBS[2], ER_OUTCOME_PROBS[3]])[basis]
-    outcome = basis + 2 * second
-    conclusive = CONCLUSIVE_TABLE[0, outcome]
-    alice_bit = BIT_TABLE[0, outcome]
-    n_c = int(conclusive.sum())
-
-    registers = ER_REGISTERS[outcome]
+    reg_out = (rng.random(trials) < ER_REGISTER_ONE_PROB[mode][outcome]).astype(np.int8)
     if mode == "honest_basis":
-        reg_out = (rng.random(trials) < registers[:, 1] ** 2).astype(np.int8)
         bob_bit = reg_out
         basis_guess = np.where(bob_bit == 1, 0, 1)
         conclusiveness_guess_rate = None
     else:
-        minus_prob = ((registers[:, 0] - registers[:, 1]) ** 2) / 2.0
-        reg_out = (rng.random(trials) < minus_prob).astype(np.int8)
         bob_bit = rng.integers(0, 2, trials).astype(np.int8)
         guess_conclusive = reg_out == 1
         conclusiveness_guess_rate = float((guess_conclusive == conclusive).mean())
@@ -480,39 +424,60 @@ def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> 
     rho_c = np.einsum("o,oij->ij", counts * conc_sel, outers) / counts[conc_sel].sum()
     rho_n = np.einsum("o,oij->ij", counts * ~conc_sel, outers) / counts[~conc_sel].sum()
 
-    return RoundTrialStats(
-        trials=trials,
-        conclusive_rate=n_c / trials,
-        bit_guess_rate=bit_hits / n_c if n_c else float("nan"),
-        bit_error_rate=1.0 - bit_hits / n_c if n_c else float("nan"),
-        basis_guess_rate=float((basis_guess == basis).mean()),
-        conclusive_count=n_c,
-        conclusiveness_guess_rate=conclusiveness_guess_rate,
-        rho_conclusive=rho_c,
-        rho_inconclusive=rho_n,
-    )
+    return _round_stats(trials, conclusive, bit_hits, float((basis_guess == basis).mean()),
+                        conclusiveness_guess_rate=conclusiveness_guess_rate,
+                        rho_conclusive=rho_c, rho_inconclusive=rho_n)
 
 
-def honest_pair_round_trials(trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome counts for an honest provider restricted to the canonical pair.
+@dataclass(frozen=True)
+class EntangledBob:
+    """Provider keeping one register qubit per signal and measuring it late."""
 
-    The comparison twin for the register attack in honest mode: the sent
-    symbol is uniform over {UP, RIGHT} and the pair announcement is fixed,
-    which is exactly the honest protocol conditioned on that announcement.
-    """
-    from .protocol import OUTCOME_SECOND_PROB
-    sent = rng.integers(0, 2, trials)
-    basis = rng.integers(0, 2, trials)
-    second = rng.random(trials) < OUTCOME_SECOND_PROB[sent, basis]
-    outcome = basis + 2 * second
-    return np.bincount(outcome, minlength=4)
+    mode: str = "honest_basis"
 
+    kind = "entangled"
 
-def entangled_outcome_counts(mode: str, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Alice-side outcome counts under the register attack."""
-    basis = rng.integers(0, 2, trials)
-    second = rng.random(trials) < np.array([ER_OUTCOME_PROBS[2], ER_OUTCOME_PROBS[3]])[basis]
-    return np.bincount(basis + 2 * second, minlength=4)
+    def __post_init__(self):
+        _check_mode(self.mode)
+
+    @property
+    def label(self) -> str:
+        return f"entangled({self.mode})"
+
+    @property
+    def keeps_key_sound(self) -> bool:
+        """Only the honest register basis recovers the bit Alice concludes."""
+        return self.mode == "honest_basis"
+
+    def expected_conclusive(self, config: ProtocolConfig) -> float:
+        # Alice's marginal is honest in either mode.
+        return 0.25
+
+    def round_statistics(self, trials: int, rng: np.random.Generator) -> ProviderRounds:
+        res = entangled_round_trials(self.mode, trials, rng)
+        if self.mode == "honest_basis":
+            return ProviderRounds(res, p_c=0.25, p_b=1.0,
+                                  p_c_empirical=res.conclusive_rate, p_c_sigma_rate=0.5)
+        return ProviderRounds(res, p_c=conclusiveness_guess_bound(), p_b=0.5,
+                              p_c_empirical=res.conclusiveness_guess_rate, p_c_sigma_rate=0.5)
+
+    def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
+        if config.announcement != "sarg":
+            raise ValueError("register attack only targets pair announcements")
+        return BobRounds(sent=np.full(count, -1, dtype=np.int8),
+                         pair=np.zeros(count, dtype=np.int8),
+                         kind=np.zeros(count, dtype=np.int8),
+                         kind_table=ER_SECOND_PROB[None])
+
+    def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
+                 config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
+        # Alice's outcome pins his register state exactly; sampling his own
+        # measurement from it reproduces the joint statistics without any
+        # signaling shortcut (the correlation lives in the shared state).
+        if self.mode == "honest_basis":
+            p_r1 = ER_REGISTER_ONE_PROB[self.mode][alice.outcome]
+            return (rng.random(kept.size) < p_r1).astype(np.uint8)
+        return rng.integers(0, 2, kept.size).astype(np.uint8)
 
 
 # --------------------------------------------------------------------------
@@ -556,8 +521,8 @@ class AttackReport:
         return all(self.passed.values())
 
 
-def _known_bits_through_runs(bob, p_conclusive: float, n: int, k: int,
-                             runs: int, seed: int) -> tuple[float, float, float]:
+def _known_bits_through_runs(bob, n: int, k: int, runs: int,
+                             seed: int) -> tuple[float, float, float]:
     """Mean known-bit count of first attempts under a provider strategy.
 
     Returns (empirical mean, 99% half-width, analytic n * p_c**k).
@@ -573,7 +538,7 @@ def _known_bits_through_runs(bob, p_conclusive: float, n: int, k: int,
         except RestartLimitExceeded:
             counts.append(0)
     mean, hw = stats.mean_ci(counts)
-    return mean, hw, n * p_conclusive ** k
+    return mean, hw, n * bob.expected_conclusive(config) ** k
 
 
 def biased_attack_report(phi: float, trials: int = 200_000, seed: int = 0,
@@ -583,29 +548,28 @@ def biased_attack_report(phi: float, trials: int = 200_000, seed: int = 0,
     `run_shape` = (n, k, runs) sizes the full-protocol side experiment that
     measures how many final key bits the user ends up knowing.
     """
-    rng = np.random.default_rng([seed, 1])
-    ana = biased_analytics(phi)
-    res = biased_round_trials(phi, trials, rng)
+    bob = BiasedBob(phi)
+    ev = bob.round_statistics(trials, np.random.default_rng([seed, 1]))
+    res = ev.stats
     _, hw_c = stats.rate_ci(round(res.conclusive_rate * trials), trials)
     _, hw_b = stats.rate_ci(round(res.basis_guess_rate * trials), trials)
-    known_mean, known_hw, known_expected = _known_bits_through_runs(
-        BiasedBob(phi), ana.p_c, *run_shape, seed=seed)
-    product = ana.p_c * ana.p_b
+    known_mean, known_hw, known_expected = _known_bits_through_runs(bob, *run_shape, seed=seed)
+    product = ev.p_c * ev.p_b
     passed = {
-        "conclusive_rate": abs(res.conclusive_rate - ana.p_c) <= hw_c,
+        "conclusive_rate": abs(res.conclusive_rate - ev.p_c) <= hw_c,
         "basis_guess_half": abs(res.basis_guess_rate - 0.5) <= hw_b,
         "product_bound": product <= 0.5,
         "known_mean": abs(known_mean - known_expected) <= known_hw,
     }
     return AttackReport(
-        strategy="biased", params={"phi": phi}, trials=trials,
+        strategy=bob.kind, params=dataclasses.asdict(bob), trials=trials,
         p_c=res.conclusive_rate, p_b=res.bit_guess_rate,
         product=res.conclusive_rate * res.bit_guess_rate,
         bit_error_rate=res.bit_error_rate,
         basis_guess_rate=res.basis_guess_rate,
         known_bits_mean=known_mean,
-        analytic={"p_c": ana.p_c, "p_b": ana.p_b, "product": product,
-                  "bit_error_rate": 1.0 - ana.p_b,
+        analytic={"p_c": ev.p_c, "p_b": ev.p_b, "product": product,
+                  "bit_error_rate": 1.0 - ev.p_b,
                   "known_bits_mean": known_expected},
         ci99={"p_c": hw_c, "basis_guess_rate": hw_b, "known_bits_mean": known_hw},
         passed=passed,
@@ -615,39 +579,31 @@ def biased_attack_report(phi: float, trials: int = 200_000, seed: int = 0,
 def entangled_attack_report(mode: str, trials: int = 200_000, seed: int = 0,
                             run_shape: tuple[int, int, int] = (400, 2, 150)) -> AttackReport:
     """Empirical register-attack statistics checked against the exact values."""
-    rng = np.random.default_rng([seed, 2])
-    res = entangled_round_trials(mode, trials, rng)
+    bob = EntangledBob(mode)
+    ev = bob.round_statistics(trials, np.random.default_rng([seed, 2]))
+    res = ev.stats
     guess_bound = conclusiveness_guess_bound()
-    if mode == "honest_basis":
-        p_c_analytic, p_b_analytic = 0.25, 1.0
-        p_c_emp = res.conclusive_rate
-    else:
-        p_c_analytic, p_b_analytic = guess_bound, 0.5
-        p_c_emp = res.conclusiveness_guess_rate
-    _, hw_c = stats.rate_ci(round(p_c_emp * trials), trials)
+    _, hw_c = stats.rate_ci(round(ev.p_c_empirical * trials), trials)
     _, hw_b = stats.rate_ci(round(res.basis_guess_rate * trials), trials)
     _, hw_bit = stats.rate_ci(round(res.bit_guess_rate * res.conclusive_count),
                               res.conclusive_count)
-    # Alice's marginal is honest either way, so her known-bit count follows
-    # the honest statistics here.
-    known_mean, known_hw, known_expected = _known_bits_through_runs(
-        EntangledBob(mode), 0.25, *run_shape, seed=seed)
-    product = p_c_analytic * p_b_analytic
+    known_mean, known_hw, known_expected = _known_bits_through_runs(bob, *run_shape, seed=seed)
+    product = ev.p_c * ev.p_b
     passed = {
-        "p_c": abs(p_c_emp - p_c_analytic) <= hw_c,
-        "p_b": abs(res.bit_guess_rate - p_b_analytic) <= hw_bit,
+        "p_c": abs(ev.p_c_empirical - ev.p_c) <= hw_c,
+        "p_b": abs(res.bit_guess_rate - ev.p_b) <= hw_bit,
         "basis_guess_half": abs(res.basis_guess_rate - 0.5) <= hw_b,
         "product_bound": product <= 0.5,
         "known_mean": abs(known_mean - known_expected) <= known_hw,
     }
     return AttackReport(
-        strategy="entangled", params={"mode": mode}, trials=trials,
-        p_c=p_c_emp, p_b=res.bit_guess_rate,
-        product=p_c_emp * res.bit_guess_rate,
+        strategy=bob.kind, params=dataclasses.asdict(bob), trials=trials,
+        p_c=ev.p_c_empirical, p_b=res.bit_guess_rate,
+        product=ev.p_c_empirical * res.bit_guess_rate,
         bit_error_rate=res.bit_error_rate,
         basis_guess_rate=res.basis_guess_rate,
         known_bits_mean=known_mean,
-        analytic={"p_c": p_c_analytic, "p_b": p_b_analytic, "product": product,
+        analytic={"p_c": ev.p_c, "p_b": ev.p_b, "product": product,
                   "conclusiveness_guess_bound": guess_bound,
                   "known_bits_mean": known_expected},
         ci99={"p_c": hw_c, "basis_guess_rate": hw_b, "p_b": hw_bit,
@@ -706,75 +662,40 @@ def no_signaling_audit(points: int = 181, trials_per_point: int = 20_000,
     within a simultaneous confidence band (the per-strategy level is
     Bonferroni-adjusted so the band holds jointly at `confidence`).
     """
-    phis = np.linspace(0.0, math.pi, points)
-    n_strategies = points + 2
-    per_test_conf = 1.0 - (1.0 - confidence) / n_strategies
+    _require_positive("points", points)
+    _require_positive("trials_per_point", trials_per_point)
+    strategies = ([BiasedBob(phi) for phi in np.linspace(0.0, math.pi, points)]
+                  + [EntangledBob(mode) for mode in ER_MODES])
+    per_test_conf = 1.0 - (1.0 - confidence) / len(strategies)
     z_family = stats.z_value(per_test_conf)
+    hw = z_family * stats.binomial_sigma(0.5, trials_per_point)
 
     reports: list[AttackReport] = []
     basis_ok = True
     product_ok = True
     max_product = -1.0
     max_strategy = ""
-
-    def _product_margin(res: RoundTrialStats) -> float:
-        """Conservative familywise interval for the empirical p_c * p_b."""
-        hw_c = z_family * stats.binomial_sigma(max(res.conclusive_rate, 1e-9),
-                                               res.trials)
-        hw_b = z_family * stats.binomial_sigma(0.5, max(res.conclusive_count, 1))
-        return hw_c + hw_b
-
-    for idx, phi in enumerate(phis):
-        rng = np.random.default_rng([seed, idx])
-        ana = biased_analytics(phi)
-        res = biased_round_trials(phi, trials_per_point, rng)
-        hw = z_family * stats.binomial_sigma(0.5, trials_per_point)
-        product = ana.p_c * ana.p_b
-        emp_product = res.conclusive_rate * res.bit_guess_rate
-        ok_basis = abs(res.basis_guess_rate - 0.5) <= hw
-        ok_product = product <= 0.5 and emp_product <= 0.5 + _product_margin(res)
-        basis_ok &= ok_basis
-        product_ok &= ok_product
-        if product > max_product:
-            max_product, max_strategy = product, f"biased(phi={phi:.6f})"
-        reports.append(AttackReport(
-            strategy="biased", params={"phi": float(phi)}, trials=trials_per_point,
-            p_c=res.conclusive_rate, p_b=res.bit_guess_rate,
-            product=emp_product,
-            bit_error_rate=res.bit_error_rate,
-            basis_guess_rate=res.basis_guess_rate,
-            analytic={"p_c": ana.p_c, "p_b": ana.p_b, "product": product},
-            ci99={"basis_guess_rate": hw, "product": _product_margin(res)},
-            passed={"basis_guess_half": ok_basis, "product_bound": ok_product},
-        ))
-
-    for offset, mode in enumerate(ER_MODES):
-        rng = np.random.default_rng([seed, points + offset])
-        res = entangled_round_trials(mode, trials_per_point, rng)
-        if mode == "honest_basis":
-            p_c_analytic, p_b_analytic = 0.25, 1.0
-            p_c_emp = res.conclusive_rate
-        else:
-            p_c_analytic, p_b_analytic = conclusiveness_guess_bound(), 0.5
-            p_c_emp = res.conclusiveness_guess_rate
-        hw = z_family * stats.binomial_sigma(0.5, trials_per_point)
-        product = p_c_analytic * p_b_analytic
-        emp_product = p_c_emp * res.bit_guess_rate
-        margin = (z_family * stats.binomial_sigma(0.5, trials_per_point)
+    for idx, bob in enumerate(strategies):
+        ev = bob.round_statistics(trials_per_point, np.random.default_rng([seed, idx]))
+        res = ev.stats
+        product = ev.p_c * ev.p_b
+        emp_product = ev.p_c_empirical * res.bit_guess_rate
+        # Conservative familywise interval for the empirical p_c * p_b.
+        margin = (z_family * stats.binomial_sigma(ev.p_c_sigma_rate, trials_per_point)
                   + z_family * stats.binomial_sigma(0.5, max(res.conclusive_count, 1)))
         ok_basis = abs(res.basis_guess_rate - 0.5) <= hw
         ok_product = product <= 0.5 and emp_product <= 0.5 + margin
         basis_ok &= ok_basis
         product_ok &= ok_product
         if product > max_product:
-            max_product, max_strategy = product, f"entangled({mode})"
+            max_product, max_strategy = product, bob.label
         reports.append(AttackReport(
-            strategy="entangled", params={"mode": mode}, trials=trials_per_point,
-            p_c=p_c_emp, p_b=res.bit_guess_rate,
+            strategy=bob.kind, params=dataclasses.asdict(bob), trials=trials_per_point,
+            p_c=ev.p_c_empirical, p_b=res.bit_guess_rate,
             product=emp_product,
             bit_error_rate=res.bit_error_rate,
             basis_guess_rate=res.basis_guess_rate,
-            analytic={"p_c": p_c_analytic, "p_b": p_b_analytic, "product": product},
+            analytic={"p_c": ev.p_c, "p_b": ev.p_b, "product": product},
             ci99={"basis_guess_rate": hw, "product": margin},
             passed={"basis_guess_half": ok_basis, "product_bound": ok_product},
         ))
@@ -789,13 +710,6 @@ def no_signaling_audit(points: int = 181, trials_per_point: int = 20_000,
 # --------------------------------------------------------------------------
 # cheat detection
 # --------------------------------------------------------------------------
-
-def xor_error_rate(per_bit_error: float, k: int) -> float:
-    """Error rate of a k-fold XOR of independently flipped bits."""
-    if not 0.0 <= per_bit_error <= 1.0:
-        raise ValueError(f"error rate must lie in [0, 1], got {per_bit_error}")
-    return 0.5 * (1.0 - (1.0 - 2.0 * per_bit_error) ** k)
-
 
 def cheat_detection(transcripts: Iterable[Transcript], n_check: int) -> float | None:
     """Probability that buying extra known bits exposes a lying provider.

@@ -8,6 +8,7 @@ into reproducible experiments.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -28,6 +29,8 @@ from .adversaries import (
     usd_success_trials,
 )
 from .protocol import (
+    HonestAlice,
+    HonestBob,
     ProtocolConfig,
     RestartLimitExceeded,
     run_protocol,
@@ -229,23 +232,6 @@ def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
         return [result for part in pool.map(_trial_chunk, tasks) for result in part]
 
 
-def _expected_conclusive(alice, bob, config: ProtocolConfig) -> float | None:
-    """Analytic per-round conclusive probability for supported strategy mixes."""
-    alice_kind = getattr(alice, "kind", "honest") if alice is not None else "honest"
-    bob_kind = getattr(bob, "kind", "honest") if bob is not None else "honest"
-    if alice_kind == "honest" and bob_kind == "honest":
-        return 0.5 if config.announcement == "bb84" else 0.25
-    if alice_kind == "usd" and bob_kind == "honest":
-        return USD_SUCCESS
-    if alice_kind == "bb84_memory" and bob_kind == "honest":
-        return 1.0 if config.announcement == "bb84" else USD_SUCCESS
-    if bob_kind == "biased" and alice_kind == "honest":
-        return bob.analytics().p_c
-    if bob_kind == "entangled" and alice_kind == "honest":
-        return 0.25
-    return None
-
-
 def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000,
                 jobs: int = 1) -> ExperimentReport:
     """Run seeded protocol trials and compare the statistics to the closed forms.
@@ -258,6 +244,8 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     if trials < 1:
         raise ValueError("need at least one trial")
     start = time.perf_counter()
+    alice = alice if alice is not None else HonestAlice()
+    bob = bob if bob is not None else HonestBob()
     results: list[TrialResult] = _map_trials(_run_trial, (config, alice, bob), trials, jobs)
 
     first_known = np.array([r.first_known for r in results], dtype=float)
@@ -268,7 +256,10 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     known_total = sum(r.final_known for r in successes)
     mismatch_total = sum(r.known_mismatches for r in successes)
 
-    p_conclusive = _expected_conclusive(alice, bob, config)
+    # At most one side cheats (run_protocol enforces it), and that side's
+    # strategy fixes the analytic statistics.
+    strategy = bob if isinstance(alice, HonestAlice) else alice
+    p_conclusive = strategy.expected_conclusive(config)
     analytic: dict = {}
     empirical: dict = {}
     ci99: dict = {}
@@ -284,32 +275,29 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
         conc_rate = conclusive_total / kept_total
         empirical["conclusive_rate"] = conc_rate
         ci99["conclusive_rate"] = stats.z_value(0.99) * stats.binomial_sigma(
-            conc_rate if p_conclusive is None else p_conclusive, kept_total)
+            p_conclusive, kept_total)
 
-    if p_conclusive is not None:
-        ks = key_stats(config.n, config.k, p_conclusive)
-        analytic["known_mean"] = ks.n_bar
-        analytic["restart_fraction"] = ks.p0
-        analytic["conclusive_rate"] = p_conclusive
-        passed["known_mean"] = abs(known_mean - ks.n_bar) <= known_hw
-        # Wilson-style coverage: the analytic value must sit in the interval.
-        passed["restart_fraction"] = abs(rest_center - ks.p0) <= max(rest_hw, 1e-12)
-        if kept_total:
-            sigma3 = 3.0 * stats.binomial_sigma(p_conclusive, kept_total)
-            passed["conclusive_rate"] = abs(conc_rate - p_conclusive) <= sigma3
-        if 0.0 < ks.n_bar and first_known.mean() > 0.0 and p_conclusive < 1.0:
-            ratio, ratio_hw = stats.dispersion_ci(first_known)
-            empirical["known_dispersion"] = ratio
-            ci99["known_dispersion"] = ratio_hw
-            analytic["known_dispersion"] = 1.0
-            passed["known_dispersion"] = abs(ratio - 1.0) <= ratio_hw
+    ks = key_stats(config.n, config.k, p_conclusive)
+    analytic["known_mean"] = ks.n_bar
+    analytic["restart_fraction"] = ks.p0
+    analytic["conclusive_rate"] = p_conclusive
+    passed["known_mean"] = abs(known_mean - ks.n_bar) <= known_hw
+    # Wilson-style coverage: the analytic value must sit in the interval.
+    passed["restart_fraction"] = abs(rest_center - ks.p0) <= max(rest_hw, 1e-12)
+    if kept_total:
+        sigma3 = 3.0 * stats.binomial_sigma(p_conclusive, kept_total)
+        passed["conclusive_rate"] = abs(conc_rate - p_conclusive) <= sigma3
+    if 0.0 < ks.n_bar and first_known.mean() > 0.0 and p_conclusive < 1.0:
+        ratio, ratio_hw = stats.dispersion_ci(first_known)
+        empirical["known_dispersion"] = ratio
+        ci99["known_dispersion"] = ratio_hw
+        analytic["known_dispersion"] = 1.0
+        passed["known_dispersion"] = abs(ratio - 1.0) <= ratio_hw
 
-    alice_kind = getattr(alice, "kind", "honest") if alice is not None else "honest"
-    bob_kind = getattr(bob, "kind", "honest") if bob is not None else "honest"
     if successes:
         correct = sum(r.retrieved_correct for r in successes)
         empirical["retrieval_correct_rate"] = correct / len(successes)
-        if bob_kind == "honest" or (bob_kind == "entangled" and bob.mode == "honest_basis"):
+        if strategy.keeps_key_sound:
             analytic["retrieval_correct_rate"] = 1.0
             passed["retrieval_correct"] = correct == len(successes)
             passed["known_bits_sound"] = mismatch_total == 0
@@ -319,35 +307,13 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     report = ExperimentReport(
         experiment="monte_carlo",
         params={"config": config.to_dict(), "trials": trials,
-                "alice": alice_kind, "bob": bob_kind,
-                **({"phi": bob.phi} if bob_kind == "biased" else {}),
-                **({"mode": bob.mode} if bob_kind == "entangled" else {})},
+                "alice": alice.kind, "bob": bob.kind, **dataclasses.asdict(strategy)},
         analytic=analytic, empirical=empirical, ci99=ci99, passed=passed,
         extra={"successes": len(successes), "failures": trials - len(successes),
                "known_bits_total": known_total},
         runtime_s=time.perf_counter() - start,
     )
     return report
-
-
-def honest_category_counts(config: ProtocolConfig, trials: int) -> np.ndarray:
-    """Counts over (outcome, conclusive) categories for kept qubits.
-
-    Eight categories: outcome symbol (4) times conclusive flag (2). Used by
-    the loss-invariance comparison, where the detected-qubit statistics must
-    not depend on the detection probability.
-    """
-    counts = np.zeros(8, dtype=np.int64)
-    for trial in range(trials):
-        rng = np.random.default_rng([config.seed, trial])
-        database = rng.integers(0, 2, config.n, dtype=np.uint8)
-        target = int(rng.integers(config.n))
-        t = run_protocol(config, database, target, rng=rng)
-        kept = t.records.detected
-        cat = (t.records.outcome[kept].astype(np.int64) * 2
-               + t.records.conclusive[kept])
-        counts += np.bincount(cat, minlength=8)
-    return counts
 
 
 # --------------------------------------------------------------------------

@@ -7,11 +7,12 @@ the raw string is XOR-folded into an N-bit oblivious key, and a single
 database bit is retrieved through a user-chosen cyclic shift.
 
 `interpret` is the per-qubit contract: it classifies one outcome against an
-announced pair. The scalar helpers (`bob_prepare`, `transmit`,
-`alice_measure`, `bob_announce`) state the other per-qubit steps.
-`run_protocol` drives whole runs on columnar numpy arrays. Its tables
-(`OUTCOME_SECOND_PROB`, `CONCLUSIVE_TABLE`, `BIT_TABLE`) are tabulated at
-import time from the exact states and from `interpret`.
+announced pair. `run_protocol` drives whole runs on columnar numpy arrays
+through three strategy seams: Bob's `rounds` (preparation and announcement),
+Alice's `respond` (measurement and interpretation) and Bob's `key_bits`
+(his raw-key record). Its tables (`OUTCOME_SECOND_PROB`,
+`CONCLUSIVE_TABLE`, `BIT_TABLE`) are tabulated at import time from the exact
+states and from `interpret`.
 
 Every outcome probability of an honest signal state is 0, 1/2 or 1, so an
 honest round needs only fair coins. Each side draws one byte per qubit, and
@@ -21,6 +22,10 @@ probabilities are not all 0, 1/2 or 1 (a biased preparation at a generic
 angle, the entangled register) takes a float coin per qubit instead. The
 full-length per-qubit record (`Transcript.records`) is built only when a
 caller reads it.
+
+Each strategy class also states the analytic probability that one kept
+qubit is conclusive for Alice (`expected_conclusive`) and whether Alice's
+known bits always match Bob's key under it (`keeps_key_sound`).
 """
 
 from __future__ import annotations
@@ -31,13 +36,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .quantum import (
-    SargSymbol,
-    basis_outcome_symbols,
-    measure,
-    sarg_basis,
-    sarg_state,
-)
+from .quantum import SargSymbol, sarg_state
 
 ANNOUNCEMENT_MODES = ("sarg", "bb84")
 
@@ -189,37 +188,8 @@ class ProtocolConfig:
 
 
 # --------------------------------------------------------------------------
-# scalar per-qubit operations
+# per-qubit interpretation
 # --------------------------------------------------------------------------
-
-def bob_prepare(rng: np.random.Generator) -> SargSymbol:
-    """Draw one signal symbol uniformly from the four."""
-    return SargSymbol(int(rng.integers(4)))
-
-
-def transmit(symbol: SargSymbol, eta: float, rng: np.random.Generator) -> bool:
-    """Channel plus detector: True with probability eta, independent of the symbol."""
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"detection probability must lie in (0, 1], got {eta}")
-    return bool(rng.random() < eta)
-
-
-def alice_measure(symbol: SargSymbol, rng: np.random.Generator) -> tuple[int, SargSymbol]:
-    """Measure the signal state in a uniformly random basis.
-
-    Returns (basis index, outcome symbol); the outcome is Born-sampled from
-    the exact state.
-    """
-    basis_index = int(rng.integers(2))
-    outcome_idx = measure(sarg_state(symbol), sarg_basis(basis_index), rng)
-    return basis_index, basis_outcome_symbols(basis_index)[outcome_idx]
-
-
-def bob_announce(sent: SargSymbol, rng: np.random.Generator) -> AnnouncedPair:
-    """Announce the sent symbol plus one adjacent other-basis symbol."""
-    sent = SargSymbol(sent)
-    return AnnouncedPair((int(sent) - int(rng.integers(2))) % 4)
-
 
 def interpret(basis_index: int, outcome: SargSymbol, pair: AnnouncedPair) -> Interpretation:
     """Classify one measurement against the announced pair.
@@ -241,15 +211,18 @@ def interpret(basis_index: int, outcome: SargSymbol, pair: AnnouncedPair) -> Int
 
 
 # --------------------------------------------------------------------------
-# lookup tables tabulated from the scalar operations
+# lookup tables tabulated from the exact states and `interpret`
 # --------------------------------------------------------------------------
 
 def _tabulate_outcome_probs() -> np.ndarray:
-    """P(outcome is the second basis member | sent symbol, basis)."""
+    """P(outcome is the second basis member | sent symbol, basis).
+
+    Basis b holds the symbols b and b + 2, in that outcome order.
+    """
     table = np.zeros((4, 2))
     for s in SargSymbol:
         for basis in (0, 1):
-            second = sarg_state(basis_outcome_symbols(basis)[1])
+            second = sarg_state(SargSymbol(basis + 2))
             table[int(s), basis] = sarg_state(s).overlap(second) ** 2
     return table
 
@@ -400,11 +373,21 @@ class AliceRecords:
     posterior_bit1: np.ndarray | None = None  # nan where conclusive
 
 
+def _honest_conclusive(config: ProtocolConfig) -> float:
+    """Conclusive probability of an honest round: 1/4 against a pair (the other
+    basis, then the orthogonal outcome), 1/2 against a basis (the same basis)."""
+    return 0.5 if config.announcement == "bb84" else 0.25
+
+
 @dataclass(frozen=True)
 class HonestBob:
     """Protocol-following provider."""
 
     kind = "honest"
+    keeps_key_sound = True
+
+    def expected_conclusive(self, config: ProtocolConfig) -> float:
+        return _honest_conclusive(config)
 
     def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
         draw = _byte_draws(rng, count)  # bits 0-1: sent symbol, bit 2: pair choice
@@ -426,6 +409,10 @@ class HonestAlice:
     """Protocol-following user: direct measurement, mechanical interpretation."""
 
     kind = "honest"
+    keeps_key_sound = True
+
+    def expected_conclusive(self, config: ProtocolConfig) -> float:
+        return _honest_conclusive(config)
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
@@ -460,25 +447,6 @@ def _reduce_arrays(bob_bits: np.ndarray, conclusive: np.ndarray,
         (alice_bits.reshape(k, n) & 1).astype(np.uint8), axis=0)
     alice_known = {int(j): int(vals[j]) for j in np.nonzero(known_mask)[0]}
     return ObliviousKey(bob_key=bob_key, alice_known=alice_known)
-
-
-def reduce_key(raw_bits, raw_interpretations, n: int, k: int) -> ObliviousKey:
-    """Fold k substrings of length n into the oblivious key.
-
-    Raw position t belongs to substring t // n at key position t % n. Bob's
-    key bit j is the XOR over the k substrings; Alice knows position j only
-    when all k contributing interpretations are conclusive, in which case
-    her value is the XOR of the conclusive bits.
-    """
-    bits = np.asarray(raw_bits, dtype=np.uint8)
-    interps = list(raw_interpretations)
-    if bits.size != n * k or len(interps) != n * k:
-        raise ValueError(f"expected {n * k} raw bits and interpretations, "
-                         f"got {bits.size} and {len(interps)}")
-    conclusive = np.array([it.conclusive for it in interps])
-    alice_bits = np.array([it.bit if it.conclusive else 0 for it in interps],
-                          dtype=np.int8)
-    return _reduce_arrays(bits, conclusive, alice_bits, n, k)
 
 
 def query_shift(alice_known: dict[int, int], target_index: int, n: int,
@@ -672,7 +640,7 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     """
     alice = alice if alice is not None else HonestAlice()
     bob = bob if bob is not None else HonestBob()
-    if getattr(alice, "kind", "honest") != "honest" and getattr(bob, "kind", "honest") != "honest":
+    if not isinstance(alice, HonestAlice) and not isinstance(bob, HonestBob):
         raise ValueError("simultaneous cheating on both sides is not modeled")
     x = np.asarray(database, dtype=np.uint8)
     if x.ndim != 1 or x.size != config.n:

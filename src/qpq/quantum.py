@@ -1,10 +1,11 @@
 """Exact linear algebra for real-amplitude qubit states.
 
 Everything the simulator needs from quantum mechanics lives here: the four
-SARG signal states, Born-rule sampling, and the two-state discrimination
-figures of merit (trace distance, fidelity, Helstrom guessing probability,
-unambiguous-discrimination bound). All states carry real amplitudes; the
-protocol never produces a complex coefficient.
+SARG signal states and the two-state discrimination figures of merit (trace
+distance, fidelity, Helstrom guessing probability, unambiguous-discrimination
+bound). All states carry real amplitudes; the protocol never produces a
+complex coefficient. The protocol engine samples from Born-rule outcome
+tables that it builds from these states at import time.
 
 The k-qubit parity mixtures behind one final key bit have two routes: the
 dense 2**k x 2**k matrices (`parity_mixtures`, capped at DENSE_K_MAX) and
@@ -26,7 +27,6 @@ import numpy as np
 NORM_TOL = 1e-12        # unit norm / unit trace / symmetry
 EIG_FLOOR = -1e-10      # eigenvalues below this are an error, above are clipped
 SUPPORT_TOL = 1e-10     # eigenvalue threshold defining the support of a state
-PROB_TOL = 1e-9         # measurement probabilities must sum to 1 within this
 
 K_MAX = 16              # largest k of the block route (blocks of size k + 1)
 DENSE_K_MAX = 12        # largest k of the dense route (two 2**k x 2**k matrices)
@@ -133,45 +133,9 @@ class DensityMatrix:
         return int(self.matrix.shape[0]).bit_length() - 1
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBasis:
-    """Complete list of orthonormal rank-one projectors, one per outcome."""
-
-    states: tuple[PureState, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        dims = {s.dim for s in self.states}
-        if len(dims) != 1:
-            raise ValueError("basis states have mixed dimensions")
-        dim = dims.pop()
-        if len(self.states) != dim:
-            raise ValueError(f"{len(self.states)} projectors cannot span dimension {dim}")
-        vecs = np.stack([s.amplitudes for s in self.states])
-        gram = vecs @ vecs.T
-        if not np.allclose(gram, np.eye(dim), rtol=0.0, atol=NORM_TOL):
-            raise ValueError("projectors are not pairwise orthonormal within 1e-12")
-        # Orthonormality of a full set implies completeness; check it anyway.
-        if not np.allclose(vecs.T @ vecs, np.eye(dim), rtol=0.0, atol=NORM_TOL):
-            raise ValueError("projectors do not sum to the identity")
-
-    @property
-    def dim(self) -> int:
-        return self.states[0].dim
-
-    def __len__(self) -> int:
-        return len(self.states)
-
-
 @lru_cache(maxsize=None)
 def _cached_symbol_state(symbol: int) -> PureState:
     return state_at_angle(SargSymbol(symbol).angle)
-
-
-@lru_cache(maxsize=4)
-def _cached_sarg_basis(basis_index: int) -> MeasurementBasis:
-    first = SargSymbol(basis_index)
-    return MeasurementBasis((sarg_state(first), sarg_state(first.orthogonal)))
 
 
 def state_at_angle(angle: float) -> PureState:
@@ -182,22 +146,6 @@ def state_at_angle(angle: float) -> PureState:
 def sarg_state(symbol: SargSymbol) -> PureState:
     """Signal state for a SARG symbol: UP=(1,0), RIGHT, DOWN, LEFT at pi/4 steps."""
     return _cached_symbol_state(int(symbol))
-
-
-def sarg_basis(basis_index: int) -> MeasurementBasis:
-    """Measurement basis 0 (UP/DOWN) or 1 (RIGHT/LEFT).
-
-    Outcome i of `measure` corresponds to ``basis_outcome_symbols(basis_index)[i]``.
-    """
-    if basis_index not in (0, 1):
-        raise ValueError(f"basis index must be 0 or 1, got {basis_index}")
-    return _cached_sarg_basis(basis_index)
-
-
-def basis_outcome_symbols(basis_index: int) -> tuple[SargSymbol, SargSymbol]:
-    """Symbols reported by a measurement in the given basis, outcome order."""
-    first = SargSymbol(basis_index)
-    return (first, first.orthogonal)
 
 
 def _check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
@@ -284,28 +232,6 @@ def usd_bound(a: DensityMatrix, b: DensityMatrix) -> UsdBound:
     _check_same_dim(a, b)
     feasible = _has_support_outside(a, b) and _has_support_outside(b, a)
     return UsdBound(bound=1.0 - fidelity(a, b), feasible=feasible)
-
-
-def measure(state: PureState | DensityMatrix, basis: MeasurementBasis,
-            rng: np.random.Generator) -> int:
-    """Sample one Born-rule outcome index; consumes one uniform draw.
-
-    Outcome i occurs with probability <i|rho|i> (or |<i|psi>|^2). The
-    probabilities must sum to 1 within 1e-9 and are renormalized before
-    sampling, so the result is deterministic given the stream position.
-    """
-    if state.dim != basis.dim:
-        raise ValueError(f"state dimension {state.dim} does not match basis {basis.dim}")
-    vecs = np.stack([s.amplitudes for s in basis.states])
-    if isinstance(state, PureState):
-        probs = (vecs @ state.amplitudes) ** 2
-    else:
-        probs = np.einsum("ij,jk,ik->i", vecs, state.matrix, vecs)
-    total = float(probs.sum())
-    if abs(total - 1.0) > PROB_TOL:
-        raise ValueError(f"outcome probabilities sum to {total!r}, not 1")
-    edges = np.cumsum(probs / total)
-    return int(np.searchsorted(edges, rng.random(), side="right").clip(0, len(basis) - 1))
 
 
 def kron_power(m: np.ndarray, k: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Shared helpers: random states and brute-force twins used as oracles."""
+"""Shared helpers: random states, brute-force twins used as oracles, run tallies."""
 
 import itertools
 import math
@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from qpq.protocol import ProtocolConfig, run_protocol
 from qpq.quantum import (
     DensityMatrix,
-    MeasurementBasis,
     ParityBounds,
     PureState,
     SargSymbol,
@@ -41,9 +41,24 @@ def random_density(rng, dim=2, rank=None) -> DensityMatrix:
     return DensityMatrix(m)
 
 
-def random_basis(rng, dim=2) -> MeasurementBasis:
-    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-    return MeasurementBasis(tuple(PureState(q[:, i]) for i in range(dim)))
+def honest_category_counts(config: ProtocolConfig, trials: int) -> np.ndarray:
+    """Counts over (outcome, conclusive) categories for kept qubits.
+
+    Eight categories: outcome symbol (4) times conclusive flag (2). Used by
+    the loss-invariance comparison, where the detected-qubit statistics must
+    not depend on the detection probability.
+    """
+    counts = np.zeros(8, dtype=np.int64)
+    for trial in range(trials):
+        rng = np.random.default_rng([config.seed, trial])
+        database = rng.integers(0, 2, config.n, dtype=np.uint8)
+        target = int(rng.integers(config.n))
+        t = run_protocol(config, database, target, rng=rng)
+        kept = t.records.detected
+        cat = (t.records.outcome[kept].astype(np.int64) * 2
+               + t.records.conclusive[kept])
+        counts += np.bincount(cat, minlength=8)
+    return counts
 
 
 def parity_mixtures_bruteforce(k: int):

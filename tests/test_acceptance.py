@@ -32,7 +32,6 @@ from qpq.adversaries import (
 from qpq.experiments import (
     TABLE1_REFERENCE,
     bb84_attack_experiment,
-    honest_category_counts,
     key_stats,
     monte_carlo,
     multi_string_combine,
@@ -42,6 +41,8 @@ from qpq.experiments import (
 from qpq.protocol import ProtocolConfig, run_protocol
 from qpq.quantum import parity_mixtures, trace_distance, usd_bound
 from qpq import stats
+
+from conftest import honest_category_counts
 
 SEED = 20260809
 

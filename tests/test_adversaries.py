@@ -1,40 +1,46 @@
 """Attack-strategy tests: discrimination attacks, register attacks, audits."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2_contingency
 
+from qpq import adversaries
 from qpq.adversaries import (
-    CANONICAL_PAIR,
+    ER_MODES,
+    ER_OUTCOME_PROBS,
+    ER_REGISTER_ONE_PROB,
+    ER_REGISTERS,
     USD_SUCCESS,
     Bb84MemoryAlice,
     BiasedBob,
     EntangledBob,
     UsdAlice,
     alice_joint_helstrom,
-    alice_usd_interpret,
-    bb84_memory_attack,
     biased_analytics,
     biased_attack_report,
     biased_known_bit_mismatch,
     biased_round_trials,
-    bob_biased_send,
-    bob_entangled_round,
     cheat_detection,
     conclusiveness_guess_bound,
     conditional_register_mixtures,
     entangled_attack_report,
-    entangled_outcome_counts,
     entangled_round_trials,
     helstrom_measurement_trials,
-    honest_pair_round_trials,
     no_signaling_audit,
     usd_success_trials,
 )
 from qpq.experiments import monte_carlo
-from qpq.protocol import AnnouncedPair, ProtocolConfig, SargSymbol, run_protocol
+from qpq.protocol import (
+    CONCLUSIVE_TABLE,
+    OUTCOME_SECOND_PROB,
+    HonestAlice,
+    HonestBob,
+    ProtocolConfig,
+    SargSymbol,
+    run_protocol,
+)
 from qpq.quantum import usd_bound
 
 from conftest import helstrom_measurement_trials_dense, xor_error_bruteforce
@@ -42,6 +48,13 @@ from conftest import helstrom_measurement_trials_dense, xor_error_bruteforce
 
 def three_sigma(p, n):
     return 3.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def usd_response(n, rng):
+    """Honest rounds and the discrimination attack's records of them."""
+    config = ProtocolConfig(n=n, k=1)
+    rounds = HonestBob().rounds(n, config, rng)
+    return rounds, UsdAlice().respond(rounds, np.arange(n), config, rng)
 
 
 class TestUsdAttack:
@@ -53,23 +66,23 @@ class TestUsdAttack:
 
     def test_scalar_interpret_matches_rate(self, rng):
         n = 30_000
-        hits = sum(alice_usd_interpret(CANONICAL_PAIR, SargSymbol.UP, rng).conclusive
-                   for _ in range(n))
-        assert abs(hits / n - USD_SUCCESS) <= three_sigma(USD_SUCCESS, n)
+        _, res = usd_response(n, rng)
+        assert abs(res.conclusive.sum() - USD_SUCCESS * n) <= \
+            3.0 * math.sqrt(USD_SUCCESS * (1.0 - USD_SUCCESS) * n)
 
     def test_conclusive_results_are_never_wrong(self, rng):
-        for _ in range(5000):
-            sent = SargSymbol(int(rng.integers(4)))
-            pair = AnnouncedPair((int(sent) - int(rng.integers(2))) % 4)
-            res = alice_usd_interpret(pair, sent, rng)
-            if res.conclusive:
-                assert res.bit == sent.bit
-            else:
-                assert res.posterior_bit1 == 0.5
+        rounds, res = usd_response(5000, rng)
+        assert res.conclusive.any()
+        assert np.array_equal(res.bit[res.conclusive], rounds.sent[res.conclusive] & 1)
+        assert (res.posterior_bit1[~res.conclusive] == 0.5).all()
+        assert np.isnan(res.posterior_bit1[res.conclusive]).all()
 
     def test_sent_symbol_must_be_announced(self, rng):
-        with pytest.raises(ValueError, match="pair"):
-            alice_usd_interpret(AnnouncedPair(0), SargSymbol.DOWN, rng)
+        """The attack needs a definite announced symbol; a biased state has none."""
+        config = ProtocolConfig(n=10, k=1)
+        rounds = BiasedBob(0.3).rounds(10, config, rng)
+        with pytest.raises(ValueError, match="definite sent symbols"):
+            UsdAlice().respond(rounds, np.arange(10), config, rng)
 
     def test_full_runs_reach_the_predicted_known_mean(self):
         config = ProtocolConfig(n=2000, k=3, seed=31)
@@ -120,7 +133,7 @@ class TestBb84Contrast:
     def test_memory_attack_reads_the_whole_key(self, n, k):
         config = ProtocolConfig(n=n, k=k, seed=n + k, announcement="bb84")
         db = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
-        t = bb84_memory_attack(config, db, 0)
+        t = run_protocol(config, db, 0, alice=Bb84MemoryAlice())
         assert len(t.key.alice_known) == n
         assert t.key.mismatched_indices() == []
         assert t.retrieved_bit == int(db[0])
@@ -141,11 +154,14 @@ class TestBb84Contrast:
 
 
 class TestBiasedPreparation:
-    def test_sent_state_and_pair(self):
-        state, pair = bob_biased_send(math.pi / 8.0)
-        np.testing.assert_allclose(state.amplitudes,
-                                   [math.cos(math.pi / 8), math.sin(math.pi / 8)])
-        assert pair == AnnouncedPair(0)
+    def test_sent_state_and_pair(self, rng):
+        """No definite symbol, the pair {UP, RIGHT}, and the Born table of (cos, sin)(pi/8)."""
+        rounds = BiasedBob(math.pi / 8.0).rounds(50, ProtocolConfig(n=50, k=1), rng)
+        assert (rounds.sent == -1).all() and (rounds.pair == 0).all()
+        state = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
+        down, left = np.array([0.0, 1.0]), np.array([-1.0, 1.0]) / math.sqrt(2.0)
+        np.testing.assert_allclose(rounds.kind_table, [[(state @ down) ** 2, (state @ left) ** 2]],
+                                   rtol=0.0, atol=1e-15)
 
     def test_reference_angles(self):
         ne = biased_analytics(math.pi / 8.0)
@@ -212,22 +228,27 @@ class TestEntangledRegister:
         rho_c, rho_n = conditional_register_mixtures()
         assert not usd_bound(rho_c, rho_n).feasible
 
-    def test_scalar_round_is_self_consistent(self, rng):
-        for _ in range(2000):
-            r = bob_entangled_round("honest_basis", rng)
-            assert r.alice_outcome.basis_index == r.alice_basis
-            if r.interpretation.conclusive:
-                # honest register measurement recovers exactly her conclusive bit
-                assert r.bob_bit == r.interpretation.bit
+    def test_scalar_round_is_self_consistent(self):
+        """In the honest register basis his outcome is her conclusive bit with certainty."""
+        p_one = ER_REGISTER_ONE_PROB["honest_basis"]
+        assert p_one[SargSymbol.DOWN] == pytest.approx(1.0, abs=1e-15)  # her bit 1
+        assert p_one[SargSymbol.LEFT] == pytest.approx(0.0, abs=1e-15)  # her bit 0
 
-    def test_scalar_conclusiveness_round_statistics(self, rng):
-        n = 20_000
-        correct = 0
-        for _ in range(n):
-            r = bob_entangled_round("conclusiveness_basis", rng)
-            correct += r.conclusiveness_guess == r.interpretation.conclusive
-        expected = conclusiveness_guess_bound()
-        assert abs(correct / n - expected) <= three_sigma(expected, n)
+    def test_scalar_conclusiveness_round_statistics(self):
+        """Guessing "conclusive" on the |-> outcome attains the Helstrom bound exactly."""
+        p_minus = ER_REGISTER_ONE_PROB["conclusiveness_basis"]
+        conclusive = CONCLUSIVE_TABLE[0]
+        rate = sum(0.5 * ER_OUTCOME_PROBS[o] * (p_minus[o] if conclusive[o] else 1 - p_minus[o])
+                   for o in range(4))
+        assert rate == pytest.approx(conclusiveness_guess_bound(), abs=1e-15)
+
+    def test_register_probabilities_are_the_born_rule(self):
+        """Register outcome 1 is the projector onto |R1> or onto |-> = (|R0> - |R1>)/sqrt(2)."""
+        one = {"honest_basis": np.array([0.0, 1.0]),
+               "conclusiveness_basis": np.array([1.0, -1.0]) / math.sqrt(2.0)}
+        for mode in ER_MODES:
+            born = (ER_REGISTERS @ one[mode]) ** 2
+            np.testing.assert_allclose(ER_REGISTER_ONE_PROB[mode], born, rtol=0.0, atol=1e-15)
 
     def test_bulk_trials_reach_the_reference_rates(self, rng):
         n = 200_000
@@ -244,13 +265,13 @@ class TestEntangledRegister:
         assert res.bit_guess_rate == 1.0
         assert abs(res.conclusive_rate - 0.25) <= three_sigma(0.25, 50_000)
 
-    def test_honest_mode_is_indistinguishable_for_alice(self, rng):
-        """Outcome statistics match the honest protocol given the same pair."""
-        n = 150_000
-        table = np.stack([entangled_outcome_counts("honest_basis", n, rng),
-                          honest_pair_round_trials(n, rng)])
-        _, p_value, _, _ = chi2_contingency(table)
-        assert p_value > 0.01
+    def test_honest_mode_is_indistinguishable_for_alice(self):
+        """Her outcome law equals the honest one given the pair {UP, RIGHT}:
+        3/4 for the pair member of her basis, 1/4 for the other outcome."""
+        np.testing.assert_allclose(ER_OUTCOME_PROBS, [0.75, 0.75, 0.25, 0.25],
+                                   rtol=0.0, atol=1e-15)
+        honest_second = OUTCOME_SECOND_PROB[[SargSymbol.UP, SargSymbol.RIGHT]].mean(axis=0)
+        np.testing.assert_allclose(ER_OUTCOME_PROBS[2:], honest_second, rtol=0.0, atol=1e-15)
 
     def test_full_run_with_honest_register_mode_stays_sound(self):
         config = ProtocolConfig(n=300, k=2, seed=5)
@@ -274,7 +295,7 @@ class TestEntangledRegister:
 
     def test_invalid_mode_rejected(self, rng):
         with pytest.raises(ValueError, match="mode"):
-            bob_entangled_round("sideways", rng)
+            entangled_round_trials("sideways", 10, rng)
         with pytest.raises(ValueError, match="mode"):
             EntangledBob("sideways")
 
@@ -343,3 +364,80 @@ class TestCheatDetection:
     def test_bad_check_count_rejected(self):
         with pytest.raises(ValueError, match="checked bit"):
             cheat_detection([], 0)
+
+
+class TestSizeValidation:
+    """Sizes below one are rejected before a draw or a round is made."""
+
+    @pytest.mark.parametrize("call", [
+        lambda rng: biased_round_trials(math.pi / 8, 0, rng),
+        lambda rng: biased_round_trials(math.pi / 8, -5, rng),
+        lambda rng: entangled_round_trials("honest_basis", 0, rng),
+        lambda rng: entangled_round_trials("conclusiveness_basis", -5, rng),
+        lambda rng: helstrom_measurement_trials(7, 0, rng),
+    ], ids=["biased-0", "biased-negative", "register-0", "register-negative", "helstrom-0"])
+    def test_round_batteries_reject_fewer_than_one_trial(self, call, rng):
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            call(rng)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"points": 0}, "points"),
+        ({"trials_per_point": 0}, "trials_per_point"),
+        ({"points": -3}, "points"),
+    ])
+    def test_audit_rejects_empty_sizes(self, kwargs, name, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a round battery ran")
+
+        monkeypatch.setattr(adversaries, "biased_round_trials", no_work)
+        monkeypatch.setattr(adversaries, "entangled_round_trials", no_work)
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            no_signaling_audit(**kwargs)
+
+
+# Pairing, strategies, announcement, analytic per-round conclusive rate, and
+# whether Bob's key stays sound (the report then checks retrieval).
+PAIRINGS = [
+    ("honest-sarg", None, None, "sarg", 0.25, True),
+    ("honest-bb84", None, None, "bb84", 0.5, True),
+    ("usd", UsdAlice(), None, "sarg", 0.2928932188134524, True),
+    ("bb84-memory-sarg", Bb84MemoryAlice(), None, "sarg", 0.2928932188134524, True),
+    ("bb84-memory-bb84", Bb84MemoryAlice(), None, "bb84", 1.0, True),
+    ("biased-pi/8", None, BiasedBob(math.pi / 8), "sarg", 0.1464466094067262, False),
+    ("register-honest", None, EntangledBob("honest_basis"), "sarg", 0.25, True),
+    ("register-conclusiveness", None, EntangledBob("conclusiveness_basis"), "sarg", 0.25,
+     False),
+]
+
+
+class TestStrategyAnalytics:
+    @pytest.mark.parametrize("alice,bob,announcement,rate,sound",
+                             [p[1:] for p in PAIRINGS], ids=[p[0] for p in PAIRINGS])
+    def test_monte_carlo_takes_the_strategy_analytics(self, alice, bob, announcement,
+                                                      rate, sound):
+        config = ProtocolConfig(n=40, k=1, seed=3, announcement=announcement)
+        report = monte_carlo(config, alice=alice, bob=bob, trials=2)
+        assert report.analytic["conclusive_rate"] == rate
+        assert report.analytic["known_mean"] == pytest.approx(40 * rate)
+        assert ("retrieval_correct" in report.passed) == sound
+        assert ("known_bits_sound" in report.passed) == sound
+        alice, bob = alice or HonestAlice(), bob or HonestBob()
+        assert (report.params["alice"], report.params["bob"]) == (alice.kind, bob.kind)
+        assert set(report.params) == {"config", "trials", "alice", "bob",
+                                      *dataclasses.asdict(bob)}
+        for name, value in dataclasses.asdict(bob).items():
+            assert report.params[name] == value
+
+    def test_run_protocol_rejects_cheating_on_both_sides(self):
+        config = ProtocolConfig(n=10, k=1)
+        with pytest.raises(ValueError, match="both sides"):
+            run_protocol(config, np.zeros(10, dtype=np.uint8), 0,
+                         alice=UsdAlice(), bob=BiasedBob(0.3))
+
+    def test_biased_audit_point_keeps_the_raw_grid_angle(self):
+        """The grid's last angle is pi; the physics is pi-periodic, the report keeps pi."""
+        audit = no_signaling_audit(points=3, trials_per_point=200, seed=1)
+        assert [rep.params for rep in audit.reports[:3]] == \
+            [{"phi": 0.0}, {"phi": math.pi / 2}, {"phi": math.pi}]

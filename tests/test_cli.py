@@ -244,6 +244,80 @@ class TestSweepCurveCombine:
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
+class TestSizeValidation:
+    @pytest.mark.parametrize("argv,name", [
+        (["attack-bob", "--strategy", "bias", "--trials", "0"], "trials"),
+        (["attack-bob", "--strategy", "entangle", "--trials", "0"], "trials"),
+        (["attack-bob", "--strategy", "bias", "--trials", "-5"], "trials"),
+        (["attack-bob", "--strategy", "entangle", "--trials", "-5"], "trials"),
+        (["sweep", "--trials-per-point", "0"], "trials_per_point"),
+        (["sweep", "--points", "0"], "points"),
+        (["attack-alice", "--strategy", "helstrom", "--trials", "0"], "trials"),
+    ], ids=["bias-0", "entangle-0", "bias-negative", "entangle-negative",
+            "sweep-trials-0", "sweep-points-0", "helstrom-0"])
+    def test_sizes_below_one_exit_one(self, argv, name, tmp_path, capsys):
+        out, csv_path = tmp_path / "r.json", tmp_path / "r.csv"
+        extra = ["--csv", str(csv_path)] if argv[0] == "sweep" else []
+        assert run_cli(argv + ["--out", str(out), *extra]) == 1
+        assert f"{name} must be >= 1" in capsys.readouterr().err
+        assert not out.exists() and not csv_path.exists()
+
+
+def key_paths(doc, prefix=""):
+    """Every key path of a JSON document; list items share the path segment "*"."""
+    if isinstance(doc, dict):
+        return {path for key, value in doc.items()
+                for path in {f"{prefix}/{key}"} | key_paths(value, f"{prefix}/{key}")}
+    if isinstance(doc, list):
+        return {path for item in doc for path in key_paths(item, f"{prefix}/*")}
+    return set()
+
+
+ATTACK_REPORT_PATHS = {
+    "/strategy", "/params", "/trials", "/p_c", "/p_b", "/product", "/bit_error_rate",
+    "/basis_guess_rate", "/known_bits_mean", "/analytic", "/analytic/p_c",
+    "/analytic/p_b", "/analytic/product", "/ci99", "/ci99/basis_guess_rate", "/passed",
+    "/passed/basis_guess_half", "/passed/product_bound",
+}
+
+
+class TestReportShape:
+    """The attack-bob and sweep reports keep every key they have; a refactor
+    that drops or renames a field fails here."""
+
+    @pytest.mark.parametrize("strategy,extra", [
+        ("bias", {"/params/phi", "/analytic/bit_error_rate", "/analytic/known_bits_mean",
+                  "/ci99/p_c", "/ci99/known_bits_mean", "/passed/conclusive_rate",
+                  "/passed/known_mean"}),
+        ("entangle", {"/params/mode", "/analytic/conclusiveness_guess_bound",
+                      "/analytic/known_bits_mean", "/ci99/p_c", "/ci99/p_b",
+                      "/ci99/known_bits_mean", "/passed/p_c", "/passed/p_b",
+                      "/passed/known_mean"}),
+    ])
+    def test_attack_bob_keys(self, strategy, extra, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["attack-bob", "--strategy", strategy, "--trials", "2000",
+                        "--seed", "5", "--out", str(out)]) in (0, 2)
+        doc = json.loads(out.read_text())
+        assert key_paths(doc) == ATTACK_REPORT_PATHS | extra
+
+    def test_sweep_keys_and_csv_header(self, tmp_path):
+        out, csv_path = tmp_path / "s.json", tmp_path / "s.csv"
+        assert run_cli(["sweep", "--points", "3", "--trials-per-point", "500", "--seed", "5",
+                        "--out", str(out), "--csv", str(csv_path)]) in (0, 2)
+        doc = json.loads(out.read_text())
+        assert set(doc) == {"max_product_analytic", "max_product_strategy", "basis_guess_ok",
+                            "product_ok", "familywise_confidence", "trials_per_point",
+                            "strategies"}
+        entry_paths = ATTACK_REPORT_PATHS | {"/ci99/product"}
+        strategies = doc["strategies"]
+        assert [rep["strategy"] for rep in strategies] == ["biased"] * 3 + ["entangled"] * 2
+        for rep in strategies:
+            param = "/params/phi" if rep["strategy"] == "biased" else "/params/mode"
+            assert key_paths(rep) == entry_paths | {param}
+        assert csv_path.read_text().splitlines()[0] == "phi,p_c,p_b,product,basis_guess,ci"
+
+
 def _diff_reports(block, dense, path=""):
     """Paths where two report documents differ; floats may differ by 1e-12."""
     if isinstance(block, dict) and isinstance(dense, dict):

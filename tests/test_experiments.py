@@ -13,7 +13,6 @@ from qpq.experiments import (
     bb84_attack_experiment,
     combine_known_sets,
     helstrom_experiment,
-    honest_category_counts,
     key_stats,
     monte_carlo,
     multi_string_combine,
@@ -25,7 +24,7 @@ from qpq.experiments import (
 )
 from qpq.protocol import ProtocolConfig, run_protocol
 
-from conftest import parity_usd_bound_50_digits
+from conftest import honest_category_counts, parity_usd_bound_50_digits
 
 
 class TestKeyStats:

@@ -1,4 +1,9 @@
-"""Protocol-engine tests: per-qubit contracts, reduction, retrieval, full runs."""
+"""Protocol-engine tests: per-qubit contracts, reduction, retrieval, full runs.
+
+The honest per-qubit steps are checked exactly: `_byte_draws` is patched so
+that HonestBob.rounds and HonestAlice.respond see every one of the 256
+values of their draw byte, in every combination.
+"""
 
 import dataclasses
 import math
@@ -24,24 +29,49 @@ from qpq.protocol import (
     RawRecords,
     RestartLimitExceeded,
     SargSymbol,
-    alice_measure,
-    bob_announce,
-    bob_prepare,
     decrypt_bit,
     encrypt_database,
     fair_coin_table,
     interpret,
     is_dyadic,
     query_shift,
-    reduce_key,
     run_protocol,
-    transmit,
 )
-from qpq.experiments import honest_category_counts
+
+from conftest import honest_category_counts
 
 
 def three_sigma_count(p, n):
     return 3.0 * math.sqrt(p * (1.0 - p) * n)
+
+
+ALL_BYTES = np.arange(256, dtype=np.uint8)
+
+
+@pytest.fixture
+def every_draw(monkeypatch):
+    """One honest round per (Bob byte, Alice byte) combination, 65,536 in all.
+
+    Returns (rounds, alice records, Alice's bytes). Bob's byte codes the sent
+    symbol (bits 0-1) and the pair choice (bit 2); Alice's codes the coin
+    (bit 0) and her basis (bit 1).
+    """
+    bob_bytes = np.repeat(ALL_BYTES, 256)
+    alice_bytes = np.tile(ALL_BYTES, 256)
+    draws = iter([bob_bytes, alice_bytes])
+    config = ProtocolConfig(n=bob_bytes.size, k=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "_byte_draws", lambda rng, count: next(draws))
+        rounds = HonestBob().rounds(config.raw_length, config, None)
+        alice = HonestAlice().respond(rounds, np.arange(config.raw_length), config, None)
+    return rounds, alice, alice_bytes
+
+
+def bob_bytes_only(monkeypatch):
+    """HonestBob.rounds over the 256 values of its draw byte."""
+    with monkeypatch.context() as patch:
+        patch.setattr(protocol, "_byte_draws", lambda rng, count: ALL_BYTES)
+        return HonestBob().rounds(256, ProtocolConfig(n=256, k=1), None)
 
 
 class TestAnnouncedPair:
@@ -80,81 +110,86 @@ class TestInterpretationType:
 
 
 class TestBobPrepare:
-    def test_symbols_are_uniform(self, rng):
-        n = 1_000_000
-        counts = np.bincount([int(bob_prepare(rng)) for _ in range(n)], minlength=4)
-        for c in counts:
-            assert abs(c - n / 4) <= three_sigma_count(0.25, n)
+    def test_symbols_are_uniform(self, monkeypatch):
+        rounds = bob_bytes_only(monkeypatch)
+        assert np.bincount(rounds.sent, minlength=4).tolist() == [64] * 4
+        assert np.array_equal(rounds.kind, rounds.sent)
 
-    def test_bit_zero_symbols_are_half(self, rng):
-        n = 200_000
-        zeros = sum(bob_prepare(rng).bit == 0 for _ in range(n))
-        assert abs(zeros - n / 2) <= three_sigma_count(0.5, n)
+    def test_bit_zero_symbols_are_half(self, monkeypatch):
+        rounds = bob_bytes_only(monkeypatch)
+        assert int(np.count_nonzero(rounds.sent & 1 == 0)) == 128
 
     def test_stream_determinism(self):
-        a = [bob_prepare(np.random.default_rng(5)) for _ in range(32)]
-        b = [bob_prepare(np.random.default_rng(5)) for _ in range(32)]
-        assert a == b
+        config = ProtocolConfig(n=32, k=1)
+        a = HonestBob().rounds(32, config, np.random.default_rng(5))
+        b = HonestBob().rounds(32, config, np.random.default_rng(5))
+        assert np.array_equal(a.sent, b.sent) and np.array_equal(a.pair, b.pair)
 
 
 class TestTransmit:
-    def test_eta_one_always_detects(self, rng):
-        assert all(transmit(SargSymbol.UP, 1.0, rng) for _ in range(1000))
+    def test_eta_one_always_detects(self):
+        t = run_protocol(ProtocolConfig(n=100, k=3, seed=4), np.zeros(100, dtype=np.uint8), 0)
+        assert len(t.records) == 300
+        assert t.records.detected.all()
 
-    def test_detection_rate_matches_eta(self, rng):
-        n = 1_000_000
-        hits = sum(transmit(SargSymbol.LEFT, 0.1, rng) for _ in range(n))
-        assert abs(hits - 0.1 * n) <= three_sigma_count(0.1, n)
+    def test_detection_rate_matches_eta(self):
+        """The run stops at the qubit that completes the raw string, so the
+        sent count is a negative-binomial draw with mean raw length / eta."""
+        config = ProtocolConfig(n=20_000, k=5, eta=0.1, seed=6)
+        t = run_protocol(config, np.zeros(config.n, dtype=np.uint8), 0)
+        sent = len(t.records)
+        assert t.records.kept_count == config.raw_length
+        assert abs(config.raw_length - 0.1 * sent) <= three_sigma_count(0.1, sent)
 
-    def test_invalid_eta_rejected(self, rng):
-        with pytest.raises(ValueError, match="detection"):
-            transmit(SargSymbol.UP, 0.0, rng)
+    def test_invalid_eta_rejected(self):
+        for eta in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="detection"):
+                ProtocolConfig(n=1, k=1, eta=eta)
 
 
 class TestAliceMeasure:
-    def test_eigenstate_in_own_basis(self, rng):
-        for _ in range(500):
-            basis, outcome = alice_measure(SargSymbol.UP, rng)
-            if basis == 0:
-                assert outcome == SargSymbol.UP
+    def test_eigenstate_in_own_basis(self, every_draw):
+        rounds, alice, _ = every_draw
+        own = rounds.sent & 1 == alice.basis
+        assert own.sum() == 65536 // 2
+        assert np.array_equal(alice.outcome[own], rounds.sent[own])
 
-    def test_cross_basis_is_balanced(self, rng):
-        rights = total = 0
-        for _ in range(60_000):
-            basis, outcome = alice_measure(SargSymbol.UP, rng)
-            if basis == 1:
-                total += 1
-                rights += outcome == SargSymbol.RIGHT
-        assert abs(rights - total / 2) <= three_sigma_count(0.5, total)
+    def test_cross_basis_is_balanced(self, every_draw):
+        """Each other-basis outcome occurs for exactly half of the coin values."""
+        rounds, alice, _ = every_draw
+        for sent in SargSymbol:
+            cross = (rounds.sent == sent) & (alice.basis != sent.basis_index)
+            counts = np.bincount(alice.outcome[cross], minlength=4)
+            other = [int(s) for s in SargSymbol if s.basis_index != sent.basis_index]
+            assert counts[other].tolist() == [cross.sum() // 2] * 2
 
-    def test_conclusive_marginal_is_quarter(self, rng):
-        """Random symbol, announcement, measurement: 1/4 conclusive overall."""
-        n = 40_000
-        conclusive = 0
-        for _ in range(n):
-            sent = bob_prepare(rng)
-            pair = bob_announce(sent, rng)
-            basis, outcome = alice_measure(sent, rng)
-            conclusive += interpret(basis, outcome, pair).conclusive
-        assert abs(conclusive - n / 4) <= three_sigma_count(0.25, n)
+    def test_conclusive_marginal_is_quarter(self, every_draw):
+        _, alice, _ = every_draw
+        assert int(alice.conclusive.sum()) == 65536 // 4
+
+    def test_draws_are_exactly_uniform(self, every_draw):
+        """Symbol, pair choice, basis and coin: each of the 32 joint cells once per 2,048."""
+        rounds, alice, alice_bytes = every_draw
+        choice = (rounds.sent - rounds.pair) % 4
+        cell = ((rounds.sent * 2 + choice) * 2 + alice.basis) * 2 + (alice_bytes & 1)
+        assert np.bincount(cell, minlength=32).tolist() == [2048] * 32
+        assert np.array_equal(alice.basis, (alice_bytes >> 1) & 1)
 
 
 class TestBobAnnounce:
-    def test_pair_always_contains_sent(self, rng):
-        for _ in range(2000):
-            sent = bob_prepare(rng)
-            assert sent in bob_announce(sent, rng)
+    def test_pair_always_contains_sent(self, monkeypatch):
+        rounds = bob_bytes_only(monkeypatch)
+        for sent, pair in zip(rounds.sent, rounds.pair):
+            assert SargSymbol(int(sent)) in AnnouncedPair(int(pair))
 
-    def test_right_yields_its_two_pairs_evenly(self, rng):
-        n = 40_000
-        counts = {0: 0, 1: 0}
-        for _ in range(n):
-            counts[bob_announce(SargSymbol.RIGHT, rng).pair_id] += 1
-        assert set(counts) == {0, 1}
-        assert abs(counts[0] - n / 2) <= three_sigma_count(0.5, n)
+    def test_right_yields_its_two_pairs_evenly(self, monkeypatch):
+        rounds = bob_bytes_only(monkeypatch)
+        ids = rounds.pair[rounds.sent == SargSymbol.RIGHT]
+        assert np.bincount(ids, minlength=4).tolist() == [32, 32, 0, 0]
 
-    def test_up_yields_adjacent_pairs(self, rng):
-        ids = {bob_announce(SargSymbol.UP, rng).pair_id for _ in range(200)}
+    def test_up_yields_adjacent_pairs(self, monkeypatch):
+        rounds = bob_bytes_only(monkeypatch)
+        ids = set(rounds.pair[rounds.sent == SargSymbol.UP].tolist())
         assert ids == {0, 3}  # {UP,RIGHT} and {LEFT,UP}
 
 
@@ -181,55 +216,61 @@ class TestInterpret:
         with pytest.raises(ValueError, match="basis"):
             interpret(1, SargSymbol.UP, AnnouncedPair(0))
 
-    def test_conclusive_results_never_wrong(self, rng):
+    def test_conclusive_results_never_wrong(self, every_draw):
         """Honest-run soundness: a conclusive bit always equals the sent bit."""
-        for _ in range(20_000):
-            sent = bob_prepare(rng)
-            pair = bob_announce(sent, rng)
-            basis, outcome = alice_measure(sent, rng)
-            res = interpret(basis, outcome, pair)
-            if res.conclusive:
-                assert res.bit == sent.bit
+        rounds, alice, _ = every_draw
+        assert np.array_equal(alice.bit[alice.conclusive], rounds.sent[alice.conclusive] & 1)
+        records = seeded_run_records()
+        conclusive = records.detected & records.conclusive
+        assert conclusive.any()
+        assert np.array_equal(records.alice_bit[conclusive], records.sent[conclusive] & 1)
 
-    def test_inconclusive_due_to_matching_basis_two_thirds(self, rng):
+    def test_inconclusive_due_to_matching_basis_two_thirds(self, every_draw):
         """Given no conclusive result, the bases coincided with chance 2/3."""
-        matched = total = 0
-        for _ in range(60_000):
-            sent = bob_prepare(rng)
-            pair = bob_announce(sent, rng)
-            basis, outcome = alice_measure(sent, rng)
-            if not interpret(basis, outcome, pair).conclusive:
-                total += 1
-                matched += basis == sent.basis_index
+        rounds, alice, _ = every_draw
+        inconclusive = ~alice.conclusive
+        matched = int(np.count_nonzero(alice.basis[inconclusive]
+                                       == rounds.sent[inconclusive] & 1))
+        assert 3 * matched == 2 * int(inconclusive.sum())
+        records = seeded_run_records()
+        inconclusive = records.detected & ~records.conclusive
+        total = int(inconclusive.sum())
+        matched = int(np.count_nonzero(records.basis[inconclusive]
+                                       == records.sent[inconclusive] & 1))
         assert abs(matched - 2 * total / 3) <= three_sigma_count(2.0 / 3.0, total)
 
 
+def seeded_run_records() -> RawRecords:
+    config = ProtocolConfig(n=20_000, k=3, eta=0.7, seed=2718)
+    return run_protocol(config, np.zeros(config.n, dtype=np.uint8), 0).records
+
+
+def reduce(bob_bits, conclusive, alice_bits, n, k) -> ObliviousKey:
+    return protocol._reduce_arrays(np.asarray(bob_bits, dtype=np.uint8),
+                                   np.asarray(conclusive, dtype=bool),
+                                   np.asarray(alice_bits, dtype=np.int8), n, k)
+
+
 class TestReduceKey:
+    """The engine's k-fold XOR reduction, `_reduce_arrays`; -1 marks no bit."""
+
     def test_k1_is_the_identity_reduction(self):
-        interps = [Interpretation.conclusive_bit(1),
-                   Interpretation.inconclusive(2 / 3),
-                   Interpretation.conclusive_bit(0)]
-        key = reduce_key([1, 0, 0], interps, n=3, k=1)
+        key = reduce([1, 0, 0], [True, False, True], [1, -1, 0], n=3, k=1)
         assert key.bob_key.tolist() == [1, 0, 0]
         assert key.alice_known == {0: 1, 2: 0}
 
     def test_two_by_two_worked_example(self):
-        interps = [Interpretation.conclusive_bit(1),
-                   Interpretation.inconclusive(1 / 3),
-                   Interpretation.conclusive_bit(1),
-                   Interpretation.inconclusive(2 / 3)]
-        key = reduce_key([1, 0, 1, 1], interps, n=2, k=2)
+        key = reduce([1, 0, 1, 1], [True, False, True, False], [1, -1, 1, -1], n=2, k=2)
         assert key.bob_key.tolist() == [0, 1]
         assert key.alice_known == {0: 0}
 
     def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError, match="raw bits"):
-            reduce_key([0, 1], [Interpretation.conclusive_bit(0)], n=2, k=1)
+        with pytest.raises(ValueError):
+            reduce([0, 1], [True], [0], n=2, k=1)
 
     def test_alice_values_follow_conclusive_bits_not_bobs(self):
         """Reduction folds her conclusive bits even when they disagree with Bob."""
-        interps = [Interpretation.conclusive_bit(0), Interpretation.conclusive_bit(0)]
-        key = reduce_key([1, 1], interps, n=1, k=2)
+        key = reduce([1, 1], [True, True], [0, 0], n=1, k=2)
         assert key.bob_key.tolist() == [0]
         assert key.alice_known == {0: 0}
 

@@ -1,4 +1,4 @@
-"""Kernel tests: states, distances, discrimination bounds, Born sampling."""
+"""Kernel tests: states, distances, discrimination bounds, Born probabilities."""
 
 import math
 import tracemalloc
@@ -7,24 +7,22 @@ import numpy as np
 import pytest
 
 from qpq import quantum
+from qpq.adversaries import BiasedBob
+from qpq.protocol import OUTCOME_SECOND_PROB, HonestAlice, HonestBob, ProtocolConfig
 from qpq.quantum import (
     DENSE_K_MAX,
     K_MAX,
     DensityMatrix,
-    MeasurementBasis,
     PureState,
     SargSymbol,
     dense_route_bytes,
     fidelity,
     helstrom_guess,
     helstrom_parity_table,
-    measure,
     parity_blocks,
     parity_bounds,
     parity_mixtures,
-    sarg_basis,
     sarg_state,
-    state_at_angle,
     symmetric_power,
     trace_distance,
     usd_bound,
@@ -35,7 +33,6 @@ from conftest import (
     parity_mixtures_bruteforce,
     parity_usd_bound_50_digits,
     parity_usd_bound_closed_form_50_digits,
-    random_basis,
     random_density,
     random_pure,
 )
@@ -75,14 +72,6 @@ class TestStateTypes:
     def test_density_matrix_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(2))
-
-    def test_basis_rejects_non_orthogonal_states(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            MeasurementBasis((sarg_state(SargSymbol.UP), sarg_state(SargSymbol.RIGHT)))
-
-    def test_basis_requires_complete_set(self):
-        with pytest.raises(ValueError, match="span"):
-            MeasurementBasis((sarg_state(SargSymbol.UP),))
 
 
 class TestSargStates:
@@ -220,55 +209,61 @@ class TestUsdBound:
         assert usd_bound(a.density(), b.density()).feasible
 
 
+def born_second(state_matrix: np.ndarray, basis: int) -> float:
+    """Tr(rho P) for the projector onto the second member (symbol basis + 2) of a basis."""
+    second = sarg_state(SargSymbol(basis + 2)).amplitudes
+    return float(second @ state_matrix @ second)
+
+
 class TestMeasure:
-    def test_eigenstate_is_deterministic(self, rng):
-        basis = sarg_basis(0)
-        for _ in range(200):
-            assert measure(sarg_state(SargSymbol.UP), basis, rng) == 0
-            assert measure(sarg_state(SargSymbol.DOWN), basis, rng) == 1
+    """The engine samples Alice's outcome from OUTCOME_SECOND_PROB (honest
+    symbols) or a strategy's kind table; both must be the exact Born rule."""
 
-    def test_right_in_vertical_basis_is_balanced(self, rng):
-        """Frequency check of the 1/2-1/2 Born rule at 1e5 samples."""
-        n = 100_000
-        ups = sum(measure(sarg_state(SargSymbol.RIGHT), sarg_basis(0), rng) == 0
-                  for _ in range(n))
-        sigma = math.sqrt(0.25 * n)
-        assert abs(ups - 0.5 * n) <= 3.0 * sigma
+    def test_eigenstate_is_deterministic(self):
+        for s in SargSymbol:
+            basis = s.basis_index
+            expected = 1.0 if s in (SargSymbol.DOWN, SargSymbol.LEFT) else 0.0
+            assert OUTCOME_SECOND_PROB[int(s), basis] == pytest.approx(expected, abs=1e-12)
 
-    def test_intermediate_state_down_rate(self, rng):
-        """State midway between UP and RIGHT lands on DOWN at sin^2(pi/8)."""
-        n = 100_000
+    def test_right_in_vertical_basis_is_balanced(self):
+        """Every symbol lands on either member of the other basis with chance 1/2."""
+        for s in SargSymbol:
+            assert OUTCOME_SECOND_PROB[int(s), 1 - s.basis_index] == pytest.approx(
+                0.5, abs=1e-15)
+
+    def test_intermediate_state_down_rate(self):
+        """State midway between UP and RIGHT lands on DOWN (and LEFT) at sin^2(pi/8)."""
+        config = ProtocolConfig(n=4, k=1)
+        table = BiasedBob(math.pi / 8.0).rounds(4, config, None).kind_table
         p = math.sin(math.pi / 8.0) ** 2
-        downs = sum(measure(state_at_angle(math.pi / 8.0), sarg_basis(0), rng) == 1
-                    for _ in range(n))
-        assert abs(downs - p * n) <= 3.0 * math.sqrt(p * (1.0 - p) * n)
+        np.testing.assert_allclose(table, [[p, p]], rtol=0.0, atol=1e-15)
 
-    def test_density_matrix_input_matches_pure_input(self, rng):
-        hits = sum(measure(sarg_state(SargSymbol.RIGHT).density(), sarg_basis(0), rng)
-                   for _ in range(20_000))
-        assert abs(hits - 10_000) <= 3.0 * math.sqrt(0.25 * 20_000)
+    def test_density_matrix_input_matches_pure_input(self):
+        for s in SargSymbol:
+            rho = sarg_state(s).density().matrix
+            for basis in (0, 1):
+                assert born_second(rho, basis) == pytest.approx(
+                    OUTCOME_SECOND_PROB[int(s), basis], abs=1e-15)
 
     def test_probabilities_sum_to_one_on_random_inputs(self, rng):
         for _ in range(50):
-            dim = int(rng.choice([2, 4]))
-            basis = random_basis(rng, dim)
-            state = random_density(rng, dim)
-            vecs = np.stack([s.amplitudes for s in basis.states])
-            probs = np.einsum("ij,jk,ik->i", vecs, state.matrix, vecs)
-            assert probs.min() >= -1e-12
-            assert probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert 0 <= measure(state, basis, rng) < dim
-
-    def test_dimension_mismatch_raises(self, rng):
-        with pytest.raises(ValueError, match="dimension"):
-            measure(random_pure(rng, 4), sarg_basis(0), rng)
+            rho = random_density(rng).matrix
+            for basis in (0, 1):
+                first = sarg_state(SargSymbol(basis)).amplitudes
+                assert float(first @ rho @ first) + born_second(rho, basis) == \
+                    pytest.approx(1.0, abs=1e-12)
+        assert OUTCOME_SECOND_PROB.min() >= 0.0 and OUTCOME_SECOND_PROB.max() <= 1.0
 
     def test_deterministic_given_stream(self):
-        a = [measure(sarg_state(SargSymbol.RIGHT), sarg_basis(0), np.random.default_rng(s))
-             for s in range(64)]
-        b = [measure(sarg_state(SargSymbol.RIGHT), sarg_basis(0), np.random.default_rng(s))
-             for s in range(64)]
-        assert a == b
+        config = ProtocolConfig(n=64, k=1)
+
+        def outcomes(seed):
+            rng = np.random.default_rng(seed)
+            rounds = HonestBob().rounds(config.raw_length, config, rng)
+            return HonestAlice().respond(rounds, np.arange(len(rounds)), config, rng).outcome
+
+        for seed in range(8):
+            assert np.array_equal(outcomes(seed), outcomes(seed))
 
 
 class TestParityMixtures:
