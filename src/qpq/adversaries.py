@@ -122,26 +122,24 @@ class Bb84MemoryAlice:
 
 
 class JointHelstromValue(NamedTuple):
-    """Closed-form guessing probability plus the matrix-route check value."""
+    """Closed-form guessing probability plus the `parity_bounds` check value."""
 
     closed_form: float
     matrix_value: float | None
 
 
-def alice_joint_helstrom(k: int, matrix_max_k: int = K_MAX) -> JointHelstromValue:
+def alice_joint_helstrom(k: int) -> JointHelstromValue:
     """Per-final-bit guessing probability of the joint minimum-error measurement.
 
-    The closed form is 1/2 + 1/(2 sqrt(2**k)); for k <= matrix_max_k the
-    value is recomputed through the Helstrom bound of the parity mixtures'
-    permutation-symmetric blocks, and the two routes must agree to 1e-9.
+    The closed form is 1/2 + 1/(2 sqrt(2**k)); for k <= K_MAX the value is
+    recomputed through the Helstrom bound of `parity_bounds`, and the two
+    routes must agree to 1e-9.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    closed = 0.5 + 0.5 * 2.0 ** (-k / 2.0)
-    matrix_value = None
-    if k <= matrix_max_k:
-        matrix_value = parity_bounds(k).helstrom_guess
-    return JointHelstromValue(closed_form=closed, matrix_value=matrix_value)
+    matrix_value = parity_bounds(k).helstrom_guess if k <= K_MAX else None
+    return JointHelstromValue(closed_form=0.5 + 0.5 * 2.0 ** (-k / 2.0),
+                              matrix_value=matrix_value)
 
 
 def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator,

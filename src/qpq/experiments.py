@@ -232,6 +232,12 @@ def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
         return [result for part in pool.map(_trial_chunk, tasks) for result in part]
 
 
+def _require_trials(trials: int) -> None:
+    """The dispersion interval of a Monte Carlo report needs two trials."""
+    if trials < 2:
+        raise ValueError(f"trials must be >= 2, got {trials}")
+
+
 def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000,
                 jobs: int = 1) -> ExperimentReport:
     """Run seeded protocol trials and compare the statistics to the closed forms.
@@ -241,8 +247,7 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     from the first attempt of each run (the unconditioned distribution);
     restart exhaustion counts as a failed trial, not a crash.
     """
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    _require_trials(trials)
     start = time.perf_counter()
     alice = alice if alice is not None else HonestAlice()
     bob = bob if bob is not None else HonestBob()
@@ -364,6 +369,7 @@ def usd_attack_experiment(n: int = 50_000, k: int = 7, trials: int = 600,
                           qubit_samples: int = 10**6, seed: int = 0,
                           jobs: int = 1) -> ExperimentReport:
     """Perfect-memory discrimination attack: per-qubit rate plus full runs."""
+    _require_trials(trials)
     start = time.perf_counter()
     rng = np.random.default_rng([seed, 10**6])
     hits = int(usd_success_trials(qubit_samples, rng).sum())
@@ -419,6 +425,7 @@ def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0,
 def bb84_attack_experiment(n: int = 1000, k: int = 4, trials: int = 50,
                            seed: int = 0) -> ExperimentReport:
     """Memory attack under basis announcements, with the pair-announcement contrast."""
+    _require_trials(trials)
     start = time.perf_counter()
     full_known = 0
     mismatches = 0

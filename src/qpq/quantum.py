@@ -8,9 +8,10 @@ complex coefficient. The protocol engine samples from Born-rule outcome
 tables that it builds from these states at import time.
 
 The k-qubit parity mixtures behind one final key bit have two routes: the
-dense 2**k x 2**k matrices (`parity_mixtures`, capped at DENSE_K_MAX) and
-the permutation-symmetric blocks of size at most k + 1 (`parity_blocks`,
-`parity_bounds`, capped at K_MAX), which the drivers use.
+closed forms of `parity_bounds` (capped at K_MAX), from the split of both
+mixtures into 2**(k-1) planes in the |+/-> basis, which the drivers use;
+and the dense 2**k x 2**k matrices (`parity_mixtures`, capped at
+DENSE_K_MAX), which cross-check them.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ NORM_TOL = 1e-12        # unit norm / unit trace / symmetry
 EIG_FLOOR = -1e-10      # eigenvalues below this are an error, above are clipped
 SUPPORT_TOL = 1e-10     # eigenvalue threshold defining the support of a state
 
-K_MAX = 16              # largest k of the block route (blocks of size k + 1)
+K_MAX = 16              # largest k of parity_bounds and the drivers
 DENSE_K_MAX = 12        # largest k of the dense route (two 2**k x 2**k matrices)
 
 
@@ -81,16 +82,12 @@ class PureState:
         if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
             raise ValueError(f"amplitude count {amps.size} is not a power of two >= 2")
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects NaN and inf
             raise ValueError(f"state norm {norm!r} differs from 1 beyond {NORM_TOL}")
 
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    @property
-    def num_qubits(self) -> int:
-        return int(self.amplitudes.size).bit_length() - 1
 
     def overlap(self, other: "PureState") -> float:
         """Inner product <self|other>."""
@@ -127,10 +124,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def num_qubits(self) -> int:
-        return int(self.matrix.shape[0]).bit_length() - 1
 
 
 @lru_cache(maxsize=None)
@@ -271,80 +264,6 @@ def parity_mixtures(k: int) -> tuple[DensityMatrix, DensityMatrix]:
     return DensityMatrix(total + signed), DensityMatrix(total - signed)
 
 
-def _parity_factor() -> np.ndarray:
-    """G = [UP, RIGHT] as columns: M = G G^T and D = G diag(1, -1) G^T."""
-    return np.column_stack([sarg_state(SargSymbol.UP).amplitudes,
-                            sarg_state(SargSymbol.RIGHT).amplitudes])
-
-
-def symmetric_power(a: np.ndarray, n: int) -> np.ndarray:
-    """Action Sym^n(a) of a real 2x2 matrix on the symmetric subspace of n qubits.
-
-    The basis is the orthonormal Dicke basis |n, j> (j qubits in state 1),
-    in which Sym^n(a b) = Sym^n(a) Sym^n(b) and Sym^n(a^T) = Sym^n(a)^T.
-    Column j holds the coefficients of (a00 + a10 y)^(n-j) (a01 + a11 y)^j,
-    rescaled by sqrt(C(n, j) / C(n, i)) from monomials to Dicke states.
-    """
-    (a00, a01), (a10, a11) = np.asarray(a, dtype=float)
-    out = np.empty((n + 1, n + 1))
-    for j in range(n + 1):
-        column = np.ones(1)
-        for _ in range(n - j):
-            column = np.convolve(column, (a00, a10))
-        for _ in range(j):
-            column = np.convolve(column, (a01, a11))
-        out[:, j] = column
-    binom = np.array([math.comb(n, j) for j in range(n + 1)], dtype=float)
-    return out * np.sqrt(binom / binom[:, None])
-
-
-class ParityBlock(NamedTuple):
-    """One spin block of rho_even and rho_odd and the number of its copies.
-
-    `cross` is X_even^T X_odd for the factors rho = X X^T of the block, so
-    its nuclear norm is the block's fidelity.
-    """
-
-    multiplicity: int
-    even: np.ndarray
-    odd: np.ndarray
-    cross: np.ndarray
-
-
-def parity_blocks(k: int) -> list[ParityBlock]:
-    """Permutation-symmetric blocks of the k-qubit parity mixtures.
-
-    By Schur-Weyl duality, for q = 0..k//2 and n = k - 2q, A^(x)k acts on
-    C(k, q) - C(k, q - 1) copies of the spin block as det(A)^q Sym^n(A).
-    With M = G G^T, D = G J G^T, J = diag(1, -1), det G^2 = 1/2 and
-    Sym^n(J) = diag((-1)^j), each block is
-        even_q = c_q S P_e S^T,  odd_q = c_q S P_o S^T,
-        S = Sym^n(G),  c_q = 2 * 2^-q / 2^k,
-    where P_e keeps the Dicke states with j + q even and P_o the rest.
-    Both are PSD by construction; the total trace of each mixture must be
-    1 within 1e-12, or the route raises.
-    """
-    if not 1 <= k <= K_MAX:
-        raise ValueError(f"k must lie in 1..{K_MAX}, got {k}")
-    g = _parity_factor()
-    blocks = []
-    for q in range(k // 2 + 1):
-        n = k - 2 * q
-        s = symmetric_power(g, n)
-        even_mask = (np.arange(n + 1) + q) % 2 == 0
-        scale = 2.0 ** (1 - q - k)
-        blocks.append(ParityBlock(
-            multiplicity=math.comb(k, q) - (math.comb(k, q - 1) if q else 0),
-            even=scale * (s * even_mask) @ s.T,
-            odd=scale * (s * ~even_mask) @ s.T,
-            cross=scale * (s.T @ s)[np.ix_(even_mask, ~even_mask)]))
-    for name in ("even", "odd"):
-        total = sum(b.multiplicity * float(np.trace(getattr(b, name))) for b in blocks)
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"block route: trace of rho_{name} is {total!r}, not 1")
-    return blocks
-
-
 class ParityBounds(NamedTuple):
     """Discrimination figures of rho_even against rho_odd at equal priors."""
 
@@ -356,19 +275,24 @@ class ParityBounds(NamedTuple):
 def parity_bounds(k: int) -> ParityBounds:
     """Fidelity, trace distance and Helstrom value of the parity mixtures.
 
-    Block route: F = sum_q mult_q ||cross_q||_* (no square roots of
-    rank-deficient spectra), and ||rho_even - rho_odd||_1 = sum_q mult_q
-    ||even_q - odd_q||_1. The usd bound is 1 - F.
+    In the basis |+/-> ~ UP +/- RIGHT, UP = (a, b) and RIGHT = (a, -b) with
+    a = cos(pi/8), b = sin(pi/8). Both mixtures are then block-diagonal on
+    the 2**(k-1) planes span{|z>, |~z>} (~z flips every bit), and on each
+    plane they are the pure states (c_z, +/-c_~z), c_z^2 = q^(k-|z|) p^|z|,
+    p = b^2, q = a^2. A plane adds |c_z^2 - c_~z^2| to F, which the
+    Ivanovic-Dieks-Peres measurement attains, and 4 c_z c_~z = 4 (pq)^(k/2)
+    to the trace norm. Hence 1 - F = 2 P(B > k/2) + P(B = k/2) with
+    B ~ Binomial(k, p), a sum of positive terms, and as pq = 1/8 the trace
+    distance is 2**(k-1) * 2 (pq)^(k/2) = 2**(-k/2).
     """
-    fid = 0.0
-    norm1 = 0.0
-    for block in parity_blocks(k):
-        if block.cross.size:
-            fid += block.multiplicity * float(np.linalg.svd(block.cross, compute_uv=False).sum())
-        norm1 += block.multiplicity * float(
-            np.abs(np.linalg.eigvalsh(block.even - block.odd)).sum())
-    return ParityBounds(fidelity=fid, trace_distance=0.5 * norm1,
-                        helstrom_guess=0.5 * (1.0 + 0.5 * norm1))
+    if not 1 <= k <= K_MAX:
+        raise ValueError(f"k must lie in 1..{K_MAX}, got {k}")
+    p, q = math.sin(math.pi / 8) ** 2, math.cos(math.pi / 8) ** 2
+    usd = math.fsum((1 + (2 * w > k)) * math.comb(k, w) * p ** w * q ** (k - w)
+                    for w in range((k + 1) // 2, k + 1))
+    distance = 2.0 ** (-k / 2)
+    return ParityBounds(fidelity=1.0 - usd, trace_distance=distance,
+                        helstrom_guess=0.5 * (1.0 + distance))
 
 
 def helstrom_parity_table(k: int) -> np.ndarray:
@@ -377,13 +301,10 @@ def helstrom_parity_table(k: int) -> np.ndarray:
     The measurement projects onto the positive part of rho_even - rho_odd
     = 2 D^(x)k / 2**k, i.e. onto (1 + sign(D)^(x)k) / 2, so a product of
     k - w UP and w RIGHT states gives the even outcome with probability
-    (1 + t_up^(k-w) t_right^w) / 2, t = <phi|sign(D)|phi>.
+    (1 + t_up^(k-w) t_right^w) / 2, t = <phi|sign(D)|phi>. D^2 = 1/2, so
+    sign(D) = sqrt(2) D and t_up = 1/sqrt(2) = -t_right.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    g = _parity_factor()
-    w, u = np.linalg.eigh(g @ np.diag([1.0, -1.0]) @ g.T)
-    sign_d = (u * np.sign(w)) @ u.T
-    t_up, t_right = np.diag(g.T @ sign_d @ g)
     weight = np.arange(k + 1)
-    return 0.5 * (1.0 + t_up ** (k - weight) * t_right ** weight)
+    return 0.5 * (1.0 + (-1.0) ** weight * 2.0 ** (-k / 2))

@@ -41,7 +41,7 @@ from qpq.protocol import (
     SargSymbol,
     run_protocol,
 )
-from qpq.quantum import usd_bound
+from qpq.quantum import K_MAX, usd_bound
 
 from conftest import helstrom_measurement_trials_dense, xor_error_bruteforce
 
@@ -100,17 +100,17 @@ class TestJointHelstrom:
         assert alice_joint_helstrom(1).closed_form == pytest.approx(0.8536, abs=5e-5)
 
     def test_large_k_approaches_coin_flipping(self):
-        assert alice_joint_helstrom(200, matrix_max_k=0).closed_form == pytest.approx(0.5)
+        assert alice_joint_helstrom(200).closed_form == pytest.approx(0.5)
 
     @pytest.mark.parametrize("k", range(1, 17))
     def test_matrix_route_matches_closed_form(self, k):
         value = alice_joint_helstrom(k)
         assert abs(value.closed_form - value.matrix_value) <= 1e-9
 
-    def test_matrix_route_stops_at_matrix_max_k(self):
-        assert alice_joint_helstrom(17).matrix_value is None
-        assert alice_joint_helstrom(12, matrix_max_k=12).matrix_value is not None
-        assert alice_joint_helstrom(13, matrix_max_k=12).matrix_value is None
+    def test_matrix_route_stops_at_k_max(self):
+        assert alice_joint_helstrom(K_MAX).matrix_value is not None
+        assert alice_joint_helstrom(K_MAX + 1).matrix_value is None
+        assert alice_joint_helstrom(200).matrix_value is None
 
     @pytest.mark.parametrize("k,trials", [(1, 30_000), (3, 30_000), (7, 10_000), (10, 8_192)])
     def test_weight_table_repeats_the_dense_measurement(self, k, trials):

@@ -262,6 +262,25 @@ class TestSizeValidation:
         assert f"{name} must be >= 1" in capsys.readouterr().err
         assert not out.exists() and not csv_path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["attack-alice", "--strategy", "bb84", "--trials", "1", "--n", "10", "--k", "1"],
+        ["attack-alice", "--strategy", "usd", "--trials", "1", "--n", "200", "--k", "2"],
+    ], ids=["bb84-1", "usd-1"])
+    def test_one_monte_carlo_trial_exits_one(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert "trials must be >= 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("phi", ["nan", "inf"])
+    def test_non_finite_phi_exits_one(self, phi, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["attack-bob", "--strategy", "bias", "--phi", phi, "--trials", "100"]
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert "state norm" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def key_paths(doc, prefix=""):
     """Every key path of a JSON document; list items share the path segment "*"."""
@@ -318,27 +337,27 @@ class TestReportShape:
         assert csv_path.read_text().splitlines()[0] == "phi,p_c,p_b,product,basis_guess,ci"
 
 
-def _diff_reports(block, dense, path=""):
+def _diff_reports(plane, dense, path=""):
     """Paths where two report documents differ; floats may differ by 1e-12."""
-    if isinstance(block, dict) and isinstance(dense, dict):
-        if block.keys() != dense.keys():
-            return [f"{path}: keys {sorted(block)} vs {sorted(dense)}"]
-        return [d for key in block for d in _diff_reports(block[key], dense[key],
+    if isinstance(plane, dict) and isinstance(dense, dict):
+        if plane.keys() != dense.keys():
+            return [f"{path}: keys {sorted(plane)} vs {sorted(dense)}"]
+        return [d for key in plane for d in _diff_reports(plane[key], dense[key],
                                                           f"{path}/{key}")]
-    if isinstance(block, list) and isinstance(dense, list):
-        if len(block) != len(dense):
-            return [f"{path}: length {len(block)} vs {len(dense)}"]
-        return [d for i, (a, b) in enumerate(zip(block, dense))
+    if isinstance(plane, list) and isinstance(dense, list):
+        if len(plane) != len(dense):
+            return [f"{path}: length {len(plane)} vs {len(dense)}"]
+        return [d for i, (a, b) in enumerate(zip(plane, dense))
                 for d in _diff_reports(a, b, f"{path}/{i}")]
-    if isinstance(block, float) and isinstance(dense, float):
-        ok = math.isclose(block, dense, rel_tol=0.0, abs_tol=1e-12)
+    if isinstance(plane, float) and isinstance(dense, float):
+        ok = math.isclose(plane, dense, rel_tol=0.0, abs_tol=1e-12)
     else:
-        ok = type(block) is type(dense) and block == dense
-    return [] if ok else [f"{path}: {block!r} vs {dense!r}"]
+        ok = type(plane) is type(dense) and plane == dense
+    return [] if ok else [f"{path}: {plane!r} vs {dense!r}"]
 
 
 class TestGoldenReports:
-    """The block route's reports against the dense route's, at default argv and seed."""
+    """The `parity_bounds` reports against the dense route's, at default argv and seed."""
 
     @pytest.mark.parametrize("argv,name", [
         (["usd-curve"], "qpq_usd_curve.json"),
@@ -347,7 +366,7 @@ class TestGoldenReports:
     def test_report_matches_the_dense_route(self, argv, name, tmp_path, monkeypatch):
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         docs = {}
-        for route in ("block", "dense"):
+        for route in ("plane", "dense"):
             workdir = tmp_path / route
             workdir.mkdir()
             monkeypatch.chdir(workdir)
@@ -359,7 +378,7 @@ class TestGoldenReports:
                                   helstrom_measurement_trials_dense)
                 assert run_cli(argv) == 0
             docs[route] = json.loads((workdir / name).read_text())
-        assert _diff_reports(docs["block"], docs["dense"]) == []
-        if "guess_rate" in docs["block"]["empirical"]:
-            assert docs["block"]["empirical"]["guess_rate"] == \
+        assert _diff_reports(docs["plane"], docs["dense"]) == []
+        if "guess_rate" in docs["plane"]["empirical"]:
+            assert docs["plane"]["empirical"]["guess_rate"] == \
                 docs["dense"]["empirical"]["guess_rate"]

@@ -156,6 +156,20 @@ class TestAttackExperiments:
         assert report.all_passed()
         assert report.analytic["known_mean_bb84"] == 300.0
 
+    @pytest.mark.parametrize("call", [
+        lambda: monte_carlo(ProtocolConfig(n=10, k=1), trials=1),
+        lambda: bb84_attack_experiment(n=10, k=1, trials=1),
+        lambda: usd_attack_experiment(n=200, k=2, trials=1),
+    ], ids=["monte-carlo", "bb84", "usd"])
+    def test_fewer_than_two_trials_rejected_before_any_draw(self, call, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        for name in ("run_protocol", "usd_success_trials", "_map_trials"):
+            monkeypatch.setattr(experiments, name, no_draw)
+        with pytest.raises(ValueError, match="trials must be >= 2"):
+            call()
+
 
 class TestCombine:
     def test_single_string_is_the_identity(self):

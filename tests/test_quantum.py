@@ -19,11 +19,10 @@ from qpq.quantum import (
     fidelity,
     helstrom_guess,
     helstrom_parity_table,
-    parity_blocks,
+    kron_power,
     parity_bounds,
     parity_mixtures,
     sarg_state,
-    symmetric_power,
     trace_distance,
     usd_bound,
 )
@@ -56,6 +55,11 @@ class TestStateTypes:
     def test_pure_state_requires_unit_norm(self):
         with pytest.raises(ValueError, match="norm"):
             PureState(np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pure_state_rejects_non_finite_amplitudes(self, bad):
+        with pytest.raises(ValueError, match="norm"):
+            PureState(np.array([bad, 0.0]))
 
     def test_pure_state_requires_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
@@ -336,13 +340,16 @@ class TestParityMixtures:
 
 
 class TestParityBlocks:
+    """`parity_bounds` by its route: in the |+/-> basis the mixtures are
+    block-diagonal, one 2x2 block per plane {z, ~z}."""
+
     @pytest.mark.parametrize("k", range(1, 11))
     def test_block_route_matches_dense_route(self, k):
-        block = parity_bounds(k)
+        plane = parity_bounds(k)
         dense = parity_bounds_dense(k)
-        assert abs(block.fidelity - dense.fidelity) <= 1e-12
-        assert abs(block.trace_distance - dense.trace_distance) <= 1e-12
-        assert abs(block.helstrom_guess - dense.helstrom_guess) <= 1e-12
+        assert abs(plane.fidelity - dense.fidelity) <= 1e-12
+        assert abs(plane.trace_distance - dense.trace_distance) <= 1e-12
+        assert abs(plane.helstrom_guess - dense.helstrom_guess) <= 1e-12
 
     def test_block_route_at_50_digits(self):
         pytest.importorskip("mpmath")
@@ -367,47 +374,33 @@ class TestParityBlocks:
         assert abs(bounds.trace_distance - 2.0 ** (-k / 2.0)) <= 1e-12
         assert abs(bounds.helstrom_guess - (0.5 + 0.5 * 2.0 ** (-k / 2.0))) <= 1e-12
 
-    @pytest.mark.parametrize("k", range(1, K_MAX + 1))
-    def test_blocks_fill_the_whole_space(self, k):
-        blocks = parity_blocks(k)
-        assert sum(b.multiplicity * b.even.shape[0] for b in blocks) == 2 ** k
-        assert all(b.multiplicity >= 1 for b in blocks)
-
-    @pytest.mark.parametrize("k", [2, 3, 4, 5])
-    def test_blocks_carry_the_dense_spectra(self, k):
-        dense = parity_mixtures(k)
-        for index, rho in enumerate(dense):
-            block_spectrum = np.concatenate([
-                np.repeat(np.linalg.eigvalsh(b[1 + index]), b.multiplicity)
-                for b in parity_blocks(k)])
-            np.testing.assert_allclose(np.sort(block_spectrum),
-                                       np.linalg.eigvalsh(rho.matrix), atol=1e-12)
-
-    def test_blocks_are_psd(self):
-        for k in range(1, K_MAX + 1):
-            for block in parity_blocks(k):
-                for part in (block.even, block.odd):
-                    assert np.linalg.eigvalsh(part).min() >= -1e-15
-
-    def test_trace_check_rejects_a_broken_block(self, monkeypatch):
-        real = quantum.symmetric_power
-        monkeypatch.setattr(quantum, "symmetric_power", lambda a, n: 1.001 * real(a, n))
-        with pytest.raises(ValueError, match="trace of rho_even"):
-            parity_blocks(3)
-
-    def test_symmetric_power_is_a_transpose_homomorphism(self, rng):
-        a, b = rng.normal(size=(2, 2, 2))
-        for n in range(6):
-            np.testing.assert_allclose(symmetric_power(a @ b, n),
-                                       symmetric_power(a, n) @ symmetric_power(b, n),
-                                       atol=1e-12)
-            np.testing.assert_allclose(symmetric_power(a.T, n), symmetric_power(a, n).T,
-                                       atol=1e-12)
-        np.testing.assert_allclose(symmetric_power(np.eye(2), 5), np.eye(6), atol=0)
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_mixtures_split_into_pure_planes(self, k):
+        """In the |+/-> basis both mixtures live on the planes {z, ~z}, where
+        they are the outer products of (c_z, +/-c_~z)."""
+        up = sarg_state(SargSymbol.UP).amplitudes
+        right = sarg_state(SargSymbol.RIGHT).amplitudes
+        plus_minus = np.column_stack([(up + right) / np.linalg.norm(up + right),
+                                      (up - right) / np.linalg.norm(up - right)])
+        basis = kron_power(plus_minus, k)
+        z = np.arange(2 ** k)
+        flip = z ^ (2 ** k - 1)
+        on_plane = (z[:, None] == z[None, :]) | (flip[:, None] == z[None, :])
+        p = math.sin(math.pi / 8) ** 2
+        weight = np.array([bin(v).count("1") for v in z])
+        c = np.sqrt((1.0 - p) ** (k - weight) * p ** weight)
+        for sign, rho in zip((1.0, -1.0), parity_mixtures(k)):
+            rotated = basis.T @ rho.matrix @ basis
+            assert np.abs(rotated[~on_plane]).max(initial=0.0) <= 1e-12
+            for v in z[z < flip]:
+                plane = [v, flip[v]]
+                vec = np.array([c[v], sign * c[flip[v]]])
+                np.testing.assert_allclose(rotated[np.ix_(plane, plane)], np.outer(vec, vec),
+                                           rtol=0.0, atol=1e-12)
 
     def test_k_range(self):
         with pytest.raises(ValueError, match="k must"):
-            parity_blocks(0)
+            parity_bounds(0)
         with pytest.raises(ValueError, match="k must"):
             parity_bounds(K_MAX + 1)
 
