@@ -41,6 +41,7 @@ from .protocol import (
     ProtocolConfig,
     RestartLimitExceeded,
     Transcript,
+    _at_kept,
     run_protocol,
 )
 
@@ -71,7 +72,7 @@ class UsdAlice:
 
     Each stored qubit is identified with probability 1 - 1/sqrt(2) and then
     always correctly; the failure outcome is symmetric between the two
-    equal-prior candidates, so it carries posterior 1/2.
+    equal-prior candidates, so the records give it posterior 1/2.
     """
 
     kind = "usd"
@@ -82,15 +83,13 @@ class UsdAlice:
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
-        sent = rounds.sent[kept]
+        sent = _at_kept(rounds.sent, kept)
         if (sent < 0).any():
             raise ValueError("discrimination attack needs definite sent symbols")
         conclusive = usd_success_trials(kept.size, rng)
-        bit = np.where(conclusive, sent & 1, -1).astype(np.int8)
+        bit = (sent & 1) | -(~conclusive).view(np.int8)  # -1 where inconclusive
         filler = np.full(kept.size, -1, dtype=np.int8)
-        posterior = np.where(conclusive, np.nan, 0.5)
-        return AliceRecords(basis=filler, outcome=filler, conclusive=conclusive,
-                            bit=bit, posterior_bit1=posterior)
+        return AliceRecords(basis=filler, outcome=filler, conclusive=conclusive, bit=bit)
 
 
 @dataclass(frozen=True)
@@ -113,12 +112,9 @@ class Bb84MemoryAlice:
                 rng: np.random.Generator) -> AliceRecords:
         if config.announcement != "bb84":
             return UsdAlice().respond(rounds, kept, config, rng)
-        sent = rounds.sent[kept]
-        return AliceRecords(basis=(sent & 1).astype(np.int8),
-                            outcome=sent.astype(np.int8),
-                            conclusive=np.ones(kept.size, dtype=bool),
-                            bit=(sent >> 1).astype(np.int8),
-                            posterior_bit1=np.full(kept.size, np.nan))
+        sent = _at_kept(rounds.sent, kept)
+        return AliceRecords(basis=sent & 1, outcome=sent,
+                            conclusive=np.ones(kept.size, dtype=bool), bit=sent >> 1)
 
 
 class JointHelstromValue(NamedTuple):
@@ -131,9 +127,10 @@ class JointHelstromValue(NamedTuple):
 def alice_joint_helstrom(k: int) -> JointHelstromValue:
     """Per-final-bit guessing probability of the joint minimum-error measurement.
 
-    The closed form is 1/2 + 1/(2 sqrt(2**k)); for k <= K_MAX the value is
-    recomputed through the Helstrom bound of `parity_bounds`, and the two
-    routes must agree to 1e-9.
+    The closed form is 1/2 + 1/(2 sqrt(2**k)). For k <= K_MAX `matrix_value`
+    is `parity_bounds(k).helstrom_guess`, the same expression from the plane
+    decomposition, so the two agree by construction; the independent dense
+    check lives in the tests (`TestJointHelstrom`, `TestParityBlocks`).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -203,18 +200,19 @@ class ProviderRounds(NamedTuple):
     p_c_sigma_rate: float
 
 
-def _round_stats(trials: int, conclusive: np.ndarray, bit_hits: int,
+def _outcome_draws(second_prob: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome per round: basis b uniform, then b + 2 with chance second_prob[b], else b."""
+    basis = rng.integers(0, 2, trials)
+    second = rng.random(trials) < second_prob[basis]
+    return basis + 2 * second
+
+
+def _round_stats(trials: int, n_c: int, bit_hits: int,
                  basis_guess_rate: float, **extra) -> RoundTrialStats:
-    n_c = int(conclusive.sum())
-    return RoundTrialStats(
-        trials=trials,
-        conclusive_rate=n_c / trials,
-        bit_guess_rate=bit_hits / n_c if n_c else float("nan"),
-        bit_error_rate=1.0 - bit_hits / n_c if n_c else float("nan"),
-        basis_guess_rate=basis_guess_rate,
-        conclusive_count=n_c,
-        **extra,
-    )
+    bit_guess_rate = bit_hits / n_c if n_c else math.nan
+    return RoundTrialStats(trials=trials, conclusive_rate=n_c / trials,
+                           bit_guess_rate=bit_guess_rate, bit_error_rate=1.0 - bit_guess_rate,
+                           basis_guess_rate=basis_guess_rate, conclusive_count=n_c, **extra)
 
 
 # --------------------------------------------------------------------------
@@ -256,15 +254,12 @@ def biased_round_trials(phi: float, trials: int, rng: np.random.Generator) -> Ro
     """Simulate biased-preparation rounds against an honest user."""
     _require_positive("trials", trials)
     ana = biased_analytics(phi)
-    basis = rng.integers(0, 2, trials)
-    second = rng.random(trials) < _biased_second_prob(phi)[basis]
-    outcome = basis + 2 * second
-    conclusive = CONCLUSIVE_TABLE[0, outcome]
-    alice_bit = BIT_TABLE[0, outcome]
-    bit_hits = int((alice_bit[conclusive] == ana.ml_bit).sum())
+    counts = np.bincount(_outcome_draws(_biased_second_prob(phi), trials, rng), minlength=4)
+    conclusive = CONCLUSIVE_TABLE[0]  # the provider attacks announce {UP, RIGHT}
+    bit_hits = int(counts[conclusive & (BIT_TABLE[0] == ana.ml_bit)].sum())
     basis_guess = 0 if ana.ml_bit == 1 else 1
-    basis_hits = int((basis == basis_guess).sum())
-    return _round_stats(trials, conclusive, bit_hits, basis_hits / trials)
+    basis_hits = int(counts[basis_guess] + counts[basis_guess + 2])
+    return _round_stats(trials, int(counts[conclusive].sum()), bit_hits, basis_hits / trials)
 
 
 @dataclass(frozen=True)
@@ -396,33 +391,32 @@ def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> 
     """
     _check_mode(mode)
     _require_positive("trials", trials)
-    basis = rng.integers(0, 2, trials)
-    second = rng.random(trials) < ER_SECOND_PROB[basis]
-    outcome = basis + 2 * second
-    conclusive = CONCLUSIVE_TABLE[0, outcome]
-    alice_bit = BIT_TABLE[0, outcome]
-
-    reg_out = (rng.random(trials) < ER_REGISTER_ONE_PROB[mode][outcome]).astype(np.int8)
+    outcome = _outcome_draws(ER_SECOND_PROB, trials, rng)
+    # Round code: Alice's outcome, + 4 * Bob's register outcome, + 8 * his
+    # own coin, which stands in for the bit the conclusiveness basis erases.
+    code = outcome + 4 * (rng.random(trials) < ER_REGISTER_ONE_PROB[mode][outcome])
+    if mode == "conclusiveness_basis":
+        code += 8 * rng.integers(0, 2, trials)
+    counts = np.bincount(code, minlength=16).reshape(2, 2, 4)
+    coin, reg_out, alice_outcome = np.indices(counts.shape)
+    conclusive = CONCLUSIVE_TABLE[0, alice_outcome]
     if mode == "honest_basis":
-        bob_bit = reg_out
-        basis_guess = np.where(bob_bit == 1, 0, 1)
+        bob_bit, basis_guess = reg_out, 1 - reg_out
         conclusiveness_guess_rate = None
     else:
-        bob_bit = rng.integers(0, 2, trials).astype(np.int8)
-        guess_conclusive = reg_out == 1
-        conclusiveness_guess_rate = float((guess_conclusive == conclusive).mean())
-        implied = np.where(bob_bit == 1, 0, 1)
-        basis_guess = np.where(guess_conclusive, implied, 1 - implied)
+        # Register outcome 1 is his guess "conclusive".
+        bob_bit, basis_guess = coin, coin ^ reg_out
+        conclusiveness_guess_rate = int(counts[(reg_out == 1) == conclusive].sum()) / trials
+    bit_hits = int(counts[conclusive & (bob_bit == BIT_TABLE[0, alice_outcome])].sum())
+    basis_hits = int(counts[basis_guess == (alice_outcome & 1)].sum())
 
-    bit_hits = int((bob_bit[conclusive] == alice_bit[conclusive]).sum())
-
-    counts = np.bincount(outcome, minlength=4).astype(float)
+    per_outcome = counts.sum(axis=(0, 1)).astype(float)
     outers = np.einsum("oi,oj->oij", ER_REGISTERS, ER_REGISTERS)
     conc_sel = CONCLUSIVE_TABLE[0]
-    rho_c = np.einsum("o,oij->ij", counts * conc_sel, outers) / counts[conc_sel].sum()
-    rho_n = np.einsum("o,oij->ij", counts * ~conc_sel, outers) / counts[~conc_sel].sum()
+    rho_c = np.einsum("o,oij->ij", per_outcome * conc_sel, outers) / per_outcome[conc_sel].sum()
+    rho_n = np.einsum("o,oij->ij", per_outcome * ~conc_sel, outers) / per_outcome[~conc_sel].sum()
 
-    return _round_stats(trials, conclusive, bit_hits, float((basis_guess == basis).mean()),
+    return _round_stats(trials, int(counts[:, :, conc_sel].sum()), bit_hits, basis_hits / trials,
                         conclusiveness_guess_rate=conclusiveness_guess_rate,
                         rho_conclusive=rho_c, rho_inconclusive=rho_n)
 

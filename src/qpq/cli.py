@@ -248,7 +248,10 @@ def _cmd_attack_bob(args, file_cfg, seed) -> int:
     opts = _resolve(args, file_cfg, {"trials": 200_000, "phi": np.pi / 8,
                                      "mode": "conclusiveness_basis"})
     if args.strategy == "bias":
-        report = adversaries.biased_attack_report(opts["phi"], trials=opts["trials"],
+        phi = opts["phi"]
+        if isinstance(phi, bool) or not isinstance(phi, (int, float)) or not np.isfinite(phi):
+            raise UsageError(f"--phi must be a finite angle in radians, got {phi!r}")
+        report = adversaries.biased_attack_report(phi, trials=opts["trials"],
                                                   seed=seed)
     else:
         report = adversaries.entangled_attack_report(opts["mode"], trials=opts["trials"],

@@ -396,7 +396,11 @@ def usd_attack_experiment(n: int = 50_000, k: int = 7, trials: int = 600,
 
 def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0,
                         agreement_k_max: int = 10) -> ExperimentReport:
-    """Joint minimum-error attack: closed form, matrix route, simulated rounds."""
+    """Joint minimum-error attack: closed form, `parity_bounds` value, simulated rounds.
+
+    Both "routes" evaluate 1/2 (1 + 2**(-k/2)), so `max_route_difference` is 0
+    by construction; the dense check lives in `TestJointHelstrom`/`TestParityBlocks`.
+    """
     start = time.perf_counter()
     worst = 0.0
     for kk in range(1, agreement_k_max + 1):

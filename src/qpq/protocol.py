@@ -21,7 +21,7 @@ coin), gives outcome, conclusiveness and bit. A strategy whose outcome
 probabilities are not all 0, 1/2 or 1 (a biased preparation at a generic
 angle, the entangled register) takes a float coin per qubit instead. The
 full-length per-qubit record (`Transcript.records`) is built only when a
-caller reads it.
+caller reads it; it derives every posterior, whatever the strategy.
 
 Each strategy class also states the analytic probability that one kept
 qubit is conclusive for Alice (`expected_conclusive`) and whether Alice's
@@ -262,8 +262,9 @@ def _unpack(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             (packed >> 3).view(np.int8) - 1)
 
 
+@lru_cache(maxsize=None)
 def _interpretation_table(announcement: str) -> np.ndarray:
-    """Packed interpretation per (announcement, basis, second-outcome flag).
+    """Packed interpretation per (announcement, basis, second-outcome flag); read-only.
 
     The announcement is the pair id in "sarg" mode and the basis of the sent
     symbol in "bb84" mode, where only the values 0 and 1 occur.
@@ -271,10 +272,12 @@ def _interpretation_table(announcement: str) -> np.ndarray:
     announced, basis, second = np.indices((4, 2, 2))
     outcome = basis + 2 * second
     if announcement == "sarg":
-        return _pack(outcome, CONCLUSIVE_TABLE[announced, outcome],
-                     BIT_TABLE[announced, outcome])
-    conclusive = basis == announced
-    return _pack(outcome, conclusive, np.where(conclusive, second, -1))
+        conclusive, bit = CONCLUSIVE_TABLE[announced, outcome], BIT_TABLE[announced, outcome]
+    else:
+        conclusive, bit = basis == announced, np.where(basis == announced, second, -1)
+    table = _pack(outcome, conclusive, bit)
+    table.setflags(write=False)
+    return table
 
 
 def _snap_to_halves(kind_table: np.ndarray) -> tuple[np.ndarray, float]:
@@ -362,15 +365,13 @@ class BobRounds:
 class AliceRecords:
     """Columnar measurement records for the kept qubits of one attempt.
 
-    `posterior_bit1` is None for a mechanical interpretation; the records
-    then derive it from the announcement and the outcome when read.
+    They carry no posterior; `_scatter_records` derives it when read.
     """
 
     basis: np.ndarray
-    outcome: np.ndarray
+    outcome: np.ndarray        # -1 where no symbol outcome was recorded
     conclusive: np.ndarray
     bit: np.ndarray            # -1 where inconclusive
-    posterior_bit1: np.ndarray | None = None  # nan where conclusive
 
 
 def _honest_conclusive(config: ProtocolConfig) -> float:
@@ -445,7 +446,8 @@ def _reduce_arrays(bob_bits: np.ndarray, conclusive: np.ndarray,
     known_mask = conclusive.reshape(k, n).all(axis=0)
     vals = np.bitwise_xor.reduce(
         (alice_bits.reshape(k, n) & 1).astype(np.uint8), axis=0)
-    alice_known = {int(j): int(vals[j]) for j in np.nonzero(known_mask)[0]}
+    idx = np.flatnonzero(known_mask)
+    alice_known = dict(zip(idx.tolist(), vals[idx].tolist()))
     return ObliviousKey(bob_key=bob_key, alice_known=alice_known)
 
 
@@ -614,15 +616,11 @@ def _scatter_records(att: _Attempt) -> RawRecords:
     conclusive[att.kept] = att.alice.conclusive
     alice_bit[att.kept] = att.alice.bit
     bob_bit[att.kept] = att.bob_bits
-    if att.alice.posterior_bit1 is not None:
-        posterior[att.kept] = att.alice.posterior_bit1
-    else:
-        # Mechanical interpretation: by pair and outcome, or 1/2 on an
-        # inconclusive round against a basis announcement (pair -1).
-        kept_pair, kept_outcome = pair[att.kept], outcome[att.kept]
-        posterior[att.kept] = np.where(
-            kept_pair >= 0, POSTERIOR_TABLE[kept_pair, kept_outcome],
-            np.where(conclusive[att.kept], np.nan, 0.5))
+    # The table value for a symbol outcome against a pair, else NaN if conclusive, 1/2 if not.
+    kept_pair, kept_outcome = pair[att.kept], att.alice.outcome
+    posterior[att.kept] = np.where(
+        (kept_pair >= 0) & (kept_outcome >= 0), POSTERIOR_TABLE[kept_pair, kept_outcome],
+        np.where(att.alice.conclusive, np.nan, 0.5))
     return RawRecords(sent=att.rounds.sent, detected=att.detected,
                       pair=pair, basis=basis, outcome=outcome,
                       conclusive=conclusive, alice_bit=alice_bit,

@@ -6,7 +6,15 @@ import math
 import numpy as np
 import pytest
 
-from qpq.protocol import ProtocolConfig, run_protocol
+from qpq.adversaries import (
+    ER_REGISTER_ONE_PROB,
+    ER_REGISTERS,
+    ER_SECOND_PROB,
+    RoundTrialStats,
+    _biased_second_prob,
+    biased_analytics,
+)
+from qpq.protocol import BIT_TABLE, CONCLUSIVE_TABLE, ProtocolConfig, run_protocol
 from qpq.quantum import (
     DensityMatrix,
     ParityBounds,
@@ -186,3 +194,69 @@ def xor_error_bruteforce(eps: float, k: int) -> float:
         nxt += dist * (1.0 - eps)
         dist = nxt
     return float(dist[1::2].sum())
+
+
+def _round_stats_per_trial(trials, conclusive, bit_hits, basis_guess_rate, **extra):
+    n_c = int(conclusive.sum())
+    return RoundTrialStats(
+        trials=trials,
+        conclusive_rate=n_c / trials,
+        bit_guess_rate=bit_hits / n_c if n_c else float("nan"),
+        bit_error_rate=1.0 - bit_hits / n_c if n_c else float("nan"),
+        basis_guess_rate=basis_guess_rate,
+        conclusive_count=n_c,
+        **extra,
+    )
+
+
+def biased_round_trials_per_trial(phi, trials, rng):
+    """Per-trial twin of `qpq.adversaries.biased_round_trials`.
+
+    Looks up Alice's conclusiveness and bit for every round in the
+    interpretation tables; draws from the stream in the same order as the
+    outcome-count route.
+    """
+    ana = biased_analytics(phi)
+    basis = rng.integers(0, 2, trials)
+    second = rng.random(trials) < _biased_second_prob(phi)[basis]
+    outcome = basis + 2 * second
+    conclusive = CONCLUSIVE_TABLE[0, outcome]
+    alice_bit = BIT_TABLE[0, outcome]
+    bit_hits = int((alice_bit[conclusive] == ana.ml_bit).sum())
+    basis_guess = 0 if ana.ml_bit == 1 else 1
+    basis_hits = int((basis == basis_guess).sum())
+    return _round_stats_per_trial(trials, conclusive, bit_hits, basis_hits / trials)
+
+
+def entangled_round_trials_per_trial(mode, trials, rng):
+    """Per-trial twin of `qpq.adversaries.entangled_round_trials`."""
+    basis = rng.integers(0, 2, trials)
+    second = rng.random(trials) < ER_SECOND_PROB[basis]
+    outcome = basis + 2 * second
+    conclusive = CONCLUSIVE_TABLE[0, outcome]
+    alice_bit = BIT_TABLE[0, outcome]
+
+    reg_out = (rng.random(trials) < ER_REGISTER_ONE_PROB[mode][outcome]).astype(np.int8)
+    if mode == "honest_basis":
+        bob_bit = reg_out
+        basis_guess = np.where(bob_bit == 1, 0, 1)
+        conclusiveness_guess_rate = None
+    else:
+        bob_bit = rng.integers(0, 2, trials).astype(np.int8)
+        guess_conclusive = reg_out == 1
+        conclusiveness_guess_rate = float((guess_conclusive == conclusive).mean())
+        implied = np.where(bob_bit == 1, 0, 1)
+        basis_guess = np.where(guess_conclusive, implied, 1 - implied)
+
+    bit_hits = int((bob_bit[conclusive] == alice_bit[conclusive]).sum())
+
+    counts = np.bincount(outcome, minlength=4).astype(float)
+    outers = np.einsum("oi,oj->oij", ER_REGISTERS, ER_REGISTERS)
+    conc_sel = CONCLUSIVE_TABLE[0]
+    rho_c = np.einsum("o,oij->ij", counts * conc_sel, outers) / counts[conc_sel].sum()
+    rho_n = np.einsum("o,oij->ij", counts * ~conc_sel, outers) / counts[~conc_sel].sum()
+
+    return _round_stats_per_trial(
+        trials, conclusive, bit_hits, float((basis_guess == basis).mean()),
+        conclusiveness_guess_rate=conclusiveness_guess_rate,
+        rho_conclusive=rho_c, rho_inconclusive=rho_n)

@@ -43,7 +43,12 @@ from qpq.protocol import (
 )
 from qpq.quantum import K_MAX, usd_bound
 
-from conftest import helstrom_measurement_trials_dense, xor_error_bruteforce
+from conftest import (
+    biased_round_trials_per_trial,
+    entangled_round_trials_per_trial,
+    helstrom_measurement_trials_dense,
+    xor_error_bruteforce,
+)
 
 
 def three_sigma(p, n):
@@ -55,6 +60,24 @@ def usd_response(n, rng):
     config = ProtocolConfig(n=n, k=1)
     rounds = HonestBob().rounds(n, config, rng)
     return rounds, UsdAlice().respond(rounds, np.arange(n), config, rng)
+
+
+def attack_records(alice, n=2500, k=2, eta=1.0, announcement="sarg", seed=41):
+    """Per-qubit records of one full run against a user-side attack."""
+    config = ProtocolConfig(n=n, k=k, eta=eta, seed=seed, announcement=announcement)
+    return run_protocol(config, np.zeros(n, dtype=np.uint8), 0, alice=alice).records
+
+
+def assert_discrimination_records(records):
+    """Kept qubits: a correct bit and posterior NaN where conclusive, -1 and 1/2 where not."""
+    det = records.detected
+    conclusive, inconclusive = det & records.conclusive, det & ~records.conclusive
+    assert conclusive.any() and inconclusive.any()
+    assert np.array_equal(records.alice_bit[conclusive], records.sent[conclusive] & 1)
+    assert (records.alice_bit[inconclusive] == -1).all()
+    assert np.isnan(records.posterior_bit1[conclusive]).all()
+    assert (records.posterior_bit1[inconclusive] == 0.5).all()
+    assert np.isnan(records.posterior_bit1[~det]).all()
 
 
 class TestUsdAttack:
@@ -74,8 +97,15 @@ class TestUsdAttack:
         rounds, res = usd_response(5000, rng)
         assert res.conclusive.any()
         assert np.array_equal(res.bit[res.conclusive], rounds.sent[res.conclusive] & 1)
-        assert (res.posterior_bit1[~res.conclusive] == 0.5).all()
-        assert np.isnan(res.posterior_bit1[res.conclusive]).all()
+        assert (res.bit[~res.conclusive] == -1).all()
+        assert_discrimination_records(attack_records(UsdAlice()))
+
+    def test_lossy_run_records(self):
+        """At eta < 1 the attack reads only the detected qubits' symbols."""
+        records = attack_records(UsdAlice(), eta=0.7)
+        assert not records.detected.all()
+        assert records.kept_count == 2500 * 2
+        assert_discrimination_records(records)
 
     def test_sent_symbol_must_be_announced(self, rng):
         """The attack needs a definite announced symbol; a biased state has none."""
@@ -137,6 +167,20 @@ class TestBb84Contrast:
         assert len(t.key.alice_known) == n
         assert t.key.mismatched_indices() == []
         assert t.retrieved_bit == int(db[0])
+
+    @pytest.mark.parametrize("eta", [1.0, 0.7])
+    def test_memory_records_read_every_symbol(self, eta):
+        records = attack_records(Bb84MemoryAlice(), n=300, eta=eta, announcement="bb84")
+        det = records.detected
+        sent = records.sent[det]
+        assert records.conclusive[det].all()
+        assert np.array_equal(records.outcome[det], sent)
+        assert np.array_equal(records.basis[det], sent & 1)
+        assert np.array_equal(records.alice_bit[det], sent >> 1)
+        assert np.isnan(records.posterior_bit1).all()
+
+    def test_memory_records_against_pairs_are_discrimination_records(self):
+        assert_discrimination_records(attack_records(Bb84MemoryAlice(), eta=0.7))
 
     def test_same_attack_against_pair_announcements_degrades(self):
         """With pair announcements the stored-qubit attack gets only USD rates."""
@@ -209,6 +253,45 @@ class TestBiasedPreparation:
         rep = biased_attack_report(math.pi / 8.0, trials=50_000, seed=4)
         assert rep.all_passed()
         assert rep.analytic["product"] <= 0.5
+
+
+ORACLE_PHIS = [0.0, math.pi / 8, math.pi / 4, 0.3, math.pi / 2, 2.0,
+               3 * math.pi / 4, 5 * math.pi / 8, math.pi]
+
+
+def assert_same_round_stats(fast, oracle):
+    """Counts and rates exactly equal (NaN matching NaN); rho within 1e-15."""
+    for f in dataclasses.fields(fast):
+        got, want = getattr(fast, f.name), getattr(oracle, f.name)
+        if isinstance(want, np.ndarray):
+            assert np.allclose(got, want, rtol=0.0, atol=1e-15, equal_nan=True), f.name
+        elif isinstance(want, float) and math.isnan(want):
+            assert math.isnan(got), f.name
+        else:
+            assert type(got) is type(want) and got == want, f.name
+
+
+class TestRoundTrialOracles:
+    """The outcome-count batteries equal the per-trial table lookups, draw for draw."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("phi", ORACLE_PHIS)
+    def test_biased_counts_match_per_trial_lookups(self, phi, seed):
+        for trials in (1, 7, 20_000):
+            fast = biased_round_trials(phi, trials, np.random.default_rng([seed, trials]))
+            oracle = biased_round_trials_per_trial(phi, trials,
+                                                   np.random.default_rng([seed, trials]))
+            assert_same_round_stats(fast, oracle)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("mode", ER_MODES)
+    def test_entangled_counts_match_per_trial_lookups(self, mode, seed):
+        for trials in (1, 7, 20_000):
+            fast = entangled_round_trials(mode, trials, np.random.default_rng([seed, trials]))
+            oracle = entangled_round_trials_per_trial(mode, trials,
+                                                      np.random.default_rng([seed, trials]))
+            assert_same_round_stats(fast, oracle)
 
 
 class TestEntangledRegister:

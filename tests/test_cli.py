@@ -1,5 +1,6 @@
 """Command-line interface tests: dispatch, exit codes, files, determinism."""
 
+import hashlib
 import json
 import math
 
@@ -272,13 +273,23 @@ class TestSizeValidation:
         assert "trials must be >= 2" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("phi", ["nan", "inf"])
     def test_non_finite_phi_exits_one(self, phi, tmp_path, capsys):
         out = tmp_path / "r.json"
         argv = ["attack-bob", "--strategy", "bias", "--phi", phi, "--trials", "100"]
         assert run_cli(argv + ["--out", str(out)]) == 1
-        assert "state norm" in capsys.readouterr().err
+        assert "--phi" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, "0.3", None])
+    def test_phi_from_config_file_checked(self, phi, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"phi": phi}))
+        argv = ["attack-bob", "--strategy", "bias", "--trials", "100", "--config", str(cfg)]
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert "--phi" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -382,3 +393,32 @@ class TestGoldenReports:
         if "guess_rate" in docs["plane"]["empirical"]:
             assert docs["plane"]["empirical"]["guess_rate"] == \
                 docs["dense"]["empirical"]["guess_rate"]
+
+
+class TestReportDigests:
+    """sha256 of attack and sweep reports at fixed argv and seed 12345.
+
+    Pinned from the per-trial round batteries and the per-qubit posterior
+    arrays they replaced: a change to any random stream or to the report
+    bytes fails here.
+    """
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["attack-alice", "--strategy", "usd", "--n", "2000", "--k", "3", "--trials", "20",
+          "--jobs", "1"],
+         "cfe700cc90fe7f9adf6678056ffaf6421593ca706216954d93dd3b04b8a132ff"),
+        (["attack-alice", "--strategy", "bb84"],
+         "86cdd3c7f4252bac9349f77ecd2f823db55150a7db5c013cfabde50052d7caa2"),
+        (["attack-bob", "--strategy", "bias", "--trials", "20000"],
+         "f042c8003c1e0982b520363c03eb0164dec4620adbd3092bb426d1bd46958dd3"),
+        (["attack-bob", "--strategy", "entangle", "--trials", "20000"],
+         "f7802bf5f3d46377d3db716206bff5ad355dd6efe59740ec26c04946f7d58d3d"),
+        (["sweep", "--points", "7", "--trials-per-point", "2000"],
+         "2788d71485152f0306d9014a93d1c5c0457f672389f1397ac36d4afa4360efcd"),
+    ], ids=["attack-alice-usd", "attack-alice-bb84", "attack-bob-bias",
+            "attack-bob-entangle", "sweep"])
+    def test_report_digest(self, argv, digest, tmp_path):
+        out = tmp_path / "report.json"
+        extra = ["--csv", str(tmp_path / "report.csv")] if argv[0] == "sweep" else []
+        run_cli(argv + ["--seed", "12345", "--out", str(out), *extra])
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -354,7 +354,7 @@ class TestRunProtocol:
                 none = np.full(kept.size, -1, dtype=np.int8)
                 return protocol.AliceRecords(
                     basis=none, outcome=none, conclusive=np.zeros(kept.size, dtype=bool),
-                    bit=none, posterior_bit1=np.full(kept.size, 0.5))
+                    bit=none)
 
         monkeypatch.setattr(protocol, "_run_attempt", tracked)
         config = ProtocolConfig(n=50, k=2, seed=1, max_restarts=3)
