@@ -30,7 +30,6 @@ from .protocol import (
 )
 from .adversaries import (
     USD_SUCCESS,
-    AttackReport,
     Bb84MemoryAlice,
     BiasedBob,
     EntangledBob,
@@ -41,7 +40,6 @@ from .adversaries import (
     no_signaling_audit,
 )
 from .experiments import (
-    ExperimentReport,
     KeyStats,
     key_stats,
     monte_carlo,
@@ -49,5 +47,7 @@ from .experiments import (
     table1,
     usd_curve,
 )
+
+from .stats import ExperimentReport
 
 __version__ = "0.1.0"

@@ -6,20 +6,23 @@ qubits behind one final key bit, and the basis-announcement contrast mode
 that breaks the scheme entirely. Provider-side attacks: biased state
 preparation at an arbitrary Hilbert angle, and an entangled register held
 back per qubit. Each provider strategy evaluates its own round statistics
-against its analytic p_c and p_b (`round_statistics`); the attack reports
-and the no-signaling audit over the whole family share that evaluation.
+against its analytic p_c and p_b (`round_statistics`); one helper turns
+them into the shared part of an `ExperimentReport`, to which the attack
+reports and the no-signaling audit over the whole family add their checks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import stats
+from .stats import ExperimentReport
 from .quantum import (
     K_MAX,
     DensityMatrix,
@@ -50,11 +53,6 @@ from .protocol import (
 # equal-overlap pure-state pair attains it).
 USD_SUCCESS = usd_bound(sarg_state(SargSymbol.UP).density(),
                         sarg_state(SargSymbol.RIGHT).density()).bound
-
-
-def _require_positive(name: str, value: int) -> None:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 # --------------------------------------------------------------------------
@@ -148,7 +146,7 @@ def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator,
     the mixture difference. The even-outcome probability depends only on
     the string's Hamming weight, so it is read from a (k+1)-entry table.
     """
-    _require_positive("trials", trials)
+    stats.require_size("trials", trials)
     p_even = helstrom_parity_table(k)
     correct = 0
     done = 0
@@ -252,7 +250,7 @@ def biased_analytics(phi: float) -> BiasedAnalytics:
 
 def biased_round_trials(phi: float, trials: int, rng: np.random.Generator) -> RoundTrialStats:
     """Simulate biased-preparation rounds against an honest user."""
-    _require_positive("trials", trials)
+    stats.require_size("trials", trials)
     ana = biased_analytics(phi)
     counts = np.bincount(_outcome_draws(_biased_second_prob(phi), trials, rng), minlength=4)
     conclusive = CONCLUSIVE_TABLE[0]  # the provider attacks announce {UP, RIGHT}
@@ -390,7 +388,7 @@ def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> 
     "conclusiveness_basis" estimates conclusiveness and erases the bit).
     """
     _check_mode(mode)
-    _require_positive("trials", trials)
+    stats.require_size("trials", trials)
     outcome = _outcome_draws(ER_SECOND_PROB, trials, rng)
     # Round code: Alice's outcome, + 4 * Bob's register outcome, + 8 * his
     # own coin, which stands in for the bit the conclusiveness basis erases.
@@ -413,8 +411,10 @@ def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> 
     per_outcome = counts.sum(axis=(0, 1)).astype(float)
     outers = np.einsum("oi,oj->oij", ER_REGISTERS, ER_REGISTERS)
     conc_sel = CONCLUSIVE_TABLE[0]
-    rho_c = np.einsum("o,oij->ij", per_outcome * conc_sel, outers) / per_outcome[conc_sel].sum()
-    rho_n = np.einsum("o,oij->ij", per_outcome * ~conc_sel, outers) / per_outcome[~conc_sel].sum()
+    # A class that no round fell into gets a NaN state, without a division.
+    rho_c, rho_n = (np.einsum("o,oij->ij", w, outers) / w.sum() if w.sum()
+                    else np.full((2, 2), np.nan)
+                    for w in (per_outcome * conc_sel, per_outcome * ~conc_sel))
 
     return _round_stats(trials, int(counts[:, :, conc_sel].sum()), bit_hits, basis_hits / trials,
                         conclusiveness_guess_rate=conclusiveness_guess_rate,
@@ -476,43 +476,6 @@ class EntangledBob:
 # reports and the no-signaling audit
 # --------------------------------------------------------------------------
 
-@dataclass
-class AttackReport:
-    """Per-strategy statistics with analytic references and 99% intervals."""
-
-    strategy: str
-    params: dict
-    trials: int
-    p_c: float
-    p_b: float
-    product: float
-    bit_error_rate: float
-    basis_guess_rate: float
-    known_bits_mean: float | None = None
-    analytic: dict = field(default_factory=dict)
-    ci99: dict = field(default_factory=dict)
-    passed: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "params": self.params,
-            "trials": self.trials,
-            "p_c": self.p_c,
-            "p_b": self.p_b,
-            "product": self.product,
-            "bit_error_rate": self.bit_error_rate,
-            "basis_guess_rate": self.basis_guess_rate,
-            "known_bits_mean": self.known_bits_mean,
-            "analytic": self.analytic,
-            "ci99": self.ci99,
-            "passed": self.passed,
-        }
-
-    def all_passed(self) -> bool:
-        return all(self.passed.values())
-
-
 def _known_bits_through_runs(bob, n: int, k: int, runs: int,
                              seed: int) -> tuple[float, float, float]:
     """Mean known-bit count of first attempts under a provider strategy.
@@ -533,82 +496,71 @@ def _known_bits_through_runs(bob, n: int, k: int, runs: int,
     return mean, hw, n * bob.expected_conclusive(config) ** k
 
 
-def biased_attack_report(phi: float, trials: int = 200_000, seed: int = 0,
-                         run_shape: tuple[int, int, int] = (400, 2, 150)) -> AttackReport:
-    """Empirical biased-state round statistics checked against the exact values.
+def _provider_report(bob, trials: int,
+                     rng: np.random.Generator) -> tuple[ExperimentReport, ProviderRounds]:
+    """Analytic and sampled p_c, p_b and product, plus the bit-error and basis-guess rates.
 
-    `run_shape` = (n, k, runs) sizes the full-protocol side experiment that
-    measures how many final key bits the user ends up knowing.
+    The sampled p_b, bit-error rate and product are None when no round was
+    conclusive; the round statistics come back beside the report.
     """
-    bob = BiasedBob(phi)
-    ev = bob.round_statistics(trials, np.random.default_rng([seed, 1]))
+    ev = bob.round_statistics(trials, rng)
     res = ev.stats
-    _, hw_c = stats.rate_ci(round(res.conclusive_rate * trials), trials)
-    _, hw_b = stats.rate_ci(round(res.basis_guess_rate * trials), trials)
-    known_mean, known_hw, known_expected = _known_bits_through_runs(bob, *run_shape, seed=seed)
-    product = ev.p_c * ev.p_b
-    passed = {
-        "conclusive_rate": abs(res.conclusive_rate - ev.p_c) <= hw_c,
-        "basis_guess_half": abs(res.basis_guess_rate - 0.5) <= hw_b,
-        "product_bound": product <= 0.5,
-        "known_mean": abs(known_mean - known_expected) <= known_hw,
-    }
-    return AttackReport(
-        strategy=bob.kind, params=dataclasses.asdict(bob), trials=trials,
-        p_c=res.conclusive_rate, p_b=res.bit_guess_rate,
-        product=res.conclusive_rate * res.bit_guess_rate,
-        bit_error_rate=res.bit_error_rate,
-        basis_guess_rate=res.basis_guess_rate,
-        known_bits_mean=known_mean,
-        analytic={"p_c": ev.p_c, "p_b": ev.p_b, "product": product,
-                  "bit_error_rate": 1.0 - ev.p_b,
-                  "known_bits_mean": known_expected},
-        ci99={"p_c": hw_c, "basis_guess_rate": hw_b, "known_bits_mean": known_hw},
-        passed=passed,
-    )
+    p_b = res.bit_guess_rate if res.conclusive_count else None
+    report = ExperimentReport(
+        experiment=bob.kind, params=dataclasses.asdict(bob),
+        analytic={"p_c": ev.p_c, "p_b": ev.p_b, "product": ev.p_c * ev.p_b,
+                  "bit_error_rate": 1.0 - ev.p_b},
+        empirical={"p_c": ev.p_c_empirical, "p_b": p_b,
+                   "product": None if p_b is None else ev.p_c_empirical * p_b,
+                   "bit_error_rate": None if p_b is None else res.bit_error_rate,
+                   "basis_guess_rate": res.basis_guess_rate},
+        extra={"trials": trials})
+    return report, ev
 
 
-def entangled_attack_report(mode: str, trials: int = 200_000, seed: int = 0,
-                            run_shape: tuple[int, int, int] = (400, 2, 150)) -> AttackReport:
-    """Empirical register-attack statistics checked against the exact values."""
-    bob = EntangledBob(mode)
-    ev = bob.round_statistics(trials, np.random.default_rng([seed, 2]))
-    res = ev.stats
-    guess_bound = conclusiveness_guess_bound()
-    _, hw_c = stats.rate_ci(round(ev.p_c_empirical * trials), trials)
-    _, hw_b = stats.rate_ci(round(res.basis_guess_rate * trials), trials)
-    _, hw_bit = stats.rate_ci(round(res.bit_guess_rate * res.conclusive_count),
-                              res.conclusive_count)
-    known_mean, known_hw, known_expected = _known_bits_through_runs(bob, *run_shape, seed=seed)
-    product = ev.p_c * ev.p_b
-    passed = {
-        "p_c": abs(ev.p_c_empirical - ev.p_c) <= hw_c,
-        "p_b": abs(res.bit_guess_rate - ev.p_b) <= hw_bit,
-        "basis_guess_half": abs(res.basis_guess_rate - 0.5) <= hw_b,
-        "product_bound": product <= 0.5,
+def _attack_report(bob, trials: int, seed: int, stream: int) -> ExperimentReport:
+    """Round statistics of one provider strategy checked against its exact values.
+
+    The rounds draw from the stream [seed, stream]. A side experiment of 150
+    full protocol runs at n = 400, k = 2 measures how many final key bits
+    the user ends up knowing. A rate without samples fails its check.
+    """
+    start = time.perf_counter()
+    rep, ev = _provider_report(bob, trials, np.random.default_rng([seed, stream]))
+    ana, emp, n_c = rep.analytic, rep.empirical, ev.stats.conclusive_count
+    _, hw_c = stats.rate_ci(round(emp["p_c"] * trials), trials)
+    _, hw_b = stats.rate_ci(round(emp["basis_guess_rate"] * trials), trials)
+    hw_bit = stats.rate_ci(round(emp["p_b"] * n_c), n_c)[1] if n_c else None
+    known_mean, known_hw, known_expected = _known_bits_through_runs(bob, 400, 2, 150, seed)
+    ana["known_bits_mean"], emp["known_bits_mean"] = known_expected, known_mean
+    rep.ci99 = {"p_c": hw_c, "p_b": hw_bit, "basis_guess_rate": hw_b,
+                "known_bits_mean": known_hw}
+    rep.passed = {
+        "p_c": abs(emp["p_c"] - ana["p_c"]) <= hw_c,
+        "p_b": n_c > 0 and abs(emp["p_b"] - ana["p_b"]) <= hw_bit,
+        "basis_guess_half": abs(emp["basis_guess_rate"] - 0.5) <= hw_b,
+        "product_bound": ana["product"] <= 0.5,
         "known_mean": abs(known_mean - known_expected) <= known_hw,
     }
-    return AttackReport(
-        strategy=bob.kind, params=dataclasses.asdict(bob), trials=trials,
-        p_c=ev.p_c_empirical, p_b=res.bit_guess_rate,
-        product=ev.p_c_empirical * res.bit_guess_rate,
-        bit_error_rate=res.bit_error_rate,
-        basis_guess_rate=res.basis_guess_rate,
-        known_bits_mean=known_mean,
-        analytic={"p_c": ev.p_c, "p_b": ev.p_b, "product": product,
-                  "conclusiveness_guess_bound": guess_bound,
-                  "known_bits_mean": known_expected},
-        ci99={"p_c": hw_c, "basis_guess_rate": hw_b, "p_b": hw_bit,
-              "known_bits_mean": known_hw},
-        passed=passed,
-    )
+    rep.runtime_s = time.perf_counter() - start
+    return rep
+
+
+def biased_attack_report(phi: float, trials: int = 200_000, seed: int = 0) -> ExperimentReport:
+    """Biased-state round statistics checked against the exact values."""
+    return _attack_report(BiasedBob(phi), trials, seed, stream=1)
+
+
+def entangled_attack_report(mode: str, trials: int = 200_000, seed: int = 0) -> ExperimentReport:
+    """Register-attack round statistics checked against the exact values."""
+    return _attack_report(EntangledBob(mode), trials, seed, stream=2)
 
 
 @dataclass
 class AuditResult:
     """Outcome of the strategy sweep against the no-signaling limit."""
 
-    reports: list[AttackReport]
+    reports: list[ExperimentReport]
     max_product_analytic: float
     max_product_strategy: str
     basis_guess_ok: bool
@@ -620,17 +572,10 @@ class AuditResult:
         return self.basis_guess_ok and self.product_ok
 
     def csv_rows(self) -> list[dict]:
-        rows = []
-        for rep in self.reports:
-            rows.append({
-                "phi": rep.params.get("phi", ""),
-                "p_c": rep.p_c,
-                "p_b": rep.p_b,
-                "product": rep.product,
-                "basis_guess": rep.basis_guess_rate,
-                "ci": rep.ci99["basis_guess_rate"],
-            })
-        return rows
+        return [{"phi": rep.params.get("phi", ""), "p_c": rep.empirical["p_c"],
+                 "p_b": rep.empirical["p_b"], "product": rep.empirical["product"],
+                 "basis_guess": rep.empirical["basis_guess_rate"],
+                 "ci": rep.ci99["basis_guess_rate"]} for rep in self.reports]
 
     def to_dict(self) -> dict:
         return {
@@ -654,47 +599,37 @@ def no_signaling_audit(points: int = 181, trials_per_point: int = 20_000,
     within a simultaneous confidence band (the per-strategy level is
     Bonferroni-adjusted so the band holds jointly at `confidence`).
     """
-    _require_positive("points", points)
-    _require_positive("trials_per_point", trials_per_point)
+    stats.require_size("points", points)
+    stats.require_size("trials_per_point", trials_per_point)
     strategies = ([BiasedBob(phi) for phi in np.linspace(0.0, math.pi, points)]
                   + [EntangledBob(mode) for mode in ER_MODES])
     per_test_conf = 1.0 - (1.0 - confidence) / len(strategies)
     z_family = stats.z_value(per_test_conf)
     hw = z_family * stats.binomial_sigma(0.5, trials_per_point)
 
-    reports: list[AttackReport] = []
-    basis_ok = True
-    product_ok = True
+    reports: list[ExperimentReport] = []
     max_product = -1.0
     max_strategy = ""
     for idx, bob in enumerate(strategies):
-        ev = bob.round_statistics(trials_per_point, np.random.default_rng([seed, idx]))
-        res = ev.stats
-        product = ev.p_c * ev.p_b
-        emp_product = ev.p_c_empirical * res.bit_guess_rate
+        rep, ev = _provider_report(bob, trials_per_point, np.random.default_rng([seed, idx]))
+        product, emp_product = rep.analytic["product"], rep.empirical["product"]
         # Conservative familywise interval for the empirical p_c * p_b.
         margin = (z_family * stats.binomial_sigma(ev.p_c_sigma_rate, trials_per_point)
-                  + z_family * stats.binomial_sigma(0.5, max(res.conclusive_count, 1)))
-        ok_basis = abs(res.basis_guess_rate - 0.5) <= hw
-        ok_product = product <= 0.5 and emp_product <= 0.5 + margin
-        basis_ok &= ok_basis
-        product_ok &= ok_product
+                  + z_family * stats.binomial_sigma(0.5, max(ev.stats.conclusive_count, 1)))
+        rep.ci99 = {"basis_guess_rate": hw, "product": margin}
+        rep.passed = {
+            "basis_guess_half": abs(rep.empirical["basis_guess_rate"] - 0.5) <= hw,
+            "product_bound": (product <= 0.5 and emp_product is not None
+                              and emp_product <= 0.5 + margin),
+        }
         if product > max_product:
             max_product, max_strategy = product, bob.label
-        reports.append(AttackReport(
-            strategy=bob.kind, params=dataclasses.asdict(bob), trials=trials_per_point,
-            p_c=ev.p_c_empirical, p_b=res.bit_guess_rate,
-            product=emp_product,
-            bit_error_rate=res.bit_error_rate,
-            basis_guess_rate=res.basis_guess_rate,
-            analytic={"p_c": ev.p_c, "p_b": ev.p_b, "product": product},
-            ci99={"basis_guess_rate": hw, "product": margin},
-            passed={"basis_guess_half": ok_basis, "product_bound": ok_product},
-        ))
+        reports.append(rep)
 
     return AuditResult(reports=reports, max_product_analytic=max_product,
                        max_product_strategy=max_strategy,
-                       basis_guess_ok=basis_ok, product_ok=product_ok,
+                       basis_guess_ok=all(r.passed["basis_guess_half"] for r in reports),
+                       product_ok=all(r.passed["product_bound"] for r in reports),
                        familywise_confidence=confidence,
                        trials_per_point=trials_per_point)
 

@@ -12,12 +12,14 @@ import csv
 import json
 import os
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 from . import adversaries, experiments
 from .protocol import ProtocolConfig, RestartLimitExceeded, run_protocol
+from .stats import ExperimentReport
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "QPQ_SEED"
@@ -150,7 +152,7 @@ def _resolve_seed(args: argparse.Namespace, file_cfg: dict) -> int:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, rows: list[dict], columns: list[str]) -> None:
@@ -188,6 +190,7 @@ def _cmd_run(args, file_cfg, seed) -> int:
         database = rng.integers(0, 2, config.n, dtype=np.uint8)
     target = opts["target"]
     out_path = args.out or Path("qpq_run.json")
+    start = time.perf_counter()
     try:
         t = run_protocol(config, database, target, rng=rng)
     except RestartLimitExceeded as exc:
@@ -195,6 +198,7 @@ def _cmd_run(args, file_cfg, seed) -> int:
                                "error": "restart_limit_exceeded",
                                "attempts": exc.attempts})
         print(f"no known key bit after {exc.attempts} attempts", file=sys.stderr)
+        print(f"runtime: {time.perf_counter() - start:.2f}s")
         print(f"report written to {out_path}")
         return 2
     expected = int(database[target])
@@ -206,6 +210,7 @@ def _cmd_run(args, file_cfg, seed) -> int:
           f"chosen_j={t.chosen_index} shift={t.shift}")
     print(f"target={target} retrieved={t.retrieved_bit} expected={expected} "
           f"{'OK' if t.retrieved_bit == expected else 'MISMATCH'}")
+    print(f"runtime: {time.perf_counter() - start:.2f}s")
     print(f"report written to {out_path}")
     return 0 if t.retrieved_bit == expected else 2
 
@@ -216,7 +221,7 @@ def _cmd_table1(args, file_cfg, seed) -> int:
     for row in rows:
         lines.append(f"{row.n:>9} {row.k:>3} {row.p0_display:>7} {row.n_bar_display:>7}")
     matches = experiments.table1_matches_reference()
-    report = experiments.ExperimentReport(
+    report = ExperimentReport(
         experiment="table1", params={},
         passed={"matches_reference": matches},
         extra={"rows": [{"n": r.n, "k": r.k, "p0": r.stats.p0, "n_bar": r.stats.n_bar,
@@ -257,17 +262,12 @@ def _cmd_attack_bob(args, file_cfg, seed) -> int:
         report = adversaries.entangled_attack_report(opts["mode"], trials=opts["trials"],
                                                      seed=seed)
     out = args.out or Path(f"qpq_attack_bob_{args.strategy}.json")
-    doc = report.to_dict()
-    _write_json(out, doc)
-    print(json.dumps({k: doc[k] for k in ("strategy", "params", "p_c", "p_b",
-                                          "bit_error_rate", "basis_guess_rate")},
-                     indent=2, sort_keys=True))
-    print(f"report written to {out}")
-    return 0 if report.all_passed() else 2
+    return _report_exit(report, out, report.to_text())
 
 
 def _cmd_sweep(args, file_cfg, seed) -> int:
     opts = _resolve(args, file_cfg, {"points": 181, "trials_per_point": 20_000})
+    start = time.perf_counter()
     audit = adversaries.no_signaling_audit(points=opts["points"],
                                            trials_per_point=opts["trials_per_point"],
                                            seed=seed)
@@ -280,6 +280,7 @@ def _cmd_sweep(args, file_cfg, seed) -> int:
           f"max analytic p_c*p_b={audit.max_product_analytic:.6f} "
           f"({audit.max_product_strategy})")
     print(f"basis guess at 1/2 everywhere: {'yes' if audit.basis_guess_ok else 'NO'}")
+    print(f"runtime: {time.perf_counter() - start:.2f}s")
     print(f"report written to {out}; csv written to {csv_path}")
     return 0 if audit.all_passed() else 2
 

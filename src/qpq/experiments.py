@@ -9,17 +9,17 @@ into reproducible experiments.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import stats
+from .stats import ExperimentReport
 from .adversaries import (
     USD_SUCCESS,
     Bb84MemoryAlice,
@@ -104,68 +104,6 @@ def table1_matches_reference() -> bool:
 
 
 # --------------------------------------------------------------------------
-# experiment reports
-# --------------------------------------------------------------------------
-
-@dataclass
-class ExperimentReport:
-    """Analytic values, empirical values, intervals, and verdicts for one experiment.
-
-    The serialized form deliberately omits the runtime so that report files
-    are byte-identical for a fixed seed; the runtime is still available on
-    the object and in the human-readable rendering.
-    """
-
-    experiment: str
-    params: dict
-    analytic: dict = field(default_factory=dict)
-    empirical: dict = field(default_factory=dict)
-    ci99: dict = field(default_factory=dict)
-    passed: dict = field(default_factory=dict)
-    extra: dict = field(default_factory=dict)
-    runtime_s: float = 0.0
-
-    def all_passed(self) -> bool:
-        return all(self.passed.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": self.params,
-            "analytic": self.analytic,
-            "empirical": self.empirical,
-            "ci99": self.ci99,
-            "passed": self.passed,
-            "extra": self.extra,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-    def to_text(self) -> str:
-        lines = [f"experiment: {self.experiment}",
-                 f"params: {json.dumps(self.params, sort_keys=True)}",
-                 f"runtime: {self.runtime_s:.2f}s",
-                 f"{'metric':<28}{'analytic':>14}{'empirical':>14}{'ci99':>12}  verdict"]
-        keys = sorted(set(self.analytic) | set(self.empirical))
-        for key in keys:
-            ana = self.analytic.get(key)
-            emp = self.empirical.get(key)
-            ci = self.ci99.get(key)
-            verdict = self.passed.get(key)
-            lines.append(f"{key:<28}"
-                         f"{'' if ana is None else format(ana, '.6g'):>14}"
-                         f"{'' if emp is None else format(emp, '.6g'):>14}"
-                         f"{'' if ci is None else format(ci, '.2g'):>12}"
-                         f"  {'' if verdict is None else ('pass' if verdict else 'FAIL')}")
-        for key, verdict in sorted(self.passed.items()):
-            if key not in keys:
-                lines.append(f"{key:<28}{'':>14}{'':>14}{'':>12}  "
-                             f"{'pass' if verdict else 'FAIL'}")
-        return "\n".join(lines)
-
-
-# --------------------------------------------------------------------------
 # Monte Carlo driver
 # --------------------------------------------------------------------------
 
@@ -232,12 +170,6 @@ def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
         return [result for part in pool.map(_trial_chunk, tasks) for result in part]
 
 
-def _require_trials(trials: int) -> None:
-    """The dispersion interval of a Monte Carlo report needs two trials."""
-    if trials < 2:
-        raise ValueError(f"trials must be >= 2, got {trials}")
-
-
 def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000,
                 jobs: int = 1) -> ExperimentReport:
     """Run seeded protocol trials and compare the statistics to the closed forms.
@@ -245,9 +177,10 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     Each trial owns the stream derived from (config.seed, trial index), so
     results are identical for any job count. Known-bit statistics are taken
     from the first attempt of each run (the unconditioned distribution);
-    restart exhaustion counts as a failed trial, not a crash.
+    restart exhaustion counts as a failed trial, not a crash. The dispersion
+    interval needs at least two trials.
     """
-    _require_trials(trials)
+    stats.require_size("trials", trials, 2)
     start = time.perf_counter()
     alice = alice if alice is not None else HonestAlice()
     bob = bob if bob is not None else HonestBob()
@@ -273,7 +206,7 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     known_mean, known_hw = stats.mean_ci(first_known)
     empirical["known_mean"] = known_mean
     ci99["known_mean"] = known_hw
-    rest_center, rest_hw = stats.rate_ci(restarted, trials)
+    _, rest_hw = stats.rate_ci(restarted, trials)
     empirical["restart_fraction"] = restarted / trials
     ci99["restart_fraction"] = rest_hw
     if kept_total:
@@ -287,8 +220,8 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     analytic["restart_fraction"] = ks.p0
     analytic["conclusive_rate"] = p_conclusive
     passed["known_mean"] = abs(known_mean - ks.n_bar) <= known_hw
-    # Wilson-style coverage: the analytic value must sit in the interval.
-    passed["restart_fraction"] = abs(rest_center - ks.p0) <= max(rest_hw, 1e-12)
+    # Exact two-sided binomial test: a Wilson interval misses a tiny p0 after one restart.
+    passed["restart_fraction"] = stats.binomial_test(restarted, trials, ks.p0)
     if kept_total:
         sigma3 = 3.0 * stats.binomial_sigma(p_conclusive, kept_total)
         passed["conclusive_rate"] = abs(conc_rate - p_conclusive) <= sigma3
@@ -309,7 +242,7 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
         if known_total:
             empirical["known_mismatch_rate"] = mismatch_total / known_total
 
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="monte_carlo",
         params={"config": config.to_dict(), "trials": trials,
                 "alice": alice.kind, "bob": bob.kind, **dataclasses.asdict(strategy)},
@@ -318,7 +251,6 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
                "known_bits_total": known_total},
         runtime_s=time.perf_counter() - start,
     )
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +301,7 @@ def usd_attack_experiment(n: int = 50_000, k: int = 7, trials: int = 600,
                           qubit_samples: int = 10**6, seed: int = 0,
                           jobs: int = 1) -> ExperimentReport:
     """Perfect-memory discrimination attack: per-qubit rate plus full runs."""
-    _require_trials(trials)
+    stats.require_size("trials", trials, 2)
     start = time.perf_counter()
     rng = np.random.default_rng([seed, 10**6])
     hits = int(usd_success_trials(qubit_samples, rng).sum())
@@ -377,7 +309,7 @@ def usd_attack_experiment(n: int = 50_000, k: int = 7, trials: int = 600,
     sigma3 = 3.0 * stats.binomial_sigma(USD_SUCCESS, qubit_samples)
     config = ProtocolConfig(n=n, k=k, seed=seed)
     mc = monte_carlo(config, alice=UsdAlice(), trials=trials, jobs=jobs)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="usd_attack",
         params={"n": n, "k": k, "trials": trials,
                 "qubit_samples": qubit_samples, "seed": seed},
@@ -391,7 +323,6 @@ def usd_attack_experiment(n: int = 50_000, k: int = 7, trials: int = 600,
                 **{f"run_{key}": v for key, v in mc.passed.items()}},
         runtime_s=time.perf_counter() - start,
     )
-    return report
 
 
 def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0,
@@ -410,7 +341,7 @@ def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0,
     rng = np.random.default_rng([seed, 42])
     emp = helstrom_measurement_trials(k, trials, rng)
     _, hw = stats.rate_ci(round(emp * trials), trials)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="helstrom_attack",
         params={"k": k, "trials": trials, "seed": seed,
                 "agreement_k_max": agreement_k_max},
@@ -423,13 +354,12 @@ def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0,
         extra={"max_route_difference": worst},
         runtime_s=time.perf_counter() - start,
     )
-    return report
 
 
 def bb84_attack_experiment(n: int = 1000, k: int = 4, trials: int = 50,
                            seed: int = 0) -> ExperimentReport:
     """Memory attack under basis announcements, with the pair-announcement contrast."""
-    _require_trials(trials)
+    stats.require_size("trials", trials, 2)
     start = time.perf_counter()
     full_known = 0
     mismatches = 0
@@ -443,7 +373,7 @@ def bb84_attack_experiment(n: int = 1000, k: int = 4, trials: int = 50,
         mismatches += len(t.key.mismatched_indices())
     contrast = monte_carlo(ProtocolConfig(n=n, k=k, seed=seed),
                            alice=Bb84MemoryAlice(), trials=trials)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="bb84_memory_attack",
         params={"n": n, "k": k, "trials": trials, "seed": seed},
         analytic={"known_mean_bb84": float(n),
@@ -455,7 +385,6 @@ def bb84_attack_experiment(n: int = 1000, k: int = 4, trials: int = 50,
                 "sarg_mode_degrades": contrast.passed["known_mean"]},
         runtime_s=time.perf_counter() - start,
     )
-    return report
 
 
 # --------------------------------------------------------------------------
@@ -501,10 +430,8 @@ def multi_string_combine(m: int, n: int, k: int, trials: int = 200,
     (restarting empty attempts) and combines them with the greedy shift
     rule. Reports the count distribution and the exactly-one probability.
     """
-    if m < 1:
-        raise ValueError("need at least one string")
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    stats.require_size("m", m)
+    stats.require_size("trials", trials)
     start = time.perf_counter()
     config = ProtocolConfig(n=n, k=k, seed=seed, max_restarts=200)
     counts = _map_trials(_combine_trial, (config, m), trials, jobs)
@@ -513,7 +440,7 @@ def multi_string_combine(m: int, n: int, k: int, trials: int = 200,
     distribution = {int(v): int(f) for v, f in zip(values, freqs)}
     exactly_one = distribution.get(1, 0) / trials
     p1, hw1 = stats.rate_ci(distribution.get(1, 0), trials)
-    report = ExperimentReport(
+    return ExperimentReport(
         experiment="multi_string_combine",
         params={"m": m, "n": n, "k": k, "trials": trials, "seed": seed},
         empirical={"p_exactly_one": exactly_one, "mean_known": float(np.mean(counts)),
@@ -523,4 +450,3 @@ def multi_string_combine(m: int, n: int, k: int, trials: int = 200,
         extra={"distribution": distribution},
         runtime_s=time.perf_counter() - start,
     )
-    return report

@@ -1,8 +1,14 @@
-"""Confidence-interval helpers shared by the experiment drivers."""
+"""Confidence intervals, exact binomial tails, size checks and the report type.
+
+`ExperimentReport` lives here, below `adversaries` and `experiments`, so
+that the attack reports, the drivers and the CLI share one report type.
+"""
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 from statistics import NormalDist
 from typing import Sequence
@@ -81,3 +87,88 @@ def dispersion_ci(values: Sequence[float] | np.ndarray, confidence: float = 0.99
 def binomial_sigma(p: float, n: int) -> float:
     """Standard deviation of an empirical rate from n Bernoulli(p) draws."""
     return math.sqrt(p * (1.0 - p) / n)
+
+
+def require_size(name: str, value: int, minimum: int = 1) -> None:
+    """Reject a size below `minimum` before any work is done."""
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def binomial_tails(x: int, n: int, p: float) -> tuple[float, float]:
+    """Exact P(X <= x) and P(X >= x) for X ~ Binomial(n, p), summed from log-space terms."""
+    if not 0 <= x <= n:
+        raise ValueError(f"need 0 <= x <= n, got x={x}, n={n}")
+    if not 0.0 < p < 1.0:
+        edge = 0 if p <= 0.0 else n  # the whole mass sits on one count
+        return float(x >= edge), float(x <= edge)
+    log_norm = math.lgamma(n + 1)
+    pmf = [math.exp(log_norm - math.lgamma(i + 1) - math.lgamma(n - i + 1)
+                    + i * math.log(p) + (n - i) * math.log1p(-p)) for i in range(n + 1)]
+    return min(1.0, math.fsum(pmf[:x + 1])), min(1.0, math.fsum(pmf[x:]))
+
+
+def binomial_test(x: int, n: int, p: float, confidence: float = 0.99) -> bool:
+    """Exact two-sided test: pass iff each tail of x keeps more than (1 - confidence) / 2."""
+    alpha = (1.0 - confidence) / 2.0
+    lower, upper = binomial_tails(x, n, p)
+    return lower > alpha and upper > alpha
+
+
+@dataclass
+class ExperimentReport:
+    """Analytic values, empirical values, intervals, and verdicts for one experiment.
+
+    A rate with no samples is None (null in JSON). The serialized form
+    deliberately omits the runtime so that report files are byte-identical
+    for a fixed seed; the runtime is still available on the object and in
+    the human-readable rendering.
+    """
+
+    experiment: str
+    params: dict
+    analytic: dict = field(default_factory=dict)
+    empirical: dict = field(default_factory=dict)
+    ci99: dict = field(default_factory=dict)
+    passed: dict = field(default_factory=dict)
+    extra: dict = field(default_factory=dict)
+    runtime_s: float = 0.0
+
+    def all_passed(self) -> bool:
+        return all(self.passed.values())
+
+    def to_dict(self) -> dict:
+        return {
+            "experiment": self.experiment,
+            "params": self.params,
+            "analytic": self.analytic,
+            "empirical": self.empirical,
+            "ci99": self.ci99,
+            "passed": self.passed,
+            "extra": self.extra,
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+
+    def to_text(self) -> str:
+        lines = [f"experiment: {self.experiment}",
+                 f"params: {json.dumps(self.params, sort_keys=True)}",
+                 f"runtime: {self.runtime_s:.2f}s",
+                 f"{'metric':<28}{'analytic':>14}{'empirical':>14}{'ci99':>12}  verdict"]
+        keys = sorted(set(self.analytic) | set(self.empirical))
+        for key in keys:
+            ana = self.analytic.get(key)
+            emp = self.empirical.get(key)
+            ci = self.ci99.get(key)
+            verdict = self.passed.get(key)
+            lines.append(f"{key:<28}"
+                         f"{'' if ana is None else format(ana, '.6g'):>14}"
+                         f"{'' if emp is None else format(emp, '.6g'):>14}"
+                         f"{'' if ci is None else format(ci, '.2g'):>12}"
+                         f"  {'' if verdict is None else ('pass' if verdict else 'FAIL')}")
+        for key, verdict in sorted(self.passed.items()):
+            if key not in keys:
+                lines.append(f"{key:<28}{'':>14}{'':>14}{'':>12}  "
+                             f"{'pass' if verdict else 'FAIL'}")
+        return "\n".join(lines)

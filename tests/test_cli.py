@@ -3,11 +3,12 @@
 import hashlib
 import json
 import math
+import re
 
 import pytest
 
 from qpq import adversaries, experiments
-from qpq.cli import SEED_ENV_VAR, main
+from qpq.cli import SEED_ENV_VAR, _write_json, main
 
 from conftest import helstrom_measurement_trials_dense, parity_bounds_dense
 
@@ -303,33 +304,34 @@ def key_paths(doc, prefix=""):
     return set()
 
 
-ATTACK_REPORT_PATHS = {
-    "/strategy", "/params", "/trials", "/p_c", "/p_b", "/product", "/bit_error_rate",
-    "/basis_guess_rate", "/known_bits_mean", "/analytic", "/analytic/p_c",
-    "/analytic/p_b", "/analytic/product", "/ci99", "/ci99/basis_guess_rate", "/passed",
-    "/passed/basis_guess_half", "/passed/product_bound",
+PROVIDER_REPORT_PATHS = {
+    "/experiment", "/params", "/analytic", "/analytic/p_c", "/analytic/p_b",
+    "/analytic/product", "/analytic/bit_error_rate", "/empirical", "/empirical/p_c",
+    "/empirical/p_b", "/empirical/product", "/empirical/bit_error_rate",
+    "/empirical/basis_guess_rate", "/ci99", "/ci99/basis_guess_rate", "/passed",
+    "/passed/basis_guess_half", "/passed/product_bound", "/extra", "/extra/trials",
+}
+ATTACK_REPORT_PATHS = PROVIDER_REPORT_PATHS | {
+    "/analytic/known_bits_mean", "/empirical/known_bits_mean", "/ci99/p_c", "/ci99/p_b",
+    "/ci99/known_bits_mean", "/passed/p_c", "/passed/p_b", "/passed/known_mean",
 }
 
 
 class TestReportShape:
-    """The attack-bob and sweep reports keep every key they have; a refactor
-    that drops or renames a field fails here."""
+    """The attack-bob reports and the sweep entries are `ExperimentReport`s built by
+    one helper: both attack reports share one key set, and a refactor that drops or
+    renames a field fails here."""
 
-    @pytest.mark.parametrize("strategy,extra", [
-        ("bias", {"/params/phi", "/analytic/bit_error_rate", "/analytic/known_bits_mean",
-                  "/ci99/p_c", "/ci99/known_bits_mean", "/passed/conclusive_rate",
-                  "/passed/known_mean"}),
-        ("entangle", {"/params/mode", "/analytic/conclusiveness_guess_bound",
-                      "/analytic/known_bits_mean", "/ci99/p_c", "/ci99/p_b",
-                      "/ci99/known_bits_mean", "/passed/p_c", "/passed/p_b",
-                      "/passed/known_mean"}),
-    ])
-    def test_attack_bob_keys(self, strategy, extra, tmp_path):
+    @pytest.mark.parametrize("strategy,param", [("bias", "/params/phi"),
+                                                ("entangle", "/params/mode")],
+                             ids=["bias", "entangle"])
+    def test_attack_bob_keys(self, strategy, param, tmp_path):
         out = tmp_path / "r.json"
         assert run_cli(["attack-bob", "--strategy", strategy, "--trials", "2000",
                         "--seed", "5", "--out", str(out)]) in (0, 2)
         doc = json.loads(out.read_text())
-        assert key_paths(doc) == ATTACK_REPORT_PATHS | extra
+        assert key_paths(doc) == ATTACK_REPORT_PATHS | {param}
+        assert doc["extra"]["trials"] == 2000
 
     def test_sweep_keys_and_csv_header(self, tmp_path):
         out, csv_path = tmp_path / "s.json", tmp_path / "s.csv"
@@ -339,13 +341,69 @@ class TestReportShape:
         assert set(doc) == {"max_product_analytic", "max_product_strategy", "basis_guess_ok",
                             "product_ok", "familywise_confidence", "trials_per_point",
                             "strategies"}
-        entry_paths = ATTACK_REPORT_PATHS | {"/ci99/product"}
+        entry_paths = PROVIDER_REPORT_PATHS | {"/ci99/product"}
         strategies = doc["strategies"]
-        assert [rep["strategy"] for rep in strategies] == ["biased"] * 3 + ["entangled"] * 2
+        assert [rep["experiment"] for rep in strategies] == ["biased"] * 3 + ["entangled"] * 2
         for rep in strategies:
-            param = "/params/phi" if rep["strategy"] == "biased" else "/params/mode"
+            param = "/params/phi" if rep["experiment"] == "biased" else "/params/mode"
             assert key_paths(rep) == entry_paths | {param}
         assert csv_path.read_text().splitlines()[0] == "phi,p_c,p_b,product,basis_guess,ci"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestReportsWithoutSamples:
+    """A rate with no samples is null in the report, never NaN."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("strategy,empty", [("bias", {"p_b", "bit_error_rate", "product"}),
+                                                ("entangle", set())])
+    def test_one_trial_writes_strict_json(self, strategy, empty, tmp_path):
+        out = tmp_path / "r.json"
+        assert run_cli(["attack-bob", "--strategy", strategy, "--trials", "1",
+                        "--seed", "12345", "--out", str(out)]) == 2
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert {key for key, value in doc["empirical"].items() if value is None} == empty
+        if empty:
+            assert doc["ci99"]["p_b"] is None and doc["passed"]["p_b"] is False
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_one_trial_sweep_writes_strict_json(self, tmp_path):
+        out, csv_path = tmp_path / "s.json", tmp_path / "s.csv"
+        assert run_cli(["sweep", "--points", "3", "--trials-per-point", "1", "--seed", "12345",
+                        "--out", str(out), "--csv", str(csv_path)]) == 2
+        doc = json.loads(out.read_text(), parse_constant=_reject_constant)
+        empty = [rep for rep in doc["strategies"] if rep["empirical"]["p_b"] is None]
+        assert len(empty) == 3
+        assert all(rep["empirical"]["product"] is None and not rep["passed"]["product_bound"]
+                   for rep in empty)
+        assert not doc["product_ok"]
+        assert "nan" not in csv_path.read_text()
+
+    def test_report_writer_refuses_nan(self, tmp_path):
+        with pytest.raises(ValueError):
+            _write_json(tmp_path / "r.json", {"p_b": math.nan})
+
+
+class TestRuntimeLines:
+    """Each of these subcommands prints its runtime; no JSON file holds it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--n", "200", "--k", "2"],
+        ["attack-bob", "--strategy", "bias", "--trials", "2000"],
+        ["attack-bob", "--strategy", "entangle", "--trials", "2000"],
+        ["sweep", "--points", "3", "--trials-per-point", "500"],
+    ], ids=["run", "attack-bob-bias", "attack-bob-entangle", "sweep"])
+    def test_runtime_printed_not_written(self, argv, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        extra = ["--csv", str(tmp_path / "r.csv")] if argv[0] == "sweep" else []
+        assert run_cli(argv + ["--seed", "5", "--out", str(out), *extra]) in (0, 2)
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(re.fullmatch(r"runtime: \d+\.\d\ds", line) is not None
+                   for line in lines) == 1
+        assert "runtime" not in out.read_text()
 
 
 def _diff_reports(plane, dense, path=""):
@@ -400,7 +458,9 @@ class TestReportDigests:
 
     Pinned from the per-trial round batteries and the per-qubit posterior
     arrays they replaced: a change to any random stream or to the report
-    bytes fails here.
+    bytes fails here. The attack-bob and sweep digests were re-pinned when
+    those reports became `ExperimentReport`s, after checking that every
+    earlier number reappears bit-identical under its new key.
     """
 
     @pytest.mark.parametrize("argv,digest", [
@@ -410,11 +470,11 @@ class TestReportDigests:
         (["attack-alice", "--strategy", "bb84"],
          "86cdd3c7f4252bac9349f77ecd2f823db55150a7db5c013cfabde50052d7caa2"),
         (["attack-bob", "--strategy", "bias", "--trials", "20000"],
-         "f042c8003c1e0982b520363c03eb0164dec4620adbd3092bb426d1bd46958dd3"),
+         "ce7eb336a22c6363ff48ae1ffc538ceec69dbaf0dae7223b9d63bff80f8e5825"),
         (["attack-bob", "--strategy", "entangle", "--trials", "20000"],
-         "f7802bf5f3d46377d3db716206bff5ad355dd6efe59740ec26c04946f7d58d3d"),
+         "b3f6df61bd3f9e0745289a5c683348848881feb6d37f93506009c9fc1d624c16"),
         (["sweep", "--points", "7", "--trials-per-point", "2000"],
-         "2788d71485152f0306d9014a93d1c5c0457f672389f1397ac36d4afa4360efcd"),
+         "b600280aba7b0361e160ad8f65c9c4908ca1b8342aecc9c0eca1635e6f9a8b4d"),
     ], ids=["attack-alice-usd", "attack-alice-bb84", "attack-bob-bias",
             "attack-bob-entangle", "sweep"])
     def test_report_digest(self, argv, digest, tmp_path):
@@ -422,3 +482,11 @@ class TestReportDigests:
         extra = ["--csv", str(tmp_path / "report.csv")] if argv[0] == "sweep" else []
         run_cli(argv + ["--seed", "12345", "--out", str(out), *extra])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_sweep_csv_digest(self, tmp_path):
+        """Pinned before the report fold; the CSV columns kept every byte."""
+        csv_path = tmp_path / "sweep.csv"
+        run_cli(["sweep", "--points", "7", "--trials-per-point", "2000", "--seed", "12345",
+                 "--out", str(tmp_path / "sweep.json"), "--csv", str(csv_path)])
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+            "16f55dba8555f01b054f3b8f7b1bc915d171ad509b3472b412e329933cefea8f"

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from qpq import experiments
+from qpq import experiments, stats
 from qpq.adversaries import USD_SUCCESS, UsdAlice
 from qpq.experiments import (
     TABLE1_REFERENCE,
@@ -87,6 +87,21 @@ class TestMonteCarlo:
         report = monte_carlo(config, trials=8)
         assert report.extra["failures"] == 8
         assert report.empirical["restart_fraction"] == 1.0
+
+    def test_one_restart_at_a_tiny_restart_probability_passes(self):
+        """p0 = 8.3e-4 and 20 trials: one restart has chance 1.6%, inside the 99% test.
+
+        The Wilson interval of 1/20 starts at 0.0059, above p0, so a coverage
+        check on it would call this draw a 99% failure.
+        """
+        config = ProtocolConfig(n=110, k=2, seed=98)
+        report = monte_carlo(config, trials=20)
+        p0 = key_stats(110, 2).p0
+        assert report.empirical["restart_fraction"] == 1 / 20
+        assert report.analytic["restart_fraction"] == p0 < 1e-3
+        center, half = stats.wilson_interval(1, 20)
+        assert center - half > p0
+        assert report.passed["restart_fraction"]
 
     def test_usd_strategy_uses_its_own_analytics(self):
         report = monte_carlo(ProtocolConfig(n=1500, k=2, seed=2), alice=UsdAlice(),
