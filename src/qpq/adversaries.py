@@ -476,17 +476,20 @@ class EntangledBob:
 # reports and the no-signaling audit
 # --------------------------------------------------------------------------
 
-def _known_bits_through_runs(bob, n: int, k: int, runs: int,
-                             seed: int) -> tuple[float, float, float]:
+def _known_bits_through_runs(bob, n: int, k: int, runs: int, seed: int,
+                             stream: int) -> tuple[float, float, float]:
     """Mean known-bit count of first attempts under a provider strategy.
 
-    Returns (empirical mean, 99% half-width, analytic n * p_c**k).
+    Run r draws from [seed, stream, r + 1], apart from the round battery's
+    [seed, stream]. numpy's SeedSequence reads a trailing 0 as the padding
+    of a shorter seed, so [seed, stream, 0] would be the battery's own
+    stream. Returns (empirical mean, 99% half-width, analytic n * p_c**k).
     """
     counts = []
     config = ProtocolConfig(n=n, k=k, seed=seed, max_restarts=0)
     database = np.zeros(n, dtype=np.uint8)
     for run_idx in range(runs):
-        rng = np.random.default_rng([seed, run_idx])
+        rng = np.random.default_rng([seed, stream, run_idx + 1])
         try:
             t = run_protocol(config, database, 0, bob=bob, rng=rng)
             counts.append(len(t.key.alice_known))
@@ -522,8 +525,9 @@ def _attack_report(bob, trials: int, seed: int, stream: int) -> ExperimentReport
     """Round statistics of one provider strategy checked against its exact values.
 
     The rounds draw from the stream [seed, stream]. A side experiment of 150
-    full protocol runs at n = 400, k = 2 measures how many final key bits
-    the user ends up knowing. A rate without samples fails its check.
+    full protocol runs at n = 400, k = 2, on the streams [seed, stream, r + 1],
+    measures how many final key bits the user ends up knowing. A rate
+    without samples fails its check.
     """
     start = time.perf_counter()
     rep, ev = _provider_report(bob, trials, np.random.default_rng([seed, stream]))
@@ -531,7 +535,8 @@ def _attack_report(bob, trials: int, seed: int, stream: int) -> ExperimentReport
     _, hw_c = stats.rate_ci(round(emp["p_c"] * trials), trials)
     _, hw_b = stats.rate_ci(round(emp["basis_guess_rate"] * trials), trials)
     hw_bit = stats.rate_ci(round(emp["p_b"] * n_c), n_c)[1] if n_c else None
-    known_mean, known_hw, known_expected = _known_bits_through_runs(bob, 400, 2, 150, seed)
+    known_mean, known_hw, known_expected = _known_bits_through_runs(
+        bob, 400, 2, 150, seed, stream)
     ana["known_bits_mean"], emp["known_bits_mean"] = known_expected, known_mean
     rep.ci99 = {"p_c": hw_c, "p_b": hw_bit, "basis_guess_rate": hw_b,
                 "known_bits_mean": known_hw}

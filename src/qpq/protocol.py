@@ -12,7 +12,10 @@ through three strategy seams: Bob's `rounds` (preparation and announcement),
 Alice's `respond` (measurement and interpretation) and Bob's `key_bits`
 (his raw-key record). Its tables (`OUTCOME_SECOND_PROB`,
 `CONCLUSIVE_TABLE`, `BIT_TABLE`) are tabulated at import time from the exact
-states and from `interpret`.
+states and from `interpret`. `respond` and `key_bits` get `kept`, which
+selects the detected qubits of Bob's rounds: the all-True detection mask
+when every qubit was detected (eta = 1), so no index array is built, and
+the increasing indices of the detected qubits under loss.
 
 Every outcome probability of an honest signal state is 0, 1/2 or 1, so an
 honest round needs only fair coins. Each side draws one byte per qubit, and
@@ -20,8 +23,11 @@ one packed table (`fair_coin_table`), indexed by (kind, announcement, basis,
 coin), gives outcome, conclusiveness and bit. A strategy whose outcome
 probabilities are not all 0, 1/2 or 1 (a biased preparation at a generic
 angle, the entangled register) takes a float coin per qubit instead. The
-full-length per-qubit record (`Transcript.records`) is built only when a
-caller reads it; it derives every posterior, whatever the strategy.
+byte draws fill their output `CHUNK` bytes at a time, and Alice builds the
+table index and unpacks the table entries `CHUNK` qubits at a time, so of
+the arrays only the draws and the records span the raw string.
+The full-length per-qubit record (`Transcript.records`) is built only when
+a caller reads it; it derives every posterior, whatever the strategy.
 
 Each strategy class also states the analytic probability that one kept
 qubit is conclusive for Alice (`expected_conclusive`) and whether Alice's
@@ -250,6 +256,11 @@ CONCLUSIVE_TABLE, BIT_TABLE, POSTERIOR_TABLE = _tabulate_interpretations()
 # orthogonal entries of OUTCOME_SECOND_PROB hold round-off near 1e-33.
 DYADIC_TOLERANCE = 1e-12
 
+# Byte draws and Alice's interpretation work through this many qubits at a
+# time, so their temporaries stay cache-sized instead of spanning the raw
+# string. A multiple of 4, so chunked byte draws join into one draw's bytes.
+CHUNK = 1 << 16
+
 
 def _pack(outcome, conclusive, bit) -> np.ndarray:
     """One byte per entry: outcome in bits 0-1, conclusive in bit 2, bit + 1 in bits 3-4."""
@@ -329,13 +340,31 @@ def _fair_lookup(kind_table: np.ndarray, announcement: str) -> np.ndarray | None
 
 
 def _byte_draws(rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` independent uniform bytes."""
-    return np.frombuffer(rng.bytes(count), dtype=np.uint8)
+    """`count` independent uniform bytes: for count >= 1, the bytes of one
+    `rng.bytes(count)`, leaving the generator in the same state.
+
+    `Generator.bytes` builds each draw as a uint32 array, a copy of it and a
+    bytes object, so one full-length call puts three raw-string-sized
+    buffers through the allocator. `CHUNK`-byte calls keep them cache-sized.
+    Every call but the last takes whole 32-bit words, and the bit generator
+    keeps a spare half of a 64-bit output from one call to the next, so the
+    pieces join into exactly the bytes of the one call.
+    """
+    out = np.empty(count, dtype=np.uint8)
+    for start in range(0, count, CHUNK):
+        part = out[start:start + CHUNK]
+        part[:] = np.frombuffer(rng.bytes(part.size), dtype=np.uint8)
+    return out
 
 
-def _at_kept(values: np.ndarray, kept: np.ndarray) -> np.ndarray:
-    """values[kept]; `kept` holds increasing indices, so full length means all of them."""
-    return values if kept.size == values.size else values[kept]
+def _at_kept(values: np.ndarray, kept: np.ndarray, part: slice = slice(None)) -> np.ndarray:
+    """values[kept][part], and a view when `kept` selects every value.
+
+    `kept` is the all-True detection mask when every qubit was detected, and
+    increasing indices of the detected qubits otherwise; either way a `kept`
+    as long as `values` selects all of them.
+    """
+    return values[part] if kept.size == values.size else values[kept[part]]
 
 
 # --------------------------------------------------------------------------
@@ -394,14 +423,18 @@ class HonestBob:
         draw = _byte_draws(rng, count)  # bits 0-1: sent symbol, bit 2: pair choice
         sent = (draw & 3).view(np.int8)
         if config.announcement == "sarg":
-            pair = ((draw - ((draw >> 2) & 1)) & 3).view(np.int8)
+            pair = draw >> 2
+            pair &= 1
+            np.subtract(draw, pair, out=pair)
+            pair &= 3
+            pair = pair.view(np.int8)
         else:
             pair = np.full(count, -1, dtype=np.int8)
         return BobRounds(sent=sent, pair=pair, kind=sent, kind_table=OUTCOME_SECOND_PROB)
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
                  config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
-        sent = _at_kept(rounds.sent, kept).astype(np.uint8)
+        sent = _at_kept(rounds.sent, kept).view(np.uint8)
         return sent & 1 if config.announcement == "sarg" else sent >> 1
 
 
@@ -417,21 +450,33 @@ class HonestAlice:
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
-        draw = _byte_draws(rng, kept.size)  # bit 0: fair coin, bit 1: basis
-        basis = (draw >> 1) & 1
-        if config.announcement == "sarg":
-            announced = _at_kept(rounds.pair, kept).astype(np.uint8)
-        else:
-            announced = _at_kept(rounds.sent, kept).astype(np.uint8) & 1
-        kind = _at_kept(rounds.kind, kept).astype(np.uint8)
+        count = kept.size
+        draw = _byte_draws(rng, count)  # bit 0: fair coin, bit 1: basis
+        basis = draw >> 1
+        basis &= 1
         lookup = _fair_lookup(rounds.kind_table, config.announcement)
-        if lookup is not None:
-            index = (kind << 4) | (announced << 2) | (draw & 3)
-        else:
-            second = rng.random(kept.size) < rounds.kind_table[kind, basis]
+        fair = lookup is not None
+        if not fair:
             lookup = _interpretation_table(config.announcement).ravel()
-            index = (announced << 2) | (basis << 1) | second
-        outcome, conclusive, bit = _unpack(lookup[index])
+        announced_from = rounds.pair if config.announcement == "sarg" else rounds.sent
+        outcome = np.empty(count, dtype=np.int8)
+        conclusive = np.empty(count, dtype=bool)
+        bit = np.empty(count, dtype=np.int8)
+        for start in range(0, count, CHUNK):
+            part = slice(start, start + CHUNK)
+            announced = _at_kept(announced_from, kept, part).astype(np.uint8)
+            if config.announcement != "sarg":
+                announced &= 1
+            kind = _at_kept(rounds.kind, kept, part).astype(np.uint8)
+            if fair:
+                index = kind << 4
+                index |= draw[part] & 3
+            else:
+                b = basis[part]
+                index = b << 1
+                index |= rng.random(b.size) < rounds.kind_table[kind, b]
+            index |= announced << 2
+            outcome[part], conclusive[part], bit[part] = _unpack(lookup.take(index))
         return AliceRecords(basis=basis.view(np.int8), outcome=outcome,
                             conclusive=conclusive, bit=bit)
 
@@ -442,12 +487,16 @@ class HonestAlice:
 
 def _reduce_arrays(bob_bits: np.ndarray, conclusive: np.ndarray,
                    alice_bits: np.ndarray, n: int, k: int) -> ObliviousKey:
-    bob_key = np.bitwise_xor.reduce(bob_bits.reshape(k, n).astype(np.uint8), axis=0)
-    known_mask = conclusive.reshape(k, n).all(axis=0)
-    vals = np.bitwise_xor.reduce(
-        (alice_bits.reshape(k, n) & 1).astype(np.uint8), axis=0)
-    idx = np.flatnonzero(known_mask)
-    alice_known = dict(zip(idx.tolist(), vals[idx].tolist()))
+    """XOR-fold k rows of n raw bits into Bob's key and Alice's known bits.
+
+    The bits may have any integer dtype and are not copied. Alice knows a
+    key bit only where all k of her bits are conclusive; her -1 entries
+    elsewhere are never read.
+    """
+    bob_key = np.bitwise_xor.reduce(bob_bits.reshape(k, n), axis=0)
+    idx = np.flatnonzero(conclusive.reshape(k, n).all(axis=0))
+    vals = np.bitwise_xor.reduce(alice_bits.reshape(k, n), axis=0)[idx] & 1
+    alice_known = dict(zip(idx.tolist(), vals.tolist()))
     return ObliviousKey(bob_key=bob_key, alice_known=alice_known)
 
 
@@ -527,7 +576,7 @@ class RawRecords:
 class _Attempt:
     rounds: BobRounds
     detected: np.ndarray
-    kept: np.ndarray
+    kept: np.ndarray           # `detected` itself when every qubit was detected
     alice: AliceRecords
     bob_bits: np.ndarray
 
@@ -575,8 +624,7 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
     need = config.raw_length
     if config.eta == 1.0:
         rounds = bob.rounds(need, config, rng)
-        detected = np.ones(need, dtype=bool)
-        kept = np.arange(need)
+        detected = kept = np.ones(need, dtype=bool)
     else:
         chunks: list[BobRounds] = []
         detected_chunks: list[np.ndarray] = []

@@ -14,7 +14,15 @@ from qpq.adversaries import (
     _biased_second_prob,
     biased_analytics,
 )
-from qpq.protocol import BIT_TABLE, CONCLUSIVE_TABLE, ProtocolConfig, run_protocol
+from qpq import protocol
+from qpq.protocol import (
+    BIT_TABLE,
+    CONCLUSIVE_TABLE,
+    AliceRecords,
+    BobRounds,
+    ProtocolConfig,
+    run_protocol,
+)
 from qpq.quantum import (
     DensityMatrix,
     ParityBounds,
@@ -67,6 +75,33 @@ def honest_category_counts(config: ProtocolConfig, trials: int) -> np.ndarray:
                + t.records.conclusive[kept])
         counts += np.bincount(cat, minlength=8)
     return counts
+
+
+def whole_array_respond(rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
+                        rng: np.random.Generator) -> AliceRecords:
+    """HonestAlice.respond in one pass over whole arrays: the chunked engine's oracle.
+
+    It draws the same bytes and float coins in the same order, gathers the
+    packed table with one full-length index and unpacks it with whole-array
+    masks.
+    """
+    draw = protocol._byte_draws(rng, kept.size)
+    basis = (draw >> 1) & 1
+    if config.announcement == "sarg":
+        announced = rounds.pair[kept].astype(np.uint8)
+    else:
+        announced = rounds.sent[kept].astype(np.uint8) & 1
+    kind = rounds.kind[kept].astype(np.uint8)
+    lookup = protocol._fair_lookup(rounds.kind_table, config.announcement)
+    if lookup is not None:
+        index = (kind << 4) | (announced << 2) | (draw & 3)
+    else:
+        second = rng.random(kept.size) < rounds.kind_table[kind, basis]
+        lookup = protocol._interpretation_table(config.announcement).ravel()
+        index = (announced << 2) | (basis << 1) | second
+    packed = lookup[index]
+    return AliceRecords(basis=basis.view(np.int8), outcome=(packed & 3).view(np.int8),
+                        conclusive=(packed & 4) != 0, bit=(packed >> 3).view(np.int8) - 1)
 
 
 def parity_mixtures_bruteforce(k: int):

@@ -383,6 +383,34 @@ class TestEntangledRegister:
             EntangledBob("sideways")
 
 
+class TestAttackReportStreams:
+    """The round battery and the known-bit runs of one report share no stream."""
+
+    @pytest.mark.parametrize("report", [
+        lambda seed: biased_attack_report(math.pi / 8.0, trials=2000, seed=seed),
+        lambda seed: entangled_attack_report("honest_basis", trials=2000, seed=seed),
+    ], ids=["bias", "entangle"])
+    @pytest.mark.parametrize("seed", [0, 12345])
+    def test_known_bit_runs_never_start_on_the_battery_stream(self, monkeypatch,
+                                                               report, seed):
+        battery, runs = [], []
+
+        def record(target, states):
+            def wrapper(*args, **kwargs):
+                rng = kwargs["rng"] if "rng" in kwargs else args[-1]
+                states.append(repr(rng.bit_generator.state))
+                return target(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(adversaries, "_provider_report",
+                            record(adversaries._provider_report, battery))
+        monkeypatch.setattr(adversaries, "run_protocol",
+                            record(adversaries.run_protocol, runs))
+        report(seed)
+        assert len(battery) == 1 and len(runs) == 150
+        assert len(set(battery + runs)) == 151
+
+
 class TestNoSignalingAudit:
     def test_small_sweep_passes_and_caps_the_product(self):
         audit = no_signaling_audit(points=19, trials_per_point=4000, seed=7)

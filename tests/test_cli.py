@@ -454,13 +454,18 @@ class TestGoldenReports:
 
 
 class TestReportDigests:
-    """sha256 of attack and sweep reports at fixed argv and seed 12345.
+    """sha256 of attack, sweep, honest-run and combine reports at fixed argv and seed 12345.
 
     Pinned from the per-trial round batteries and the per-qubit posterior
     arrays they replaced: a change to any random stream or to the report
     bytes fails here. The attack-bob and sweep digests were re-pinned when
     those reports became `ExperimentReport`s, after checking that every
-    earlier number reappears bit-identical under its new key.
+    earlier number reappears bit-identical under its new key, and again when
+    the known-bit runs moved to streams of their own, after checking that
+    only the `known_bits_mean` fields changed. The `run -v` digests cover
+    the honest engine's per-qubit records with every qubit detected and
+    under loss; the combine digest covers the honest engine driven through
+    several keys.
     """
 
     @pytest.mark.parametrize("argv,digest", [
@@ -470,13 +475,19 @@ class TestReportDigests:
         (["attack-alice", "--strategy", "bb84"],
          "86cdd3c7f4252bac9349f77ecd2f823db55150a7db5c013cfabde50052d7caa2"),
         (["attack-bob", "--strategy", "bias", "--trials", "20000"],
-         "ce7eb336a22c6363ff48ae1ffc538ceec69dbaf0dae7223b9d63bff80f8e5825"),
+         "2b79204fa3b61f52cc461814b1e55560dcdb0b1798f18b5ec792da1fcca81832"),
         (["attack-bob", "--strategy", "entangle", "--trials", "20000"],
-         "b3f6df61bd3f9e0745289a5c683348848881feb6d37f93506009c9fc1d624c16"),
+         "85aa257aa26821786918db609312e36ed3424c806c0839dbb3a68dad9d91f7d3"),
         (["sweep", "--points", "7", "--trials-per-point", "2000"],
          "b600280aba7b0361e160ad8f65c9c4908ca1b8342aecc9c0eca1635e6f9a8b4d"),
+        (["run", "-v", "--n", "2000", "--k", "3"],
+         "9a8fbfc535084f6106123d0c0626605ebe70e2f57d223ee6ab8086b1d20f137e"),
+        (["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
+         "c0ac96a4bbb0597a8960a850949d00ca3f538e2579be3e222d067bc49cc894cf"),
+        (["combine", "--m", "3", "--n", "2000", "--k", "3", "--trials", "20", "--jobs", "1"],
+         "5887db72a51941fc377e039bdbb0763af28a46070c7c9851ae09d88994936d21"),
     ], ids=["attack-alice-usd", "attack-alice-bb84", "attack-bob-bias",
-            "attack-bob-entangle", "sweep"])
+            "attack-bob-entangle", "sweep", "run-records", "run-records-lossy", "combine"])
     def test_report_digest(self, argv, digest, tmp_path):
         out = tmp_path / "report.json"
         extra = ["--csv", str(tmp_path / "report.csv")] if argv[0] == "sweep" else []

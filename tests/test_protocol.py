@@ -7,6 +7,7 @@ values of their draw byte, in every combination.
 
 import dataclasses
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -14,10 +15,12 @@ import pytest
 from scipy.stats import chi2_contingency, chisquare
 
 from qpq import protocol
+from qpq.adversaries import BiasedBob, EntangledBob
 from qpq.protocol import (
     BIT_TABLE,
     CONCLUSIVE_TABLE,
     OUTCOME_SECOND_PROB,
+    AliceRecords,
     AnnouncedPair,
     BobRounds,
     EmptyKnownSet,
@@ -38,7 +41,7 @@ from qpq.protocol import (
     run_protocol,
 )
 
-from conftest import honest_category_counts
+from conftest import honest_category_counts, whole_array_respond
 
 
 def three_sigma_count(p, n):
@@ -563,3 +566,102 @@ class TestLazyRecords:
         config = ProtocolConfig(n=300, k=2, eta=0.4, seed=34)
         first = honest_category_counts(config, trials=5)
         assert np.array_equal(first, honest_category_counts(config, trials=5))
+
+
+CHUNK = protocol.CHUNK
+
+
+def respond_inputs(table: str, size: int, kept_kind: str, announcement: str):
+    """Rounds, `kept` and config for one response of `size` qubits.
+
+    "mask" keeps every round through the all-True mask, as at eta = 1;
+    "index" keeps an increasing subset of about twice as many rounds, as
+    under loss. The biased and entangled tables replace the honest kinds
+    and force the float coin.
+    """
+    config = ProtocolConfig(n=size, k=1, announcement=announcement)
+    rng = np.random.default_rng([size, 5])
+    total = size if kept_kind == "mask" else 2 * size + 3
+    rounds = HonestBob().rounds(total, config, rng)
+    if table != "honest":
+        bob = BiasedBob(0.3) if table == "biased" else EntangledBob("honest_basis")
+        rounds = dataclasses.replace(
+            rounds, kind=np.zeros(total, dtype=np.int8),
+            kind_table=bob.rounds(1, ProtocolConfig(n=1, k=1), rng).kind_table)
+    if kept_kind == "mask":
+        kept = np.ones(size, dtype=bool)
+    else:
+        kept = np.sort(rng.choice(total, size, replace=False))
+    return rounds, kept, config
+
+
+@pytest.mark.parametrize("size", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+def test_chunked_byte_draws_are_one_bytes_call(size):
+    """CHUNK-byte calls give the bytes and the generator state of one rng.bytes call."""
+    chunked_rng, whole_rng = np.random.default_rng([size, 3]), np.random.default_rng([size, 3])
+    got = protocol._byte_draws(chunked_rng, size)
+    want = np.frombuffer(whole_rng.bytes(size), dtype=np.uint8)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+class TestChunkedRespond:
+    """HonestAlice.respond works through CHUNK qubits at a time; the oracle in one pass."""
+
+    @pytest.mark.parametrize("kept_kind", ["mask", "index"])
+    @pytest.mark.parametrize("table", ["honest", "biased", "entangled"])
+    @pytest.mark.parametrize("announcement", ["sarg", "bb84"])
+    @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
+    def test_matches_the_whole_array_oracle(self, size, announcement, table, kept_kind):
+        rounds, kept, config = respond_inputs(table, size, kept_kind, announcement)
+        fair = protocol._fair_lookup(rounds.kind_table, announcement) is not None
+        assert fair == (table == "honest")
+        chunked_rng, whole_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = HonestAlice().respond(rounds, kept, config, chunked_rng)
+        want = whole_array_respond(rounds, kept, config, whole_rng)
+        for f in dataclasses.fields(AliceRecords):
+            mine, ref = getattr(got, f.name), getattr(want, f.name)
+            assert mine.dtype == ref.dtype, f.name
+            assert np.array_equal(mine, ref), f.name
+        assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+class TestEngineSeams:
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    def test_kept_at_the_strategy_seams(self, eta):
+        """At eta = 1 `kept` is the all-True mask; under loss, increasing indices."""
+        seen = []
+
+        class RecordingAlice(HonestAlice):
+            def respond(self, rounds, kept, config, rng):
+                seen.append(("respond", kept, len(rounds)))
+                return super().respond(rounds, kept, config, rng)
+
+        class RecordingBob(HonestBob):
+            def key_bits(self, rounds, kept, alice, config, rng):
+                seen.append(("key_bits", kept, len(rounds)))
+                return super().key_bits(rounds, kept, alice, config, rng)
+
+        config = ProtocolConfig(n=300, k=3, eta=eta, seed=41)
+        run_protocol(config, np.zeros(300, dtype=np.uint8), 0,
+                     alice=RecordingAlice(), bob=RecordingBob())
+        assert [name for name, _, _ in seen[:2]] == ["respond", "key_bits"]
+        for _, kept, total in seen:
+            assert kept.size == config.raw_length
+            if eta == 1.0:
+                assert kept.dtype == bool and kept.all() and total == kept.size
+            else:
+                assert kept.dtype.kind == "i"
+                assert (np.diff(kept) > 0).all() and total == kept[-1] + 1
+
+    def test_engine_peak_memory_per_qubit(self):
+        """One honest run at N = 10^5, k = 9 holds at most 12 bytes per raw qubit."""
+        config = ProtocolConfig(n=10**5, k=9, seed=0)
+        database = np.zeros(config.n, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            run_protocol(config, database, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / config.raw_length <= 12.0
