@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=None, help="queried index (default 0)")
     p.add_argument("--db", type=Path, default=None,
                    help="file of ASCII 0/1 characters used as the database")
-    p.add_argument("--verbose", "-v", action="store_true",
+    p.add_argument("--verbose", "-v", action="store_true", default=None,
                    help="include the per-qubit record in the report")
 
     p = sub.add_parser("table1", help="analytic key statistics for the six reference points")
@@ -118,13 +119,37 @@ def _load_config_file(path: Path | None) -> dict:
     return doc
 
 
+def _check_file_value(key: str, value, default) -> None:
+    """Raise UsageError unless a config-file value has its default's type.
+
+    An int field takes an int but not a bool, a float field a finite int or
+    float, a bool field a bool and a str field a str.
+    """
+    if isinstance(default, bool):
+        ok, want = isinstance(value, bool), "true or false"
+    elif isinstance(default, int):
+        ok, want = isinstance(value, int) and not isinstance(value, bool), "an integer"
+    elif isinstance(default, float):
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and math.isfinite(value))
+        want = "a finite number"
+    else:
+        ok, want = isinstance(value, str), "a string"
+    if not ok:
+        raise UsageError(f"--{key.replace('_', '-')} in the config file must be {want}, "
+                         f"got {value!r}")
+
+
 def _resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
     """Fill unset flags from the config file, then from built-in defaults."""
     out = {}
     for key, fallback in defaults.items():
         value = getattr(args, key, None)
         if value is None:
-            value = file_cfg.get(key, fallback)
+            value = fallback
+            if key in file_cfg:
+                value = file_cfg[key]
+                _check_file_value(key, value, fallback)
         out[key] = value
     return out
 
@@ -132,7 +157,7 @@ def _resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
 def _resolve_jobs(args: argparse.Namespace, file_cfg: dict) -> int:
     """Worker count from --jobs, else the config file, else all cores; at least 1."""
     jobs = _resolve(args, file_cfg, {"jobs": os.cpu_count() or 1})["jobs"]
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+    if jobs < 1:
         raise UsageError(f"jobs must be an integer >= 1, got {jobs!r}")
     return jobs
 
@@ -141,7 +166,8 @@ def _resolve_seed(args: argparse.Namespace, file_cfg: dict) -> int:
     if args.seed is not None:
         return args.seed
     if "seed" in file_cfg:
-        return int(file_cfg["seed"])
+        _check_file_value("seed", file_cfg["seed"], DEFAULT_SEED)
+        return file_cfg["seed"]
     env = os.environ.get(SEED_ENV_VAR)
     if env is not None:
         try:
@@ -254,7 +280,7 @@ def _cmd_attack_bob(args, file_cfg, seed) -> int:
                                      "mode": "conclusiveness_basis"})
     if args.strategy == "bias":
         phi = opts["phi"]
-        if isinstance(phi, bool) or not isinstance(phi, (int, float)) or not np.isfinite(phi):
+        if not np.isfinite(phi):
             raise UsageError(f"--phi must be a finite angle in radians, got {phi!r}")
         report = adversaries.biased_attack_report(phi, trials=opts["trials"],
                                                   seed=seed)
@@ -323,11 +349,11 @@ def main(argv: list[str] | None = None) -> int:
         file_cfg = _load_config_file(args.config)
         seed = _resolve_seed(args, file_cfg)
         return _COMMANDS[args.command](args, file_cfg, seed)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

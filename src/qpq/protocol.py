@@ -23,9 +23,15 @@ one packed table (`fair_coin_table`), indexed by (kind, announcement, basis,
 coin), gives outcome, conclusiveness and bit. A strategy whose outcome
 probabilities are not all 0, 1/2 or 1 (a biased preparation at a generic
 angle, the entangled register) takes a float coin per qubit instead. The
-byte draws fill their output `CHUNK` bytes at a time, and Alice builds the
-table index and unpacks the table entries `CHUNK` qubits at a time, so of
-the arrays only the draws and the records span the raw string.
+byte draws copy the bit generator's 64-bit outputs (`random_raw`) into
+their output `CHUNK` bytes at a time and then set its spare 32-bit half as
+`Generator.bytes` would, so bytes and state match one `rng.bytes` call; a
+bit generator without that spare (MT19937) is read through `rng.bytes`.
+Each side owns its draw and overwrites it: Bob's becomes the sent symbols,
+Alice's her bases. Alice builds the table index in two chunk-sized scratch
+buffers and unpacks the table entries straight into her records, `CHUNK`
+qubits at a time, so of the arrays only the draws and the records span the
+raw string.
 The full-length per-qubit record (`Transcript.records`) is built only when
 a caller reads it; it derives every posterior, whatever the strategy.
 
@@ -258,19 +264,14 @@ DYADIC_TOLERANCE = 1e-12
 
 # Byte draws and Alice's interpretation work through this many qubits at a
 # time, so their temporaries stay cache-sized instead of spanning the raw
-# string. A multiple of 4, so chunked byte draws join into one draw's bytes.
+# string. A multiple of 8, so every piece of a byte draw but the last takes
+# whole 64-bit outputs and the pieces join into one draw's bytes.
 CHUNK = 1 << 16
 
 
 def _pack(outcome, conclusive, bit) -> np.ndarray:
     """One byte per entry: outcome in bits 0-1, conclusive in bit 2, bit + 1 in bits 3-4."""
     return (outcome | conclusive << 2 | (bit + 1) << 3).astype(np.uint8)
-
-
-def _unpack(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outcome, conclusive flag and bit (-1 where inconclusive) of packed bytes."""
-    return ((packed & 3).view(np.int8), (packed & 4) != 0,
-            (packed >> 3).view(np.int8) - 1)
 
 
 @lru_cache(maxsize=None)
@@ -341,19 +342,41 @@ def _fair_lookup(kind_table: np.ndarray, announcement: str) -> np.ndarray | None
 
 def _byte_draws(rng: np.random.Generator, count: int) -> np.ndarray:
     """`count` independent uniform bytes: for count >= 1, the bytes of one
-    `rng.bytes(count)`, leaving the generator in the same state.
+    `rng.bytes(count)`, leaving the generator in the same state. The caller
+    owns the returned buffer and may overwrite it.
 
-    `Generator.bytes` builds each draw as a uint32 array, a copy of it and a
-    bytes object, so one full-length call puts three raw-string-sized
-    buffers through the allocator. `CHUNK`-byte calls keep them cache-sized.
-    Every call but the last takes whole 32-bit words, and the bit generator
-    keeps a spare half of a 64-bit output from one call to the next, so the
-    pieces join into exactly the bytes of the one call.
+    `Generator.bytes` takes 32-bit words from `next_uint32`, which splits
+    each 64-bit output into its low half, returned, and its high half, kept
+    as a spare (`has_uint32`, `uinteger` in the state). So the bytes are the
+    little-endian bytes of consecutive `random_raw` outputs, once a spare
+    held at entry is drained through `rng.bytes`. They are drawn `CHUNK`
+    bytes at a time straight into the output, and the state's spare is then
+    set as `next_uint32` would leave it: the last output's high half, marked
+    unused when an odd number of words was taken. A bit generator whose
+    state has no `has_uint32` (MT19937) fills the output from `CHUNK`-byte
+    `rng.bytes` calls, which join into the one call's bytes because every
+    call but the last takes whole words.
     """
     out = np.empty(count, dtype=np.uint8)
-    for start in range(0, count, CHUNK):
-        part = out[start:start + CHUNK]
-        part[:] = np.frombuffer(rng.bytes(part.size), dtype=np.uint8)
+    bitgen = rng.bit_generator
+    state = bitgen.state
+    if "has_uint32" not in state:
+        for start in range(0, count, CHUNK):
+            part = out[start:start + CHUNK]
+            part[:] = np.frombuffer(rng.bytes(part.size), dtype=np.uint8)
+        return out
+    head = min(count, 4) if state["has_uint32"] else 0
+    if head:
+        out[:head] = np.frombuffer(rng.bytes(head), dtype=np.uint8)
+    if count > head:
+        for start in range(head, count, CHUNK):
+            part = out[start:start + CHUNK]
+            words = bitgen.random_raw(-(-part.size // 8))
+            part[:] = words.astype("<u8", copy=False).view(np.uint8)[:part.size]
+        state = bitgen.state
+        state["has_uint32"] = -(-(count - head) // 4) % 2
+        state["uinteger"] = int(words[-1]) >> 32
+        bitgen.state = state
     return out
 
 
@@ -379,6 +402,7 @@ class BobRounds:
     that Alice's outcome is the second member of her basis (DOWN or LEFT)
     for the state she received. `sent` is -1 when no definite symbol was
     prepared; `pair` is -1 when the announcement is a basis (bb84 mode).
+    `sent`, `pair` and `kind` are int8 arrays, which Alice reads as bytes.
     """
 
     sent: np.ndarray
@@ -421,7 +445,6 @@ class HonestBob:
 
     def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
         draw = _byte_draws(rng, count)  # bits 0-1: sent symbol, bit 2: pair choice
-        sent = (draw & 3).view(np.int8)
         if config.announcement == "sarg":
             pair = draw >> 2
             pair &= 1
@@ -430,6 +453,8 @@ class HonestBob:
             pair = pair.view(np.int8)
         else:
             pair = np.full(count, -1, dtype=np.int8)
+        draw &= 3
+        sent = draw.view(np.int8)
         return BobRounds(sent=sent, pair=pair, kind=sent, kind_table=OUTCOME_SECOND_PROB)
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
@@ -451,34 +476,44 @@ class HonestAlice:
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
         count = kept.size
-        draw = _byte_draws(rng, count)  # bit 0: fair coin, bit 1: basis
-        basis = draw >> 1
-        basis &= 1
+        # Bit 0: fair coin, bit 1: basis; each chunk becomes the basis once read.
+        draw = _byte_draws(rng, count)
         lookup = _fair_lookup(rounds.kind_table, config.announcement)
         fair = lookup is not None
         if not fair:
             lookup = _interpretation_table(config.announcement).ravel()
         announced_from = rounds.pair if config.announcement == "sarg" else rounds.sent
-        outcome = np.empty(count, dtype=np.int8)
+        outcome = np.empty(count, dtype=np.uint8)
         conclusive = np.empty(count, dtype=bool)
-        bit = np.empty(count, dtype=np.int8)
+        bit = np.empty(count, dtype=np.uint8)
+        index_buf = np.empty(min(count, CHUNK), dtype=np.uint8)
+        packed_buf = np.empty_like(index_buf)
         for start in range(0, count, CHUNK):
             part = slice(start, start + CHUNK)
-            announced = _at_kept(announced_from, kept, part).astype(np.uint8)
+            basis = draw[part]
+            index, packed = index_buf[:basis.size], packed_buf[:basis.size]
+            kind = _at_kept(rounds.kind, kept, part).view(np.uint8)
+            np.multiply(_at_kept(announced_from, kept, part).view(np.uint8), 4, out=index)
             if config.announcement != "sarg":
-                announced &= 1
-            kind = _at_kept(rounds.kind, kept, part).astype(np.uint8)
+                index &= 4
             if fair:
-                index = kind << 4
-                index |= draw[part] & 3
-            else:
-                b = basis[part]
-                index = b << 1
-                index |= rng.random(b.size) < rounds.kind_table[kind, b]
-            index |= announced << 2
-            outcome[part], conclusive[part], bit[part] = _unpack(lookup.take(index))
-        return AliceRecords(basis=basis.view(np.int8), outcome=outcome,
-                            conclusive=conclusive, bit=bit)
+                np.multiply(kind, 16, out=packed)
+                index |= packed
+                np.bitwise_and(basis, 3, out=packed)
+                index |= packed
+            basis >>= 1
+            basis &= 1
+            if not fair:
+                np.multiply(basis, 2, out=packed)
+                index |= packed
+                index |= rng.random(basis.size) < rounds.kind_table[kind, basis]
+            lookup.take(index, out=packed)
+            np.bitwise_and(packed, 3, out=outcome[part])
+            np.not_equal(np.bitwise_and(packed, 4, out=index), 0, out=conclusive[part])
+            np.right_shift(packed, 3, out=bit[part])
+            bit[part] -= 1
+        return AliceRecords(basis=draw.view(np.int8), outcome=outcome.view(np.int8),
+                            conclusive=conclusive, bit=bit.view(np.int8))
 
 
 # --------------------------------------------------------------------------
@@ -516,9 +551,14 @@ def encrypt_database(database: np.ndarray, bob_key: np.ndarray, shift: int) -> n
     """Ciphertext C[m] = X[m] XOR key[(m + s) mod n]."""
     x = np.asarray(database, dtype=np.uint8)
     key = np.asarray(bob_key, dtype=np.uint8)
-    if x.shape != key.shape:
-        raise ValueError(f"database/key length mismatch: {x.shape} vs {key.shape}")
-    return x ^ np.roll(key, -shift % x.size)
+    if x.ndim != 1 or x.shape != key.shape:
+        raise ValueError(f"database/key length mismatch: need two 1-D arrays of one "
+                         f"length, got {x.shape} vs {key.shape}")
+    r = shift % x.size
+    out = np.empty_like(x)
+    np.bitwise_xor(x[:x.size - r], key[r:], out=out[:x.size - r])
+    np.bitwise_xor(x[x.size - r:], key[:r], out=out[x.size - r:])
+    return out
 
 
 def decrypt_bit(ciphertext: np.ndarray, target_index: int, known_bit: int) -> int:
@@ -682,17 +722,21 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     Raises RestartLimitExceeded when max_restarts + 1 attempts all end with
     an empty known set. The returned transcript keeps the final attempt,
     whose per-qubit record is built on first read, plus per-attempt summary
-    counts.
+    counts. The database holds n bools or integers, each 0 or 1; any other
+    dtype or value raises ValueError before it is cast to bytes.
     """
     alice = alice if alice is not None else HonestAlice()
     bob = bob if bob is not None else HonestBob()
     if not isinstance(alice, HonestAlice) and not isinstance(bob, HonestBob):
         raise ValueError("simultaneous cheating on both sides is not modeled")
-    x = np.asarray(database, dtype=np.uint8)
+    x = np.asarray(database)
+    if x.dtype.kind not in "biu":
+        raise ValueError(f"database entries must be 0 or 1 as bool or integers, got {x.dtype}")
     if x.ndim != 1 or x.size != config.n:
         raise ValueError(f"database must hold {config.n} bits, got shape {x.shape}")
-    if x.max() > 1:
+    if x.min() < 0 or x.max() > 1:
         raise ValueError("database entries must be 0 or 1")
+    x = x.astype(np.uint8, copy=False)
     if not 0 <= target_index < config.n:
         raise ValueError(f"target index {target_index} outside [0, {config.n})")
     rng = rng if rng is not None else np.random.default_rng(config.seed)

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from qpq import adversaries, experiments
+from qpq import adversaries, cli, experiments
 from qpq.cli import SEED_ENV_VAR, _write_json, main
 
 from conftest import helstrom_measurement_trials_dense, parity_bounds_dense
@@ -153,6 +153,46 @@ class TestConfigFile:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("[1, 2]")
         assert run_cli(["run", "--config", str(cfg)]) == 1
+
+    @pytest.mark.parametrize("command,values,flag", [
+        (["run"], {"n": "1000"}, "--n"),
+        (["run"], {"n": 1000.5}, "--n"),
+        (["run"], {"n": True}, "--n"),
+        (["run"], {"k": None}, "--k"),
+        (["run"], {"max_restarts": 2.0}, "--max-restarts"),
+        (["run"], {"eta": "1"}, "--eta"),
+        (["run"], {"eta": False}, "--eta"),
+        (["run"], {"eta": math.inf}, "--eta"),
+        (["combine"], {"trials": "5"}, "--trials"),
+        (["attack-bob", "--strategy", "entangle"], {"mode": 3}, "--mode"),
+        (["run"], {"verbose": 1}, "--verbose"),
+        (["table1"], {"seed": None}, "--seed"),
+        (["run"], {"seed": 5.7}, "--seed"),
+    ])
+    def test_wrong_typed_values_exit_one(self, command, values, flag, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps(values))
+        assert run_cli(command + ["--config", str(cfg), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {flag} in the config file must be" in err
+        assert not out.exists()
+
+    def test_file_values_of_the_right_type_are_used(self, tmp_path):
+        """A float field takes an int, and `verbose` is read from the file."""
+        cfg, out = tmp_path / "cfg.json", tmp_path / "r.json"
+        cfg.write_text(json.dumps({"n": 50, "k": 2, "eta": 1, "verbose": True}))
+        assert run_cli(["run", "--config", str(cfg), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["config"]["eta"] == 1 and len(doc["records"]) == 100
+
+
+def test_memory_error_exits_one(monkeypatch, tmp_path, capsys):
+    def exhausted(args, file_cfg, seed):
+        raise MemoryError("Unable to allocate 9.00 GiB")
+
+    monkeypatch.setitem(cli._COMMANDS, "run", exhausted)
+    assert run_cli(["run", "--out", str(tmp_path / "r.json")]) == 1
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 9.00 GiB\n"
 
 
 class TestAttackCommands:
@@ -463,9 +503,9 @@ class TestReportDigests:
     earlier number reappears bit-identical under its new key, and again when
     the known-bit runs moved to streams of their own, after checking that
     only the `known_bits_mean` fields changed. The `run -v` digests cover
-    the honest engine's per-qubit records with every qubit detected and
-    under loss; the combine digest covers the honest engine driven through
-    several keys.
+    the honest engine's per-qubit records with every qubit detected, under
+    loss, and over 70,000 qubits, more than one `protocol.CHUNK`; the
+    combine digest covers the honest engine driven through several keys.
     """
 
     @pytest.mark.parametrize("argv,digest", [
@@ -484,10 +524,13 @@ class TestReportDigests:
          "9a8fbfc535084f6106123d0c0626605ebe70e2f57d223ee6ab8086b1d20f137e"),
         (["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
          "c0ac96a4bbb0597a8960a850949d00ca3f538e2579be3e222d067bc49cc894cf"),
+        (["run", "-v", "--n", "14000", "--k", "5"],
+         "3aa92710f6133479028f01c02fca5dac232cbea866aa69781fd005750a659c97"),
         (["combine", "--m", "3", "--n", "2000", "--k", "3", "--trials", "20", "--jobs", "1"],
          "5887db72a51941fc377e039bdbb0763af28a46070c7c9851ae09d88994936d21"),
     ], ids=["attack-alice-usd", "attack-alice-bb84", "attack-bob-bias",
-            "attack-bob-entangle", "sweep", "run-records", "run-records-lossy", "combine"])
+            "attack-bob-entangle", "sweep", "run-records", "run-records-lossy",
+            "run-records-multi-chunk", "combine"])
     def test_report_digest(self, argv, digest, tmp_path):
         out = tmp_path / "report.json"
         extra = ["--csv", str(tmp_path / "report.csv")] if argv[0] == "sweep" else []

@@ -57,11 +57,12 @@ def every_draw(monkeypatch):
 
     Returns (rounds, alice records, Alice's bytes). Bob's byte codes the sent
     symbol (bits 0-1) and the pair choice (bit 2); Alice's codes the coin
-    (bit 0) and her basis (bit 1).
+    (bit 0) and her basis (bit 1). The engine owns and overwrites its draw
+    buffers, so each side gets a copy.
     """
     bob_bytes = np.repeat(ALL_BYTES, 256)
     alice_bytes = np.tile(ALL_BYTES, 256)
-    draws = iter([bob_bytes, alice_bytes])
+    draws = iter([bob_bytes.copy(), alice_bytes.copy()])
     config = ProtocolConfig(n=bob_bytes.size, k=1)
     with monkeypatch.context() as patch:
         patch.setattr(protocol, "_byte_draws", lambda rng, count: next(draws))
@@ -73,7 +74,7 @@ def every_draw(monkeypatch):
 def bob_bytes_only(monkeypatch):
     """HonestBob.rounds over the 256 values of its draw byte."""
     with monkeypatch.context() as patch:
-        patch.setattr(protocol, "_byte_draws", lambda rng, count: ALL_BYTES)
+        patch.setattr(protocol, "_byte_draws", lambda rng, count: ALL_BYTES.copy())
         return HonestBob().rounds(256, ProtocolConfig(n=256, k=1), None)
 
 
@@ -318,6 +319,20 @@ class TestQueryShiftEncrypt:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="mismatch"):
             encrypt_database(np.zeros(3, dtype=np.uint8), np.zeros(4, dtype=np.uint8), 0)
+        with pytest.raises(ValueError, match="1-D"):
+            encrypt_database(np.zeros((2, 2), dtype=np.uint8), np.zeros((2, 2), dtype=np.uint8), 1)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_matches_the_roll_oracle(self, n):
+        """C = X XOR roll(key, -s) for shifts 0, 1, n - 1, n, negative and random ones."""
+        rng = np.random.default_rng([n, 11])
+        x = rng.integers(0, 2, n, dtype=np.uint8)
+        key = rng.integers(0, 2, n, dtype=np.uint8)
+        shifts = [0, 1, n - 1, n, -1, 3 * n + 2, *rng.integers(0, 4 * n, 5).tolist()]
+        for s in shifts:
+            got = encrypt_database(x, key, s)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, x ^ np.roll(key, -s % n)), s
 
 
 class TestObliviousKeyType:
@@ -420,6 +435,26 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="0 or 1"):
             run_protocol(config, np.full(10, 2, dtype=np.uint8), 0)
 
+    @pytest.mark.parametrize("database", [
+        [0.7, 1.0, 0.2, 1.9], [0.0, 1.0, 0.0, 1.0], [-255, 1, 0, 1], [-1, 1, 0, 1],
+        [2, 1, 0, 1], np.array([0, 1, 0, 256], dtype=np.int16), ["0", "1", "0", "1"],
+    ], ids=["float", "whole-floats", "minus-255", "minus-1", "two", "int16-256", "str"])
+    def test_rejects_non_binary_databases(self, database):
+        config = ProtocolConfig(n=4, k=1, seed=0)
+        with pytest.raises(ValueError, match="0 or 1"):
+            run_protocol(config, database, 0)
+
+    @pytest.mark.parametrize("database", [
+        [False, True, True, False], [0, 1, 1, 0], np.array([0, 1, 1, 0], dtype=np.int64),
+    ], ids=["bool", "list", "int64"])
+    def test_accepts_bool_and_integer_databases(self, database):
+        config = ProtocolConfig(n=4, k=1, seed=5)
+        want = run_protocol(config, np.array([0, 1, 1, 0], dtype=np.uint8), 2)
+        got = run_protocol(config, database, 2)
+        assert got.retrieved_bit == 1
+        assert np.array_equal(got.ciphertext, want.ciphertext)
+        assert got.ciphertext.dtype == np.uint8
+
     def test_transcript_json_schema(self):
         config = ProtocolConfig(n=50, k=2, seed=8)
         t = run_protocol(config, np.zeros(50, dtype=np.uint8), 3)
@@ -448,8 +483,9 @@ class TestConfigValidation:
 
 
 def _unpacked(packed):
-    outcome, conclusive, bit = protocol._unpack(np.asarray(packed, dtype=np.uint8))
-    return int(outcome), bool(conclusive), int(bit)
+    """Outcome, conclusive flag and bit (-1 where inconclusive) of one packed byte."""
+    packed = int(packed)
+    return packed & 3, bool(packed & 4), (packed >> 3) - 1
 
 
 def category_counts(alice: HonestAlice, rounds: BobRounds, config: ProtocolConfig,
@@ -603,6 +639,34 @@ def test_chunked_byte_draws_are_one_bytes_call(size):
     want = np.frombuffer(whole_rng.bytes(size), dtype=np.uint8)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
+
+
+SPARE_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
+                        np.random.SFC64]
+BYTE_DRAW_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, CHUNK - 1, CHUNK, CHUNK + 1,
+                   2 * CHUNK + 7]
+
+
+@pytest.mark.parametrize("spare", [False, True], ids=["aligned", "spare-half"])
+@pytest.mark.parametrize("size", BYTE_DRAW_SIZES)
+@pytest.mark.parametrize("bit_generator", SPARE_BIT_GENERATORS + [np.random.MT19937],
+                         ids=lambda bg: bg.__name__)
+def test_byte_draws_match_one_bytes_call_for_every_bit_generator(bit_generator, size, spare):
+    """The bytes, the whole state and the next draws equal one rng.bytes call's.
+
+    With `spare`, one 32-bit draw first leaves half of a 64-bit output
+    buffered; MT19937 has no such buffer and takes the `rng.bytes` pieces.
+    """
+    mine, ref = (np.random.Generator(bit_generator(size)) for _ in range(2))
+    if spare:
+        for rng in (mine, ref):
+            rng.integers(0, 2**32 - 1, dtype=np.uint32)
+    got = protocol._byte_draws(mine, size)
+    want = np.frombuffer(ref.bytes(size), dtype=np.uint8)
+    assert got.dtype == np.uint8 and np.array_equal(got, want)
+    assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+    assert mine.bytes(5) == ref.bytes(5)
+    assert mine.random() == ref.random()
 
 
 class TestChunkedRespond:
