@@ -86,8 +86,8 @@ class UsdAlice:
             raise ValueError("discrimination attack needs definite sent symbols")
         conclusive = usd_success_trials(kept.size, rng)
         bit = (sent & 1) | -(~conclusive).view(np.int8)  # -1 where inconclusive
-        filler = np.full(kept.size, -1, dtype=np.int8)
-        return AliceRecords(basis=filler, outcome=filler, conclusive=conclusive, bit=bit)
+        none = np.broadcast_to(np.int8(-1), kept.size)  # no basis, so no outcome
+        return AliceRecords.from_fields(basis=none, outcome=-1, conclusive=conclusive, bit=bit)
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ class Bb84MemoryAlice:
         if config.announcement != "bb84":
             return UsdAlice().respond(rounds, kept, config, rng)
         sent = _at_kept(rounds.sent, kept)
-        return AliceRecords(basis=sent & 1, outcome=sent,
-                            conclusive=np.ones(kept.size, dtype=bool), bit=sent >> 1)
+        return AliceRecords.from_fields(basis=sent & 1, outcome=sent, conclusive=True,
+                                        bit=sent >> 1)
 
 
 class JointHelstromValue(NamedTuple):

@@ -10,12 +10,13 @@ database bit is retrieved through a user-chosen cyclic shift.
 announced pair. `run_protocol` drives whole runs on columnar numpy arrays
 through three strategy seams: Bob's `rounds` (preparation and announcement),
 Alice's `respond` (measurement and interpretation) and Bob's `key_bits`
-(his raw-key record). Its tables (`OUTCOME_SECOND_PROB`,
-`CONCLUSIVE_TABLE`, `BIT_TABLE`) are tabulated at import time from the exact
-states and from `interpret`. `respond` and `key_bits` get `kept`, which
-selects the detected qubits of Bob's rounds: the all-True detection mask
-when every qubit was detected (eta = 1), so no index array is built, and
-the increasing indices of the detected qubits under loss.
+(his raw-key record: the lowest bit of each entry is his raw bit). Its
+tables (`OUTCOME_SECOND_PROB`, `CONCLUSIVE_TABLE`, `BIT_TABLE`) are
+tabulated at import time from the exact states and from `interpret`.
+`respond` and `key_bits` get `kept`, which selects the detected qubits of
+Bob's rounds: the all-True detection mask when every qubit was detected
+(eta = 1), a read-only broadcast of one True, so no mask or index array is
+built, and the increasing indices of the detected qubits under loss.
 
 Every outcome probability of an honest signal state is 0, 1/2 or 1, so an
 honest round needs only fair coins. Each side draws one byte per qubit, and
@@ -28,10 +29,13 @@ their output `CHUNK` bytes at a time and then set its spare 32-bit half as
 `Generator.bytes` would, so bytes and state match one `rng.bytes` call; a
 bit generator without that spare (MT19937) is read through `rng.bytes`.
 Each side owns its draw and overwrites it: Bob's becomes the sent symbols,
-Alice's her bases. Alice builds the table index in two chunk-sized scratch
-buffers and unpacks the table entries straight into her records, `CHUNK`
-qubits at a time, so of the arrays only the draws and the records span the
-raw string.
+which against pairs are also his raw-key record, and Alice's her bases.
+Alice builds the table index `CHUNK` qubits at a time in one chunk-sized
+scratch buffer and in the chunk of her records that the lookup then fills.
+Her records keep the table entries packed (`AliceRecords`), and
+`_reduce_arrays` folds the packed bytes, so an honest attempt at eta = 1
+holds four raw-length arrays: Bob's symbols and pairs, Alice's bases and
+her packed records.
 The full-length per-qubit record (`Transcript.records`) is built only when
 a caller reads it; it derives every posterior, whatever the strategy.
 
@@ -270,8 +274,16 @@ CHUNK = 1 << 16
 
 
 def _pack(outcome, conclusive, bit) -> np.ndarray:
-    """One byte per entry: outcome in bits 0-1, conclusive in bit 2, bit + 1 in bits 3-4."""
-    return (outcome | conclusive << 2 | (bit + 1) << 3).astype(np.uint8)
+    """One byte per entry: outcome in bits 0-1, conclusive in bit 2, bit + 1 in bits 3-4.
+
+    Outcome and bit are read as int8, so an outcome of -1 packs as 3 and a
+    bit of -1 as 0. Works in bytes, with `np.multiply` for the shifts.
+    """
+    packed = (np.asarray(bit, dtype=np.int8) + 1).view(np.uint8)
+    packed *= 8
+    packed |= np.asarray(conclusive, dtype=bool).view(np.uint8) * np.uint8(4)
+    packed |= np.asarray(outcome, dtype=np.int8).view(np.uint8) & 3
+    return packed
 
 
 @lru_cache(maxsize=None)
@@ -418,13 +430,48 @@ class BobRounds:
 class AliceRecords:
     """Columnar measurement records for the kept qubits of one attempt.
 
-    They carry no posterior; `_scatter_records` derives it when read.
+    `basis` is int8, -1 where Alice measured in no basis (the memory
+    attacks). `packed` holds one `_pack` byte per qubit: the outcome in bits
+    0-1, the conclusive flag in bit 2 and bit + 1 in bits 3-4, so bit 4 is
+    Alice's bit on a conclusive qubit and 0 elsewhere. `outcome` (int8),
+    `conclusive` (bool) and `bit` (int8, -1 where inconclusive) decode it
+    on each read; a missing outcome is not stored but read as -1 wherever
+    `basis` is -1. The records carry no posterior; `_scatter_records`
+    derives it when read.
     """
 
     basis: np.ndarray
-    outcome: np.ndarray        # -1 where no symbol outcome was recorded
-    conclusive: np.ndarray
-    bit: np.ndarray            # -1 where inconclusive
+    packed: np.ndarray
+
+    @classmethod
+    def from_fields(cls, basis, outcome, conclusive, bit) -> "AliceRecords":
+        """Records from the decoded fields; basis and outcome are -1 together or not at all.
+
+        `bit` is an array; outcome and conclusive may be scalars that hold
+        for every qubit. Pass a scalar, not a broadcast view: numpy runs its
+        slow generic loop on a zero stride (≈20× slower for `& 3`).
+        """
+        return cls(basis=basis, packed=_pack(outcome, conclusive, bit))
+
+    @property
+    def outcome(self) -> np.ndarray:
+        outcome = (self.packed & 3).view(np.int8)
+        outcome[self.basis < 0] = -1
+        return outcome
+
+    @property
+    def conclusive(self) -> np.ndarray:
+        return np.not_equal(self.packed & 4, 0)
+
+    @property
+    def bit(self) -> np.ndarray:
+        return (self.packed >> 3).view(np.int8) - 1
+
+    @property
+    def conclusive_count(self) -> int:
+        """Number of conclusive qubits, counted `CHUNK` at a time."""
+        return sum(int(np.count_nonzero(self.packed[start:start + CHUNK] & 4))
+                   for start in range(0, self.packed.size, CHUNK))
 
 
 def _honest_conclusive(config: ProtocolConfig) -> float:
@@ -459,8 +506,13 @@ class HonestBob:
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
                  config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
+        """His raw-key record of the kept qubits; the lowest bit of each entry is his bit.
+
+        Against pairs a symbol's lowest bit is its bit, so the record is
+        `sent` itself, a view at eta = 1; against bases it is bit 1.
+        """
         sent = _at_kept(rounds.sent, kept).view(np.uint8)
-        return sent & 1 if config.announcement == "sarg" else sent >> 1
+        return sent if config.announcement == "sarg" else sent >> 1
 
 
 @dataclass(frozen=True)
@@ -483,15 +535,13 @@ class HonestAlice:
         if not fair:
             lookup = _interpretation_table(config.announcement).ravel()
         announced_from = rounds.pair if config.announcement == "sarg" else rounds.sent
-        outcome = np.empty(count, dtype=np.uint8)
-        conclusive = np.empty(count, dtype=bool)
-        bit = np.empty(count, dtype=np.uint8)
+        # Each chunk of the records is scratch space until the lookup fills it.
+        records = np.empty(count, dtype=np.uint8)
         index_buf = np.empty(min(count, CHUNK), dtype=np.uint8)
-        packed_buf = np.empty_like(index_buf)
         for start in range(0, count, CHUNK):
             part = slice(start, start + CHUNK)
-            basis = draw[part]
-            index, packed = index_buf[:basis.size], packed_buf[:basis.size]
+            basis, packed = draw[part], records[part]
+            index = index_buf[:basis.size]
             kind = _at_kept(rounds.kind, kept, part).view(np.uint8)
             np.multiply(_at_kept(announced_from, kept, part).view(np.uint8), 4, out=index)
             if config.announcement != "sarg":
@@ -508,29 +558,28 @@ class HonestAlice:
                 index |= packed
                 index |= rng.random(basis.size) < rounds.kind_table[kind, basis]
             lookup.take(index, out=packed)
-            np.bitwise_and(packed, 3, out=outcome[part])
-            np.not_equal(np.bitwise_and(packed, 4, out=index), 0, out=conclusive[part])
-            np.right_shift(packed, 3, out=bit[part])
-            bit[part] -= 1
-        return AliceRecords(basis=draw.view(np.int8), outcome=outcome.view(np.int8),
-                            conclusive=conclusive, bit=bit.view(np.int8))
+        return AliceRecords(basis=draw.view(np.int8), packed=records)
 
 
 # --------------------------------------------------------------------------
 # key reduction and retrieval
 # --------------------------------------------------------------------------
 
-def _reduce_arrays(bob_bits: np.ndarray, conclusive: np.ndarray,
-                   alice_bits: np.ndarray, n: int, k: int) -> ObliviousKey:
-    """XOR-fold k rows of n raw bits into Bob's key and Alice's known bits.
+def _reduce_arrays(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> ObliviousKey:
+    """XOR-fold k rows of n raw entries into Bob's key and Alice's known bits.
 
-    The bits may have any integer dtype and are not copied. Alice knows a
-    key bit only where all k of her bits are conclusive; her -1 entries
-    elsewhere are never read.
+    Bob's raw bit is the lowest bit of each of his entries, which may have
+    any integer dtype; `packed` is Alice's `AliceRecords.packed`. Neither is
+    copied. Alice knows a key bit where the conclusive flag (bit 2) is set
+    in all k rows; its value is the XOR of bit 4, her raw bit, over the
+    rows.
     """
     bob_key = np.bitwise_xor.reduce(bob_bits.reshape(k, n), axis=0)
-    idx = np.flatnonzero(conclusive.reshape(k, n).all(axis=0))
-    vals = np.bitwise_xor.reduce(alice_bits.reshape(k, n), axis=0)[idx] & 1
+    bob_key &= 1
+    rows = packed.reshape(k, n)
+    # `!= 0` makes bools, on which `flatnonzero` is several times faster than on bytes.
+    idx = np.flatnonzero((np.bitwise_and.reduce(rows, axis=0) & 4) != 0)
+    vals = (np.bitwise_xor.reduce(rows, axis=0)[idx] >> 4) & 1
     alice_known = dict(zip(idx.tolist(), vals.tolist()))
     return ObliviousKey(bob_key=bob_key, alice_known=alice_known)
 
@@ -664,7 +713,7 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
     need = config.raw_length
     if config.eta == 1.0:
         rounds = bob.rounds(need, config, rng)
-        detected = kept = np.ones(need, dtype=bool)
+        detected = kept = np.broadcast_to(np.True_, need)  # read-only, holds one byte
     else:
         chunks: list[BobRounds] = []
         detected_chunks: list[np.ndarray] = []
@@ -693,23 +742,25 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
 def _scatter_records(att: _Attempt) -> RawRecords:
     total = len(att.rounds)
     pair = att.rounds.pair
+    alice = att.alice
+    kept_outcome, kept_conclusive = alice.outcome, alice.conclusive
     basis = np.full(total, -1, dtype=np.int8)
     outcome = np.full(total, -1, dtype=np.int8)
     conclusive = np.zeros(total, dtype=bool)
     alice_bit = np.full(total, -1, dtype=np.int8)
     posterior = np.full(total, np.nan)
     bob_bit = np.full(total, -1, dtype=np.int8)
-    basis[att.kept] = att.alice.basis
-    outcome[att.kept] = att.alice.outcome
-    conclusive[att.kept] = att.alice.conclusive
-    alice_bit[att.kept] = att.alice.bit
-    bob_bit[att.kept] = att.bob_bits
+    basis[att.kept] = alice.basis
+    outcome[att.kept] = kept_outcome
+    conclusive[att.kept] = kept_conclusive
+    alice_bit[att.kept] = alice.bit
+    bob_bit[att.kept] = att.bob_bits & 1
     # The table value for a symbol outcome against a pair, else NaN if conclusive, 1/2 if not.
-    kept_pair, kept_outcome = pair[att.kept], att.alice.outcome
+    kept_pair = pair[att.kept]
     posterior[att.kept] = np.where(
         (kept_pair >= 0) & (kept_outcome >= 0), POSTERIOR_TABLE[kept_pair, kept_outcome],
-        np.where(att.alice.conclusive, np.nan, 0.5))
-    return RawRecords(sent=att.rounds.sent, detected=att.detected,
+        np.where(kept_conclusive, np.nan, 0.5))
+    return RawRecords(sent=att.rounds.sent, detected=np.array(att.detected),
                       pair=pair, basis=basis, outcome=outcome,
                       conclusive=conclusive, alice_bit=alice_bit,
                       posterior_bit1=posterior, bob_bit=bob_bit)
@@ -723,7 +774,9 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     an empty known set. The returned transcript keeps the final attempt,
     whose per-qubit record is built on first read, plus per-attempt summary
     counts. The database holds n bools or integers, each 0 or 1; any other
-    dtype or value raises ValueError before it is cast to bytes.
+    dtype or value raises ValueError before it is cast to bytes. The target
+    index is a Python or numpy integer, not a bool, in [0, n); anything else
+    raises ValueError before any draw.
     """
     alice = alice if alice is not None else HonestAlice()
     bob = bob if bob is not None else HonestBob()
@@ -737,6 +790,9 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     if x.min() < 0 or x.max() > 1:
         raise ValueError("database entries must be 0 or 1")
     x = x.astype(np.uint8, copy=False)
+    if isinstance(target_index, bool) or not isinstance(target_index, (int, np.integer)):
+        raise ValueError(f"target index must be an integer, got {target_index!r}")
+    target_index = int(target_index)
     if not 0 <= target_index < config.n:
         raise ValueError(f"target index {target_index} outside [0, {config.n})")
     rng = rng if rng is not None else np.random.default_rng(config.seed)
@@ -747,10 +803,9 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     key = None
     for _ in range(config.max_restarts + 1):
         att = _run_attempt(config, alice, bob, rng)
-        key = _reduce_arrays(att.bob_bits, att.alice.conclusive,
-                             att.alice.bit, config.n, config.k)
+        key = _reduce_arrays(att.bob_bits, att.alice.packed, config.n, config.k)
         known_counts.append(len(key.alice_known))
-        conclusive_counts.append(int(np.count_nonzero(att.alice.conclusive)))
+        conclusive_counts.append(att.alice.conclusive_count)
         if key.alice_known:
             break
         att = key = None  # release this attempt's arrays before the next one

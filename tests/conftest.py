@@ -82,8 +82,8 @@ def whole_array_respond(rounds: BobRounds, kept: np.ndarray, config: ProtocolCon
     """HonestAlice.respond in one pass over whole arrays: the chunked engine's oracle.
 
     It draws the same bytes and float coins in the same order, gathers the
-    packed table with one full-length index and unpacks it with whole-array
-    masks.
+    packed table with one full-length index, unpacks it with whole-array
+    masks and packs the fields again through `AliceRecords.from_fields`.
     """
     draw = protocol._byte_draws(rng, kept.size)
     basis = (draw >> 1) & 1
@@ -100,8 +100,9 @@ def whole_array_respond(rounds: BobRounds, kept: np.ndarray, config: ProtocolCon
         lookup = protocol._interpretation_table(config.announcement).ravel()
         index = (announced << 2) | (basis << 1) | second
     packed = lookup[index]
-    return AliceRecords(basis=basis.view(np.int8), outcome=(packed & 3).view(np.int8),
-                        conclusive=(packed & 4) != 0, bit=(packed >> 3).view(np.int8) - 1)
+    return AliceRecords.from_fields(basis=basis.view(np.int8), outcome=(packed & 3).view(np.int8),
+                                    conclusive=(packed & 4) != 0,
+                                    bit=(packed >> 3).view(np.int8) - 1)
 
 
 def parity_mixtures_bruteforce(k: int):

@@ -6,6 +6,7 @@ values of their draw byte, in every combination.
 """
 
 import dataclasses
+import hashlib
 import math
 import tracemalloc
 import weakref
@@ -15,7 +16,7 @@ import pytest
 from scipy.stats import chi2_contingency, chisquare
 
 from qpq import protocol
-from qpq.adversaries import BiasedBob, EntangledBob
+from qpq.adversaries import Bb84MemoryAlice, BiasedBob, EntangledBob, UsdAlice
 from qpq.protocol import (
     BIT_TABLE,
     CONCLUSIVE_TABLE,
@@ -250,9 +251,8 @@ def seeded_run_records() -> RawRecords:
 
 
 def reduce(bob_bits, conclusive, alice_bits, n, k) -> ObliviousKey:
-    return protocol._reduce_arrays(np.asarray(bob_bits, dtype=np.uint8),
-                                   np.asarray(conclusive, dtype=bool),
-                                   np.asarray(alice_bits, dtype=np.int8), n, k)
+    alice = AliceRecords.from_fields(basis=0, outcome=0, conclusive=conclusive, bit=alice_bits)
+    return protocol._reduce_arrays(np.asarray(bob_bits, dtype=np.uint8), alice.packed, n, k)
 
 
 class TestReduceKey:
@@ -362,7 +362,7 @@ class TestRunProtocol:
             alive_at_call.append(any(ref() is not None for ref in previous))
             att = real(*args)
             previous[:] = [weakref.ref(att), weakref.ref(att.bob_bits),
-                           weakref.ref(att.alice.conclusive), weakref.ref(att.rounds)]
+                           weakref.ref(att.alice.packed), weakref.ref(att.rounds)]
             return att
 
         class NeverConclusiveAlice:
@@ -370,7 +370,7 @@ class TestRunProtocol:
 
             def respond(self, rounds, kept, config, rng):
                 none = np.full(kept.size, -1, dtype=np.int8)
-                return protocol.AliceRecords(
+                return protocol.AliceRecords.from_fields(
                     basis=none, outcome=none, conclusive=np.zeros(kept.size, dtype=bool),
                     bit=none)
 
@@ -444,6 +444,25 @@ class TestRunProtocol:
         with pytest.raises(ValueError, match="0 or 1"):
             run_protocol(config, database, 0)
 
+    @pytest.mark.parametrize("target", [2.5, True, "3", np.True_, np.float64(2.0)],
+                             ids=["float", "bool", "str", "numpy-bool", "numpy-float"])
+    def test_rejects_non_integer_targets_before_any_draw(self, target):
+        config = ProtocolConfig(n=10, k=2, seed=0)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="target index must be an integer"):
+            run_protocol(config, np.zeros(10, dtype=np.uint8), target, rng=rng)
+        assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("target", [3, np.int64(3), np.uint8(3)],
+                             ids=["int", "int64", "uint8"])
+    def test_accepts_python_and_numpy_integer_targets(self, target):
+        config = ProtocolConfig(n=10, k=2, seed=0)
+        database = np.arange(10) % 2
+        got = run_protocol(config, database, target)
+        assert type(got.target_index) is int
+        assert got.to_dict() == run_protocol(config, database, 3).to_dict()
+
     @pytest.mark.parametrize("database", [
         [False, True, True, False], [0, 1, 1, 0], np.array([0, 1, 1, 0], dtype=np.int64),
     ], ids=["bool", "list", "int64"])
@@ -468,6 +487,71 @@ class TestRunProtocol:
         kept = [r for r in verbose["records"] if r["detected"]]
         assert len(kept) == 100
         assert all(r["pair"] is not None for r in kept)
+
+
+def strategy_field_combinations() -> list[tuple[int, int, bool, int]]:
+    """Every (basis, outcome, conclusive, bit) a strategy records.
+
+    A measured outcome lies in Alice's basis; the memory attacks record
+    neither basis nor outcome (-1); the bit is -1 exactly where inconclusive.
+    """
+    return [(basis, outcome, conclusive, bit)
+            for basis in (-1, 0, 1)
+            for outcome in ([-1] if basis < 0 else [basis, basis + 2])
+            for conclusive in (False, True)
+            for bit in ([0, 1] if conclusive else [-1])]
+
+
+class TestPackedRecords:
+    """AliceRecords keeps the basis and one packed byte; the other fields decode it."""
+
+    def test_from_fields_round_trips_every_strategy_combination(self):
+        combos = strategy_field_combinations()
+        assert len(combos) == 15
+        fields = {name: np.array(column, dtype=dtype) for name, column, dtype in
+                  zip(("basis", "outcome", "conclusive", "bit"), zip(*combos),
+                      (np.int8, np.int8, bool, np.int8))}
+        records = AliceRecords.from_fields(**fields)
+        assert records.packed.dtype == np.uint8
+        assert np.array_equal(records.packed >> 5, np.zeros(15))
+        for name, want in fields.items():
+            got = getattr(records, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("alice_cls,bob,announcement,eta", [
+        (HonestAlice, None, "sarg", 1.0),
+        (HonestAlice, None, "bb84", 0.6),
+        (UsdAlice, None, "sarg", 1.0),
+        (Bb84MemoryAlice, None, "bb84", 1.0),
+        (HonestAlice, BiasedBob(0.3), "sarg", 1.0),
+        (HonestAlice, EntangledBob("honest_basis"), "sarg", 0.6),
+    ], ids=["honest", "honest-bb84-lossy", "usd", "bb84-memory", "biased", "entangled"])
+    def test_respond_counts_are_the_transcript_counts(self, alice_cls, bob, announcement, eta):
+        """Each response's conclusive flags mark its bits, and their sum per attempt
+        is `attempt_conclusive_counts`, as the bench tracer reads it."""
+        seen = []
+
+        class RecordingAlice(alice_cls):
+            def respond(self, rounds, kept, config, rng):
+                records = super().respond(rounds, kept, config, rng)
+                seen.append((kept.size, records))
+                return records
+
+        config = ProtocolConfig(n=200, k=4, eta=eta, seed=12, announcement=announcement)
+        t = run_protocol(config, np.zeros(200, dtype=np.uint8), 0,
+                         alice=RecordingAlice(), bob=bob)
+        assert len(seen) == t.restarts + 1
+        for size, records in seen:
+            assert size == config.raw_length
+            assert np.array_equal(records.conclusive, records.bit >= 0)
+        assert [int(r.conclusive.sum()) for _, r in seen] == t.attempt_conclusive_counts
+
+    def test_the_honest_case_spans_restarts(self):
+        """So the counts above are compared over more than one attempt."""
+        config = ProtocolConfig(n=200, k=4, seed=12)
+        t = run_protocol(config, np.zeros(200, dtype=np.uint8), 0)
+        assert t.restarts >= 1
+        assert len(t.attempt_conclusive_counts) == t.restarts + 1
 
 
 class TestConfigValidation:
@@ -683,10 +767,10 @@ class TestChunkedRespond:
         chunked_rng, whole_rng = np.random.default_rng(9), np.random.default_rng(9)
         got = HonestAlice().respond(rounds, kept, config, chunked_rng)
         want = whole_array_respond(rounds, kept, config, whole_rng)
-        for f in dataclasses.fields(AliceRecords):
-            mine, ref = getattr(got, f.name), getattr(want, f.name)
-            assert mine.dtype == ref.dtype, f.name
-            assert np.array_equal(mine, ref), f.name
+        for name in ("basis", "packed", "outcome", "conclusive", "bit"):
+            mine, ref = getattr(got, name), getattr(want, name)
+            assert mine.dtype == ref.dtype, name
+            assert np.array_equal(mine, ref), name
         assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
 
 
@@ -719,7 +803,7 @@ class TestEngineSeams:
                 assert (np.diff(kept) > 0).all() and total == kept[-1] + 1
 
     def test_engine_peak_memory_per_qubit(self):
-        """One honest run at N = 10^5, k = 9 holds at most 12 bytes per raw qubit."""
+        """One honest run at N = 10^5, k = 9 holds at most 6 bytes per raw qubit."""
         config = ProtocolConfig(n=10**5, k=9, seed=0)
         database = np.zeros(config.n, dtype=np.uint8)
         tracemalloc.start()
@@ -728,4 +812,86 @@ class TestEngineSeams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / config.raw_length <= 12.0
+        assert peak / config.raw_length <= 6.0
+
+
+def transcript_digest(t) -> str:
+    """sha256 over every `RawRecords` field (name, dtype, shape, bytes) and the key."""
+    h = hashlib.sha256()
+    arrays = [(f.name, getattr(t.records, f.name)) for f in dataclasses.fields(RawRecords)]
+    for name, values in arrays + [("bob_key", t.key.bob_key)]:
+        values = np.ascontiguousarray(values)
+        h.update(f"{name}:{values.dtype.str}:{values.shape}:".encode())
+        h.update(values.tobytes())
+    h.update(repr(sorted(t.key.alice_known.items())).encode())
+    return h.hexdigest()
+
+
+class TestRecordDigests:
+    """sha256 of the per-qubit records and the key of small runs under every strategy.
+
+    The honest pair at eta = 1 and under loss in both announcement modes, the
+    two user attacks, and the two provider attacks in each of their modes:
+    the fair-coin lookup, the float coin (the entangled register, and a
+    biased angle off the multiples of pi/4) and the attacks' own record
+    fields. Two runs span more than one `protocol.CHUNK` of qubits, and one
+    folds an odd number of rows, where a complemented bit flips the key.
+    Bb84MemoryAlice against pairs runs UsdAlice, so their digests agree.
+    """
+
+    def test_biased_angles_take_both_coin_paths(self):
+        """pi/4 prepares RIGHT, whose outcome table is dyadic; pi/8 and 0.3 are not."""
+        config = ProtocolConfig(n=1, k=1)
+        rng = np.random.default_rng(0)
+        assert [is_dyadic(BiasedBob(phi).rounds(1, config, rng).kind_table)
+                for phi in (math.pi / 4, math.pi / 8, 0.3)] == [True, False, False]
+
+    @pytest.mark.parametrize("n,k,eta,announcement,alice,bob,digest", [
+        pytest.param(40, 2, 1.0, "sarg", None, None,
+                     "89e35e2322618359b34681c588015ef8f08ef2b072d8144360fae2e70eed9f13",
+                     id="honest-sarg"),
+        pytest.param(40, 3, 1.0, "sarg", None, None,
+                     "75bfdd9a658fa7d421d22d5c75e9560119159bc737140c7a5cbc968e454c9497",
+                     id="honest-sarg-odd-k"),
+        pytest.param(40, 2, 0.6, "sarg", None, None,
+                     "7a310d2a8f113db9fcd3b63402641114c6a8eb029a187c5a85818e50f2ce58e4",
+                     id="honest-sarg-lossy"),
+        pytest.param(40, 2, 1.0, "bb84", None, None,
+                     "043b79d5d95b726529640c27b9960ab6c103a0f17e883a01da3c3bb76af7d931",
+                     id="honest-bb84"),
+        pytest.param(40, 2, 0.6, "bb84", None, None,
+                     "26d1a5fee4c7b02a285a871eb08b62e872444d9f4c170c63addaa868f0140fef",
+                     id="honest-bb84-lossy"),
+        pytest.param(40, 2, 1.0, "sarg", UsdAlice(), None,
+                     "469762d55b69088168441f37cbefc6f3015794ad5449587dd58e6c0948b3eab6",
+                     id="usd"),
+        pytest.param(40_000, 2, 0.6, "sarg", UsdAlice(), None,
+                     "35b1889221c633a3c8e6fbeebd310cc93353cc92aecbb96dd23555b3240c0933",
+                     id="usd-lossy-multi-chunk"),
+        pytest.param(40, 2, 1.0, "sarg", Bb84MemoryAlice(), None,
+                     "469762d55b69088168441f37cbefc6f3015794ad5449587dd58e6c0948b3eab6",
+                     id="bb84-memory-sarg"),
+        pytest.param(40, 2, 1.0, "bb84", Bb84MemoryAlice(), None,
+                     "0eaa4f35c4a52a5152a1eb7d6f7defc7c6e2a950a695bf45bd4cd9824aa51f58",
+                     id="bb84-memory-bb84"),
+        pytest.param(40, 2, 1.0, "sarg", None, BiasedBob(math.pi / 4),
+                     "cb597cb29054e502c1c5aad2f004db8f1e16009c8ae46dfad274224aa42f97af",
+                     id="biased-fair-coin"),
+        pytest.param(40, 2, 1.0, "sarg", None, BiasedBob(math.pi / 8),
+                     "9c9564ff092e1a6e25416f0589c4bdc54f1a4841fd2b407194bad1023d493466",
+                     id="biased-pi-8-float-coin"),
+        pytest.param(40_000, 2, 1.0, "sarg", None, BiasedBob(0.3),
+                     "aa1da969b0d2d92216bb0c13d6487d523801bbb47072f1a19bf692b71d1a6127",
+                     id="biased-float-coin-multi-chunk"),
+        pytest.param(40, 2, 1.0, "sarg", None, EntangledBob("honest_basis"),
+                     "efa05f3f4dee645ea4d77e07b06a535ed98e16670984c32a3d6e5447d151870f",
+                     id="entangled-honest-basis"),
+        pytest.param(40, 2, 0.6, "sarg", None, EntangledBob("conclusiveness_basis"),
+                     "47d090aee51d829e75a4fdabfe5a00e6d83ba32527729e66c65f7918ed2dfe02",
+                     id="entangled-conclusiveness-basis"),
+    ])
+    def test_records_and_key_digest(self, n, k, eta, announcement, alice, bob, digest):
+        config = ProtocolConfig(n=n, k=k, eta=eta, seed=1234, announcement=announcement)
+        database = np.random.default_rng(5).integers(0, 2, n, dtype=np.uint8)
+        t = run_protocol(config, database, 3, alice=alice, bob=bob)
+        assert transcript_digest(t) == digest
