@@ -5,10 +5,11 @@ announced pair, the joint minimum-error (Helstrom) measurement on the k
 qubits behind one final key bit, and the basis-announcement contrast mode
 that breaks the scheme entirely. Provider-side attacks: biased state
 preparation at an arbitrary Hilbert angle, and an entangled register held
-back per qubit. Each provider strategy evaluates its own round statistics
-against its analytic p_c and p_b (`round_statistics`); one helper turns
-them into the shared part of an `ExperimentReport`, to which the attack
-reports and the no-signaling audit over the whole family add their checks.
+back per qubit. Each provider battery returns its round counts beside its
+analytic p_c and p_b (`ProviderRounds`); one helper reads every sampled rate
+from the counts into the shared part of an `ExperimentReport`, to which the
+attack reports and the no-signaling audit over the whole family add their
+checks, with intervals from the same counts.
 """
 
 from __future__ import annotations
@@ -137,21 +138,26 @@ def alice_joint_helstrom(k: int) -> JointHelstromValue:
                               matrix_value=matrix_value)
 
 
-def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator,
-                                batch: int = 4096) -> float:
+# Trials drawn per pass of `helstrom_measurement_trials`; the draw order,
+# and so every sampled rate, depends on it.
+HELSTROM_BATCH = 4096
+
+
+def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator) -> float:
     """Empirical guess rate of the simulated joint minimum-error measurement.
 
     Each trial draws a parity and a uniform bit string of that parity, then
     Born-samples the two-outcome measurement onto the sign eigenspaces of
     the mixture difference. The even-outcome probability depends only on
     the string's Hamming weight, so it is read from a (k+1)-entry table.
+    Trials are drawn `HELSTROM_BATCH` at a time.
     """
     stats.require_size("trials", trials)
     p_even = helstrom_parity_table(k)
     correct = 0
     done = 0
     while done < trials:
-        m = min(batch, trials - done)
+        m = min(HELSTROM_BATCH, trials - done)
         parity = rng.integers(0, 2, m)
         bits = rng.integers(0, 2, (m, k))
         bits[:, -1] = parity ^ np.bitwise_xor.reduce(bits[:, :-1], axis=1) \
@@ -166,36 +172,27 @@ def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator,
 # provider-side attacks: round statistics
 # --------------------------------------------------------------------------
 
-@dataclass
-class RoundTrialStats:
-    """Aggregates from a batch of single-qubit attack rounds."""
-
-    trials: int
-    conclusive_rate: float
-    bit_guess_rate: float          # conditioned on conclusive rounds
-    bit_error_rate: float
-    basis_guess_rate: float
-    conclusive_count: int
-    conclusiveness_guess_rate: float | None = None
-    rho_conclusive: np.ndarray | None = None
-    rho_inconclusive: np.ndarray | None = None
-
-
-class ProviderRounds(NamedTuple):
-    """Round statistics of one provider strategy and its analytic references.
+@dataclass(frozen=True)
+class ProviderRounds:
+    """One battery of provider-attack rounds as counts, beside its analytic references.
 
     `p_c` is the rate the strategy targets: Alice's conclusiveness, or his
-    guess of it when that is what he measures. `p_c_empirical` is its
-    sampled value. The audit takes the binomial sigma of `p_c_empirical` at
-    `p_c_sigma_rate`: the sampled rate for a biased state, the widest (1/2)
-    for the register.
+    guess of it when that is what he measures. The audit takes the binomial
+    sigma of the sampled p_c at `p_c_sigma_rate`: the sampled rate for a
+    biased state, the widest (1/2) for the register.
     """
 
-    stats: RoundTrialStats
+    trials: int
+    conclusive: int         # rounds Alice found conclusive
+    bit_hits: int           # conclusive rounds where his bit equals hers
+    basis_hits: int         # rounds where he guessed her basis
+    p_c_hits: int           # the count behind the sampled p_c
     p_c: float
-    p_b: float
-    p_c_empirical: float
+    p_b: float              # his bit-guess accuracy, given a conclusive round
     p_c_sigma_rate: float
+    # Register states rebuilt from the rounds; NaN for a class no round fell into.
+    rho_conclusive: np.ndarray | None = None
+    rho_inconclusive: np.ndarray | None = None
 
 
 def _outcome_draws(second_prob: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
@@ -205,12 +202,15 @@ def _outcome_draws(second_prob: np.ndarray, trials: int, rng: np.random.Generato
     return basis + 2 * second
 
 
-def _round_stats(trials: int, n_c: int, bit_hits: int,
-                 basis_guess_rate: float, **extra) -> RoundTrialStats:
-    bit_guess_rate = bit_hits / n_c if n_c else math.nan
-    return RoundTrialStats(trials=trials, conclusive_rate=n_c / trials,
-                           bit_guess_rate=bit_guess_rate, bit_error_rate=1.0 - bit_guess_rate,
-                           basis_guess_rate=basis_guess_rate, conclusive_count=n_c, **extra)
+def _fixed_state_rounds(count: int, config: ProtocolConfig, second_prob: np.ndarray,
+                        attack: str) -> BobRounds:
+    """A fixed state against the pair {UP, RIGHT}; `second_prob` is Alice's kind table."""
+    if config.announcement != "sarg":
+        raise ValueError(f"{attack} only targets pair announcements")
+    return BobRounds(sent=np.full(count, -1, dtype=np.int8),
+                     pair=np.zeros(count, dtype=np.int8),
+                     kind=np.zeros(count, dtype=np.int8),
+                     kind_table=second_prob[None])
 
 
 # --------------------------------------------------------------------------
@@ -248,16 +248,19 @@ def biased_analytics(phi: float) -> BiasedAnalytics:
     return BiasedAnalytics(p_c=p_c, p_b=p_b, q_bit0=q0, q_bit1=q1, ml_bit=ml_bit)
 
 
-def biased_round_trials(phi: float, trials: int, rng: np.random.Generator) -> RoundTrialStats:
+def biased_round_trials(phi: float, trials: int, rng: np.random.Generator) -> ProviderRounds:
     """Simulate biased-preparation rounds against an honest user."""
     stats.require_size("trials", trials)
     ana = biased_analytics(phi)
     counts = np.bincount(_outcome_draws(_biased_second_prob(phi), trials, rng), minlength=4)
     conclusive = CONCLUSIVE_TABLE[0]  # the provider attacks announce {UP, RIGHT}
-    bit_hits = int(counts[conclusive & (BIT_TABLE[0] == ana.ml_bit)].sum())
+    n_c = int(counts[conclusive].sum())
     basis_guess = 0 if ana.ml_bit == 1 else 1
-    basis_hits = int(counts[basis_guess] + counts[basis_guess + 2])
-    return _round_stats(trials, int(counts[conclusive].sum()), bit_hits, basis_hits / trials)
+    return ProviderRounds(
+        trials=trials, conclusive=n_c,
+        bit_hits=int(counts[conclusive & (BIT_TABLE[0] == ana.ml_bit)].sum()),
+        basis_hits=int(counts[basis_guess] + counts[basis_guess + 2]),
+        p_c_hits=n_c, p_c=ana.p_c, p_b=ana.p_b, p_c_sigma_rate=max(n_c / trials, 1e-9))
 
 
 @dataclass(frozen=True)
@@ -289,19 +292,11 @@ class BiasedBob:
         return self.analytics().p_c
 
     def round_statistics(self, trials: int, rng: np.random.Generator) -> ProviderRounds:
-        res = biased_round_trials(self.phi, trials, rng)
-        ana = self.analytics()
-        return ProviderRounds(res, p_c=ana.p_c, p_b=ana.p_b,
-                              p_c_empirical=res.conclusive_rate,
-                              p_c_sigma_rate=max(res.conclusive_rate, 1e-9))
+        return biased_round_trials(self.phi, trials, rng)
 
     def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
-        if config.announcement != "sarg":
-            raise ValueError("biased preparation only targets pair announcements")
-        return BobRounds(sent=np.full(count, -1, dtype=np.int8),
-                         pair=np.zeros(count, dtype=np.int8),
-                         kind=np.zeros(count, dtype=np.int8),
-                         kind_table=_biased_second_prob(self.phi)[None])
+        return _fixed_state_rounds(count, config, _biased_second_prob(self.phi),
+                                   "biased preparation")
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
                  config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
@@ -379,7 +374,7 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be one of {ER_MODES}")
 
 
-def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> RoundTrialStats:
+def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> ProviderRounds:
     """Simulate register rounds; also reconstructs the conditional register states.
 
     Alice measures her half of the joint state in a random basis; her
@@ -398,15 +393,15 @@ def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> 
     counts = np.bincount(code, minlength=16).reshape(2, 2, 4)
     coin, reg_out, alice_outcome = np.indices(counts.shape)
     conclusive = CONCLUSIVE_TABLE[0, alice_outcome]
+    n_c = int(counts[conclusive].sum())
     if mode == "honest_basis":
         bob_bit, basis_guess = reg_out, 1 - reg_out
-        conclusiveness_guess_rate = None
+        p_c_hits, p_c, p_b = n_c, 0.25, 1.0
     else:
         # Register outcome 1 is his guess "conclusive".
         bob_bit, basis_guess = coin, coin ^ reg_out
-        conclusiveness_guess_rate = int(counts[(reg_out == 1) == conclusive].sum()) / trials
-    bit_hits = int(counts[conclusive & (bob_bit == BIT_TABLE[0, alice_outcome])].sum())
-    basis_hits = int(counts[basis_guess == (alice_outcome & 1)].sum())
+        p_c_hits = int(counts[(reg_out == 1) == conclusive].sum())
+        p_c, p_b = conclusiveness_guess_bound(), 0.5
 
     per_outcome = counts.sum(axis=(0, 1)).astype(float)
     outers = np.einsum("oi,oj->oij", ER_REGISTERS, ER_REGISTERS)
@@ -416,9 +411,12 @@ def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> 
                     else np.full((2, 2), np.nan)
                     for w in (per_outcome * conc_sel, per_outcome * ~conc_sel))
 
-    return _round_stats(trials, int(counts[:, :, conc_sel].sum()), bit_hits, basis_hits / trials,
-                        conclusiveness_guess_rate=conclusiveness_guess_rate,
-                        rho_conclusive=rho_c, rho_inconclusive=rho_n)
+    return ProviderRounds(
+        trials=trials, conclusive=n_c,
+        bit_hits=int(counts[conclusive & (bob_bit == BIT_TABLE[0, alice_outcome])].sum()),
+        basis_hits=int(counts[basis_guess == (alice_outcome & 1)].sum()),
+        p_c_hits=p_c_hits, p_c=p_c, p_b=p_b, p_c_sigma_rate=0.5,
+        rho_conclusive=rho_c, rho_inconclusive=rho_n)
 
 
 @dataclass(frozen=True)
@@ -446,20 +444,10 @@ class EntangledBob:
         return 0.25
 
     def round_statistics(self, trials: int, rng: np.random.Generator) -> ProviderRounds:
-        res = entangled_round_trials(self.mode, trials, rng)
-        if self.mode == "honest_basis":
-            return ProviderRounds(res, p_c=0.25, p_b=1.0,
-                                  p_c_empirical=res.conclusive_rate, p_c_sigma_rate=0.5)
-        return ProviderRounds(res, p_c=conclusiveness_guess_bound(), p_b=0.5,
-                              p_c_empirical=res.conclusiveness_guess_rate, p_c_sigma_rate=0.5)
+        return entangled_round_trials(self.mode, trials, rng)
 
     def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
-        if config.announcement != "sarg":
-            raise ValueError("register attack only targets pair announcements")
-        return BobRounds(sent=np.full(count, -1, dtype=np.int8),
-                         pair=np.zeros(count, dtype=np.int8),
-                         kind=np.zeros(count, dtype=np.int8),
-                         kind_table=ER_SECOND_PROB[None])
+        return _fixed_state_rounds(count, config, ER_SECOND_PROB, "register attack")
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
                  config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
@@ -503,20 +491,21 @@ def _provider_report(bob, trials: int,
                      rng: np.random.Generator) -> tuple[ExperimentReport, ProviderRounds]:
     """Analytic and sampled p_c, p_b and product, plus the bit-error and basis-guess rates.
 
-    The sampled p_b, bit-error rate and product are None when no round was
-    conclusive; the round statistics come back beside the report.
+    Each sampled rate is read once from the counts. The sampled p_b,
+    bit-error rate and product are None when no round was conclusive; the
+    battery comes back beside the report.
     """
     ev = bob.round_statistics(trials, rng)
-    res = ev.stats
-    p_b = res.bit_guess_rate if res.conclusive_count else None
+    p_c = ev.p_c_hits / trials
+    p_b = ev.bit_hits / ev.conclusive if ev.conclusive else None
     report = ExperimentReport(
         experiment=bob.kind, params=dataclasses.asdict(bob),
         analytic={"p_c": ev.p_c, "p_b": ev.p_b, "product": ev.p_c * ev.p_b,
                   "bit_error_rate": 1.0 - ev.p_b},
-        empirical={"p_c": ev.p_c_empirical, "p_b": p_b,
-                   "product": None if p_b is None else ev.p_c_empirical * p_b,
-                   "bit_error_rate": None if p_b is None else res.bit_error_rate,
-                   "basis_guess_rate": res.basis_guess_rate},
+        empirical={"p_c": p_c, "p_b": p_b,
+                   "product": None if p_b is None else p_c * p_b,
+                   "bit_error_rate": None if p_b is None else 1.0 - p_b,
+                   "basis_guess_rate": ev.basis_hits / trials},
         extra={"trials": trials})
     return report, ev
 
@@ -531,10 +520,10 @@ def _attack_report(bob, trials: int, seed: int, stream: int) -> ExperimentReport
     """
     start = time.perf_counter()
     rep, ev = _provider_report(bob, trials, np.random.default_rng([seed, stream]))
-    ana, emp, n_c = rep.analytic, rep.empirical, ev.stats.conclusive_count
-    _, hw_c = stats.rate_ci(round(emp["p_c"] * trials), trials)
-    _, hw_b = stats.rate_ci(round(emp["basis_guess_rate"] * trials), trials)
-    hw_bit = stats.rate_ci(round(emp["p_b"] * n_c), n_c)[1] if n_c else None
+    ana, emp, n_c = rep.analytic, rep.empirical, ev.conclusive
+    _, hw_c = stats.rate_ci(ev.p_c_hits, trials)
+    _, hw_b = stats.rate_ci(ev.basis_hits, trials)
+    hw_bit = stats.rate_ci(ev.bit_hits, n_c)[1] if n_c else None
     known_mean, known_hw, known_expected = _known_bits_through_runs(
         bob, 400, 2, 150, seed, stream)
     ana["known_bits_mean"], emp["known_bits_mean"] = known_expected, known_mean
@@ -620,7 +609,7 @@ def no_signaling_audit(points: int = 181, trials_per_point: int = 20_000,
         product, emp_product = rep.analytic["product"], rep.empirical["product"]
         # Conservative familywise interval for the empirical p_c * p_b.
         margin = (z_family * stats.binomial_sigma(ev.p_c_sigma_rate, trials_per_point)
-                  + z_family * stats.binomial_sigma(0.5, max(ev.stats.conclusive_count, 1)))
+                  + z_family * stats.binomial_sigma(0.5, max(ev.conclusive, 1)))
         rep.ci99 = {"basis_guess_rate": hw, "product": margin}
         rep.passed = {
             "basis_guess_half": abs(rep.empirical["basis_guess_rate"] - 0.5) <= hw,

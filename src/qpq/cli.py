@@ -1,8 +1,8 @@
 """Command-line front end: subcommand dispatch, seeding, report persistence.
 
 Every subcommand writes a JSON report (a failed check is data, not a
-crash). Exit codes: 0 success, 1 validation/usage error, 2 when a report's
-own checks fail. Reports are byte-identical for the same argv and seed.
+crash). Exit codes: 0 success, 1 validation/usage error or a file that
+cannot be read or written, 2 when a report's own checks fail. Reports are byte-identical for the same argv and seed.
 """
 
 from __future__ import annotations
@@ -354,6 +354,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

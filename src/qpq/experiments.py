@@ -325,8 +325,11 @@ def usd_attack_experiment(n: int = 50_000, k: int = 7, trials: int = 600,
     )
 
 
-def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0,
-                        agreement_k_max: int = 10) -> ExperimentReport:
+# Depths 1..AGREEMENT_K_MAX at which `helstrom_experiment` compares its routes.
+AGREEMENT_K_MAX = 10
+
+
+def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0) -> ExperimentReport:
     """Joint minimum-error attack: closed form, `parity_bounds` value, simulated rounds.
 
     Both "routes" evaluate 1/2 (1 + 2**(-k/2)), so `max_route_difference` is 0
@@ -334,7 +337,7 @@ def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0,
     """
     start = time.perf_counter()
     worst = 0.0
-    for kk in range(1, agreement_k_max + 1):
+    for kk in range(1, AGREEMENT_K_MAX + 1):
         value = alice_joint_helstrom(kk)
         worst = max(worst, abs(value.closed_form - value.matrix_value))
     target = alice_joint_helstrom(k)
@@ -344,7 +347,7 @@ def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0,
     return ExperimentReport(
         experiment="helstrom_attack",
         params={"k": k, "trials": trials, "seed": seed,
-                "agreement_k_max": agreement_k_max},
+                "agreement_k_max": AGREEMENT_K_MAX},
         analytic={"guess_rate": target.closed_form},
         empirical={"guess_rate": emp,
                    "matrix_guess_rate": target.matrix_value},
@@ -361,16 +364,8 @@ def bb84_attack_experiment(n: int = 1000, k: int = 4, trials: int = 50,
     """Memory attack under basis announcements, with the pair-announcement contrast."""
     stats.require_size("trials", trials, 2)
     start = time.perf_counter()
-    full_known = 0
-    mismatches = 0
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        config = ProtocolConfig(n=n, k=k, seed=seed, announcement="bb84")
-        database = rng.integers(0, 2, n, dtype=np.uint8)
-        target = int(rng.integers(n))
-        t = run_protocol(config, database, target, alice=Bb84MemoryAlice(), rng=rng)
-        full_known += len(t.key.alice_known) == n
-        mismatches += len(t.key.mismatched_indices())
+    memory = monte_carlo(ProtocolConfig(n=n, k=k, seed=seed, announcement="bb84"),
+                         alice=Bb84MemoryAlice(), trials=trials)
     contrast = monte_carlo(ProtocolConfig(n=n, k=k, seed=seed),
                            alice=Bb84MemoryAlice(), trials=trials)
     return ExperimentReport(
@@ -380,8 +375,8 @@ def bb84_attack_experiment(n: int = 1000, k: int = 4, trials: int = 50,
                   "known_mean_sarg": contrast.analytic["known_mean"]},
         empirical={"known_mean_sarg": contrast.empirical["known_mean"]},
         ci99={"known_mean_sarg": contrast.ci99["known_mean"]},
-        passed={"whole_key_known": full_known == trials,
-                "error_free": mismatches == 0,
+        passed={"whole_key_known": memory.extra["known_bits_total"] == n * trials,
+                "error_free": memory.passed["known_bits_sound"],
                 "sarg_mode_degrades": contrast.passed["known_mean"]},
         runtime_s=time.perf_counter() - start,
     )

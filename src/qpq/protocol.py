@@ -182,6 +182,13 @@ class ProtocolConfig:
     announcement: str = "sarg"
 
     def __post_init__(self):
+        # The rule `run_protocol` applies to the target: a Python or numpy
+        # integer, not a bool; stored as a Python int.
+        for name in ("n", "k", "max_restarts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.n < 1:
             raise ValueError(f"database size must be >= 1, got {self.n}")
         if self.k < 1:

@@ -10,9 +10,11 @@ from qpq.adversaries import (
     ER_REGISTER_ONE_PROB,
     ER_REGISTERS,
     ER_SECOND_PROB,
-    RoundTrialStats,
+    HELSTROM_BATCH,
+    ProviderRounds,
     _biased_second_prob,
     biased_analytics,
+    conclusiveness_guess_bound,
 )
 from qpq import protocol
 from qpq.protocol import (
@@ -194,8 +196,7 @@ def _parity_product_states(bits: np.ndarray) -> np.ndarray:
     return states
 
 
-def helstrom_measurement_trials_dense(k: int, trials: int, rng: np.random.Generator,
-                                      batch: int = 4096) -> float:
+def helstrom_measurement_trials_dense(k: int, trials: int, rng: np.random.Generator) -> float:
     """Dense twin of `qpq.adversaries.helstrom_measurement_trials`.
 
     Builds the 2**k-dimensional product state of every trial and projects it
@@ -208,7 +209,7 @@ def helstrom_measurement_trials_dense(k: int, trials: int, rng: np.random.Genera
     correct = 0
     done = 0
     while done < trials:
-        m = min(batch, trials - done)
+        m = min(HELSTROM_BATCH, trials - done)
         parity = rng.integers(0, 2, m)
         bits = rng.integers(0, 2, (m, k))
         bits[:, -1] = parity ^ np.bitwise_xor.reduce(bits[:, :-1], axis=1) \
@@ -232,19 +233,6 @@ def xor_error_bruteforce(eps: float, k: int) -> float:
     return float(dist[1::2].sum())
 
 
-def _round_stats_per_trial(trials, conclusive, bit_hits, basis_guess_rate, **extra):
-    n_c = int(conclusive.sum())
-    return RoundTrialStats(
-        trials=trials,
-        conclusive_rate=n_c / trials,
-        bit_guess_rate=bit_hits / n_c if n_c else float("nan"),
-        bit_error_rate=1.0 - bit_hits / n_c if n_c else float("nan"),
-        basis_guess_rate=basis_guess_rate,
-        conclusive_count=n_c,
-        **extra,
-    )
-
-
 def biased_round_trials_per_trial(phi, trials, rng):
     """Per-trial twin of `qpq.adversaries.biased_round_trials`.
 
@@ -258,10 +246,13 @@ def biased_round_trials_per_trial(phi, trials, rng):
     outcome = basis + 2 * second
     conclusive = CONCLUSIVE_TABLE[0, outcome]
     alice_bit = BIT_TABLE[0, outcome]
-    bit_hits = int((alice_bit[conclusive] == ana.ml_bit).sum())
+    n_c = int(conclusive.sum())
     basis_guess = 0 if ana.ml_bit == 1 else 1
-    basis_hits = int((basis == basis_guess).sum())
-    return _round_stats_per_trial(trials, conclusive, bit_hits, basis_hits / trials)
+    return ProviderRounds(trials=trials, conclusive=n_c,
+                          bit_hits=int((alice_bit[conclusive] == ana.ml_bit).sum()),
+                          basis_hits=int((basis == basis_guess).sum()),
+                          p_c_hits=n_c, p_c=ana.p_c, p_b=ana.p_b,
+                          p_c_sigma_rate=max(n_c / trials, 1e-9))
 
 
 def entangled_round_trials_per_trial(mode, trials, rng):
@@ -276,11 +267,12 @@ def entangled_round_trials_per_trial(mode, trials, rng):
     if mode == "honest_basis":
         bob_bit = reg_out
         basis_guess = np.where(bob_bit == 1, 0, 1)
-        conclusiveness_guess_rate = None
+        p_c_hits, p_c, p_b = int(conclusive.sum()), 0.25, 1.0
     else:
         bob_bit = rng.integers(0, 2, trials).astype(np.int8)
         guess_conclusive = reg_out == 1
-        conclusiveness_guess_rate = float((guess_conclusive == conclusive).mean())
+        p_c_hits = int((guess_conclusive == conclusive).sum())
+        p_c, p_b = conclusiveness_guess_bound(), 0.5
         implied = np.where(bob_bit == 1, 0, 1)
         basis_guess = np.where(guess_conclusive, implied, 1 - implied)
 
@@ -292,7 +284,7 @@ def entangled_round_trials_per_trial(mode, trials, rng):
     rho_c = np.einsum("o,oij->ij", counts * conc_sel, outers) / counts[conc_sel].sum()
     rho_n = np.einsum("o,oij->ij", counts * ~conc_sel, outers) / counts[~conc_sel].sum()
 
-    return _round_stats_per_trial(
-        trials, conclusive, bit_hits, float((basis_guess == basis).mean()),
-        conclusiveness_guess_rate=conclusiveness_guess_rate,
-        rho_conclusive=rho_c, rho_inconclusive=rho_n)
+    return ProviderRounds(trials=trials, conclusive=int(conclusive.sum()), bit_hits=bit_hits,
+                          basis_hits=int((basis_guess == basis).sum()), p_c_hits=p_c_hits,
+                          p_c=p_c, p_b=p_b, p_c_sigma_rate=0.5,
+                          rho_conclusive=rho_c, rho_inconclusive=rho_n)

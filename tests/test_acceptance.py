@@ -186,18 +186,18 @@ def test_c06_bias_bounds():
     trials = 10**6
     res_ne = biased_round_trials(math.pi / 8, trials, np.random.default_rng([SEED, 61]))
     res_sw = biased_round_trials(5 * math.pi / 8, trials, np.random.default_rng([SEED, 62]))
+    p_c_ne, p_c_sw = res_ne.conclusive / trials, res_sw.conclusive / trials
+    bit_error_ne = 1.0 - res_ne.bit_hits / res_ne.conclusive
     crit.check("empirical p_c(pi/8) 3 sigma",
-               abs(res_ne.conclusive_rate - ne.p_c)
-               <= 3.0 * stats.binomial_sigma(ne.p_c, trials),
-               f"{res_ne.conclusive_rate:.5f}")
+               abs(p_c_ne - ne.p_c) <= 3.0 * stats.binomial_sigma(ne.p_c, trials),
+               f"{p_c_ne:.5f}")
     crit.check("empirical p_c(5pi/8) 3 sigma",
-               abs(res_sw.conclusive_rate - sw.p_c)
-               <= 3.0 * stats.binomial_sigma(sw.p_c, trials),
-               f"{res_sw.conclusive_rate:.5f}")
+               abs(p_c_sw - sw.p_c) <= 3.0 * stats.binomial_sigma(sw.p_c, trials),
+               f"{p_c_sw:.5f}")
     crit.check("bit error at pi/8 is 50% within 3 sigma",
-               abs(res_ne.bit_error_rate - 0.5)
-               <= 3.0 * stats.binomial_sigma(0.5, res_ne.conclusive_count),
-               f"{res_ne.bit_error_rate:.4f}")
+               abs(bit_error_ne - 0.5)
+               <= 3.0 * stats.binomial_sigma(0.5, res_ne.conclusive),
+               f"{bit_error_ne:.4f}")
     sweep = [biased_analytics(phi).p_c for phi in np.linspace(0.0, math.pi, 181)]
     crit.check("sweep confined to [0.1464, 0.8536]",
                min(sweep) >= 0.1464 and max(sweep) <= 0.8536,
@@ -217,17 +217,17 @@ def test_c07_entangled_register():
     crit.check("rho_n entrywise 5e-3",
                np.abs(res.rho_inconclusive - rho_n_exact).max() <= 5e-3,
                f"max dev {np.abs(res.rho_inconclusive - rho_n_exact).max():.4f}")
+    guess_rate, bit_guess_rate = res.p_c_hits / trials, res.bit_hits / res.conclusive
     hw = stats.z_value(0.99) * stats.binomial_sigma(0.8536, trials)
     crit.check("conclusiveness guess ci vs 0.8536",
-               abs(res.conclusiveness_guess_rate - 0.8536) <= hw + 1e-4,
-               f"{res.conclusiveness_guess_rate:.5f}")
-    hw_bit = stats.z_value(0.99) * stats.binomial_sigma(0.5, res.conclusive_count)
+               abs(guess_rate - 0.8536) <= hw + 1e-4, f"{guess_rate:.5f}")
+    hw_bit = stats.z_value(0.99) * stats.binomial_sigma(0.5, res.conclusive)
     crit.check("bit guess ci vs 0.5",
-               abs(res.bit_guess_rate - 0.5) <= hw_bit, f"{res.bit_guess_rate:.5f}")
+               abs(bit_guess_rate - 0.5) <= hw_bit, f"{bit_guess_rate:.5f}")
     rho_c, rho_n = conditional_register_mixtures()
     crit.check("register states unambiguously indistinguishable",
                not usd_bound(rho_c, rho_n).feasible)
-    crit.note(f"conclusiveness guess {res.conclusiveness_guess_rate:.5f}")
+    crit.note(f"conclusiveness guess {guess_rate:.5f}")
     crit.conclude()
 
 

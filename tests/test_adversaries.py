@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qpq import adversaries
+from qpq import adversaries, stats
 from qpq.adversaries import (
     ER_MODES,
     ER_OUTCOME_PROBS,
@@ -239,9 +239,10 @@ class TestBiasedPreparation:
     def test_round_trials_match_analytics(self, rng):
         n = 150_000
         res = biased_round_trials(math.pi / 8.0, n, rng)
-        assert abs(res.conclusive_rate - 0.1464466) <= three_sigma(0.1464466, n)
-        assert abs(res.bit_error_rate - 0.5) <= three_sigma(0.5, res.conclusive_count)
-        assert abs(res.basis_guess_rate - 0.5) <= three_sigma(0.5, n)
+        assert abs(res.conclusive / n - 0.1464466) <= three_sigma(0.1464466, n)
+        bit_error_rate = 1.0 - res.bit_hits / res.conclusive
+        assert abs(bit_error_rate - 0.5) <= three_sigma(0.5, res.conclusive)
+        assert abs(res.basis_hits / n - 0.5) <= three_sigma(0.5, n)
 
     def test_full_run_conclusive_rate_tracks_phi(self):
         config = ProtocolConfig(n=300, k=2, seed=21)
@@ -260,7 +261,7 @@ ORACLE_PHIS = [0.0, math.pi / 8, math.pi / 4, 0.3, math.pi / 2, 2.0,
 
 
 def assert_same_round_stats(fast, oracle):
-    """Counts and rates exactly equal (NaN matching NaN); rho within 1e-15."""
+    """Counts and analytic values exactly equal; rho within 1e-15, NaN matching NaN."""
     for f in dataclasses.fields(fast):
         got, want = getattr(fast, f.name), getattr(oracle, f.name)
         if isinstance(want, np.ndarray):
@@ -336,17 +337,17 @@ class TestEntangledRegister:
     def test_bulk_trials_reach_the_reference_rates(self, rng):
         n = 200_000
         res = entangled_round_trials("conclusiveness_basis", n, rng)
-        assert abs(res.conclusiveness_guess_rate - 0.8536) <= three_sigma(0.8536, n) + 1e-4
-        assert abs(res.bit_guess_rate - 0.5) <= three_sigma(0.5, res.conclusive_count)
-        assert abs(res.basis_guess_rate - 0.5) <= three_sigma(0.5, n)
+        assert abs(res.p_c_hits / n - 0.8536) <= three_sigma(0.8536, n) + 1e-4
+        assert abs(res.bit_hits / res.conclusive - 0.5) <= three_sigma(0.5, res.conclusive)
+        assert abs(res.basis_hits / n - 0.5) <= three_sigma(0.5, n)
         np.testing.assert_allclose(res.rho_conclusive, np.eye(2) / 2, atol=1e-2)
         np.testing.assert_allclose(res.rho_inconclusive,
                                    [[0.5, 0.4714], [0.4714, 0.5]], atol=1e-2)
 
     def test_honest_mode_keeps_full_bit_knowledge(self, rng):
         res = entangled_round_trials("honest_basis", 50_000, rng)
-        assert res.bit_guess_rate == 1.0
-        assert abs(res.conclusive_rate - 0.25) <= three_sigma(0.25, 50_000)
+        assert res.bit_hits == res.conclusive > 0
+        assert abs(res.conclusive / 50_000 - 0.25) <= three_sigma(0.25, 50_000)
 
     def test_honest_mode_is_indistinguishable_for_alice(self):
         """Her outcome law equals the honest one given the pair {UP, RIGHT}:
@@ -409,6 +410,35 @@ class TestAttackReportStreams:
         report(seed)
         assert len(battery) == 1 and len(runs) == 150
         assert len(set(battery + runs)) == 151
+
+
+class TestProviderRounds:
+    """Both provider strategies prepare one fixed state, and report rates from counts."""
+
+    @pytest.mark.parametrize("bob,row,attack", [
+        (BiasedBob(0.3), adversaries._biased_second_prob(0.3), "biased preparation"),
+        (EntangledBob("conclusiveness_basis"), ER_OUTCOME_PROBS[2:], "register attack"),
+    ], ids=["bias", "entangle"])
+    def test_one_fixed_state_preparation(self, bob, row, attack):
+        rounds = bob.rounds(5, ProtocolConfig(n=5, k=1), None)
+        assert rounds.sent.tolist() == [-1] * 5
+        assert rounds.pair.tolist() == rounds.kind.tolist() == [0] * 5
+        assert np.array_equal(rounds.kind_table, row[None])
+        with pytest.raises(ValueError, match=f"^{attack} only targets pair announcements$"):
+            bob.rounds(5, ProtocolConfig(n=5, k=1, announcement="bb84"), None)
+
+    @pytest.mark.parametrize("bob", [BiasedBob(0.3), *map(EntangledBob, ER_MODES)],
+                             ids=lambda bob: bob.label)
+    def test_report_rates_and_intervals_come_from_the_counts(self, bob):
+        trials = 3000
+        rep = adversaries._attack_report(bob, trials, seed=3, stream=1)
+        ev = bob.round_statistics(trials, np.random.default_rng([3, 1]))
+        assert rep.empirical["p_c"] == ev.p_c_hits / trials
+        assert rep.empirical["p_b"] == ev.bit_hits / ev.conclusive
+        assert rep.empirical["basis_guess_rate"] == ev.basis_hits / trials
+        assert rep.ci99["p_c"] == stats.rate_ci(ev.p_c_hits, trials)[1]
+        assert rep.ci99["p_b"] == stats.rate_ci(ev.bit_hits, ev.conclusive)[1]
+        assert rep.ci99["basis_guess_rate"] == stats.rate_ci(ev.basis_hits, trials)[1]
 
 
 class TestNoSignalingAudit:

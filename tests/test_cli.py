@@ -195,6 +195,22 @@ def test_memory_error_exits_one(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == "error: out of memory: Unable to allocate 9.00 GiB\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--db", "{missing}/db.txt", "--out", "{tmp}/r.json"],
+    ["run", "--out", "{missing}/r.json"],
+    ["table1", "--out", "{missing}/t.json"],
+    ["usd-curve", "--out", "{tmp}/c.json", "--csv", "{missing}/c.csv"],
+    ["sweep", "--points", "3", "--trials-per-point", "200", "--out", "{tmp}/s.json",
+     "--csv", "{missing}/s.csv"],
+], ids=["run-db", "run-out", "table1-out", "usd-curve-csv", "sweep-csv"])
+def test_file_errors_exit_one_with_an_error_line(argv, tmp_path, capsys):
+    paths = {"tmp": tmp_path, "missing": tmp_path / "no-such-dir"}
+    assert run_cli([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "No such file or directory" in err
+    assert "Traceback" not in err
+
+
 class TestAttackCommands:
     def test_attack_alice_usd(self, tmp_path):
         out = tmp_path / "usd.json"
@@ -506,6 +522,8 @@ class TestReportDigests:
     the honest engine's per-qubit records with every qubit detected, under
     loss, and over 70,000 qubits, more than one `protocol.CHUNK`; the
     combine digest covers the honest engine driven through several keys.
+    The table1, usd-curve and helstrom digests are taken at default argv;
+    `TestGoldenReports` compares the last two with the dense route.
     """
 
     @pytest.mark.parametrize("argv,digest", [
@@ -528,12 +546,20 @@ class TestReportDigests:
          "3aa92710f6133479028f01c02fca5dac232cbea866aa69781fd005750a659c97"),
         (["combine", "--m", "3", "--n", "2000", "--k", "3", "--trials", "20", "--jobs", "1"],
          "5887db72a51941fc377e039bdbb0763af28a46070c7c9851ae09d88994936d21"),
+        (["table1"],
+         "981a2b789cd7e4e10f725ce4a306e9395df1fefe3846f704f868a873d22dbfd8"),
+        (["usd-curve"],
+         "73328b34c103c4cc01e2ab3604cbe505c9db45eb1cc2d4819ff879909daf60e4"),
+        (["attack-alice", "--strategy", "helstrom"],
+         "d2326e64ec111d17a18b7b979cf44f4e6e67c4f2c57396bd99c4c9175ecb6a71"),
     ], ids=["attack-alice-usd", "attack-alice-bb84", "attack-bob-bias",
             "attack-bob-entangle", "sweep", "run-records", "run-records-lossy",
-            "run-records-multi-chunk", "combine"])
+            "run-records-multi-chunk", "combine", "table1", "usd-curve",
+            "attack-alice-helstrom"])
     def test_report_digest(self, argv, digest, tmp_path):
         out = tmp_path / "report.json"
-        extra = ["--csv", str(tmp_path / "report.csv")] if argv[0] == "sweep" else []
+        extra = (["--csv", str(tmp_path / "report.csv")] if argv[0] in ("sweep", "usd-curve")
+                 else [])
         run_cli(argv + ["--seed", "12345", "--out", str(out), *extra])
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -544,3 +570,10 @@ class TestReportDigests:
                  "--out", str(tmp_path / "sweep.json"), "--csv", str(csv_path)])
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
             "16f55dba8555f01b054f3b8f7b1bc915d171ad509b3472b412e329933cefea8f"
+
+    def test_usd_curve_csv_digest(self, tmp_path):
+        csv_path = tmp_path / "curve.csv"
+        run_cli(["usd-curve", "--seed", "12345", "--out", str(tmp_path / "curve.json"),
+                 "--csv", str(csv_path)])
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
+            "20510555af05dc94de228d3ca025eb800e828b9401ac20db455b7fc74b18b2d3"

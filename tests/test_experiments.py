@@ -161,7 +161,7 @@ class TestAttackExperiments:
         assert report.passed["run_known_mean"]
 
     def test_helstrom_report(self):
-        report = helstrom_experiment(k=3, trials=40_000, seed=5, agreement_k_max=8)
+        report = helstrom_experiment(k=3, trials=40_000, seed=5)
         assert report.passed["routes_agree_1e9"]
         assert report.passed["guess_rate"]
         assert report.extra["max_route_difference"] <= 1e-9

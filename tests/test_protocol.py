@@ -565,6 +565,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ProtocolConfig(n=1, k=1, announcement="phase")
 
+    @pytest.mark.parametrize("field,value", [
+        ("k", 2.0), ("max_restarts", 1.5), ("n", 10.5), ("n", True),
+    ], ids=["k-float", "max-restarts-float", "n-fraction", "n-bool"])
+    def test_rejects_non_integer_sizes_up_front(self, field, value):
+        sizes = {"n": 10, "k": 2, "max_restarts": 3, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            ProtocolConfig(**sizes)
+
+    def test_stores_numpy_integer_sizes_as_python_ints(self):
+        config = ProtocolConfig(n=np.int64(10), k=np.uint8(2), max_restarts=np.int32(3))
+        assert [type(v) for v in (config.n, config.k, config.max_restarts)] == [int] * 3
+        assert config.to_dict() == ProtocolConfig(n=10, k=2, max_restarts=3).to_dict()
+
 
 def _unpacked(packed):
     """Outcome, conclusive flag and bit (-1 where inconclusive) of one packed byte."""
