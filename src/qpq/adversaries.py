@@ -44,6 +44,7 @@ from .protocol import (
     CONCLUSIVE_TABLE,
     ProtocolConfig,
     RestartLimitExceeded,
+    RoundLayout,
     Transcript,
     _at_kept,
     run_protocol,
@@ -87,8 +88,7 @@ class UsdAlice:
             raise ValueError("discrimination attack needs definite sent symbols")
         conclusive = usd_success_trials(kept.size, rng)
         bit = (sent & 1) | -(~conclusive).view(np.int8)  # -1 where inconclusive
-        none = np.broadcast_to(np.int8(-1), kept.size)  # no basis, so no outcome
-        return AliceRecords.from_fields(basis=none, outcome=-1, conclusive=conclusive, bit=bit)
+        return AliceRecords.from_fields(outcome=-1, conclusive=conclusive, bit=bit)
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,7 @@ class Bb84MemoryAlice:
         if config.announcement != "bb84":
             return UsdAlice().respond(rounds, kept, config, rng)
         sent = _at_kept(rounds.sent, kept)
-        return AliceRecords.from_fields(basis=sent & 1, outcome=sent, conclusive=True,
-                                        bit=sent >> 1)
+        return AliceRecords.from_fields(outcome=sent, conclusive=True, bit=sent >> 1)
 
 
 class JointHelstromValue(NamedTuple):
@@ -202,14 +201,16 @@ def _outcome_draws(second_prob: np.ndarray, trials: int, rng: np.random.Generato
     return basis + 2 * second
 
 
+# The one code of a fixed state: no definite symbol, the pair {UP, RIGHT}, kind 0.
+FIXED_STATE_LAYOUT = RoundLayout(sent=(-1,), pair=(0,), kind=(0,))
+
+
 def _fixed_state_rounds(count: int, config: ProtocolConfig, second_prob: np.ndarray,
                         attack: str) -> BobRounds:
     """A fixed state against the pair {UP, RIGHT}; `second_prob` is Alice's kind table."""
     if config.announcement != "sarg":
         raise ValueError(f"{attack} only targets pair announcements")
-    return BobRounds(sent=np.full(count, -1, dtype=np.int8),
-                     pair=np.zeros(count, dtype=np.int8),
-                     kind=np.zeros(count, dtype=np.int8),
+    return BobRounds(code=np.zeros(count, dtype=np.uint8), layout=FIXED_STATE_LAYOUT,
                      kind_table=second_prob[None])
 
 

@@ -242,17 +242,21 @@ def _cmd_run(args, file_cfg, seed) -> int:
 
 
 def _cmd_table1(args, file_cfg, seed) -> int:
+    start = time.perf_counter()
     rows = experiments.table1()
     lines = [f"{'N':>9} {'k':>3} {'P0':>7} {'n_bar':>7}"]
     for row in rows:
         lines.append(f"{row.n:>9} {row.k:>3} {row.p0_display:>7} {row.n_bar_display:>7}")
     matches = experiments.table1_matches_reference()
+    runtime = time.perf_counter() - start
+    lines.append(f"runtime: {runtime:.2f}s")
     report = ExperimentReport(
         experiment="table1", params={},
         passed={"matches_reference": matches},
         extra={"rows": [{"n": r.n, "k": r.k, "p0": r.stats.p0, "n_bar": r.stats.n_bar,
                          "p0_display": r.p0_display, "n_bar_display": r.n_bar_display,
                          "poisson_approx": r.stats.poisson_approx} for r in rows]},
+        runtime_s=runtime,
     )
     return _report_exit(report, args.out or Path("qpq_table1.json"), "\n".join(lines))
 
@@ -318,6 +322,7 @@ def _cmd_usd_curve(args, file_cfg, seed) -> int:
     _write_csv(csv_path, [{"k": k, "bound": bound} for k, bound in report.extra["points"]],
                ["k", "bound"])
     lines = [f"k={k:>2}  bound={bound:.9f}" for k, bound in report.extra["points"]]
+    lines.append(f"runtime: {report.runtime_s:.2f}s")
     status = _report_exit(report, args.out or Path("qpq_usd_curve.json"), "\n".join(lines))
     print(f"csv written to {csv_path}")
     return status

@@ -24,18 +24,18 @@ one packed table (`fair_coin_table`), indexed by (kind, announcement, basis,
 coin), gives outcome, conclusiveness and bit. A strategy whose outcome
 probabilities are not all 0, 1/2 or 1 (a biased preparation at a generic
 angle, the entangled register) takes a float coin per qubit instead. The
-byte draws copy the bit generator's 64-bit outputs (`random_raw`) into
-their output `CHUNK` bytes at a time and then set its spare 32-bit half as
-`Generator.bytes` would, so bytes and state match one `rng.bytes` call; a
-bit generator without that spare (MT19937) is read through `rng.bytes`.
-Each side owns its draw and overwrites it: Bob's becomes the sent symbols,
-which against pairs are also his raw-key record, and Alice's her bases.
-Alice builds the table index `CHUNK` qubits at a time in one chunk-sized
-scratch buffer and in the chunk of her records that the lookup then fills.
+byte draws (`_byte_pieces`) copy the bit generator's 64-bit outputs
+(`random_raw`) `CHUNK` bytes at a time and then set its spare 32-bit half
+as `Generator.bytes` would, so bytes and state match one `rng.bytes` call;
+a bit generator without that spare (MT19937) is read through `rng.bytes`.
+Bob's draw, masked to its three used bits, is his one per-qubit array
+(`BobRounds.code`), and against pairs also his raw-key record. Alice's is
+streamed through one chunk-sized buffer that becomes her table index,
+code * 4 + basis * 2 + coin, into one cached table composed from
+`fair_coin_table` and the code's layout, gathered two qubits per uint16.
 Her records keep the table entries packed (`AliceRecords`), and
 `_reduce_arrays` folds the packed bytes, so an honest attempt at eta = 1
-holds four raw-length arrays: Bob's symbols and pairs, Alice's bases and
-her packed records.
+holds two raw-length arrays: Bob's code and Alice's packed records.
 The full-length per-qubit record (`Transcript.records`) is built only when
 a caller reads it; it derives every posterior, whatever the strategy.
 
@@ -48,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -281,15 +281,18 @@ CHUNK = 1 << 16
 
 
 def _pack(outcome, conclusive, bit) -> np.ndarray:
-    """One byte per entry: outcome in bits 0-1, conclusive in bit 2, bit + 1 in bits 3-4.
+    """One byte per entry: outcome in bits 0-1, conclusive in bit 2, bit + 1 in
+    bits 3-4, and bit 5 set where there is no outcome.
 
-    Outcome and bit are read as int8, so an outcome of -1 packs as 3 and a
-    bit of -1 as 0. Works in bytes, with `np.multiply` for the shifts.
+    Outcome and bit are read as int8 and kept as `outcome & 0x23` and
+    `bit + 1`, so an outcome of -1 (no measurement) sets bits 0, 1 and 5
+    and a bit of -1 packs as 0. Works in bytes, with `np.multiply` for the
+    shifts.
     """
     packed = (np.asarray(bit, dtype=np.int8) + 1).view(np.uint8)
     packed *= 8
     packed |= np.asarray(conclusive, dtype=bool).view(np.uint8) * np.uint8(4)
-    packed |= np.asarray(outcome, dtype=np.int8).view(np.uint8) & 3
+    packed |= np.asarray(outcome, dtype=np.int8).view(np.uint8) & 0x23
     return packed
 
 
@@ -343,59 +346,100 @@ def fair_coin_table(kind_table: np.ndarray, announcement: str) -> np.ndarray:
     return _interpretation_table(announcement)[announced, basis, second.astype(np.int8)]
 
 
+def _pair_table(single: np.ndarray) -> np.ndarray:
+    """Read-only uint16 table: entry j holds `single` at each byte of j, in
+    memory order, so one uint16 gather looks up two one-byte indices, each
+    below `single.size` <= 256, on either byte order."""
+    padded = np.zeros(256, dtype=np.uint8)
+    padded[:single.size] = single
+    table = padded[np.arange(256 * single.size, dtype=np.uint16).view(np.uint8)].view(np.uint16)
+    table.setflags(write=False)
+    return table
+
+
 @lru_cache(maxsize=64)
-def _cached_fair_lookup(table_bytes: bytes, rows: int, announcement: str) -> np.ndarray | None:
+def _cached_respond_table(table_bytes: bytes, rows: int, layout: "RoundLayout",
+                          announcement: str) -> tuple[np.ndarray, bool]:
     kind_table = np.frombuffer(table_bytes).reshape(rows, 2)
-    if not is_dyadic(kind_table):
-        return None
-    lookup = fair_coin_table(kind_table, announcement).ravel()
-    lookup.setflags(write=False)
-    return lookup
+    # The pair id against pairs, the basis of the sent symbol against bases.
+    announced = np.array(layout.pair) if announcement == "sarg" else np.array(layout.sent) & 1
+    fair = is_dyadic(kind_table)
+    if fair:
+        single = fair_coin_table(kind_table, announcement)[np.array(layout.kind), announced]
+    else:
+        single = _interpretation_table(announcement)[announced]
+    return _pair_table(single.ravel()), fair
 
 
-def _fair_lookup(kind_table: np.ndarray, announcement: str) -> np.ndarray | None:
-    """Flat `fair_coin_table` of a dyadic kind table, else None; cached by content."""
-    table = np.ascontiguousarray(kind_table, dtype=float)
-    return _cached_fair_lookup(table.tobytes(), len(table), announcement)
+def _respond_table(rounds: "BobRounds", announcement: str) -> tuple[np.ndarray, bool]:
+    """Alice's `_pair_table` over code * 4 + basis * 2 + coin, and whether the coin is fair.
+
+    A dyadic kind table gives `fair_coin_table` at the code's kind and
+    announcement; any other the packed interpretation at the code's
+    announcement, with "second member seen" as the coin. Cached by content.
+    """
+    table = np.ascontiguousarray(rounds.kind_table, dtype=float)
+    return _cached_respond_table(table.tobytes(), len(table), rounds.layout, announcement)
 
 
-def _byte_draws(rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` independent uniform bytes: for count >= 1, the bytes of one
-    `rng.bytes(count)`, leaving the generator in the same state. The caller
-    owns the returned buffer and may overwrite it.
+def _byte_pieces(rng: np.random.Generator, count: int, out: np.ndarray,
+                 reuse: bool = False) -> Iterator[tuple[int, np.ndarray]]:
+    """Draw the bytes of one `rng.bytes(count)` piece by piece; yield (start, piece).
+
+    Without `reuse` each piece is out[start:start + piece.size] of a
+    `count`-byte `out`; with it, a prefix of `out`, a buffer of at least
+    min(count, CHUNK + 4) bytes that the next piece overwrites. Run to its
+    end, it leaves the state of the one call; no other draw may come
+    between its pieces.
 
     `Generator.bytes` takes 32-bit words from `next_uint32`, which splits
     each 64-bit output into its low half, returned, and its high half, kept
     as a spare (`has_uint32`, `uinteger` in the state). So the bytes are the
     little-endian bytes of consecutive `random_raw` outputs, once a spare
-    held at entry is drained through `rng.bytes`. They are drawn `CHUNK`
-    bytes at a time straight into the output, and the state's spare is then
-    set as `next_uint32` would leave it: the last output's high half, marked
-    unused when an odd number of words was taken. A bit generator whose
-    state has no `has_uint32` (MT19937) fills the output from `CHUNK`-byte
-    `rng.bytes` calls, which join into the one call's bytes because every
-    call but the last takes whole words.
+    held at entry is drained through `rng.bytes` into the first piece. Each
+    piece then takes `CHUNK` bytes of outputs, and before the last piece is
+    yielded the state's spare is set as `next_uint32` would leave it: the
+    last output's high half, marked unused when an odd number of words was
+    taken. A bit generator whose state has no `has_uint32` (MT19937) fills
+    each piece from one `CHUNK`-byte `rng.bytes` call; the calls join into
+    the one call's bytes because every call but the last takes whole words.
     """
-    out = np.empty(count, dtype=np.uint8)
     bitgen = rng.bit_generator
     state = bitgen.state
-    if "has_uint32" not in state:
-        for start in range(0, count, CHUNK):
-            part = out[start:start + CHUNK]
-            part[:] = np.frombuffer(rng.bytes(part.size), dtype=np.uint8)
-        return out
-    head = min(count, 4) if state["has_uint32"] else 0
-    if head:
-        out[:head] = np.frombuffer(rng.bytes(head), dtype=np.uint8)
-    if count > head:
-        for start in range(head, count, CHUNK):
-            part = out[start:start + CHUNK]
-            words = bitgen.random_raw(-(-part.size // 8))
-            part[:] = words.astype("<u8", copy=False).view(np.uint8)[:part.size]
-        state = bitgen.state
-        state["has_uint32"] = -(-(count - head) // 4) % 2
-        state["uinteger"] = int(words[-1]) >> 32
-        bitgen.state = state
+    raw = "has_uint32" in state
+    head = min(count, 4) if raw and state["has_uint32"] else 0
+    start = 0
+    while start < count:
+        stop = min(count, (start or head) + CHUNK)
+        piece = out[:stop - start] if reuse else out[start:stop]
+        if not raw:
+            piece[:] = np.frombuffer(rng.bytes(piece.size), dtype=np.uint8)
+        else:
+            body = piece
+            if head and not start:
+                piece[:head] = np.frombuffer(rng.bytes(head), dtype=np.uint8)
+                body = piece[head:]
+            if body.size:
+                words = bitgen.random_raw(-(-body.size // 8))
+                body[:] = words.astype("<u8", copy=False).view(np.uint8)[:body.size]
+                if stop == count:
+                    state = bitgen.state
+                    state["has_uint32"] = -(-(count - head) // 4) % 2
+                    state["uinteger"] = int(words[-1]) >> 32
+                    bitgen.state = state
+        yield start, piece
+        start = stop
+
+
+def _byte_draws(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` independent uniform bytes: for count >= 1, the bytes of one
+    `rng.bytes(count)`, leaving the generator in the same state. The caller
+    owns the returned buffer and may overwrite it. The `_byte_pieces` are
+    drawn straight into it.
+    """
+    out = np.empty(count, dtype=np.uint8)
+    for _ in _byte_pieces(rng, count, out):
+        pass
     return out
 
 
@@ -413,58 +457,106 @@ def _at_kept(values: np.ndarray, kept: np.ndarray, part: slice = slice(None)) ->
 # vectorized strategy interface
 # --------------------------------------------------------------------------
 
+class RoundLayout(NamedTuple):
+    """What each value of a `BobRounds.code` stands for: entry c of each field
+    is that field for code c. Hashable, so tables built from it are cached."""
+
+    sent: tuple[int, ...]
+    pair: tuple[int, ...]
+    kind: tuple[int, ...]
+
+
+# An honest code keeps the sent symbol in bits 0-1, so its symbol and kind
+# are `code & 3`, and the pair choice c in bit 2: the pair is symbol - c.
+_SYMBOL_BITS = (0, 1, 2, 3) * 2
+HONEST_LAYOUTS = {
+    "sarg": RoundLayout(sent=_SYMBOL_BITS, pair=tuple((c - (c >> 2)) & 3 for c in range(8)),
+                        kind=_SYMBOL_BITS),
+    "bb84": RoundLayout(sent=_SYMBOL_BITS, pair=(-1,) * 8, kind=_SYMBOL_BITS),
+}
+
+
+def _decode(code: np.ndarray, field: tuple[int, ...]) -> np.ndarray:
+    """One `RoundLayout` field per code, as int8: one bitwise pass for the
+    honest symbol bits, a gather from the field otherwise."""
+    if field == _SYMBOL_BITS:
+        return (code & 3).view(np.int8)
+    return np.array(field, dtype=np.int8).take(code)
+
+
 @dataclass(eq=False)
 class BobRounds:
     """Columnar description of a batch of prepared qubits.
 
-    `kind` indexes `kind_table`, whose row [p_v, p_h] gives the probability
-    that Alice's outcome is the second member of her basis (DOWN or LEFT)
-    for the state she received. `sent` is -1 when no definite symbol was
-    prepared; `pair` is -1 when the announcement is a basis (bb84 mode).
-    `sent`, `pair` and `kind` are int8 arrays, which Alice reads as bytes.
+    `code` (uint8) is the one per-qubit array: each value, below
+    len(layout.kind) <= 64, names what was prepared and announced, and
+    `sent`, `pair` and `kind` decode it through `layout` on each read, as
+    int8 arrays. `kind` indexes `kind_table`, whose row [p_v, p_h] gives the
+    probability that Alice's outcome is the second member of her basis
+    (DOWN or LEFT) for the state she received. `sent` is -1 when no definite
+    symbol was prepared; `pair` is -1 when the announcement is a basis (bb84
+    mode). The honest code is Bob's draw byte masked to its three used bits
+    (`HONEST_LAYOUTS`), so its lowest bit is his raw bit against pairs.
     """
 
-    sent: np.ndarray
-    pair: np.ndarray
-    kind: np.ndarray
+    code: np.ndarray
+    layout: RoundLayout
     kind_table: np.ndarray
 
     def __len__(self) -> int:
-        return self.sent.size
+        return self.code.size
+
+    @property
+    def sent(self) -> np.ndarray:
+        return _decode(self.code, self.layout.sent)
+
+    @property
+    def pair(self) -> np.ndarray:
+        return _decode(self.code, self.layout.pair)
+
+    @property
+    def kind(self) -> np.ndarray:
+        return _decode(self.code, self.layout.kind)
 
 
 @dataclass(eq=False)
 class AliceRecords:
     """Columnar measurement records for the kept qubits of one attempt.
 
-    `basis` is int8, -1 where Alice measured in no basis (the memory
-    attacks). `packed` holds one `_pack` byte per qubit: the outcome in bits
-    0-1, the conclusive flag in bit 2 and bit + 1 in bits 3-4, so bit 4 is
-    Alice's bit on a conclusive qubit and 0 elsewhere. `outcome` (int8),
-    `conclusive` (bool) and `bit` (int8, -1 where inconclusive) decode it
-    on each read; a missing outcome is not stored but read as -1 wherever
-    `basis` is -1. The records carry no posterior; `_scatter_records`
-    derives it when read.
+    `packed` holds one `_pack` byte per qubit: the outcome in bits 0-1, the
+    conclusive flag in bit 2, bit + 1 in bits 3-4 and bit 5 where Alice has
+    no outcome (the memory attacks), so bit 4 is Alice's bit on a conclusive
+    qubit and 0 elsewhere. It is the only array; every field decodes it on
+    each read: `basis` (int8) is the outcome's basis, `packed & 1`, and
+    `outcome` (int8) is `packed & 3`, each -1 where bit 5 is set;
+    `conclusive` is bool and `bit` int8, -1 where inconclusive. The records
+    carry no posterior; `_scatter_records` derives it when read.
     """
 
-    basis: np.ndarray
     packed: np.ndarray
 
     @classmethod
-    def from_fields(cls, basis, outcome, conclusive, bit) -> "AliceRecords":
-        """Records from the decoded fields; basis and outcome are -1 together or not at all.
+    def from_fields(cls, outcome, conclusive, bit) -> "AliceRecords":
+        """Records from the decoded fields; an outcome of -1 means no measurement.
 
         `bit` is an array; outcome and conclusive may be scalars that hold
         for every qubit. Pass a scalar, not a broadcast view: numpy runs its
         slow generic loop on a zero stride (≈20× slower for `& 3`).
         """
-        return cls(basis=basis, packed=_pack(outcome, conclusive, bit))
+        return cls(packed=_pack(outcome, conclusive, bit))
+
+    def _unmeasured_as_minus_one(self, mask: int) -> np.ndarray:
+        field = (self.packed & mask).view(np.int8)
+        field[(self.packed & 32) != 0] = -1
+        return field
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self._unmeasured_as_minus_one(1)
 
     @property
     def outcome(self) -> np.ndarray:
-        outcome = (self.packed & 3).view(np.int8)
-        outcome[self.basis < 0] = -1
-        return outcome
+        return self._unmeasured_as_minus_one(3)
 
     @property
     def conclusive(self) -> np.ndarray:
@@ -472,7 +564,9 @@ class AliceRecords:
 
     @property
     def bit(self) -> np.ndarray:
-        return (self.packed >> 3).view(np.int8) - 1
+        bit = self.packed >> 3
+        bit &= 3
+        return bit.view(np.int8) - 1
 
     @property
     def conclusive_count(self) -> int:
@@ -498,28 +592,20 @@ class HonestBob:
         return _honest_conclusive(config)
 
     def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
-        draw = _byte_draws(rng, count)  # bits 0-1: sent symbol, bit 2: pair choice
-        if config.announcement == "sarg":
-            pair = draw >> 2
-            pair &= 1
-            np.subtract(draw, pair, out=pair)
-            pair &= 3
-            pair = pair.view(np.int8)
-        else:
-            pair = np.full(count, -1, dtype=np.int8)
-        draw &= 3
-        sent = draw.view(np.int8)
-        return BobRounds(sent=sent, pair=pair, kind=sent, kind_table=OUTCOME_SECOND_PROB)
+        code = _byte_draws(rng, count)
+        code &= 7  # bits 0-1: sent symbol, bit 2: pair choice
+        return BobRounds(code=code, layout=HONEST_LAYOUTS[config.announcement],
+                         kind_table=OUTCOME_SECOND_PROB)
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
                  config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
         """His raw-key record of the kept qubits; the lowest bit of each entry is his bit.
 
-        Against pairs a symbol's lowest bit is its bit, so the record is
-        `sent` itself, a view at eta = 1; against bases it is bit 1.
+        A symbol's bit is its lowest bit against pairs, so the record is his
+        code itself, a view at eta = 1; against bases it is the code's bit 1.
         """
-        sent = _at_kept(rounds.sent, kept).view(np.uint8)
-        return sent if config.announcement == "sarg" else sent >> 1
+        code = _at_kept(rounds.code, kept)
+        return code if config.announcement == "sarg" else code >> 1
 
 
 @dataclass(frozen=True)
@@ -535,37 +621,46 @@ class HonestAlice:
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
         count = kept.size
-        # Bit 0: fair coin, bit 1: basis; each chunk becomes the basis once read.
-        draw = _byte_draws(rng, count)
-        lookup = _fair_lookup(rounds.kind_table, config.announcement)
-        fair = lookup is not None
-        if not fair:
-            lookup = _interpretation_table(config.announcement).ravel()
-        announced_from = rounds.pair if config.announcement == "sarg" else rounds.sent
-        # Each chunk of the records is scratch space until the lookup fills it.
-        records = np.empty(count, dtype=np.uint8)
-        index_buf = np.empty(min(count, CHUNK), dtype=np.uint8)
-        for start in range(0, count, CHUNK):
-            part = slice(start, start + CHUNK)
-            basis, packed = draw[part], records[part]
-            index = index_buf[:basis.size]
-            kind = _at_kept(rounds.kind, kept, part).view(np.uint8)
-            np.multiply(_at_kept(announced_from, kept, part).view(np.uint8), 4, out=index)
-            if config.announcement != "sarg":
-                index &= 4
+        table, fair = _respond_table(rounds, config.announcement)
+        # Alice's draw byte: bit 0 fair coin, bit 1 basis. It becomes her
+        # table index, code * 4 + basis * 2 + coin, one piece at a time in
+        # `index_buf`; each piece of the records is scratch space until the
+        # lookup fills it. A pad byte after the piece in both buffers lets an
+        # odd piece be gathered two qubits per uint16 as well.
+        index_buf = np.empty(min(count, CHUNK + 4) + 1, dtype=np.uint8)
+        records = np.empty(count + count % 2, dtype=np.uint8)
+        if fair:
+            pieces = _byte_pieces(rng, count, index_buf, reuse=True)
+        else:
+            # The float coins come after all of the bytes, as in one `rng.bytes` call.
+            pieces = _copied_pieces(_byte_draws(rng, count), index_buf)
+        for start, index in pieces:
+            size = index.size
+            packed = records[start:start + size]
+            code = _at_kept(rounds.code, kept, slice(start, start + size))
+            np.multiply(code, 4, out=packed)
             if fair:
-                np.multiply(kind, 16, out=packed)
-                index |= packed
-                np.bitwise_and(basis, 3, out=packed)
-                index |= packed
-            basis >>= 1
-            basis &= 1
-            if not fair:
-                np.multiply(basis, 2, out=packed)
-                index |= packed
-                index |= rng.random(basis.size) < rounds.kind_table[kind, basis]
-            lookup.take(index, out=packed)
-        return AliceRecords(basis=draw.view(np.int8), packed=records)
+                index &= 3
+            else:
+                index &= 2
+                kind = _decode(code, rounds.layout.kind)
+                index |= rng.random(size) < rounds.kind_table[kind, index >> 1]
+            index |= packed
+            if size % 2:
+                index_buf[size] = 0
+                size += 1
+            # Every index byte is below 4 * len(layout.kind), so no entry is clipped.
+            table.take(index_buf[:size].view(np.uint16),
+                       out=records[start:start + size].view(np.uint16), mode="clip")
+        return AliceRecords(packed=records[:count])
+
+
+def _copied_pieces(draw: np.ndarray, buffer: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """`CHUNK`-byte pieces of `draw`, each copied into a prefix of `buffer`; (start, piece)."""
+    for start in range(0, draw.size, CHUNK):
+        piece = buffer[:min(CHUNK, draw.size - start)]
+        piece[:] = draw[start:start + CHUNK]
+        yield start, piece
 
 
 # --------------------------------------------------------------------------
@@ -734,11 +829,8 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
         kept = np.nonzero(detected)[0][:need]
         # Drop everything after the qubit that completed the raw string.
         end = kept[-1] + 1
-        rounds = BobRounds(
-            sent=np.concatenate([c.sent for c in chunks])[:end],
-            pair=np.concatenate([c.pair for c in chunks])[:end],
-            kind=np.concatenate([c.kind for c in chunks])[:end],
-            kind_table=chunks[0].kind_table)
+        rounds = BobRounds(code=np.concatenate([c.code for c in chunks])[:end],
+                           layout=chunks[0].layout, kind_table=chunks[0].kind_table)
         detected = detected[:end]
     alice_rec = alice.respond(rounds, kept, config, rng)
     bob_bits = bob.key_bits(rounds, kept, alice_rec, config, rng)

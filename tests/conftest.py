@@ -83,9 +83,11 @@ def whole_array_respond(rounds: BobRounds, kept: np.ndarray, config: ProtocolCon
                         rng: np.random.Generator) -> AliceRecords:
     """HonestAlice.respond in one pass over whole arrays: the chunked engine's oracle.
 
-    It draws the same bytes and float coins in the same order, gathers the
+    It draws the same bytes and float coins in the same order, reads Bob's
+    rounds through their decoded `sent`, `pair` and `kind`, gathers the
     packed table with one full-length index, unpacks it with whole-array
-    masks and packs the fields again through `AliceRecords.from_fields`.
+    masks and packs the fields again through `AliceRecords.from_fields`,
+    whose decoded basis must be the drawn one.
     """
     draw = protocol._byte_draws(rng, kept.size)
     basis = (draw >> 1) & 1
@@ -94,17 +96,19 @@ def whole_array_respond(rounds: BobRounds, kept: np.ndarray, config: ProtocolCon
     else:
         announced = rounds.sent[kept].astype(np.uint8) & 1
     kind = rounds.kind[kept].astype(np.uint8)
-    lookup = protocol._fair_lookup(rounds.kind_table, config.announcement)
-    if lookup is not None:
+    if protocol.is_dyadic(rounds.kind_table):
+        lookup = protocol.fair_coin_table(rounds.kind_table, config.announcement).ravel()
         index = (kind << 4) | (announced << 2) | (draw & 3)
     else:
         second = rng.random(kept.size) < rounds.kind_table[kind, basis]
         lookup = protocol._interpretation_table(config.announcement).ravel()
         index = (announced << 2) | (basis << 1) | second
     packed = lookup[index]
-    return AliceRecords.from_fields(basis=basis.view(np.int8), outcome=(packed & 3).view(np.int8),
-                                    conclusive=(packed & 4) != 0,
-                                    bit=(packed >> 3).view(np.int8) - 1)
+    records = AliceRecords.from_fields(outcome=(packed & 3).view(np.int8),
+                                       conclusive=(packed & 4) != 0,
+                                       bit=(packed >> 3).view(np.int8) - 1)
+    assert np.array_equal(records.basis, basis)
+    return records
 
 
 def parity_mixtures_bruteforce(k: int):

@@ -451,10 +451,13 @@ class TestRuntimeLines:
         ["attack-bob", "--strategy", "bias", "--trials", "2000"],
         ["attack-bob", "--strategy", "entangle", "--trials", "2000"],
         ["sweep", "--points", "3", "--trials-per-point", "500"],
-    ], ids=["run", "attack-bob-bias", "attack-bob-entangle", "sweep"])
+        ["table1"],
+        ["usd-curve", "--kmax", "4"],
+    ], ids=["run", "attack-bob-bias", "attack-bob-entangle", "sweep", "table1", "usd-curve"])
     def test_runtime_printed_not_written(self, argv, tmp_path, capsys):
         out = tmp_path / "r.json"
-        extra = ["--csv", str(tmp_path / "r.csv")] if argv[0] == "sweep" else []
+        csv_commands = ("sweep", "usd-curve")
+        extra = ["--csv", str(tmp_path / "r.csv")] if argv[0] in csv_commands else []
         assert run_cli(argv + ["--seed", "5", "--out", str(out), *extra]) in (0, 2)
         lines = capsys.readouterr().out.splitlines()
         assert sum(re.fullmatch(r"runtime: \d+\.\d\ds", line) is not None

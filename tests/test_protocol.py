@@ -1,8 +1,8 @@
 """Protocol-engine tests: per-qubit contracts, reduction, retrieval, full runs.
 
-The honest per-qubit steps are checked exactly: `_byte_draws` is patched so
-that HonestBob.rounds and HonestAlice.respond see every one of the 256
-values of their draw byte, in every combination.
+The honest per-qubit steps are checked exactly: `_byte_pieces`, under
+every byte draw, is patched so that HonestBob.rounds and HonestAlice.respond
+see every one of the 256 values of their draw byte, in every combination.
 """
 
 import dataclasses
@@ -63,10 +63,18 @@ def every_draw(monkeypatch):
     """
     bob_bytes = np.repeat(ALL_BYTES, 256)
     alice_bytes = np.tile(ALL_BYTES, 256)
-    draws = iter([bob_bytes.copy(), alice_bytes.copy()])
+    draws = iter([bob_bytes, alice_bytes])
+
+    def pieces(rng, count, out, reuse=False):
+        draw = next(draws)
+        for start in range(0, count, CHUNK):
+            piece = out[:min(CHUNK, count - start)] if reuse else out[start:start + CHUNK]
+            piece[:] = draw[start:start + piece.size]
+            yield start, piece
+
     config = ProtocolConfig(n=bob_bytes.size, k=1)
     with monkeypatch.context() as patch:
-        patch.setattr(protocol, "_byte_draws", lambda rng, count: next(draws))
+        patch.setattr(protocol, "_byte_pieces", pieces)
         rounds = HonestBob().rounds(config.raw_length, config, None)
         alice = HonestAlice().respond(rounds, np.arange(config.raw_length), config, None)
     return rounds, alice, alice_bytes
@@ -182,6 +190,23 @@ class TestAliceMeasure:
 
 
 class TestBobAnnounce:
+    @pytest.mark.parametrize("announcement", ["sarg", "bb84"])
+    def test_every_honest_code_decodes_as_the_draw_formula(self, monkeypatch, announcement):
+        """Each of the 256 draw bytes, so each of the 8 codes, gives the sent symbol
+        draw & 3 and, against pairs, the pair (draw - ((draw >> 2) & 1)) & 3; -1 against bases."""
+        config = ProtocolConfig(n=256, k=1, announcement=announcement)
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "_byte_draws", lambda rng, count: ALL_BYTES.copy())
+            rounds = HonestBob().rounds(256, config, None)
+        assert rounds.code.dtype == np.uint8 and np.array_equal(rounds.code, ALL_BYTES & 7)
+        sent = (ALL_BYTES & 3).astype(np.int8)
+        pair = ((ALL_BYTES - ((ALL_BYTES >> 2) & 1)) & 3).astype(np.int8)
+        if announcement == "bb84":
+            pair[:] = -1
+        for name, want in (("sent", sent), ("pair", pair), ("kind", sent)):
+            got = getattr(rounds, name)
+            assert got.dtype == np.int8 and np.array_equal(got, want), name
+
     def test_pair_always_contains_sent(self, monkeypatch):
         rounds = bob_bytes_only(monkeypatch)
         for sent, pair in zip(rounds.sent, rounds.pair):
@@ -251,7 +276,7 @@ def seeded_run_records() -> RawRecords:
 
 
 def reduce(bob_bits, conclusive, alice_bits, n, k) -> ObliviousKey:
-    alice = AliceRecords.from_fields(basis=0, outcome=0, conclusive=conclusive, bit=alice_bits)
+    alice = AliceRecords.from_fields(outcome=0, conclusive=conclusive, bit=alice_bits)
     return protocol._reduce_arrays(np.asarray(bob_bits, dtype=np.uint8), alice.packed, n, k)
 
 
@@ -371,8 +396,7 @@ class TestRunProtocol:
             def respond(self, rounds, kept, config, rng):
                 none = np.full(kept.size, -1, dtype=np.int8)
                 return protocol.AliceRecords.from_fields(
-                    basis=none, outcome=none, conclusive=np.zeros(kept.size, dtype=bool),
-                    bit=none)
+                    outcome=none, conclusive=np.zeros(kept.size, dtype=bool), bit=none)
 
         monkeypatch.setattr(protocol, "_run_attempt", tracked)
         config = ProtocolConfig(n=50, k=2, seed=1, max_restarts=3)
@@ -503,20 +527,48 @@ def strategy_field_combinations() -> list[tuple[int, int, bool, int]]:
 
 
 class TestPackedRecords:
-    """AliceRecords keeps the basis and one packed byte; the other fields decode it."""
+    """AliceRecords keeps one packed byte per qubit; every field decodes it."""
 
     def test_from_fields_round_trips_every_strategy_combination(self):
+        """The basis is not passed: it is the outcome's, or -1 with the outcome."""
         combos = strategy_field_combinations()
         assert len(combos) == 15
         fields = {name: np.array(column, dtype=dtype) for name, column, dtype in
                   zip(("basis", "outcome", "conclusive", "bit"), zip(*combos),
                       (np.int8, np.int8, bool, np.int8))}
-        records = AliceRecords.from_fields(**fields)
+        records = AliceRecords.from_fields(
+            **{name: fields[name] for name in ("outcome", "conclusive", "bit")})
         assert records.packed.dtype == np.uint8
-        assert np.array_equal(records.packed >> 5, np.zeros(15))
+        assert np.array_equal(records.packed >> 6, np.zeros(15))
+        assert np.array_equal((records.packed >> 5) & 1, fields["outcome"] < 0)
         for name, want in fields.items():
             got = getattr(records, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("alice,announcement,measured", [
+        (HonestAlice(), "sarg", True),
+        (HonestAlice(), "bb84", True),
+        (UsdAlice(), "sarg", False),
+        (Bb84MemoryAlice(), "sarg", False),
+        (Bb84MemoryAlice(), "bb84", True),
+    ], ids=["honest", "honest-bb84", "usd", "bb84-memory-sarg", "bb84-memory-bb84"])
+    def test_basis_and_outcome_decode_under_every_user(self, alice, announcement, measured):
+        """-1 for both where Alice measured nothing (bit 5 set), else the outcome's basis."""
+        config = ProtocolConfig(n=300, k=3, announcement=announcement)
+        rng = np.random.default_rng(8)
+        rounds = HonestBob().rounds(config.raw_length, config, rng)
+        kept = np.broadcast_to(np.True_, config.raw_length)
+        records = alice.respond(rounds, kept, config, rng)
+        basis, outcome = records.basis, records.outcome
+        assert basis.dtype == outcome.dtype == np.int8
+        assert np.array_equal((records.packed & 32) != 0, outcome < 0)
+        if measured:
+            assert (outcome >= 0).all() and np.array_equal(basis, outcome & 1)
+            assert set(basis.tolist()) == {0, 1}
+        else:
+            assert (basis == -1).all() and (outcome == -1).all()
+        if isinstance(alice, Bb84MemoryAlice) and measured:
+            assert np.array_equal(outcome, rounds.sent)
 
     @pytest.mark.parametrize("alice_cls,bob,announcement,eta", [
         (HonestAlice, None, "sarg", 1.0),
@@ -719,7 +771,7 @@ def respond_inputs(table: str, size: int, kept_kind: str, announcement: str):
     if table != "honest":
         bob = BiasedBob(0.3) if table == "biased" else EntangledBob("honest_basis")
         rounds = dataclasses.replace(
-            rounds, kind=np.zeros(total, dtype=np.int8),
+            rounds, layout=rounds.layout._replace(kind=(0,) * 8),
             kind_table=bob.rounds(1, ProtocolConfig(n=1, k=1), rng).kind_table)
     if kept_kind == "mask":
         kept = np.ones(size, dtype=bool)
@@ -744,26 +796,42 @@ BYTE_DRAW_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, CHUNK - 1, CHUNK, CHUNK +
                    2 * CHUNK + 7]
 
 
+def streamed_byte_draws(rng, size):
+    """Alice's streamed draw: pieces in one reused buffer, copied out in order."""
+    buffer = np.empty(min(size, CHUNK + 4) + 1, dtype=np.uint8)
+    got = np.empty(size, dtype=np.uint8)
+    stop = 0
+    for start, piece in protocol._byte_pieces(rng, size, buffer, reuse=True):
+        assert start == stop
+        assert piece.base is buffer and piece.ctypes.data == buffer.ctypes.data  # a prefix
+        got[start:start + piece.size] = piece
+        stop = start + piece.size
+    assert stop == size
+    return got
+
+
 @pytest.mark.parametrize("spare", [False, True], ids=["aligned", "spare-half"])
 @pytest.mark.parametrize("size", BYTE_DRAW_SIZES)
 @pytest.mark.parametrize("bit_generator", SPARE_BIT_GENERATORS + [np.random.MT19937],
                          ids=lambda bg: bg.__name__)
 def test_byte_draws_match_one_bytes_call_for_every_bit_generator(bit_generator, size, spare):
-    """The bytes, the whole state and the next draws equal one rng.bytes call's.
+    """The bytes, the whole state and the next draws equal one rng.bytes call's,
+    drawn whole (Bob) and streamed through one reused buffer (Alice).
 
     With `spare`, one 32-bit draw first leaves half of a 64-bit output
     buffered; MT19937 has no such buffer and takes the `rng.bytes` pieces.
     """
-    mine, ref = (np.random.Generator(bit_generator(size)) for _ in range(2))
-    if spare:
-        for rng in (mine, ref):
-            rng.integers(0, 2**32 - 1, dtype=np.uint32)
-    got = protocol._byte_draws(mine, size)
-    want = np.frombuffer(ref.bytes(size), dtype=np.uint8)
-    assert got.dtype == np.uint8 and np.array_equal(got, want)
-    assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
-    assert mine.bytes(5) == ref.bytes(5)
-    assert mine.random() == ref.random()
+    for draw in (protocol._byte_draws, streamed_byte_draws):
+        mine, ref = (np.random.Generator(bit_generator(size)) for _ in range(2))
+        if spare:
+            for rng in (mine, ref):
+                rng.integers(0, 2**32 - 1, dtype=np.uint32)
+        got = draw(mine, size)
+        want = np.frombuffer(ref.bytes(size), dtype=np.uint8)
+        assert got.dtype == np.uint8 and np.array_equal(got, want), draw.__name__
+        assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state), draw.__name__
+        assert mine.bytes(5) == ref.bytes(5)
+        assert mine.random() == ref.random()
 
 
 class TestChunkedRespond:
@@ -775,8 +843,7 @@ class TestChunkedRespond:
     @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
     def test_matches_the_whole_array_oracle(self, size, announcement, table, kept_kind):
         rounds, kept, config = respond_inputs(table, size, kept_kind, announcement)
-        fair = protocol._fair_lookup(rounds.kind_table, announcement) is not None
-        assert fair == (table == "honest")
+        assert protocol._respond_table(rounds, announcement)[1] == (table == "honest")
         chunked_rng, whole_rng = np.random.default_rng(9), np.random.default_rng(9)
         got = HonestAlice().respond(rounds, kept, config, chunked_rng)
         want = whole_array_respond(rounds, kept, config, whole_rng)
@@ -816,7 +883,8 @@ class TestEngineSeams:
                 assert (np.diff(kept) > 0).all() and total == kept[-1] + 1
 
     def test_engine_peak_memory_per_qubit(self):
-        """One honest run at N = 10^5, k = 9 holds at most 6 bytes per raw qubit."""
+        """One honest run at N = 10^5, k = 9 holds at most 3 bytes per raw qubit:
+        Bob's code and Alice's packed records, plus the key and the chunk buffers."""
         config = ProtocolConfig(n=10**5, k=9, seed=0)
         database = np.zeros(config.n, dtype=np.uint8)
         tracemalloc.start()
@@ -825,7 +893,7 @@ class TestEngineSeams:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / config.raw_length <= 6.0
+        assert peak / config.raw_length <= 3.0
 
 
 def transcript_digest(t) -> str:
@@ -847,8 +915,11 @@ class TestRecordDigests:
     two user attacks, and the two provider attacks in each of their modes:
     the fair-coin lookup, the float coin (the entangled register, and a
     biased angle off the multiples of pi/4) and the attacks' own record
-    fields. Two runs span more than one `protocol.CHUNK` of qubits, and one
-    folds an odd number of rows, where a complemented bit flips the key.
+    fields. Several runs span more than one `protocol.CHUNK` of qubits, and
+    some fold an odd number of rows, where a complemented bit flips the key.
+    The honest runs and the fair-coin biased run at n = 43,691, k = 3 have an
+    odd raw length of two chunks and more; at eta = 1 the honest user's draw
+    starts on the spare half of a 64-bit output that the provider's left.
     Bb84MemoryAlice against pairs runs UsdAlice, so their digests agree.
     """
 
@@ -902,6 +973,21 @@ class TestRecordDigests:
         pytest.param(40, 2, 0.6, "sarg", None, EntangledBob("conclusiveness_basis"),
                      "47d090aee51d829e75a4fdabfe5a00e6d83ba32527729e66c65f7918ed2dfe02",
                      id="entangled-conclusiveness-basis"),
+        pytest.param(43_691, 3, 1.0, "sarg", None, None,
+                     "a9d5c1e65b41c891e67de7419c2d9858dbcc645a7433c51bf538b63e2fc296f1",
+                     id="honest-sarg-odd-multi-chunk"),
+        pytest.param(43_691, 3, 0.6, "sarg", None, None,
+                     "bfc5f2098f6c060f4dfbfd66f73b41850d7269b9f0350da5b6d85fa727fa24e8",
+                     id="honest-sarg-lossy-odd-multi-chunk"),
+        pytest.param(43_691, 3, 1.0, "bb84", None, None,
+                     "995b8b54615373d83d44330d872df94a01130e436c43eda7d4c180e152d7a650",
+                     id="honest-bb84-odd-multi-chunk"),
+        pytest.param(43_691, 3, 0.6, "bb84", None, None,
+                     "5999c048f9cda6fe7db6740b80c963cccf73b999463c005fc1d9b77c5cc90e2b",
+                     id="honest-bb84-lossy-odd-multi-chunk"),
+        pytest.param(43_691, 3, 1.0, "sarg", None, BiasedBob(math.pi / 4),
+                     "f6295dd00b2d8ddfa6923d7508c9684394d51de623014cd8109d3830016056dc",
+                     id="biased-fair-coin-odd-multi-chunk"),
     ])
     def test_records_and_key_digest(self, n, k, eta, announcement, alice, bob, digest):
         config = ProtocolConfig(n=n, k=k, eta=eta, seed=1234, announcement=announcement)
