@@ -18,6 +18,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -47,6 +48,7 @@ from .protocol import (
     RoundLayout,
     Transcript,
     _at_kept,
+    _fair_bits,
     run_protocol,
 )
 
@@ -149,7 +151,12 @@ def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator) -
     Born-samples the two-outcome measurement onto the sign eigenspaces of
     the mixture difference. The even-outcome probability depends only on
     the string's Hamming weight, so it is read from a (k+1)-entry table.
-    Trials are drawn `HELSTROM_BATCH` at a time.
+    Trials are drawn `HELSTROM_BATCH` at a time. A batch of m trials takes
+    m * (k + 1) fair coins in one `_fair_bits` call: m parities, then an
+    (m, k) bit matrix whose last column stands in for the parity fix-up
+    and is ignored. With s the sum of the first k - 1 columns, the last bit
+    is parity ^ (s & 1), so the weight is s plus that bit; the values and
+    the generator state are those of two `rng.integers(0, 2, ...)` calls.
     """
     stats.require_size("trials", trials)
     p_even = helstrom_parity_table(k)
@@ -157,11 +164,12 @@ def helstrom_measurement_trials(k: int, trials: int, rng: np.random.Generator) -
     done = 0
     while done < trials:
         m = min(HELSTROM_BATCH, trials - done)
-        parity = rng.integers(0, 2, m)
-        bits = rng.integers(0, 2, (m, k))
-        bits[:, -1] = parity ^ np.bitwise_xor.reduce(bits[:, :-1], axis=1) \
-            if k > 1 else parity
-        guess_even = rng.random(m) < p_even[bits.sum(axis=1)]
+        coins = _fair_bits(rng, m * (k + 1))
+        parity = coins[:m]
+        # einsum sums rows several times faster than sum(axis=1), which loops
+        # over the short inner axis.
+        s = np.einsum("ij->i", coins[m:].reshape(m, k)[:, :-1])
+        guess_even = rng.random(m) < p_even[s + (parity ^ (s & 1))]
         correct += int((guess_even == (parity == 0)).sum())
         done += m
     return correct / trials
@@ -195,8 +203,12 @@ class ProviderRounds:
 
 
 def _outcome_draws(second_prob: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome per round: basis b uniform, then b + 2 with chance second_prob[b], else b."""
-    basis = rng.integers(0, 2, trials)
+    """Outcome per round: basis b uniform, then b + 2 with chance second_prob[b], else b.
+
+    The bases are `_fair_bits` coins, so the draws are those of
+    `rng.integers(0, 2, trials)` and then `rng.random(trials)`.
+    """
+    basis = _fair_bits(rng, trials)
     second = rng.random(trials) < second_prob[basis]
     return basis + 2 * second
 
@@ -228,11 +240,19 @@ class BiasedAnalytics(NamedTuple):
     ml_bit: int         # his maximum-likelihood bit guess
 
 
+# Cached because an attacked run asks for its angle's table on every attempt;
+# bounded because the audit and `sweep` visit a new angle per strategy.
+@lru_cache(maxsize=256)
 def _biased_second_prob(phi: float) -> np.ndarray:
-    """Born probabilities of DOWN (vertical basis) and LEFT (diagonal basis) at angle phi."""
+    """Born probabilities of DOWN (vertical basis) and LEFT (diagonal basis) at angle phi.
+
+    Computed once per angle; the cached array is read-only.
+    """
     psi = state_at_angle(phi)
-    return np.array([psi.overlap(sarg_state(SargSymbol.DOWN)) ** 2,
-                     psi.overlap(sarg_state(SargSymbol.LEFT)) ** 2])
+    probs = np.array([psi.overlap(sarg_state(SargSymbol.DOWN)) ** 2,
+                      psi.overlap(sarg_state(SargSymbol.LEFT)) ** 2])
+    probs.setflags(write=False)
+    return probs
 
 
 def biased_analytics(phi: float) -> BiasedAnalytics:
@@ -390,7 +410,7 @@ def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> 
     # own coin, which stands in for the bit the conclusiveness basis erases.
     code = outcome + 4 * (rng.random(trials) < ER_REGISTER_ONE_PROB[mode][outcome])
     if mode == "conclusiveness_basis":
-        code += 8 * rng.integers(0, 2, trials)
+        code += 8 * _fair_bits(rng, trials)
     counts = np.bincount(code, minlength=16).reshape(2, 2, 4)
     coin, reg_out, alice_outcome = np.indices(counts.shape)
     conclusive = CONCLUSIVE_TABLE[0, alice_outcome]
@@ -458,7 +478,7 @@ class EntangledBob:
         if self.mode == "honest_basis":
             p_r1 = ER_REGISTER_ONE_PROB[self.mode][alice.outcome]
             return (rng.random(kept.size) < p_r1).astype(np.uint8)
-        return rng.integers(0, 2, kept.size).astype(np.uint8)
+        return _fair_bits(rng, kept.size).astype(np.uint8)
 
 
 # --------------------------------------------------------------------------

@@ -28,6 +28,9 @@ byte draws (`_byte_pieces`) copy the bit generator's 64-bit outputs
 (`random_raw`) `CHUNK` bytes at a time and then set its spare 32-bit half
 as `Generator.bytes` would, so bytes and state match one `rng.bytes` call;
 a bit generator without that spare (MT19937) is read through `rng.bytes`.
+`_fair_bits` keeps the top bit of each 32-bit word of a byte draw, which
+gives the values and the state of `rng.integers(0, 2, count)`; the
+adversary layer draws its fair coins through it.
 Bob's draw, masked to its three used bits, is his one per-qubit array
 (`BobRounds.code`), and against pairs also his raw-key record. Alice's is
 streamed through one chunk-sized buffer that becomes her table index,
@@ -443,6 +446,20 @@ def _byte_draws(rng: np.random.Generator, count: int) -> np.ndarray:
     return out
 
 
+def _fair_bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`count` fair coins as uint32 0s and 1s: the values of one
+    `rng.integers(0, 2, count)`, leaving the generator in the same state.
+
+    That call takes the top bit of each of `count` successive 32-bit words
+    from `next_uint32`, and `rng.bytes(4 * count)` takes the same words, so
+    the coins are the top bits of the byte draw's little-endian 32-bit
+    words.
+    """
+    words = _byte_draws(rng, 4 * count).view("<u4")
+    words >>= 31
+    return words
+
+
 def _at_kept(values: np.ndarray, kept: np.ndarray, part: slice = slice(None)) -> np.ndarray:
     """values[kept][part], and a view when `kept` selects every value.
 
@@ -674,14 +691,14 @@ def _reduce_arrays(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> 
     any integer dtype; `packed` is Alice's `AliceRecords.packed`. Neither is
     copied. Alice knows a key bit where the conclusive flag (bit 2) is set
     in all k rows; its value is the XOR of bit 4, her raw bit, over the
-    rows.
+    rows, which is folded only at the known columns.
     """
     bob_key = np.bitwise_xor.reduce(bob_bits.reshape(k, n), axis=0)
     bob_key &= 1
     rows = packed.reshape(k, n)
     # `!= 0` makes bools, on which `flatnonzero` is several times faster than on bytes.
     idx = np.flatnonzero((np.bitwise_and.reduce(rows, axis=0) & 4) != 0)
-    vals = (np.bitwise_xor.reduce(rows, axis=0)[idx] >> 4) & 1
+    vals = (np.bitwise_xor.reduce(rows[:, idx], axis=0) >> 4) & 1
     alice_known = dict(zip(idx.tolist(), vals.tolist()))
     return ObliviousKey(bob_key=bob_key, alice_known=alice_known)
 

@@ -32,10 +32,17 @@ from qpq.quantum import (
     SargSymbol,
     fidelity,
     helstrom_guess,
+    helstrom_parity_table,
     parity_mixtures,
     sarg_state,
     trace_distance,
 )
+
+
+# Every bit generator numpy ships; all but MT19937 keep a spare 32-bit half
+# of a 64-bit output in their state.
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                  np.random.MT19937]
 
 
 @pytest.fixture
@@ -135,9 +142,9 @@ def parity_usd_bound_50_digits(k: int):
 
     Builds rho_even/odd = (M^(x)k +/- D^(x)k) / 2**k from exact projector
     entries and takes both square roots with `mp.eigsy`, so no numpy routine
-    is involved. Returns an mpmath number. mpmath is not a declared
-    dependency, so it is imported here and callers guard with
-    `pytest.importorskip("mpmath")`.
+    is involved. Returns an mpmath number. mpmath is in the `test` extra
+    but not a runtime dependency, so it is imported here and callers guard
+    with `pytest.importorskip("mpmath")`.
     """
     from mpmath import mp
 
@@ -200,6 +207,27 @@ def _parity_product_states(bits: np.ndarray) -> np.ndarray:
     return states
 
 
+def _integer_draw_trials(k: int, trials: int, rng: np.random.Generator, p_even_of) -> float:
+    """The Helstrom sampler's loop on `rng.integers` draws, shared by both twins.
+
+    Per batch it draws the parity and an int64 (m, k) bit matrix through
+    `rng.integers(0, 2, ...)`, overwrites the last column so the row has
+    that parity, and guesses "even" with probability `p_even_of(bits)`.
+    """
+    correct = 0
+    done = 0
+    while done < trials:
+        m = min(HELSTROM_BATCH, trials - done)
+        parity = rng.integers(0, 2, m)
+        bits = rng.integers(0, 2, (m, k))
+        bits[:, -1] = parity ^ np.bitwise_xor.reduce(bits[:, :-1], axis=1) \
+            if k > 1 else parity
+        guess_even = rng.random(m) < p_even_of(bits)
+        correct += int((guess_even == (parity == 0)).sum())
+        done += m
+    return correct / trials
+
+
 def helstrom_measurement_trials_dense(k: int, trials: int, rng: np.random.Generator) -> float:
     """Dense twin of `qpq.adversaries.helstrom_measurement_trials`.
 
@@ -210,19 +238,19 @@ def helstrom_measurement_trials_dense(k: int, trials: int, rng: np.random.Genera
     even, odd = parity_mixtures(k)
     w, u = np.linalg.eigh(even.matrix - odd.matrix)
     positive = u[:, w >= 0.0]
-    correct = 0
-    done = 0
-    while done < trials:
-        m = min(HELSTROM_BATCH, trials - done)
-        parity = rng.integers(0, 2, m)
-        bits = rng.integers(0, 2, (m, k))
-        bits[:, -1] = parity ^ np.bitwise_xor.reduce(bits[:, :-1], axis=1) \
-            if k > 1 else parity
-        p_even_outcome = ((_parity_product_states(bits) @ positive) ** 2).sum(axis=1)
-        guess_even = rng.random(m) < p_even_outcome
-        correct += int((guess_even == (parity == 0)).sum())
-        done += m
-    return correct / trials
+    return _integer_draw_trials(
+        k, trials, rng, lambda bits: ((_parity_product_states(bits) @ positive) ** 2).sum(axis=1))
+
+
+def helstrom_measurement_trials_integers(k: int, trials: int,
+                                         rng: np.random.Generator) -> float:
+    """Integer-draw twin of `qpq.adversaries.helstrom_measurement_trials`.
+
+    Reads the weight table at the full row sum of each drawn string. Unlike
+    the dense twin it runs at any k.
+    """
+    p_even = helstrom_parity_table(k)
+    return _integer_draw_trials(k, trials, rng, lambda bits: p_even[bits.sum(axis=1)])
 
 
 def xor_error_bruteforce(eps: float, k: int) -> float:

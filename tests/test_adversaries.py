@@ -44,9 +44,11 @@ from qpq.protocol import (
 from qpq.quantum import K_MAX, usd_bound
 
 from conftest import (
+    BIT_GENERATORS,
     biased_round_trials_per_trial,
     entangled_round_trials_per_trial,
     helstrom_measurement_trials_dense,
+    helstrom_measurement_trials_integers,
     xor_error_bruteforce,
 )
 
@@ -149,6 +151,17 @@ class TestJointHelstrom:
             dense = helstrom_measurement_trials_dense(k, trials,
                                                       np.random.default_rng([seed, k]))
             assert table == dense
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    @pytest.mark.parametrize("k", [1, 2, 11, 16])
+    def test_repeats_the_integer_draw_twin(self, k, bit_generator):
+        """Same rate, generator state and next draw, past the dense twin's k = 10."""
+        for trials in (5, 4096, 4097):
+            mine, ref = (np.random.Generator(bit_generator([k, trials])) for _ in range(2))
+            assert (helstrom_measurement_trials(k, trials, mine)
+                    == helstrom_measurement_trials_integers(k, trials, ref))
+            assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+            assert mine.random() == ref.random()
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_simulated_measurement_reaches_the_bound(self, k, rng):
@@ -426,6 +439,14 @@ class TestProviderRounds:
         assert np.array_equal(rounds.kind_table, row[None])
         with pytest.raises(ValueError, match=f"^{attack} only targets pair announcements$"):
             bob.rounds(5, ProtocolConfig(n=5, k=1, announcement="bb84"), None)
+
+    def test_biased_table_is_built_once_per_angle_read_only(self):
+        table = adversaries._biased_second_prob(0.3)
+        assert adversaries._biased_second_prob(0.3) is table
+        assert not table.flags.writeable
+        rounds = BiasedBob(0.3).rounds(5, ProtocolConfig(n=5, k=1), None)
+        assert not rounds.kind_table.flags.writeable
+        assert adversaries._biased_second_prob.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("bob", [BiasedBob(0.3), *map(EntangledBob, ER_MODES)],
                              ids=lambda bob: bob.label)

@@ -525,8 +525,10 @@ class TestReportDigests:
     the honest engine's per-qubit records with every qubit detected, under
     loss, and over 70,000 qubits, more than one `protocol.CHUNK`; the
     combine digest covers the honest engine driven through several keys.
-    The table1, usd-curve and helstrom digests are taken at default argv;
-    `TestGoldenReports` compares the last two with the dense route.
+    The table1, usd-curve and first helstrom digests are taken at default
+    argv; `TestGoldenReports` compares the last two with the dense route.
+    The two attack-bob entangle digests cover both register modes, and the
+    k = 2 helstrom digest a sampler run that ends in a short batch.
     """
 
     @pytest.mark.parametrize("argv,digest", [
@@ -539,6 +541,9 @@ class TestReportDigests:
          "2b79204fa3b61f52cc461814b1e55560dcdb0b1798f18b5ec792da1fcca81832"),
         (["attack-bob", "--strategy", "entangle", "--trials", "20000"],
          "85aa257aa26821786918db609312e36ed3424c806c0839dbb3a68dad9d91f7d3"),
+        (["attack-bob", "--strategy", "entangle", "--mode", "honest_basis", "--trials",
+          "20000"],
+         "ccfb0ad3c4773f7ae4d3a096a2c2ecd1aea45391073e6014ca550d23e40b5fbe"),
         (["sweep", "--points", "7", "--trials-per-point", "2000"],
          "b600280aba7b0361e160ad8f65c9c4908ca1b8342aecc9c0eca1635e6f9a8b4d"),
         (["run", "-v", "--n", "2000", "--k", "3"],
@@ -555,10 +560,12 @@ class TestReportDigests:
          "73328b34c103c4cc01e2ab3604cbe505c9db45eb1cc2d4819ff879909daf60e4"),
         (["attack-alice", "--strategy", "helstrom"],
          "d2326e64ec111d17a18b7b979cf44f4e6e67c4f2c57396bd99c4c9175ecb6a71"),
+        (["attack-alice", "--strategy", "helstrom", "--k", "2", "--trials", "5000"],
+         "ae18d442c2be9fd6a1f78a5c07654d97edd17e82cf83e38528d1c73c2f1c152e"),
     ], ids=["attack-alice-usd", "attack-alice-bb84", "attack-bob-bias",
-            "attack-bob-entangle", "sweep", "run-records", "run-records-lossy",
-            "run-records-multi-chunk", "combine", "table1", "usd-curve",
-            "attack-alice-helstrom"])
+            "attack-bob-entangle", "attack-bob-entangle-honest", "sweep", "run-records",
+            "run-records-lossy", "run-records-multi-chunk", "combine", "table1", "usd-curve",
+            "attack-alice-helstrom", "attack-alice-helstrom-k2"])
     def test_report_digest(self, argv, digest, tmp_path):
         out = tmp_path / "report.json"
         extra = (["--csv", str(tmp_path / "report.csv")] if argv[0] in ("sweep", "usd-curve")

@@ -42,7 +42,7 @@ from qpq.protocol import (
     run_protocol,
 )
 
-from conftest import honest_category_counts, whole_array_respond
+from conftest import BIT_GENERATORS, honest_category_counts, whole_array_respond
 
 
 def three_sigma_count(p, n):
@@ -790,8 +790,6 @@ def test_chunked_byte_draws_are_one_bytes_call(size):
     assert chunked_rng.bit_generator.state == whole_rng.bit_generator.state
 
 
-SPARE_BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox,
-                        np.random.SFC64]
 BYTE_DRAW_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, CHUNK - 1, CHUNK, CHUNK + 1,
                    2 * CHUNK + 7]
 
@@ -812,8 +810,7 @@ def streamed_byte_draws(rng, size):
 
 @pytest.mark.parametrize("spare", [False, True], ids=["aligned", "spare-half"])
 @pytest.mark.parametrize("size", BYTE_DRAW_SIZES)
-@pytest.mark.parametrize("bit_generator", SPARE_BIT_GENERATORS + [np.random.MT19937],
-                         ids=lambda bg: bg.__name__)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
 def test_byte_draws_match_one_bytes_call_for_every_bit_generator(bit_generator, size, spare):
     """The bytes, the whole state and the next draws equal one rng.bytes call's,
     drawn whole (Bob) and streamed through one reused buffer (Alice).
@@ -832,6 +829,26 @@ def test_byte_draws_match_one_bytes_call_for_every_bit_generator(bit_generator, 
         assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state), draw.__name__
         assert mine.bytes(5) == ref.bytes(5)
         assert mine.random() == ref.random()
+
+
+@pytest.mark.parametrize("spare", [False, True], ids=["aligned", "spare-half"])
+@pytest.mark.parametrize("size", BYTE_DRAW_SIZES)
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_fair_bits_match_one_integers_call_for_every_bit_generator(bit_generator, size,
+                                                                   spare):
+    """The coins, the whole state and the next draws equal one
+    rng.integers(0, 2, size) call's, with and without a spare 32-bit half."""
+    mine, ref = (np.random.Generator(bit_generator(size)) for _ in range(2))
+    if spare:
+        for rng in (mine, ref):
+            rng.integers(0, 2**32 - 1, dtype=np.uint32)
+    got = protocol._fair_bits(mine, size)
+    want = ref.integers(0, 2, size)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(mine.integers(0, 2, 3), ref.integers(0, 2, 3))
+    assert mine.bytes(5) == ref.bytes(5)
+    assert mine.random() == ref.random()
 
 
 class TestChunkedRespond:
