@@ -6,10 +6,16 @@ qubits behind one final key bit, and the basis-announcement contrast mode
 that breaks the scheme entirely. Provider-side attacks: biased state
 preparation at an arbitrary Hilbert angle, and an entangled register held
 back per qubit. Each provider battery returns its round counts beside its
-analytic p_c and p_b (`ProviderRounds`); one helper reads every sampled rate
-from the counts into the shared part of an `ExperimentReport`, to which the
-attack reports and the no-signaling audit over the whole family add their
-checks, with intervals from the same counts.
+analytic p_c and p_b (`ProviderRounds`); the biased one counts its four
+outcome classes straight from its two draws, with no per-round outcome
+array. One helper reads every sampled rate from the counts into the shared
+part of an `ExperimentReport`, to which the attack reports and the
+no-signaling audit over the whole family add their checks, with intervals
+from the same counts. The attack reports also count the final key bits an
+honest user knows after one attempt against the strategy: 150 first
+attempts, each on its own stream, through the engine's attempt seam
+(`protocol._run_attempt`), counted at the known columns without building a
+key, a query or a ciphertext.
 """
 
 from __future__ import annotations
@@ -36,27 +42,28 @@ from .quantum import (
     parity_mixtures,  # noqa: F401 (bench/tests/test_bench.py traces through it)
     sarg_state,
     state_at_angle,
-    usd_bound,
 )
 from .protocol import (
     AliceRecords,
     BIT_TABLE,
     BobRounds,
     CONCLUSIVE_TABLE,
+    HonestAlice,
     ProtocolConfig,
-    RestartLimitExceeded,
     RoundLayout,
     Transcript,
     _at_kept,
     _fair_bits,
-    run_protocol,
+    _known_columns,
+    _run_attempt,
+    run_protocol,  # noqa: F401 (bench/tests/test_bench.py traces through it)
 )
 
 # Optimal unambiguous-discrimination success rate for the equal-prior
-# announced pair, taken straight from the discrimination bound (the
-# equal-overlap pure-state pair attains it).
-USD_SUCCESS = usd_bound(sarg_state(SargSymbol.UP).density(),
-                        sarg_state(SargSymbol.RIGHT).density()).bound
+# announced pair {UP, RIGHT}: one minus their overlap 1/sqrt(2). It equals
+# `quantum.usd_bound` of the two states bit for bit (the equal-overlap
+# pure-state pair attains the bound).
+USD_SUCCESS = 1 - math.sqrt(0.5)
 
 
 # --------------------------------------------------------------------------
@@ -202,15 +209,33 @@ class ProviderRounds:
     rho_inconclusive: np.ndarray | None = None
 
 
-def _outcome_draws(second_prob: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome per round: basis b uniform, then b + 2 with chance second_prob[b], else b.
+def _round_draws(trials: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one provider battery, in their fixed order.
 
-    The bases are `_fair_bits` coins, so the draws are those of
-    `rng.integers(0, 2, trials)` and then `rng.random(trials)`.
+    Alice's basis per round, `_fair_bits` coins, so the values of
+    `rng.integers(0, 2, trials)`; then one uniform per round,
+    `rng.random(trials)`, which decides whether she sees the second member
+    of her basis.
     """
     basis = _fair_bits(rng, trials)
-    second = rng.random(trials) < second_prob[basis]
-    return basis + 2 * second
+    return basis, rng.random(trials)
+
+
+def _outcome_draws(second_prob: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome per round: basis b uniform, then b + 2 with chance second_prob[b], else b."""
+    basis, uniform = _round_draws(trials, rng)
+    return basis + 2 * (uniform < second_prob[basis])
+
+
+def _outcome_counts(second_prob: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
+    """`np.bincount(_outcome_draws(...), minlength=4)` from the same draws, without
+    an outcome array: the rounds per outcome UP, RIGHT, DOWN, LEFT."""
+    coins, uniform = _round_draws(trials, rng)
+    basis = coins.astype(bool)
+    diagonal = np.count_nonzero(basis)
+    down = np.count_nonzero((uniform < second_prob[0]) & ~basis)
+    left = np.count_nonzero((uniform < second_prob[1]) & basis)
+    return np.array([trials - diagonal - down, diagonal - left, down, left])
 
 
 # The one code of a fixed state: no definite symbol, the pair {UP, RIGHT}, kind 0.
@@ -273,7 +298,7 @@ def biased_round_trials(phi: float, trials: int, rng: np.random.Generator) -> Pr
     """Simulate biased-preparation rounds against an honest user."""
     stats.require_size("trials", trials)
     ana = biased_analytics(phi)
-    counts = np.bincount(_outcome_draws(_biased_second_prob(phi), trials, rng), minlength=4)
+    counts = _outcome_counts(_biased_second_prob(phi), trials, rng)
     conclusive = CONCLUSIVE_TABLE[0]  # the provider attacks announce {UP, RIGHT}
     n_c = int(counts[conclusive].sum())
     basis_guess = 0 if ana.ml_bit == 1 else 1
@@ -489,21 +514,22 @@ def _known_bits_through_runs(bob, n: int, k: int, runs: int, seed: int,
                              stream: int) -> tuple[float, float, float]:
     """Mean known-bit count of first attempts under a provider strategy.
 
-    Run r draws from [seed, stream, r + 1], apart from the round battery's
-    [seed, stream]. numpy's SeedSequence reads a trailing 0 as the padding
-    of a shorter seed, so [seed, stream, 0] would be the battery's own
-    stream. Returns (empirical mean, 99% half-width, analytic n * p_c**k).
+    Run r is one honest-user attempt through `_run_attempt`, drawing from
+    [seed, stream, r + 1], apart from the round battery's [seed, stream];
+    its count is the number of `_known_columns`, 0 for an empty attempt.
+    That is the known set a `run_protocol` call with no restarts would
+    build from the same stream, without the key, the query or the
+    ciphertext. numpy's SeedSequence reads a trailing 0 as the padding of a
+    shorter seed, so [seed, stream, 0] would be the battery's own stream.
+    Returns (empirical mean, 99% half-width, analytic n * p_c**k).
     """
+    config = ProtocolConfig(n=n, k=k, seed=seed)
+    alice = HonestAlice()
     counts = []
-    config = ProtocolConfig(n=n, k=k, seed=seed, max_restarts=0)
-    database = np.zeros(n, dtype=np.uint8)
     for run_idx in range(runs):
         rng = np.random.default_rng([seed, stream, run_idx + 1])
-        try:
-            t = run_protocol(config, database, 0, bob=bob, rng=rng)
-            counts.append(len(t.key.alice_known))
-        except RestartLimitExceeded:
-            counts.append(0)
+        attempt = _run_attempt(config, alice, bob, rng)
+        counts.append(np.count_nonzero(_known_columns(attempt.alice.packed, n, k)))
     mean, hw = stats.mean_ci(counts)
     return mean, hw, n * bob.expected_conclusive(config) ** k
 
@@ -535,9 +561,9 @@ def _attack_report(bob, trials: int, seed: int, stream: int) -> ExperimentReport
     """Round statistics of one provider strategy checked against its exact values.
 
     The rounds draw from the stream [seed, stream]. A side experiment of 150
-    full protocol runs at n = 400, k = 2, on the streams [seed, stream, r + 1],
-    measures how many final key bits the user ends up knowing. A rate
-    without samples fails its check.
+    first attempts of an honest user through `_run_attempt` at n = 400,
+    k = 2, on the streams [seed, stream, r + 1], measures how many final key
+    bits the user ends up knowing. A rate without samples fails its check.
     """
     start = time.perf_counter()
     rep, ev = _provider_report(bob, trials, np.random.default_rng([seed, stream]))

@@ -226,11 +226,13 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
         sigma3 = 3.0 * stats.binomial_sigma(p_conclusive, kept_total)
         passed["conclusive_rate"] = abs(conc_rate - p_conclusive) <= sigma3
     if 0.0 < ks.n_bar and first_known.mean() > 0.0 and p_conclusive < 1.0:
-        ratio, ratio_hw = stats.dispersion_ci(first_known)
+        # First-attempt counts are Binomial(n, p_c**k), whose ratio is 1 - p_c**k.
+        expected_ratio = 1.0 - p_conclusive ** config.k
+        ratio, ratio_hw = stats.dispersion_ci(first_known, expected_ratio)
         empirical["known_dispersion"] = ratio
         ci99["known_dispersion"] = ratio_hw
-        analytic["known_dispersion"] = 1.0
-        passed["known_dispersion"] = abs(ratio - 1.0) <= ratio_hw
+        analytic["known_dispersion"] = expected_ratio
+        passed["known_dispersion"] = abs(ratio - expected_ratio) <= ratio_hw
 
     if successes:
         correct = sum(r.retrieved_correct for r in successes)

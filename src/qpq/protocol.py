@@ -684,21 +684,26 @@ def _copied_pieces(draw: np.ndarray, buffer: np.ndarray) -> Iterator[tuple[int, 
 # key reduction and retrieval
 # --------------------------------------------------------------------------
 
+def _known_columns(packed: np.ndarray, n: int, k: int) -> np.ndarray:
+    """Bool per key position: Alice knows it where the conclusive flag (bit 2)
+    of her `AliceRecords.packed` is set in all k rows of n raw entries."""
+    # `!= 0` makes bools, on which `flatnonzero` and `count_nonzero` are
+    # several times faster than on bytes.
+    return (np.bitwise_and.reduce(packed.reshape(k, n), axis=0) & 4) != 0
+
+
 def _reduce_arrays(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> ObliviousKey:
     """XOR-fold k rows of n raw entries into Bob's key and Alice's known bits.
 
     Bob's raw bit is the lowest bit of each of his entries, which may have
     any integer dtype; `packed` is Alice's `AliceRecords.packed`. Neither is
-    copied. Alice knows a key bit where the conclusive flag (bit 2) is set
-    in all k rows; its value is the XOR of bit 4, her raw bit, over the
-    rows, which is folded only at the known columns.
+    copied. Alice knows the `_known_columns`; the value of each is the XOR
+    of bit 4, her raw bit, over the rows, which is folded only there.
     """
     bob_key = np.bitwise_xor.reduce(bob_bits.reshape(k, n), axis=0)
     bob_key &= 1
-    rows = packed.reshape(k, n)
-    # `!= 0` makes bools, on which `flatnonzero` is several times faster than on bytes.
-    idx = np.flatnonzero((np.bitwise_and.reduce(rows, axis=0) & 4) != 0)
-    vals = (np.bitwise_xor.reduce(rows[:, idx], axis=0) >> 4) & 1
+    idx = np.flatnonzero(_known_columns(packed, n, k))
+    vals = (np.bitwise_xor.reduce(packed.reshape(k, n)[:, idx], axis=0) >> 4) & 1
     alice_known = dict(zip(idx.tolist(), vals.tolist()))
     return ObliviousKey(bob_key=bob_key, alice_known=alice_known)
 

@@ -67,11 +67,14 @@ def rate_ci(successes: int, n: int, confidence: float = 0.99) -> tuple[float, fl
     return p, half
 
 
-def dispersion_ci(values: Sequence[float] | np.ndarray, confidence: float = 0.99) -> tuple[float, float]:
-    """Variance-to-mean ratio and an approximate half-width.
+def dispersion_ci(values: Sequence[float] | np.ndarray, expected: float,
+                  confidence: float = 0.99) -> tuple[float, float]:
+    """Variance-to-mean ratio and an approximate half-width around `expected`.
 
     Under a Poisson null the index of dispersion is asymptotically normal
-    with variance 2/(n-1), which is what the half-width uses.
+    with variance 2/(n-1). Binomial(m, p) counts have ratio 1 - p, and to
+    first order variance (1 - p)**2 * 2/(n-1), so the half-width is
+    `expected` times the Poisson one.
     """
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
@@ -80,7 +83,7 @@ def dispersion_ci(values: Sequence[float] | np.ndarray, confidence: float = 0.99
     if mean == 0.0:
         raise ValueError("dispersion ratio undefined for an all-zero sample")
     ratio = float(arr.var(ddof=1)) / mean
-    half = z_value(confidence) * math.sqrt(2.0 / (arr.size - 1))
+    half = expected * z_value(confidence) * math.sqrt(2.0 / (arr.size - 1))
     return ratio, half
 
 

@@ -38,10 +38,11 @@ from qpq.protocol import (
     HonestAlice,
     HonestBob,
     ProtocolConfig,
+    RestartLimitExceeded,
     SargSymbol,
     run_protocol,
 )
-from qpq.quantum import K_MAX, usd_bound
+from qpq.quantum import K_MAX, sarg_state, usd_bound
 
 from conftest import (
     BIT_GENERATORS,
@@ -88,6 +89,11 @@ class TestUsdAttack:
         rate = usd_success_trials(n, rng).mean()
         assert abs(rate - USD_SUCCESS) <= three_sigma(USD_SUCCESS, n)
         assert USD_SUCCESS == pytest.approx(1.0 - 1.0 / math.sqrt(2.0), abs=1e-12)
+
+    def test_closed_form_is_the_discrimination_bound_bit_for_bit(self):
+        bound = usd_bound(sarg_state(SargSymbol.UP).density(),
+                          sarg_state(SargSymbol.RIGHT).density()).bound
+        assert USD_SUCCESS == bound == 0.2928932188134524
 
     def test_scalar_interpret_matches_rate(self, rng):
         n = 30_000
@@ -418,11 +424,68 @@ class TestAttackReportStreams:
 
         monkeypatch.setattr(adversaries, "_provider_report",
                             record(adversaries._provider_report, battery))
-        monkeypatch.setattr(adversaries, "run_protocol",
-                            record(adversaries.run_protocol, runs))
+        monkeypatch.setattr(adversaries, "_run_attempt",
+                            record(adversaries._run_attempt, runs))
         report(seed)
         assert len(battery) == 1 and len(runs) == 150
         assert len(set(battery + runs)) == 151
+
+
+def known_counts_through_run_protocol(bob, n, k, runs, seed, stream):
+    """Reference route for the known-bit run counts: full runs without restarts."""
+    config = ProtocolConfig(n=n, k=k, seed=seed, max_restarts=0)
+    counts = []
+    for run_idx in range(runs):
+        rng = np.random.default_rng([seed, stream, run_idx + 1])
+        try:
+            t = run_protocol(config, np.zeros(n, dtype=np.uint8), 0, bob=bob, rng=rng)
+            counts.append(len(t.key.alice_known))
+        except RestartLimitExceeded:
+            counts.append(0)
+    return counts
+
+
+class TestKnownBitRuns:
+    """Counting known columns of first attempts gives the full runs' known-set sizes."""
+
+    @pytest.mark.parametrize("bob,n", [
+        (BiasedBob(0.0), 400), (BiasedBob(0.7), 400),
+        (EntangledBob("honest_basis"), 400), (EntangledBob("conclusiveness_basis"), 400),
+        (BiasedBob(0.7), 6), (EntangledBob("conclusiveness_basis"), 6),
+    ], ids=["bias-fair-coin", "bias-generic", "entangle-honest", "entangle-conclusiveness",
+            "bias-small", "entangle-small"])
+    def test_counts_equal_the_known_sets_of_full_runs(self, monkeypatch, bob, n):
+        seed, stream, runs = 9, 1, 60
+        seen, mean_ci = [], stats.mean_ci
+
+        def spy(values, *args, **kwargs):
+            seen.append(list(values))
+            return mean_ci(values, *args, **kwargs)
+
+        monkeypatch.setattr(adversaries.stats, "mean_ci", spy)
+        got = adversaries._known_bits_through_runs(bob, n, 2, runs, seed, stream)
+        monkeypatch.undo()
+        want = known_counts_through_run_protocol(bob, n, 2, runs, seed, stream)
+        assert seen == [want]
+        assert got == (*stats.mean_ci(want), n * bob.expected_conclusive(ProtocolConfig(n, 2)) ** 2)
+        if n == 6:
+            assert 0 in want and max(want) > 0
+
+
+class TestOutcomeCounts:
+    """The biased battery counts outcomes from the outcome draws' own two draws."""
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 8, math.pi / 4, math.pi / 2, math.pi])
+    def test_counts_and_state_equal_the_outcome_bincount(self, phi):
+        second_prob = adversaries._biased_second_prob(phi)
+        # 17,000 trials take more than one `protocol.CHUNK` of coin bytes.
+        for trials in (1, 7, 17_000):
+            mine, ref = (np.random.default_rng([trials, 5]) for _ in range(2))
+            counts = adversaries._outcome_counts(second_prob, trials, mine)
+            want = np.bincount(adversaries._outcome_draws(second_prob, trials, ref), minlength=4)
+            assert counts.tolist() == want.tolist()
+            assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+            assert mine.random() == ref.random()
 
 
 class TestProviderRounds:

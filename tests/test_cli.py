@@ -221,6 +221,15 @@ class TestAttackCommands:
         doc = json.loads(out.read_text())
         assert doc["passed"]["qubit_success_rate"]
 
+    def test_attack_alice_usd_at_k1_passes_its_dispersion_check(self, tmp_path):
+        out = tmp_path / "usd.json"
+        code = run_cli(["attack-alice", "--strategy", "usd", "--k", "1", "--n", "1000",
+                        "--trials", "600", "--seed", "12345", "--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["analytic"]["run_known_dispersion"] == 1.0 - adversaries.USD_SUCCESS
+        assert doc["passed"]["run_known_dispersion"]
+        assert code == 0
+
     def test_attack_alice_helstrom(self, tmp_path):
         out = tmp_path / "hel.json"
         code = run_cli(["attack-alice", "--strategy", "helstrom", "--k", "3",
@@ -521,7 +530,10 @@ class TestReportDigests:
     those reports became `ExperimentReport`s, after checking that every
     earlier number reappears bit-identical under its new key, and again when
     the known-bit runs moved to streams of their own, after checking that
-    only the `known_bits_mean` fields changed. The `run -v` digests cover
+    only the `known_bits_mean` fields changed. The attack-alice-usd digest
+    was re-pinned when the dispersion check moved from the Poisson ratio 1
+    to the binomial 1 - p_c**k, after checking that only the analytic and
+    ci99 `run_known_dispersion` fields changed. The `run -v` digests cover
     the honest engine's per-qubit records with every qubit detected, under
     loss, and over 70,000 qubits, more than one `protocol.CHUNK`; the
     combine digest covers the honest engine driven through several keys.
@@ -534,7 +546,7 @@ class TestReportDigests:
     @pytest.mark.parametrize("argv,digest", [
         (["attack-alice", "--strategy", "usd", "--n", "2000", "--k", "3", "--trials", "20",
           "--jobs", "1"],
-         "cfe700cc90fe7f9adf6678056ffaf6421593ca706216954d93dd3b04b8a132ff"),
+         "9b04e5d7372e7505ecaa6c1b4e7bb48da95261cca49fcacaa99a3bd0578b339c"),
         (["attack-alice", "--strategy", "bb84"],
          "86cdd3c7f4252bac9349f77ecd2f823db55150a7db5c013cfabde50052d7caa2"),
         (["attack-bob", "--strategy", "bias", "--trials", "20000"],

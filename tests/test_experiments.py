@@ -110,6 +110,23 @@ class TestMonteCarlo:
         assert report.analytic["known_mean"] == pytest.approx(1500 * USD_SUCCESS ** 2)
         assert report.passed["known_mean"]
 
+    @pytest.mark.parametrize("alice,p_c", [(None, 0.25), (UsdAlice(), USD_SUCCESS)],
+                             ids=["honest", "usd"])
+    def test_dispersion_is_checked_against_the_binomial_ratio(self, alice, p_c):
+        """First-attempt known counts are Binomial(n, p_c**k): variance over mean is 1 - p_c**k.
+
+        At k = 1 that is 0.75 for the honest user and 1/sqrt(2) for the
+        discrimination attack, far enough from the Poisson limit 1 to fail there.
+        """
+        trials = 2000
+        report = monte_carlo(ProtocolConfig(n=1000, k=1, seed=5), alice=alice, trials=trials)
+        expected = 1.0 - p_c
+        assert report.analytic["known_dispersion"] == expected
+        assert report.ci99["known_dispersion"] == \
+            expected * stats.z_value(0.99) * math.sqrt(2.0 / (trials - 1))
+        assert report.passed["known_dispersion"]
+        assert abs(report.empirical["known_dispersion"] - 1.0) > report.ci99["known_dispersion"]
+
     def test_category_counts_cover_all_kept_qubits(self):
         counts = honest_category_counts(ProtocolConfig(n=100, k=2, seed=1), trials=10)
         assert counts.sum() >= 10 * 200  # restarts can only add attempts

@@ -1,0 +1,49 @@
+"""Import hygiene: no module of the package imports a name it never uses.
+
+Neither ruff nor pyflakes is a dependency, so this is a small `ast` check of
+pyflakes' F401. A name counts as used where the module reads it anywhere
+(annotations included). `__init__` re-exports, so it is left out. An import
+kept on purpose carries `# noqa: F401` on its line.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qpq
+
+PACKAGE = Path(qpq.__file__).resolve().parent
+MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """`line: name` for each imported name the source never reads."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.split(".")[0]
+            if name not in read and "# noqa: F401" not in lines[alias.lineno - 1]:
+                unused.append(f"{alias.lineno}: {name}")
+    return unused
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_module_reads_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_guard_flags_imports_left_behind():
+    source = (PACKAGE / "adversaries.py").read_text()
+    source = source.replace("  # noqa: F401 (bench/tests/test_bench.py traces through it)\n)",
+                            "\n)", 1)
+    source += "\nfrom .protocol import RestartLimitExceeded\nimport numpy.linalg as la\n"
+    names = [entry.split(": ")[1] for entry in unused_imports(source)]
+    assert names == ["run_protocol", "RestartLimitExceeded", "la"]
