@@ -12,8 +12,8 @@ array. One helper reads every sampled rate from the counts into the shared
 part of an `ExperimentReport`, to which the attack reports and the
 no-signaling audit over the whole family add their checks, with intervals
 from the same counts. The attack reports also count the final key bits an
-honest user knows after one attempt against the strategy: 150 first
-attempts, each on its own stream, through the engine's attempt seam
+honest user knows after one attempt against the strategy: 150 blocks of
+400 positions of one first attempt through the engine's attempt seam
 (`protocol._run_attempt`), counted at the known columns without building a
 key, a query or a ciphertext.
 """
@@ -514,23 +514,23 @@ def _known_bits_through_runs(bob, n: int, k: int, runs: int, seed: int,
                              stream: int) -> tuple[float, float, float]:
     """Mean known-bit count of first attempts under a provider strategy.
 
-    Run r is one honest-user attempt through `_run_attempt`, drawing from
-    [seed, stream, r + 1], apart from the round battery's [seed, stream];
-    its count is the number of `_known_columns`, 0 for an empty attempt.
-    That is the known set a `run_protocol` call with no restarts would
-    build from the same stream, without the key, the query or the
-    ciphertext. numpy's SeedSequence reads a trailing 0 as the padding of a
-    shorter seed, so [seed, stream, 0] would be the battery's own stream.
+    The runs are the n-position blocks of one honest-user attempt at
+    runs * n positions through `_run_attempt`, drawing from [seed, stream, 1],
+    apart from the round battery's [seed, stream]. Block r counts the
+    `_known_columns` among positions r * n to (r + 1) * n - 1. A fixed-state
+    provider prepares every raw qubit independently, so the blocks are
+    independent Binomial(n, p_c**k) counts, the law of separate attempts at
+    n. They are the per-block known sets a `run_protocol` call with no
+    restarts would build from the same stream (none at all for an empty
+    attempt), without the key, the query or the ciphertext. numpy's
+    SeedSequence reads a trailing 0 as the padding of a shorter seed, so
+    [seed, stream, 0] would be the battery's own stream.
     Returns (empirical mean, 99% half-width, analytic n * p_c**k).
     """
-    config = ProtocolConfig(n=n, k=k, seed=seed)
-    alice = HonestAlice()
-    counts = []
-    for run_idx in range(runs):
-        rng = np.random.default_rng([seed, stream, run_idx + 1])
-        attempt = _run_attempt(config, alice, bob, rng)
-        counts.append(np.count_nonzero(_known_columns(attempt.alice.packed, n, k)))
-    mean, hw = stats.mean_ci(counts)
+    config = ProtocolConfig(n=runs * n, k=k, seed=seed)
+    attempt = _run_attempt(config, HonestAlice(), bob, np.random.default_rng([seed, stream, 1]))
+    known = _known_columns(attempt.alice.packed, config.n, k).reshape(runs, n)
+    mean, hw = stats.mean_ci(np.count_nonzero(known, axis=1))
     return mean, hw, n * bob.expected_conclusive(config) ** k
 
 
@@ -560,10 +560,11 @@ def _provider_report(bob, trials: int,
 def _attack_report(bob, trials: int, seed: int, stream: int) -> ExperimentReport:
     """Round statistics of one provider strategy checked against its exact values.
 
-    The rounds draw from the stream [seed, stream]. A side experiment of 150
-    first attempts of an honest user through `_run_attempt` at n = 400,
-    k = 2, on the streams [seed, stream, r + 1], measures how many final key
-    bits the user ends up knowing. A rate without samples fails its check.
+    The rounds draw from the stream [seed, stream]. A side experiment
+    measures how many final key bits an honest user ends up knowing at
+    n = 400, k = 2: 150 blocks of 400 positions of one first attempt
+    through `_run_attempt` at 60,000 positions, on the stream
+    [seed, stream, 1]. A rate without samples fails its check.
     """
     start = time.perf_counter()
     rep, ev = _provider_report(bob, trials, np.random.default_rng([seed, stream]))

@@ -12,7 +12,6 @@ import dataclasses
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -166,6 +165,9 @@ def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
         return _trial_chunk((fn, args, 0, trials))
     bounds = np.linspace(0, trials, workers + 1, dtype=int)
     tasks = [(fn, args, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    # Imported here: `concurrent.futures` loads `multiprocessing` and more,
+    # which a single-process run never needs.
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [result for part in pool.map(_trial_chunk, tasks) for result in part]
 

@@ -163,9 +163,14 @@ class ObliviousKey:
         return sorted(self.alice_known)
 
     def mismatched_indices(self) -> list[int]:
-        """Known positions where Alice's value disagrees with Bob's key."""
-        return [j for j, bit in sorted(self.alice_known.items())
-                if bit != int(self.bob_key[j])]
+        """Known positions where Alice's value disagrees with Bob's key.
+
+        Read from the dict on each call, so a later change to it shows.
+        """
+        known = self.alice_known
+        idx = np.fromiter(known, dtype=np.intp, count=len(known))
+        bits = np.fromiter(known.values(), dtype=np.intp, count=len(known))
+        return sorted(idx[bits != self.bob_key.take(idx)].tolist())
 
 
 @dataclass(frozen=True)

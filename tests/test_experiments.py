@@ -280,7 +280,7 @@ class TestTrialMapper:
         def no_pool(*args, **kwargs):
             raise AssertionError("a process pool was started")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         assert experiments._map_trials(_square, (10,), 1, jobs=64) == [10]
         assert experiments._map_trials(_square, (10,), 4, jobs=1) == [10, 11, 14, 19]
 

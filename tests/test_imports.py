@@ -3,10 +3,14 @@
 Neither ruff nor pyflakes is a dependency, so this is a small `ast` check of
 pyflakes' F401. A name counts as used where the module reads it anywhere
 (annotations included). `__init__` re-exports, so it is left out. An import
-kept on purpose carries `# noqa: F401` on its line.
+kept on purpose carries `# noqa: F401` on its line. Importing the package
+starts no process machinery; only a run with jobs > 1 loads it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +51,13 @@ def test_guard_flags_imports_left_behind():
     source += "\nfrom .protocol import RestartLimitExceeded\nimport numpy.linalg as la\n"
     names = [entry.split(": ")[1] for entry in unused_imports(source)]
     assert names == ["run_protocol", "RestartLimitExceeded", "la"]
+
+
+def test_importing_qpq_loads_no_process_pool():
+    code = ("import sys, qpq, qpq.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env)
+    assert out.stdout.strip() == "[]"

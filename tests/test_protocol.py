@@ -365,6 +365,21 @@ class TestObliviousKeyType:
         with pytest.raises(ValueError, match="known entry"):
             ObliviousKey(bob_key=np.zeros(4, dtype=np.uint8), alice_known={4: 0})
 
+    @pytest.mark.parametrize("size", [0, 1, 4, 1000])
+    def test_mismatches_equal_the_per_entry_loop_after_changes(self, size):
+        rng = np.random.default_rng([size, 31])
+        key = ObliviousKey(bob_key=rng.integers(0, 2, 1000, dtype=np.uint8), alice_known={})
+        known = key.alice_known
+        positions = rng.permutation(1000)[:size].tolist()
+        known.update(zip(positions, key.bob_key[positions].tolist()))
+        for j in positions[:size // 3]:
+            known[j] ^= 1
+        for j in positions[size // 3:size // 2]:
+            del known[j]
+        known.update({j: 1 - int(key.bob_key[j]) for j in range(0, 1000, 97)})
+        want = [j for j, bit in sorted(known.items()) if bit != int(key.bob_key[j])]
+        assert key.mismatched_indices() == want
+
 
 class TestRunProtocol:
     def test_honest_runs_always_retrieve_the_target(self):
