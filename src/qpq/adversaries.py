@@ -53,6 +53,7 @@ from .protocol import (
     RoundLayout,
     Transcript,
     _at_kept,
+    _byte_draws,
     _fair_bits,
     _known_columns,
     _run_attempt,
@@ -65,14 +66,33 @@ from .protocol import (
 # pure-state pair attains the bound).
 USD_SUCCESS = 1 - math.sqrt(0.5)
 
+# `rng.random() < USD_SUCCESS` is the event U < USD_THRESHOLD for the 53-bit
+# integer U behind the float; both sides are multiples of 2^-53, so the
+# integer rule and the float rule agree exactly. U's top 8 bits settle the
+# comparison unless they equal USD_TOP; then its low 45 bits do.
+USD_THRESHOLD = math.ceil(USD_SUCCESS * 2**53)
+USD_TOP, USD_LOW = USD_THRESHOLD >> 45, USD_THRESHOLD & (2**45 - 1)
+
 
 # --------------------------------------------------------------------------
 # user-side attacks
 # --------------------------------------------------------------------------
 
 def usd_success_trials(trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized success mask of the discrimination measurement."""
-    return rng.random(trials) < USD_SUCCESS
+    """Success mask of the discrimination measurement: Bernoulli(USD_SUCCESS)
+    coins, exactly as `rng.random(trials) < USD_SUCCESS` decides them, from
+    about one byte per coin in place of one 64-bit output.
+
+    One byte per coin is U's top 8 bits. The coins whose byte ties with
+    USD_TOP (1 in 256) then take one 8-byte word each, whose top 45 bits
+    are U's low bits; with no tie, nothing more is drawn.
+    """
+    top = _byte_draws(rng, trials)
+    coins = top < USD_TOP
+    ties = np.flatnonzero(top == USD_TOP)
+    low = _byte_draws(rng, 8 * ties.size).view("<u8") >> 19
+    coins[ties[low < USD_LOW]] = True
+    return coins
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,11 @@ class Interpretation:
 
 @dataclass(frozen=True, eq=False)
 class ObliviousKey:
-    """Bob's full N-bit key plus Alice's sparse view of it."""
+    """Bob's full N-bit key plus Alice's sparse view of it.
+
+    A key built from a dict checks it entry by entry; the engine's keys come
+    from `from_arrays`, which checks its arrays whole.
+    """
 
     bob_key: np.ndarray
     alice_known: dict[int, int]
@@ -154,6 +158,25 @@ class ObliviousKey:
         for j, bit in self.alice_known.items():
             if not 0 <= j < n or bit not in (0, 1):
                 raise ValueError(f"known entry {j}: {bit} outside the key")
+
+    @classmethod
+    def from_arrays(cls, bob_key: np.ndarray, idx: np.ndarray,
+                    bits: np.ndarray) -> "ObliviousKey":
+        """The key whose Alice knows bits[i] at position idx[i].
+
+        The arrays are checked whole in place of the per-entry loop: the
+        indices increase and lie in [0, n), and every bit is 0 or 1.
+        """
+        key = cls(bob_key=bob_key, alice_known={})
+        n = key.size
+        # `count_nonzero` costs a fraction of `any` on the few entries of a
+        # typical key.
+        if idx.size and (idx[0] < 0 or idx[-1] >= n or np.count_nonzero(idx[1:] <= idx[:-1])):
+            raise ValueError(f"known indices must increase within [0, {n})")
+        if np.count_nonzero(bits >> 1):
+            raise ValueError("known bits must be 0 or 1")
+        object.__setattr__(key, "alice_known", dict(zip(idx.tolist(), bits.tolist())))
+        return key
 
     @property
     def size(self) -> int:
@@ -441,7 +464,8 @@ def _byte_pieces(rng: np.random.Generator, count: int, out: np.ndarray,
 
 def _byte_draws(rng: np.random.Generator, count: int) -> np.ndarray:
     """`count` independent uniform bytes: for count >= 1, the bytes of one
-    `rng.bytes(count)`, leaving the generator in the same state. The caller
+    `rng.bytes(count)`, leaving the generator in the same state; for
+    count = 0, nothing drawn (`rng.bytes(0)` takes a 32-bit word). The caller
     owns the returned buffer and may overwrite it. The `_byte_pieces` are
     drawn straight into it.
     """
@@ -709,8 +733,7 @@ def _reduce_arrays(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> 
     bob_key &= 1
     idx = np.flatnonzero(_known_columns(packed, n, k))
     vals = (np.bitwise_xor.reduce(packed.reshape(k, n)[:, idx], axis=0) >> 4) & 1
-    alice_known = dict(zip(idx.tolist(), vals.tolist()))
-    return ObliviousKey(bob_key=bob_key, alice_known=alice_known)
+    return ObliviousKey.from_arrays(bob_key, idx, vals)
 
 
 def query_shift(alice_known: dict[int, int], target_index: int, n: int,

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from qpq.adversaries import (
     ER_REGISTERS,
     ER_SECOND_PROB,
     HELSTROM_BATCH,
+    USD_SUCCESS,
     ProviderRounds,
     _biased_second_prob,
     biased_analytics,
@@ -84,6 +86,26 @@ def honest_category_counts(config: ProtocolConfig, trials: int) -> np.ndarray:
                + t.records.conclusive[kept])
         counts += np.bincount(cat, minlength=8)
     return counts
+
+
+def usd_success_trials_bytes(trials: int, rng: np.random.Generator) -> np.ndarray:
+    """`adversaries.usd_success_trials` rebuilt with Python ints: its oracle.
+
+    A coin succeeds where U < T, T = ceil(USD_SUCCESS * 2^53), for the
+    53-bit U whose top 8 bits are one `rng.bytes(trials)` byte. Where that
+    byte is T's top 8 bits, U's low 45 bits are the top 45 of a
+    little-endian 8-byte word from one further `rng.bytes(8 * ties)` call,
+    made only if a tie occurred (`rng.bytes(0)` takes a 32-bit word);
+    elsewhere they cannot change the comparison and are left 0.
+    """
+    threshold = math.ceil(Fraction(USD_SUCCESS) * 2**53)
+    top = rng.bytes(trials)
+    ties = [i for i, byte in enumerate(top) if byte == threshold >> 45]
+    words = rng.bytes(8 * len(ties)) if ties else b""
+    low = {i: int.from_bytes(words[8 * j:8 * j + 8], "little") >> 19
+           for j, i in enumerate(ties)}
+    return np.array([(byte << 45 | low.get(i, 0)) < threshold for i, byte in enumerate(top)],
+                    dtype=bool)
 
 
 def whole_array_respond(rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,

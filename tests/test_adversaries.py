@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,10 @@ from qpq.adversaries import (
     ER_OUTCOME_PROBS,
     ER_REGISTER_ONE_PROB,
     ER_REGISTERS,
+    USD_LOW,
     USD_SUCCESS,
+    USD_THRESHOLD,
+    USD_TOP,
     Bb84MemoryAlice,
     BiasedBob,
     EntangledBob,
@@ -39,6 +43,7 @@ from qpq.protocol import (
     HonestBob,
     ProtocolConfig,
     RestartLimitExceeded,
+    CHUNK,
     SargSymbol,
     run_protocol,
 )
@@ -50,6 +55,7 @@ from conftest import (
     entangled_round_trials_per_trial,
     helstrom_measurement_trials_dense,
     helstrom_measurement_trials_integers,
+    usd_success_trials_bytes,
     xor_error_bruteforce,
 )
 
@@ -94,6 +100,53 @@ class TestUsdAttack:
         bound = usd_bound(sarg_state(SargSymbol.UP).density(),
                           sarg_state(SargSymbol.RIGHT).density()).bound
         assert USD_SUCCESS == bound == 0.2928932188134524
+
+    @pytest.mark.parametrize("spare", [False, True], ids=["aligned", "spare-half"])
+    @pytest.mark.parametrize("size", [1, 7, 4000, CHUNK + 1])
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+    def test_coins_repeat_the_byte_twin(self, bit_generator, size, spare):
+        """Same coins, generator state and next draw as the Python-int twin,
+        with and without a spare 32-bit half held at entry. At CHUNK + 1 the
+        top bytes take an odd number of 32-bit words when aligned, so the
+        tie words start on a spare half."""
+        mine, ref = (np.random.Generator(bit_generator([size, 18])) for _ in range(2))
+        if spare:
+            for gen in (mine, ref):
+                gen.integers(0, 2**32 - 1, dtype=np.uint32)
+        got = usd_success_trials(size, mine)
+        want = usd_success_trials_bytes(size, ref)
+        assert got.dtype == bool and np.array_equal(got, want)
+        assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+        assert mine.random() == ref.random()
+
+    def test_threshold_is_the_float_rule_on_the_53_bit_grid(self):
+        """U / 2^53 < USD_SUCCESS exactly when U < USD_THRESHOLD, for every
+        53-bit U: the rule is monotone in U, and it flips between T - 1 and T."""
+        assert (USD_THRESHOLD - 1) / 2**53 < USD_SUCCESS
+        assert not USD_THRESHOLD / 2**53 < USD_SUCCESS
+        assert USD_TOP << 45 | USD_LOW == USD_THRESHOLD
+
+    def test_coins_at_the_threshold_on_both_levels(self, monkeypatch):
+        """U = T - 1 succeeds and U = T fails, and a top byte off USD_TOP
+        settles the coin whatever the tie words hold."""
+        top = np.array([USD_TOP - 1, USD_TOP, USD_TOP, USD_TOP + 1], dtype=np.uint8)
+        words = np.array([USD_LOW - 1, USD_LOW], dtype="<u8") << 19 | (2**19 - 1)
+        draws = iter([top, words.view(np.uint8)])
+        monkeypatch.setattr(adversaries, "_byte_draws", lambda rng, count: next(draws))
+        assert usd_success_trials(4, None).tolist() == [True, True, False, False]
+
+    def test_coin_peak_memory(self):
+        """At audit's 350,000 coins the draw peaks at about 3 bytes per coin:
+        the top bytes, the coins and one comparison mask."""
+        trials = 350_000
+        rng = np.random.default_rng(7)
+        tracemalloc.start()
+        try:
+            usd_success_trials(trials, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / trials <= 3.5
 
     def test_scalar_interpret_matches_rate(self, rng):
         n = 30_000

@@ -534,7 +534,12 @@ class TestReportDigests:
     only the `known_bits_mean` fields changed. The attack-alice-usd digest
     was re-pinned when the dispersion check moved from the Poisson ratio 1
     to the binomial 1 - p_c**k, after checking that only the analytic and
-    ci99 `run_known_dispersion` fields changed. The `run -v` digests cover
+    ci99 `run_known_dispersion` fields changed. The attack-alice-usd and
+    attack-alice-bb84 digests were re-pinned when `usd_success_trials` moved
+    from one float per coin to the byte-and-tie draw, after checking that
+    only values sampled from `UsdAlice` changed (`qubit_success_rate`, the
+    `run_*` empirical and ci99 values, `known_mean_sarg`) and every analytic
+    value stayed bit-identical. The `run -v` digests cover
     the honest engine's per-qubit records with every qubit detected, under
     loss, and over 70,000 qubits, more than one `protocol.CHUNK`; the
     combine digest covers the honest engine driven through several keys.
@@ -547,9 +552,9 @@ class TestReportDigests:
     @pytest.mark.parametrize("argv,digest", [
         (["attack-alice", "--strategy", "usd", "--n", "2000", "--k", "3", "--trials", "20",
           "--jobs", "1"],
-         "9b04e5d7372e7505ecaa6c1b4e7bb48da95261cca49fcacaa99a3bd0578b339c"),
+         "372eab1ec81eb65b3ef111a535f9b55ced335f82357707e2f34b65d308521270"),
         (["attack-alice", "--strategy", "bb84"],
-         "86cdd3c7f4252bac9349f77ecd2f823db55150a7db5c013cfabde50052d7caa2"),
+         "d4e4bf4882990f08373e55a07bb6cfbe4bab484ea6dbb21b1421a3fcb497a66a"),
         (["attack-bob", "--strategy", "bias", "--trials", "20000"],
          "7877f6a1872b78615455fb515df0308aada1d76e614104f3efa26bfe3f6797d3"),
         (["attack-bob", "--strategy", "entangle", "--trials", "20000"],

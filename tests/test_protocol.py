@@ -365,6 +365,16 @@ class TestObliviousKeyType:
         with pytest.raises(ValueError, match="known entry"):
             ObliviousKey(bob_key=np.zeros(4, dtype=np.uint8), alice_known={4: 0})
 
+    @pytest.mark.parametrize("idx,bits,match", [
+        ([0, 2, 4], [1, 0, 1], "indices"),
+        ([0, 3, 2], [1, 0, 1], "indices"),
+        ([0, 2, 3], [1, 2, 1], "bits"),
+    ], ids=["index-out-of-range", "indices-not-increasing", "bit-of-2"])
+    def test_from_arrays_rejects_entries_outside_the_key(self, idx, bits, match):
+        with pytest.raises(ValueError, match=match):
+            ObliviousKey.from_arrays(np.zeros(4, dtype=np.uint8), np.array(idx),
+                                     np.array(bits, dtype=np.uint8))
+
     @pytest.mark.parametrize("size", [0, 1, 4, 1000])
     def test_mismatches_equal_the_per_entry_loop_after_changes(self, size):
         rng = np.random.default_rng([size, 31])
@@ -953,6 +963,10 @@ class TestRecordDigests:
     odd raw length of two chunks and more; at eta = 1 the honest user's draw
     starts on the spare half of a 64-bit output that the provider's left.
     Bb84MemoryAlice against pairs runs UsdAlice, so their digests agree.
+    The `usd`, `usd-lossy-multi-chunk` and `bb84-memory-sarg` digests were
+    re-pinned when `usd_success_trials` moved from one float per coin to
+    the byte-and-tie draw, after checking field by field that only Alice's
+    `conclusive`, `alice_bit` and `posterior_bit1` and her known bits moved.
     """
 
     def test_biased_angles_take_both_coin_paths(self):
@@ -979,13 +993,13 @@ class TestRecordDigests:
                      "26d1a5fee4c7b02a285a871eb08b62e872444d9f4c170c63addaa868f0140fef",
                      id="honest-bb84-lossy"),
         pytest.param(40, 2, 1.0, "sarg", UsdAlice(), None,
-                     "469762d55b69088168441f37cbefc6f3015794ad5449587dd58e6c0948b3eab6",
+                     "a0c96acf6351c6f0f7f28300551c5036346d4148312822bdb4f5b5a84c7dfde9",
                      id="usd"),
         pytest.param(40_000, 2, 0.6, "sarg", UsdAlice(), None,
-                     "35b1889221c633a3c8e6fbeebd310cc93353cc92aecbb96dd23555b3240c0933",
+                     "be35245c8b720459f8d0e937f350339d18ceb928fe8c9154a2defa10ef006a80",
                      id="usd-lossy-multi-chunk"),
         pytest.param(40, 2, 1.0, "sarg", Bb84MemoryAlice(), None,
-                     "469762d55b69088168441f37cbefc6f3015794ad5449587dd58e6c0948b3eab6",
+                     "a0c96acf6351c6f0f7f28300551c5036346d4148312822bdb4f5b5a84c7dfde9",
                      id="bb84-memory-sarg"),
         pytest.param(40, 2, 1.0, "bb84", Bb84MemoryAlice(), None,
                      "0eaa4f35c4a52a5152a1eb7d6f7defc7c6e2a950a695bf45bd4cd9824aa51f58",
