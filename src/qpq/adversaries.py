@@ -258,17 +258,14 @@ def _outcome_counts(second_prob: np.ndarray, trials: int, rng: np.random.Generat
     return np.array([trials - diagonal - down, diagonal - left, down, left])
 
 
-# The one code of a fixed state: no definite symbol, the pair {UP, RIGHT}, kind 0.
-FIXED_STATE_LAYOUT = RoundLayout(sent=(-1,), pair=(0,), kind=(0,))
-
-
 def _fixed_state_rounds(count: int, config: ProtocolConfig, second_prob: np.ndarray,
                         attack: str) -> BobRounds:
-    """A fixed state against the pair {UP, RIGHT}; `second_prob` is Alice's kind table."""
+    """A fixed state against the pair {UP, RIGHT}: one code with no definite
+    symbol, whose outcome law `second_prob` is Alice's [p_v, p_h]."""
     if config.announcement != "sarg":
         raise ValueError(f"{attack} only targets pair announcements")
-    return BobRounds(code=np.zeros(count, dtype=np.uint8), layout=FIXED_STATE_LAYOUT,
-                     kind_table=second_prob[None])
+    layout = RoundLayout(sent=(-1,), pair=(0,), second=(tuple(second_prob.tolist()),))
+    return BobRounds(code=np.zeros(count, dtype=np.uint8), layout=layout)
 
 
 # --------------------------------------------------------------------------

@@ -124,8 +124,9 @@ def _run_trial(config: ProtocolConfig, alice, bob, trial: int) -> TrialResult:
     target = int(rng.integers(config.n))
     try:
         t = run_protocol(config, database, target, alice=alice, bob=bob, rng=rng)
-    except RestartLimitExceeded:
-        return TrialResult(trial, False, True, 0, 0, 0, 0, 0, False)
+    except RestartLimitExceeded as exc:
+        return TrialResult(trial, False, True, 0, 0, 0, sum(exc.conclusive_counts),
+                           config.raw_length * exc.attempts, False)
     return TrialResult(
         trial=trial,
         success=True,
@@ -221,7 +222,15 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     analytic["known_mean"] = ks.n_bar
     analytic["restart_fraction"] = ks.p0
     analytic["conclusive_rate"] = p_conclusive
-    passed["known_mean"] = abs(known_mean - ks.n_bar) <= known_hw
+    if known_hw > 0.0:
+        passed["known_mean"] = abs(known_mean - ks.n_bar) <= known_hw
+    else:
+        # Counts with no spread give a zero-width interval, so they are judged
+        # exactly: the trials whose first attempt knew a bit against
+        # Binomial(trials, 1 - p0), and a common count above 0 against n_bar.
+        knew = int(np.count_nonzero(first_known))
+        passed["known_mean"] = (stats.binomial_test(knew, trials, 1.0 - ks.p0)
+                                and known_mean in (0.0, ks.n_bar))
     # Exact two-sided binomial test: a Wilson interval misses a tiny p0 after one restart.
     passed["restart_fraction"] = stats.binomial_test(restarted, trials, ks.p0)
     if kept_total:

@@ -18,13 +18,15 @@ Bob's rounds: the all-True detection mask when every qubit was detected
 (eta = 1), a read-only broadcast of one True, so no mask or index array is
 built, and the increasing indices of the detected qubits under loss.
 
-Every outcome probability of an honest signal state is 0, 1/2 or 1, so an
-honest round needs only fair coins. Each side draws one byte per qubit, and
-one packed table (`fair_coin_table`), indexed by (kind, announcement, basis,
-coin), gives outcome, conclusiveness and bit. A strategy whose outcome
-probabilities are not all 0, 1/2 or 1 (a biased preparation at a generic
-angle, the entangled register) takes a float coin per qubit instead. The
-byte draws (`_byte_pieces`) copy the bit generator's 64-bit outputs
+Bob's rounds carry one input from physics: the Born law of Alice's
+measurement on what he sent. Each code of his `RoundLayout` states it as
+`second`, the probability that her outcome is the second member of her
+basis, per basis. Every such probability of an honest signal state is 0, 1/2
+or 1, so an honest round needs only fair coins: each side draws one byte per
+qubit, and one packed table gives outcome, conclusiveness and bit. A layout
+whose law is not all 0, 1/2 or 1 (a biased preparation at a generic angle,
+the entangled register) takes a float coin per qubit instead. The byte
+draws (`_byte_pieces`) copy the bit generator's 64-bit outputs
 (`random_raw`) `CHUNK` bytes at a time and then set its spare 32-bit half
 as `Generator.bytes` would, so bytes and state match one `rng.bytes` call;
 a bit generator without that spare (MT19937) is read through `rng.bytes`.
@@ -34,8 +36,8 @@ adversary layer draws its fair coins through it.
 Bob's draw, masked to its three used bits, is his one per-qubit array
 (`BobRounds.code`), and against pairs also his raw-key record. Alice's is
 streamed through one chunk-sized buffer that becomes her table index,
-code * 4 + basis * 2 + coin, into one cached table composed from
-`fair_coin_table` and the code's layout, gathered two qubits per uint16.
+code * 4 + basis * 2 + coin, into one table cached per layout and
+announcement (`_respond_table`), gathered two qubits per uint16.
 Her records keep the table entries packed (`AliceRecords`), and
 `_reduce_arrays` folds the packed bytes, so an honest attempt at eta = 1
 holds two raw-length arrays: Bob's code and Alice's packed records.
@@ -69,11 +71,16 @@ class EmptyKnownSet(ProtocolError):
 
 
 class RestartLimitExceeded(ProtocolError):
-    """Every allowed attempt ended with an empty known set."""
+    """Every allowed attempt ended with an empty known set.
 
-    def __init__(self, attempts: int):
-        super().__init__(f"no known key bit after {attempts} attempt(s)")
-        self.attempts = attempts
+    `conclusive_counts` holds Alice's conclusive count of each attempt, so
+    `monte_carlo` still counts the qubits of a failed run.
+    """
+
+    def __init__(self, conclusive_counts: list[int]):
+        self.attempts = len(conclusive_counts)
+        self.conclusive_counts = conclusive_counts
+        super().__init__(f"no known key bit after {self.attempts} attempt(s)")
 
 
 @dataclass(frozen=True)
@@ -327,56 +334,6 @@ def _pack(outcome, conclusive, bit) -> np.ndarray:
     return packed
 
 
-@lru_cache(maxsize=None)
-def _interpretation_table(announcement: str) -> np.ndarray:
-    """Packed interpretation per (announcement, basis, second-outcome flag); read-only.
-
-    The announcement is the pair id in "sarg" mode and the basis of the sent
-    symbol in "bb84" mode, where only the values 0 and 1 occur.
-    """
-    announced, basis, second = np.indices((4, 2, 2))
-    outcome = basis + 2 * second
-    if announcement == "sarg":
-        conclusive, bit = CONCLUSIVE_TABLE[announced, outcome], BIT_TABLE[announced, outcome]
-    else:
-        conclusive, bit = basis == announced, np.where(basis == announced, second, -1)
-    table = _pack(outcome, conclusive, bit)
-    table.setflags(write=False)
-    return table
-
-
-def _snap_to_halves(kind_table: np.ndarray) -> tuple[np.ndarray, float]:
-    """2p of each entry rounded into {0, 1, 2}, and the largest rounding distance of p."""
-    table = np.asarray(kind_table, dtype=float)
-    halves = np.clip(np.rint(2.0 * table), 0, 2)
-    return halves.astype(np.int8), float(np.abs(table - halves / 2.0).max())
-
-
-def is_dyadic(kind_table: np.ndarray) -> bool:
-    """True when every outcome probability lies within 1e-12 of 0, 1/2 or 1."""
-    return _snap_to_halves(kind_table)[1] <= DYADIC_TOLERANCE
-
-
-def fair_coin_table(kind_table: np.ndarray, announcement: str) -> np.ndarray:
-    """Packed interpretation per (kind, announcement, basis, coin) for a dyadic table.
-
-    A fair coin c is an exact Bernoulli(p) draw for p in {0, 1/2, 1} through
-    0.5 * (1 - c) < p, so the coin fixes whether Alice sees the second member
-    of her basis. Raises ValueError when an entry of `kind_table` is more
-    than 1e-12 from 0, 1/2 or 1, or when it has more than 16 kinds (the
-    packed index keeps 4 bits for the kind).
-    """
-    halves, miss = _snap_to_halves(kind_table)
-    if miss > DYADIC_TOLERANCE:
-        raise ValueError(f"outcome probabilities must lie within {DYADIC_TOLERANCE} "
-                         f"of 0, 1/2 or 1; an entry is {miss:.3g} away")
-    if len(halves) > 16:
-        raise ValueError(f"the packed index holds at most 16 kinds, got {len(halves)}")
-    kind, announced, basis, coin = np.indices((len(halves), 4, 2, 2))
-    second = (1 - coin) < halves[kind, basis]
-    return _interpretation_table(announcement)[announced, basis, second.astype(np.int8)]
-
-
 def _pair_table(single: np.ndarray) -> np.ndarray:
     """Read-only uint16 table: entry j holds `single` at each byte of j, in
     memory order, so one uint16 gather looks up two one-byte indices, each
@@ -389,28 +346,32 @@ def _pair_table(single: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _cached_respond_table(table_bytes: bytes, rows: int, layout: "RoundLayout",
-                          announcement: str) -> tuple[np.ndarray, bool]:
-    kind_table = np.frombuffer(table_bytes).reshape(rows, 2)
-    # The pair id against pairs, the basis of the sent symbol against bases.
-    announced = np.array(layout.pair) if announcement == "sarg" else np.array(layout.sent) & 1
-    fair = is_dyadic(kind_table)
-    if fair:
-        single = fair_coin_table(kind_table, announcement)[np.array(layout.kind), announced]
-    else:
-        single = _interpretation_table(announcement)[announced]
-    return _pair_table(single.ravel()), fair
+def _respond_table(layout: RoundLayout,
+                   announcement: str) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Alice's `_pair_table` over code * 4 + basis * 2 + coin, whether the coin
+    is fair, and `layout.second` as a read-only (codes, 2) float array.
 
-
-def _respond_table(rounds: "BobRounds", announcement: str) -> tuple[np.ndarray, bool]:
-    """Alice's `_pair_table` over code * 4 + basis * 2 + coin, and whether the coin is fair.
-
-    A dyadic kind table gives `fair_coin_table` at the code's kind and
-    announcement; any other the packed interpretation at the code's
-    announcement, with "second member seen" as the coin. Cached by content.
+    The coin is fair when every entry of `layout.second` lies within 1e-12 of
+    0, 1/2 or 1. A fair coin c is then an exact Bernoulli(p) draw of "Alice
+    sees the second member of her basis" through 0.5 * (1 - c) < p; otherwise
+    the coin is that event itself, drawn as a float. The announcement is the
+    code's pair id against pairs and the basis of its sent symbol against
+    bases, where the outcome in the announced basis is conclusive.
     """
-    table = np.ascontiguousarray(rounds.kind_table, dtype=float)
-    return _cached_respond_table(table.tobytes(), len(table), rounds.layout, announcement)
+    second = np.array(layout.second, dtype=float)
+    second.setflags(write=False)
+    halves = np.clip(np.rint(2.0 * second), 0, 2)
+    fair = bool(np.abs(second - halves / 2.0).max() <= DYADIC_TOLERANCE)
+    code, basis, coin = np.indices((len(second), 2, 2))
+    seen = (1 - coin) < halves[code, basis] if fair else coin
+    outcome = basis + 2 * seen
+    if announcement == "sarg":
+        pair = np.array(layout.pair)[code]
+        conclusive, bit = CONCLUSIVE_TABLE[pair, outcome], BIT_TABLE[pair, outcome]
+    else:
+        conclusive = basis == (np.array(layout.sent)[code] & 1)
+        bit = np.where(conclusive, seen, -1)
+    return _pair_table(_pack(outcome, conclusive, bit).ravel()), fair, second
 
 
 def _byte_pieces(rng: np.random.Generator, count: int, out: np.ndarray,
@@ -505,20 +466,28 @@ def _at_kept(values: np.ndarray, kept: np.ndarray, part: slice = slice(None)) ->
 
 class RoundLayout(NamedTuple):
     """What each value of a `BobRounds.code` stands for: entry c of each field
-    is that field for code c. Hashable, so tables built from it are cached."""
+    is that field for code c. Hashable, so tables built from it are cached.
+
+    `sent` is the prepared symbol, -1 when no definite symbol was prepared;
+    `pair` the announced pair id, -1 when the announcement is a basis (bb84
+    mode); `second` Alice's outcome law, the probabilities (p_v, p_h) that
+    her outcome in the vertical or diagonal basis is its second member, DOWN
+    or LEFT.
+    """
 
     sent: tuple[int, ...]
     pair: tuple[int, ...]
-    kind: tuple[int, ...]
+    second: tuple[tuple[float, float], ...]
 
 
-# An honest code keeps the sent symbol in bits 0-1, so its symbol and kind
-# are `code & 3`, and the pair choice c in bit 2: the pair is symbol - c.
+# An honest code keeps the sent symbol in bits 0-1 and the pair choice c in
+# bit 2: the pair is symbol - c.
 _SYMBOL_BITS = (0, 1, 2, 3) * 2
+_HONEST_SECOND = tuple(tuple(OUTCOME_SECOND_PROB[c].tolist()) for c in _SYMBOL_BITS)
 HONEST_LAYOUTS = {
     "sarg": RoundLayout(sent=_SYMBOL_BITS, pair=tuple((c - (c >> 2)) & 3 for c in range(8)),
-                        kind=_SYMBOL_BITS),
-    "bb84": RoundLayout(sent=_SYMBOL_BITS, pair=(-1,) * 8, kind=_SYMBOL_BITS),
+                        second=_HONEST_SECOND),
+    "bb84": RoundLayout(sent=_SYMBOL_BITS, pair=(-1,) * 8, second=_HONEST_SECOND),
 }
 
 
@@ -535,19 +504,15 @@ class BobRounds:
     """Columnar description of a batch of prepared qubits.
 
     `code` (uint8) is the one per-qubit array: each value, below
-    len(layout.kind) <= 64, names what was prepared and announced, and
-    `sent`, `pair` and `kind` decode it through `layout` on each read, as
-    int8 arrays. `kind` indexes `kind_table`, whose row [p_v, p_h] gives the
-    probability that Alice's outcome is the second member of her basis
-    (DOWN or LEFT) for the state she received. `sent` is -1 when no definite
-    symbol was prepared; `pair` is -1 when the announcement is a basis (bb84
-    mode). The honest code is Bob's draw byte masked to its three used bits
-    (`HONEST_LAYOUTS`), so its lowest bit is his raw bit against pairs.
+    len(layout.second) <= 64, names what was prepared and announced and
+    Alice's outcome law on it, all stated by `layout`; `sent` and `pair`
+    decode it on each read, as int8 arrays. The honest code is Bob's draw
+    byte masked to its three used bits (`HONEST_LAYOUTS`), so its lowest
+    bit is his raw bit against pairs.
     """
 
     code: np.ndarray
     layout: RoundLayout
-    kind_table: np.ndarray
 
     def __len__(self) -> int:
         return self.code.size
@@ -559,10 +524,6 @@ class BobRounds:
     @property
     def pair(self) -> np.ndarray:
         return _decode(self.code, self.layout.pair)
-
-    @property
-    def kind(self) -> np.ndarray:
-        return _decode(self.code, self.layout.kind)
 
 
 @dataclass(eq=False)
@@ -640,8 +601,7 @@ class HonestBob:
     def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
         code = _byte_draws(rng, count)
         code &= 7  # bits 0-1: sent symbol, bit 2: pair choice
-        return BobRounds(code=code, layout=HONEST_LAYOUTS[config.announcement],
-                         kind_table=OUTCOME_SECOND_PROB)
+        return BobRounds(code=code, layout=HONEST_LAYOUTS[config.announcement])
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
                  config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
@@ -667,7 +627,7 @@ class HonestAlice:
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
         count = kept.size
-        table, fair = _respond_table(rounds, config.announcement)
+        table, fair, second = _respond_table(rounds.layout, config.announcement)
         # Alice's draw byte: bit 0 fair coin, bit 1 basis. It becomes her
         # table index, code * 4 + basis * 2 + coin, one piece at a time in
         # `index_buf`; each piece of the records is scratch space until the
@@ -689,13 +649,12 @@ class HonestAlice:
                 index &= 3
             else:
                 index &= 2
-                kind = _decode(code, rounds.layout.kind)
-                index |= rng.random(size) < rounds.kind_table[kind, index >> 1]
+                index |= rng.random(size) < second[code, index >> 1]
             index |= packed
             if size % 2:
                 index_buf[size] = 0
                 size += 1
-            # Every index byte is below 4 * len(layout.kind), so no entry is clipped.
+            # Every index byte is below 4 * len(layout.second), so no entry is clipped.
             table.take(index_buf[:size].view(np.uint16),
                        out=records[start:start + size].view(np.uint16), mode="clip")
         return AliceRecords(packed=records[:count])
@@ -880,7 +839,7 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
         # Drop everything after the qubit that completed the raw string.
         end = kept[-1] + 1
         rounds = BobRounds(code=np.concatenate([c.code for c in chunks])[:end],
-                           layout=chunks[0].layout, kind_table=chunks[0].kind_table)
+                           layout=chunks[0].layout)
         detected = detected[:end]
     alice_rec = alice.respond(rounds, kept, config, rng)
     bob_bits = bob.key_bits(rounds, kept, alice_rec, config, rng)
@@ -959,7 +918,7 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
             break
         att = key = None  # release this attempt's arrays before the next one
     else:
-        raise RestartLimitExceeded(config.max_restarts + 1)
+        raise RestartLimitExceeded(conclusive_counts)
 
     chosen_j, shift = query_shift(key.alice_known, target_index, config.n, rng)
     ciphertext = encrypt_database(x, key.bob_key, shift)

@@ -112,30 +112,32 @@ def whole_array_respond(rounds: BobRounds, kept: np.ndarray, config: ProtocolCon
                         rng: np.random.Generator) -> AliceRecords:
     """HonestAlice.respond in one pass over whole arrays: the chunked engine's oracle.
 
-    It draws the same bytes and float coins in the same order, reads Bob's
-    rounds through their decoded `sent`, `pair` and `kind`, gathers the
-    packed table with one full-length index, unpacks it with whole-array
-    masks and packs the fields again through `AliceRecords.from_fields`,
-    whose decoded basis must be the drawn one.
+    It draws the same bytes and float coins in the same order and reads
+    Bob's rounds through their decoded `sent` and `pair` and the outcome law
+    `layout.second` of each code, with no production table. When every
+    entry of the law lies within 1e-12 of 0, 1/2 or 1, the drawn coin c
+    decides through 0.5 * (1 - c) < p whether Alice sees the second member
+    of her basis; otherwise a float coin does. `CONCLUSIVE_TABLE` and
+    `BIT_TABLE` (against pairs) or the announced basis (against bases) then
+    give her fields, packed through `AliceRecords.from_fields`, whose
+    decoded basis must be the drawn one.
     """
     draw = protocol._byte_draws(rng, kept.size)
     basis = (draw >> 1) & 1
+    law = np.array(rounds.layout.second)
+    p = law[rounds.code[kept], basis]
+    if np.abs(law - np.rint(2 * law) / 2).max() <= 1e-12:
+        seen = 0.5 * (1 - (draw & 1)) < np.rint(2 * p) / 2
+    else:
+        seen = rng.random(kept.size) < p
+    outcome = basis + 2 * seen
     if config.announcement == "sarg":
-        announced = rounds.pair[kept].astype(np.uint8)
+        pair = rounds.pair[kept]
+        conclusive, bit = CONCLUSIVE_TABLE[pair, outcome], BIT_TABLE[pair, outcome]
     else:
-        announced = rounds.sent[kept].astype(np.uint8) & 1
-    kind = rounds.kind[kept].astype(np.uint8)
-    if protocol.is_dyadic(rounds.kind_table):
-        lookup = protocol.fair_coin_table(rounds.kind_table, config.announcement).ravel()
-        index = (kind << 4) | (announced << 2) | (draw & 3)
-    else:
-        second = rng.random(kept.size) < rounds.kind_table[kind, basis]
-        lookup = protocol._interpretation_table(config.announcement).ravel()
-        index = (announced << 2) | (basis << 1) | second
-    packed = lookup[index]
-    records = AliceRecords.from_fields(outcome=(packed & 3).view(np.int8),
-                                       conclusive=(packed & 4) != 0,
-                                       bit=(packed >> 3).view(np.int8) - 1)
+        conclusive = basis == (rounds.sent[kept] & 1)
+        bit = np.where(conclusive, seen, -1)
+    records = AliceRecords.from_fields(outcome=outcome, conclusive=conclusive, bit=bit)
     assert np.array_equal(records.basis, basis)
     return records
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpq import adversaries, stats
+from qpq import adversaries, protocol, stats
 from qpq.adversaries import (
     ER_MODES,
     ER_OUTCOME_PROBS,
@@ -276,7 +276,8 @@ class TestBiasedPreparation:
         assert (rounds.sent == -1).all() and (rounds.pair == 0).all()
         state = np.array([math.cos(math.pi / 8), math.sin(math.pi / 8)])
         down, left = np.array([0.0, 1.0]), np.array([-1.0, 1.0]) / math.sqrt(2.0)
-        np.testing.assert_allclose(rounds.kind_table, [[(state @ down) ** 2, (state @ left) ** 2]],
+        np.testing.assert_allclose(rounds.layout.second,
+                                   [[(state @ down) ** 2, (state @ left) ** 2]],
                                    rtol=0.0, atol=1e-15)
 
     def test_reference_angles(self):
@@ -573,8 +574,8 @@ class TestProviderRounds:
     def test_one_fixed_state_preparation(self, bob, row, attack):
         rounds = bob.rounds(5, ProtocolConfig(n=5, k=1), None)
         assert rounds.sent.tolist() == [-1] * 5
-        assert rounds.pair.tolist() == rounds.kind.tolist() == [0] * 5
-        assert np.array_equal(rounds.kind_table, row[None])
+        assert rounds.pair.tolist() == rounds.code.tolist() == [0] * 5
+        assert rounds.layout.second == (tuple(row.tolist()),)
         with pytest.raises(ValueError, match=f"^{attack} only targets pair announcements$"):
             bob.rounds(5, ProtocolConfig(n=5, k=1, announcement="bb84"), None)
 
@@ -583,7 +584,7 @@ class TestProviderRounds:
         assert adversaries._biased_second_prob(0.3) is table
         assert not table.flags.writeable
         rounds = BiasedBob(0.3).rounds(5, ProtocolConfig(n=5, k=1), None)
-        assert not rounds.kind_table.flags.writeable
+        assert not protocol._respond_table(rounds.layout, "sarg")[2].flags.writeable
         assert adversaries._biased_second_prob.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("bob", [BiasedBob(0.3), *map(EntangledBob, ER_MODES)],

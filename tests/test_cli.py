@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from qpq import adversaries, cli, experiments
+from qpq import adversaries, cli, experiments, stats
 from qpq.cli import SEED_ENV_VAR, _write_json, main
 
 from conftest import helstrom_measurement_trials_dense, parity_bounds_dense
@@ -229,6 +229,32 @@ class TestAttackCommands:
         assert doc["analytic"]["run_known_dispersion"] == 1.0 - adversaries.USD_SUCCESS
         assert doc["passed"]["run_known_dispersion"]
         assert code == 0
+
+    # At k = 12 a first attempt knows a bit with chance 4e-4, so every trial
+    # exhausts its 21 attempts of 12,000 qubits.
+    USD_K12 = ["attack-alice", "--strategy", "usd", "--n", "1000", "--k", "12", "--trials", "20",
+               "--jobs", "1", "--seed", "12345"]
+
+    def test_attack_alice_usd_with_no_known_bit_exits_zero(self, tmp_path):
+        """Twenty first attempts that all know 0 bits have a zero-width interval;
+        the exact test of how many knew a bit passes them."""
+        out = tmp_path / "usd.json"
+        code = run_cli(self.USD_K12 + ["--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["empirical"]["run_known_mean"] == doc["ci99"]["run_known_mean"] == 0.0
+        assert doc["passed"]["run_known_mean"]
+        assert code == 0
+
+    def test_failed_trials_enter_the_conclusive_rate(self, tmp_path):
+        out = tmp_path / "usd.json"
+        run_cli(self.USD_K12 + ["--out", str(out)])
+        doc = json.loads(out.read_text())
+        assert doc["empirical"]["run_restart_fraction"] == 1.0
+        qubits = 20 * 21 * 12_000
+        assert doc["ci99"]["run_conclusive_rate"] == stats.z_value(0.99) * stats.binomial_sigma(
+            adversaries.USD_SUCCESS, qubits)
+        assert abs(doc["empirical"]["run_conclusive_rate"] - adversaries.USD_SUCCESS) < 0.002
+        assert doc["passed"]["run_conclusive_rate"]
 
     def test_attack_alice_helstrom(self, tmp_path):
         out = tmp_path / "hel.json"
@@ -522,7 +548,10 @@ class TestGoldenReports:
 
 
 class TestReportDigests:
-    """sha256 of attack, sweep, honest-run and combine reports at fixed argv and seed 12345.
+    """sha256 of attack, sweep, honest-run and combine reports at fixed argv and seed.
+
+    Every argv is pinned at seed 12345, and each that reads a seed at seed 7
+    as well.
 
     Pinned from the per-trial round batteries and the per-qubit posterior
     arrays they replaced: a change to any random stream or to the report
@@ -549,47 +578,85 @@ class TestReportDigests:
     k = 2 helstrom digest a sampler run that ends in a short batch.
     """
 
-    @pytest.mark.parametrize("argv,digest", [
-        (["attack-alice", "--strategy", "usd", "--n", "2000", "--k", "3", "--trials", "20",
-          "--jobs", "1"],
-         "372eab1ec81eb65b3ef111a535f9b55ced335f82357707e2f34b65d308521270"),
-        (["attack-alice", "--strategy", "bb84"],
-         "d4e4bf4882990f08373e55a07bb6cfbe4bab484ea6dbb21b1421a3fcb497a66a"),
-        (["attack-bob", "--strategy", "bias", "--trials", "20000"],
-         "7877f6a1872b78615455fb515df0308aada1d76e614104f3efa26bfe3f6797d3"),
-        (["attack-bob", "--strategy", "entangle", "--trials", "20000"],
-         "1b8b74794e7748571d42f4673f1804af9067662c3b5c11fc1fd27be70e9cd7d6"),
-        (["attack-bob", "--strategy", "entangle", "--mode", "honest_basis", "--trials",
-          "20000"],
-         "53723e00dd4860958d5a1dc6e22619353f130f368de6a80539ac0b6d3eccf1cf"),
-        (["sweep", "--points", "7", "--trials-per-point", "2000"],
-         "b600280aba7b0361e160ad8f65c9c4908ca1b8342aecc9c0eca1635e6f9a8b4d"),
-        (["run", "-v", "--n", "2000", "--k", "3"],
-         "9a8fbfc535084f6106123d0c0626605ebe70e2f57d223ee6ab8086b1d20f137e"),
-        (["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
-         "c0ac96a4bbb0597a8960a850949d00ca3f538e2579be3e222d067bc49cc894cf"),
-        (["run", "-v", "--n", "14000", "--k", "5"],
-         "3aa92710f6133479028f01c02fca5dac232cbea866aa69781fd005750a659c97"),
-        (["combine", "--m", "3", "--n", "2000", "--k", "3", "--trials", "20", "--jobs", "1"],
-         "5887db72a51941fc377e039bdbb0763af28a46070c7c9851ae09d88994936d21"),
-        (["table1"],
-         "981a2b789cd7e4e10f725ce4a306e9395df1fefe3846f704f868a873d22dbfd8"),
-        (["usd-curve"],
-         "73328b34c103c4cc01e2ab3604cbe505c9db45eb1cc2d4819ff879909daf60e4"),
-        (["attack-alice", "--strategy", "helstrom"],
-         "d2326e64ec111d17a18b7b979cf44f4e6e67c4f2c57396bd99c4c9175ecb6a71"),
-        (["attack-alice", "--strategy", "helstrom", "--k", "2", "--trials", "5000"],
-         "ae18d442c2be9fd6a1f78a5c07654d97edd17e82cf83e38528d1c73c2f1c152e"),
-    ], ids=["attack-alice-usd", "attack-alice-bb84", "attack-bob-bias",
-            "attack-bob-entangle", "attack-bob-entangle-honest", "sweep", "run-records",
-            "run-records-lossy", "run-records-multi-chunk", "combine", "table1", "usd-curve",
-            "attack-alice-helstrom", "attack-alice-helstrom-k2"])
-    def test_report_digest(self, argv, digest, tmp_path):
+    ARGV = {
+        "attack-alice-usd": ["attack-alice", "--strategy", "usd", "--n", "2000", "--k", "3",
+                             "--trials", "20", "--jobs", "1"],
+        "attack-alice-bb84": ["attack-alice", "--strategy", "bb84"],
+        "attack-bob-bias": ["attack-bob", "--strategy", "bias", "--trials", "20000"],
+        "attack-bob-entangle": ["attack-bob", "--strategy", "entangle", "--trials", "20000"],
+        "attack-bob-entangle-honest": ["attack-bob", "--strategy", "entangle", "--mode",
+                                       "honest_basis", "--trials", "20000"],
+        "sweep": ["sweep", "--points", "7", "--trials-per-point", "2000"],
+        "run-records": ["run", "-v", "--n", "2000", "--k", "3"],
+        "run-records-lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
+        "run-records-multi-chunk": ["run", "-v", "--n", "14000", "--k", "5"],
+        "combine": ["combine", "--m", "3", "--n", "2000", "--k", "3", "--trials", "20",
+                    "--jobs", "1"],
+        "table1": ["table1"],
+        "usd-curve": ["usd-curve"],
+        "attack-alice-helstrom": ["attack-alice", "--strategy", "helstrom"],
+        "attack-alice-helstrom-k2": ["attack-alice", "--strategy", "helstrom", "--k", "2",
+                                     "--trials", "5000"],
+    }
+    SEED_12345 = {
+        "attack-alice-usd": "372eab1ec81eb65b3ef111a535f9b55ced335f82357707e2f34b65d308521270",
+        "attack-alice-bb84": "d4e4bf4882990f08373e55a07bb6cfbe4bab484ea6dbb21b1421a3fcb497a66a",
+        "attack-bob-bias": "7877f6a1872b78615455fb515df0308aada1d76e614104f3efa26bfe3f6797d3",
+        "attack-bob-entangle":
+            "1b8b74794e7748571d42f4673f1804af9067662c3b5c11fc1fd27be70e9cd7d6",
+        "attack-bob-entangle-honest":
+            "53723e00dd4860958d5a1dc6e22619353f130f368de6a80539ac0b6d3eccf1cf",
+        "sweep": "b600280aba7b0361e160ad8f65c9c4908ca1b8342aecc9c0eca1635e6f9a8b4d",
+        "run-records": "9a8fbfc535084f6106123d0c0626605ebe70e2f57d223ee6ab8086b1d20f137e",
+        "run-records-lossy": "c0ac96a4bbb0597a8960a850949d00ca3f538e2579be3e222d067bc49cc894cf",
+        "run-records-multi-chunk":
+            "3aa92710f6133479028f01c02fca5dac232cbea866aa69781fd005750a659c97",
+        "combine": "5887db72a51941fc377e039bdbb0763af28a46070c7c9851ae09d88994936d21",
+        "table1": "981a2b789cd7e4e10f725ce4a306e9395df1fefe3846f704f868a873d22dbfd8",
+        "usd-curve": "73328b34c103c4cc01e2ab3604cbe505c9db45eb1cc2d4819ff879909daf60e4",
+        "attack-alice-helstrom":
+            "d2326e64ec111d17a18b7b979cf44f4e6e67c4f2c57396bd99c4c9175ecb6a71",
+        "attack-alice-helstrom-k2":
+            "ae18d442c2be9fd6a1f78a5c07654d97edd17e82cf83e38528d1c73c2f1c152e",
+    }
+    # The twins at a second seed, of every argv above that reads one
+    # (table1 and usd-curve read none), so byte identity is checked on two
+    # random streams.
+    SEED_7 = {
+        "attack-alice-usd": "20e530c7e2858d18610ddfa24701b5329b5dbdcad45f3fc42703a1098ab19f40",
+        "attack-alice-bb84": "f744316be9e6e5e7c2eee15a235b3a4d0ea70ebf8b39d7e43e57731a41d6d50d",
+        "attack-bob-bias": "e781e955e79b65cd603ba14cf155dcd7d502bd8fdc256b3a131af8848579b121",
+        "attack-bob-entangle":
+            "6255c144c8a599f709ba6d8ec399f9ba0a779bad50e4882f94b179f03afd83bb",
+        "attack-bob-entangle-honest":
+            "da647f0d4359a8ce8124be008c0b83a2b832e16a453dfcdba0c88260b1383eb8",
+        "sweep": "b0d0879b923c834b74090722d6a3312b5b95452d9c5c9c01c10f2341bc15cd0a",
+        "run-records": "bff45f541d271ecdb52f14d57c22099f02a48037e67285bddda2a34b42bdfd5e",
+        "run-records-lossy": "fa4aca485199ab0898db223abaacc199688f2b5c860d38d45d21aef83541e70e",
+        "run-records-multi-chunk":
+            "90a804f8cb3745a58d2925e8b5ac74cf6c9f051f378ef4e56d45fcba18c90040",
+        "combine": "6e68d2db32d640686023eda8f1159d66ef7ec401de3a3aca51c3917f46b2db3b",
+        "attack-alice-helstrom":
+            "906ee5455a7ab271790c8072c179f0f9af0da5e64e341fd207662e9d08811842",
+        "attack-alice-helstrom-k2":
+            "0a4dfed8b964b662c0df4405aa6b0467da2a06733f2740dd4300b79e14e56c17",
+    }
+
+    def _digest(self, name, seed, tmp_path):
+        argv = self.ARGV[name]
         out = tmp_path / "report.json"
         extra = (["--csv", str(tmp_path / "report.csv")] if argv[0] in ("sweep", "usd-curve")
                  else [])
-        run_cli(argv + ["--seed", "12345", "--out", str(out), *extra])
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        run_cli(argv + ["--seed", seed, "--out", str(out), *extra])
+        return hashlib.sha256(out.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("name", list(SEED_12345))
+    def test_report_digest(self, name, tmp_path):
+        assert self._digest(name, "12345", tmp_path) == self.SEED_12345[name]
+
+    @pytest.mark.parametrize("name", list(SEED_7))
+    def test_report_digest_seed_7(self, name, tmp_path):
+        assert self._digest(name, "7", tmp_path) == self.SEED_7[name]
 
     def test_sweep_csv_digest(self, tmp_path):
         """Pinned before the report fold; the CSV columns kept every byte."""

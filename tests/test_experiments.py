@@ -88,6 +88,21 @@ class TestMonteCarlo:
         assert report.extra["failures"] == 8
         assert report.empirical["restart_fraction"] == 1.0
 
+    def test_known_mean_check_holds_its_level_at_a_rare_known_bit(self):
+        """At n = 1000, k = 8 a first attempt knows a bit with chance 1.5%, so most
+        50-trial samples of the count are all 0, with a zero-width interval.
+
+        Over 100 unused seeds the check may fail no more often than a 1% level
+        allows, by a one-sided exact binomial test at 99%. Only first attempts
+        enter the check, so each run stops after its first attempt.
+        """
+        seeds = range(7100, 7200)
+        failures = sum(
+            not monte_carlo(ProtocolConfig(n=1000, k=8, seed=s, max_restarts=0),
+                            trials=50).passed["known_mean"]
+            for s in seeds)
+        assert stats.binomial_tails(failures, len(seeds), 0.01)[1] > 0.01
+
     def test_one_restart_at_a_tiny_restart_probability_passes(self):
         """p0 = 8.3e-4 and 20 trials: one restart has chance 1.6%, inside the 99% test.
 

@@ -20,6 +20,7 @@ from qpq.adversaries import Bb84MemoryAlice, BiasedBob, EntangledBob, UsdAlice
 from qpq.protocol import (
     BIT_TABLE,
     CONCLUSIVE_TABLE,
+    HONEST_LAYOUTS,
     OUTCOME_SECOND_PROB,
     AliceRecords,
     AnnouncedPair,
@@ -35,9 +36,7 @@ from qpq.protocol import (
     SargSymbol,
     decrypt_bit,
     encrypt_database,
-    fair_coin_table,
     interpret,
-    is_dyadic,
     query_shift,
     run_protocol,
 )
@@ -126,7 +125,8 @@ class TestBobPrepare:
     def test_symbols_are_uniform(self, monkeypatch):
         rounds = bob_bytes_only(monkeypatch)
         assert np.bincount(rounds.sent, minlength=4).tolist() == [64] * 4
-        assert np.array_equal(rounds.kind, rounds.sent)
+        law = np.array(rounds.layout.second)[rounds.code]
+        assert np.array_equal(law, OUTCOME_SECOND_PROB[rounds.sent])
 
     def test_bit_zero_symbols_are_half(self, monkeypatch):
         rounds = bob_bytes_only(monkeypatch)
@@ -193,7 +193,8 @@ class TestBobAnnounce:
     @pytest.mark.parametrize("announcement", ["sarg", "bb84"])
     def test_every_honest_code_decodes_as_the_draw_formula(self, monkeypatch, announcement):
         """Each of the 256 draw bytes, so each of the 8 codes, gives the sent symbol
-        draw & 3 and, against pairs, the pair (draw - ((draw >> 2) & 1)) & 3; -1 against bases."""
+        draw & 3 and, against pairs, the pair (draw - ((draw >> 2) & 1)) & 3; -1 against bases.
+        Its outcome law is the sent symbol's."""
         config = ProtocolConfig(n=256, k=1, announcement=announcement)
         with monkeypatch.context() as patch:
             patch.setattr(protocol, "_byte_draws", lambda rng, count: ALL_BYTES.copy())
@@ -203,9 +204,11 @@ class TestBobAnnounce:
         pair = ((ALL_BYTES - ((ALL_BYTES >> 2) & 1)) & 3).astype(np.int8)
         if announcement == "bb84":
             pair[:] = -1
-        for name, want in (("sent", sent), ("pair", pair), ("kind", sent)):
+        for name, want in (("sent", sent), ("pair", pair)):
             got = getattr(rounds, name)
             assert got.dtype == np.int8 and np.array_equal(got, want), name
+        assert np.array_equal(np.array(rounds.layout.second)[rounds.code],
+                              OUTCOME_SECOND_PROB[sent])
 
     def test_pair_always_contains_sent(self, monkeypatch):
         rounds = bob_bytes_only(monkeypatch)
@@ -447,6 +450,23 @@ class TestRunProtocol:
             run_protocol(config, np.array([1], dtype=np.uint8), 0)
         assert err.value.attempts == 1
 
+    def test_restart_limit_exceeded_carries_the_conclusive_counts(self):
+        """One count per attempt, each the conclusive count of that attempt's records."""
+        counted = []
+
+        class CountingAlice(HonestAlice):
+            def respond(self, rounds, kept, config, rng):
+                records = super().respond(rounds, kept, config, rng)
+                counted.append(int(records.conclusive.sum()))
+                return records
+
+        config = ProtocolConfig(n=40, k=20, max_restarts=2, seed=3)
+        with pytest.raises(RestartLimitExceeded) as err:
+            run_protocol(config, np.zeros(40, dtype=np.uint8), 0, alice=CountingAlice())
+        assert err.value.attempts == 3
+        assert err.value.conclusive_counts == counted
+        assert all(0 < c < config.raw_length for c in counted)
+
     def test_seeded_runs_are_reproducible(self):
         config = ProtocolConfig(n=300, k=3, seed=99)
         x = np.random.default_rng(1).integers(0, 2, 300, dtype=np.uint8)
@@ -673,43 +693,50 @@ def category_counts(alice: HonestAlice, rounds: BobRounds, config: ProtocolConfi
 EXACT_CATEGORY_SPLIT = np.tile([3 / 16, 1 / 16], 4)
 
 
+def honest_respond_entries(announcement: str):
+    """The packed entry of the cached respond table per index code * 4 + basis * 2
+    + coin of an honest layout, read back through the two-byte lookup, and
+    whether its coin is fair."""
+    layout = HONEST_LAYOUTS[announcement]
+    table, fair, second = protocol._respond_table(layout, announcement)
+    assert np.array_equal(second, OUTCOME_SECOND_PROB[list(layout.sent)])
+    both_bytes = np.repeat(np.arange(4 * len(layout.sent), dtype=np.uint8), 2)
+    return table[both_bytes.view(np.uint16)].view(np.uint8)[::2], fair
+
+
 class TestFairCoinEngine:
     def test_packed_table_composes_the_reference_tables(self):
         """Every entry equals OUTCOME_SECOND_PROB (snapped) then CONCLUSIVE/BIT_TABLE."""
-        table = fair_coin_table(OUTCOME_SECOND_PROB, "sarg")
-        assert table.shape == (4, 4, 2, 2)
-        for kind in range(4):
-            for pair in range(4):
-                for basis in (0, 1):
-                    for coin in (0, 1):
-                        p = round(2 * OUTCOME_SECOND_PROB[kind, basis]) / 2
-                        second = 0.5 * (1 - coin) < p
-                        outcome = basis + 2 * second
-                        expected = (outcome, bool(CONCLUSIVE_TABLE[pair, outcome]),
-                                    int(BIT_TABLE[pair, outcome]))
-                        assert _unpacked(table[kind, pair, basis, coin]) == expected
-
-    def test_basis_announcement_table(self):
-        table = fair_coin_table(OUTCOME_SECOND_PROB, "bb84")
-        for kind in range(4):
+        entries, fair = honest_respond_entries("sarg")
+        assert fair
+        for code in range(8):
+            symbol, pair = code & 3, ((code & 3) - (code >> 2)) & 3
             for basis in (0, 1):
                 for coin in (0, 1):
-                    second = 0.5 * (1 - coin) < round(2 * OUTCOME_SECOND_PROB[kind, basis]) / 2
-                    outcome, conclusive, bit = _unpacked(table[kind, kind & 1, basis, coin])
+                    p = round(2 * OUTCOME_SECOND_PROB[symbol, basis]) / 2
+                    second = 0.5 * (1 - coin) < p
+                    outcome = basis + 2 * second
+                    expected = (outcome, bool(CONCLUSIVE_TABLE[pair, outcome]),
+                                int(BIT_TABLE[pair, outcome]))
+                    assert _unpacked(entries[code * 4 + basis * 2 + coin]) == expected
+
+    def test_basis_announcement_table(self):
+        entries, fair = honest_respond_entries("bb84")
+        assert fair
+        for code in range(8):
+            symbol = code & 3
+            for basis in (0, 1):
+                for coin in (0, 1):
+                    second = 0.5 * (1 - coin) < round(2 * OUTCOME_SECOND_PROB[symbol, basis]) / 2
+                    outcome, conclusive, bit = _unpacked(entries[code * 4 + basis * 2 + coin])
                     assert outcome == basis + 2 * second
-                    assert conclusive == (basis == kind & 1)
+                    assert conclusive == (basis == symbol & 1)
                     assert bit == (int(second) if conclusive else -1)
 
     def test_honest_table_is_dyadic_after_snapping(self):
         # The orthogonal entries hold round-off, not exact zeros.
         assert 0.0 < OUTCOME_SECOND_PROB[0, 0] < 1e-12
-        assert is_dyadic(OUTCOME_SECOND_PROB)
-
-    def test_dyadic_check_rejects_other_probabilities(self):
-        table = np.array([[0.3, 0.5]])
-        assert not is_dyadic(table)
-        with pytest.raises(ValueError, match="0, 1/2 or 1"):
-            fair_coin_table(table, "sarg")
+        assert protocol._respond_table(HONEST_LAYOUTS["sarg"], "sarg")[1]
 
     def test_fair_engine_fits_the_exact_category_split(self):
         config = ProtocolConfig(n=50_000, k=4)
@@ -726,9 +753,10 @@ class TestFairCoinEngine:
         fair = HonestBob().rounds(config.raw_length, config, rng)
         lifted = np.rint(2 * OUTCOME_SECOND_PROB) / 2
         lifted[lifted == 0.0] = 1e-9
-        assert not is_dyadic(lifted)
+        layout = fair.layout._replace(second=tuple(map(tuple, lifted[list(fair.layout.sent)])))
+        assert not protocol._respond_table(layout, "sarg")[1]
         floated = dataclasses.replace(HonestBob().rounds(config.raw_length, config, rng),
-                                      kind_table=lifted)
+                                      layout=layout)
         fair_counts = category_counts(HonestAlice(), fair, config, rng)
         float_counts = category_counts(HonestAlice(), floated, config, rng)
         _, p_fit = chisquare(float_counts, EXACT_CATEGORY_SPLIT * float_counts.sum())
@@ -786,8 +814,8 @@ def respond_inputs(table: str, size: int, kept_kind: str, announcement: str):
 
     "mask" keeps every round through the all-True mask, as at eta = 1;
     "index" keeps an increasing subset of about twice as many rounds, as
-    under loss. The biased and entangled tables replace the honest kinds
-    and force the float coin.
+    under loss. The biased and entangled outcome laws replace the honest
+    ones at every code and force the float coin.
     """
     config = ProtocolConfig(n=size, k=1, announcement=announcement)
     rng = np.random.default_rng([size, 5])
@@ -795,9 +823,8 @@ def respond_inputs(table: str, size: int, kept_kind: str, announcement: str):
     rounds = HonestBob().rounds(total, config, rng)
     if table != "honest":
         bob = BiasedBob(0.3) if table == "biased" else EntangledBob("honest_basis")
-        rounds = dataclasses.replace(
-            rounds, layout=rounds.layout._replace(kind=(0,) * 8),
-            kind_table=bob.rounds(1, ProtocolConfig(n=1, k=1), rng).kind_table)
+        law = bob.rounds(1, ProtocolConfig(n=1, k=1), rng).layout.second
+        rounds = dataclasses.replace(rounds, layout=rounds.layout._replace(second=law * 8))
     if kept_kind == "mask":
         kept = np.ones(size, dtype=bool)
     else:
@@ -885,7 +912,7 @@ class TestChunkedRespond:
     @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
     def test_matches_the_whole_array_oracle(self, size, announcement, table, kept_kind):
         rounds, kept, config = respond_inputs(table, size, kept_kind, announcement)
-        assert protocol._respond_table(rounds, announcement)[1] == (table == "honest")
+        assert protocol._respond_table(rounds.layout, announcement)[1] == (table == "honest")
         chunked_rng, whole_rng = np.random.default_rng(9), np.random.default_rng(9)
         got = HonestAlice().respond(rounds, kept, config, chunked_rng)
         want = whole_array_respond(rounds, kept, config, whole_rng)
@@ -973,7 +1000,7 @@ class TestRecordDigests:
         """pi/4 prepares RIGHT, whose outcome table is dyadic; pi/8 and 0.3 are not."""
         config = ProtocolConfig(n=1, k=1)
         rng = np.random.default_rng(0)
-        assert [is_dyadic(BiasedBob(phi).rounds(1, config, rng).kind_table)
+        assert [protocol._respond_table(BiasedBob(phi).rounds(1, config, rng).layout, "sarg")[1]
                 for phi in (math.pi / 4, math.pi / 8, 0.3)] == [True, False, False]
 
     @pytest.mark.parametrize("n,k,eta,announcement,alice,bob,digest", [

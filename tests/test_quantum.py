@@ -221,7 +221,7 @@ def born_second(state_matrix: np.ndarray, basis: int) -> float:
 
 class TestMeasure:
     """The engine samples Alice's outcome from OUTCOME_SECOND_PROB (honest
-    symbols) or a strategy's kind table; both must be the exact Born rule."""
+    symbols) or a strategy's round layout; both must be the exact Born rule."""
 
     def test_eigenstate_is_deterministic(self):
         for s in SargSymbol:
@@ -238,7 +238,7 @@ class TestMeasure:
     def test_intermediate_state_down_rate(self):
         """State midway between UP and RIGHT lands on DOWN (and LEFT) at sin^2(pi/8)."""
         config = ProtocolConfig(n=4, k=1)
-        table = BiasedBob(math.pi / 8.0).rounds(4, config, None).kind_table
+        table = BiasedBob(math.pi / 8.0).rounds(4, config, None).layout.second
         p = math.sin(math.pi / 8.0) ** 2
         np.testing.assert_allclose(table, [[p, p]], rtol=0.0, atol=1e-15)
 

@@ -1,0 +1,34 @@
+"""Smoke tests of the scripts under tools/."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_compare_cli():
+    spec = importlib.util.spec_from_file_location("compare_cli", ROOT / "tools" / "compare_cli.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCompareCli:
+    def test_commands_are_the_benchmark_ones_plus_verbose_run(self):
+        commands = load_compare_cli().cli_commands()
+        assert commands["run -v"] == ["run", "-v"]
+        assert commands["run"] == ["run"] and commands["combine"] == ["combine"]
+        assert len(commands) == 11
+
+    def test_one_command_against_the_same_tree_matches(self):
+        """usd-curve writes a JSON report and a CSV file; two fresh runs agree."""
+        row = load_compare_cli().compare(ROOT, ROOT, ["usd-curve"], "7")
+        assert row == {"json": "same", "csv": "same", "exit": "same 0/0"}
+
+    def test_a_changed_byte_or_a_missing_file_is_a_difference(self):
+        tool = load_compare_cli()
+        report = tool.Outcome(0, {"qpq_run.json": b"{}"})
+        assert tool._verdict(report, report, ".json") == "same"
+        assert tool._verdict(report, tool.Outcome(0, {"qpq_run.json": b"{ }"}), ".json") == "DIFF"
+        assert tool._verdict(report, tool.Outcome(0, {}), ".json") == "DIFF"
+        assert tool._verdict(report, report, ".csv") == "none"

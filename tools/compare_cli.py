@@ -1,0 +1,90 @@
+"""Compare the CLI output of two source trees, command by command.
+
+Usage: python tools/compare_cli.py PARENT_TREE CHANGE_TREE [--seeds 12345 7]
+
+Each tree is a checkout of this repository. For every seed, each tree's
+`src/` runs every `CLI_COMMANDS` argv of `bench/processes.py`, plus
+`run -v`, with `--seed SEED` appended. Every run is a fresh interpreter in a
+temporary directory of its own, so each writes its default report files
+there. Per command and seed it prints whether the JSON reports, the CSV
+files and the exit codes of the two trees match. It exits 0 when every one
+matches and 1 otherwise. `bench/processes.py` is parsed, not imported, and
+nothing under `bench/` is written.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+REPO = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600.0
+
+
+def cli_commands(processes: Path = REPO / "bench" / "processes.py") -> dict[str, list[str]]:
+    """The benchmark's `CLI_COMMANDS`, read from its source, plus `run -v`."""
+    for node in ast.parse(processes.read_text()).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "CLI_COMMANDS" for t in node.targets):
+            return {**ast.literal_eval(node.value), "run -v": ["run", "-v"]}
+    raise ValueError(f"no CLI_COMMANDS in {processes}")
+
+
+class Outcome(NamedTuple):
+    exit_code: int
+    files: dict[str, bytes]    # file name -> bytes, for every file the run wrote
+
+
+def run_tree(tree: Path, argv: list[str], seed: str) -> Outcome:
+    """Run `python -m qpq.cli ARGV --seed SEED` on `tree/src` in a fresh directory."""
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "QPQ_SEED")}
+    env["PYTHONPATH"] = str(Path(tree).resolve() / "src")
+    with tempfile.TemporaryDirectory() as tmp:
+        proc = subprocess.run([sys.executable, "-m", "qpq.cli", *argv, "--seed", seed],
+                              cwd=tmp, env=env, stdout=subprocess.DEVNULL,
+                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+        files = {p.name: p.read_bytes() for p in sorted(Path(tmp).iterdir()) if p.is_file()}
+    return Outcome(proc.returncode, files)
+
+
+def _verdict(parent: Outcome, change: Outcome, suffix: str) -> str:
+    a = {name: data for name, data in parent.files.items() if name.endswith(suffix)}
+    b = {name: data for name, data in change.files.items() if name.endswith(suffix)}
+    if not a and not b:
+        return "none"
+    return "same" if a == b else "DIFF"
+
+
+def compare(parent_tree: Path, change_tree: Path, argv: list[str], seed: str) -> dict[str, str]:
+    """Per kind of output, "same", "DIFF" or (for files neither run wrote) "none"."""
+    parent, change = run_tree(parent_tree, argv, seed), run_tree(change_tree, argv, seed)
+    exit_codes = f"{parent.exit_code}/{change.exit_code}"
+    return {"json": _verdict(parent, change, ".json"), "csv": _verdict(parent, change, ".csv"),
+            "exit": ("same " if parent.exit_code == change.exit_code else "DIFF ") + exit_codes}
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_tree", type=Path)
+    parser.add_argument("change_tree", type=Path)
+    parser.add_argument("--seeds", nargs="+", default=["12345", "7"])
+    args = parser.parse_args(argv)
+    all_same = True
+    for seed in args.seeds:
+        for name, command in cli_commands().items():
+            row = compare(args.parent_tree, args.change_tree, command, seed)
+            all_same &= "DIFF" not in " ".join(row.values())
+            print(f"seed {seed:>6}  {name:<24}  json {row['json']:<4}  csv {row['csv']:<4}  "
+                  f"exit {row['exit']}", flush=True)
+    print("all identical" if all_same else "DIFFERENCES FOUND")
+    return 0 if all_same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
