@@ -399,7 +399,8 @@ def _conditional_register_states() -> tuple[np.ndarray, np.ndarray]:
 
 
 ER_OUTCOME_PROBS, ER_REGISTERS = _conditional_register_states()
-# P(DOWN | vertical basis), P(LEFT | diagonal basis): Alice's kind table.
+# P(DOWN | vertical basis), P(LEFT | diagonal basis): the register
+# layout's `second`, Alice's outcome law.
 ER_SECOND_PROB = ER_OUTCOME_PROBS[2:]
 # P(register outcome 1 | Alice's outcome o) per mode: the projector onto |R1>
 # in the honest basis, onto |-> = (|R0> - |R1>) / sqrt(2) in the other.
@@ -718,19 +719,3 @@ def cheat_detection(transcripts: Iterable[Transcript], n_check: int) -> float | 
     if not outcomes:
         return None
     return float(np.mean(outcomes))
-
-
-def biased_known_bit_mismatch(phi: float, k: int, trials: int,
-                              rng: np.random.Generator) -> float:
-    """Empirical mismatch rate of a known final bit under the biased attack.
-
-    Samples the k contributing rounds conditioned on all being conclusive
-    (the only way Alice knows the final bit) and compares her XOR against
-    the provider's maximum-likelihood key bit.
-    """
-    ana = biased_analytics(phi)
-    p_bit1 = ana.q_bit1 / ana.p_c
-    alice = (rng.random((trials, k)) < p_bit1).astype(np.uint8)
-    alice_final = np.bitwise_xor.reduce(alice, axis=1)
-    bob_final = (ana.ml_bit * k) % 2
-    return float((alice_final != bob_final).mean())

@@ -107,7 +107,6 @@ def table1_matches_reference() -> bool:
 # --------------------------------------------------------------------------
 
 class TrialResult(NamedTuple):
-    trial: int
     success: bool
     restarted: bool
     first_known: int
@@ -125,10 +124,9 @@ def _run_trial(config: ProtocolConfig, alice, bob, trial: int) -> TrialResult:
     try:
         t = run_protocol(config, database, target, alice=alice, bob=bob, rng=rng)
     except RestartLimitExceeded as exc:
-        return TrialResult(trial, False, True, 0, 0, 0, sum(exc.conclusive_counts),
+        return TrialResult(False, True, 0, 0, 0, sum(exc.conclusive_counts),
                            config.raw_length * exc.attempts, False)
     return TrialResult(
-        trial=trial,
         success=True,
         restarted=t.restarts > 0,
         first_known=t.attempt_known_counts[0],
@@ -212,11 +210,10 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     _, rest_hw = stats.rate_ci(restarted, trials)
     empirical["restart_fraction"] = restarted / trials
     ci99["restart_fraction"] = rest_hw
-    if kept_total:
-        conc_rate = conclusive_total / kept_total
-        empirical["conclusive_rate"] = conc_rate
-        ci99["conclusive_rate"] = stats.z_value(0.99) * stats.binomial_sigma(
-            p_conclusive, kept_total)
+    conc_rate = conclusive_total / kept_total
+    empirical["conclusive_rate"] = conc_rate
+    ci99["conclusive_rate"] = stats.z_value(0.99) * stats.binomial_sigma(
+        p_conclusive, kept_total)
 
     ks = key_stats(config.n, config.k, p_conclusive)
     analytic["known_mean"] = ks.n_bar
@@ -233,9 +230,8 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
                                 and known_mean in (0.0, ks.n_bar))
     # Exact two-sided binomial test: a Wilson interval misses a tiny p0 after one restart.
     passed["restart_fraction"] = stats.binomial_test(restarted, trials, ks.p0)
-    if kept_total:
-        sigma3 = 3.0 * stats.binomial_sigma(p_conclusive, kept_total)
-        passed["conclusive_rate"] = abs(conc_rate - p_conclusive) <= sigma3
+    sigma3 = 3.0 * stats.binomial_sigma(p_conclusive, kept_total)
+    passed["conclusive_rate"] = abs(conc_rate - p_conclusive) <= sigma3
     if 0.0 < ks.n_bar and first_known.mean() > 0.0 and p_conclusive < 1.0:
         # First-attempt counts are Binomial(n, p_c**k), whose ratio is 1 - p_c**k.
         expected_ratio = 1.0 - p_conclusive ** config.k
@@ -447,7 +443,7 @@ def multi_string_combine(m: int, n: int, k: int, trials: int = 200,
     values, freqs = np.unique(np.asarray(counts), return_counts=True)
     distribution = {int(v): int(f) for v, f in zip(values, freqs)}
     exactly_one = distribution.get(1, 0) / trials
-    p1, hw1 = stats.rate_ci(distribution.get(1, 0), trials)
+    _, hw1 = stats.rate_ci(distribution.get(1, 0), trials)
     return ExperimentReport(
         experiment="multi_string_combine",
         params={"m": m, "n": n, "k": k, "trials": trials, "seed": seed},

@@ -34,10 +34,10 @@ a bit generator without that spare (MT19937) is read through `rng.bytes`.
 gives the values and the state of `rng.integers(0, 2, count)`; the
 adversary layer draws its fair coins through it.
 Bob's draw, masked to its three used bits, is his one per-qubit array
-(`BobRounds.code`), and against pairs also his raw-key record. Alice's is
-streamed through one chunk-sized buffer that becomes her table index,
-code * 4 + basis * 2 + coin, into one table cached per layout and
-announcement (`_respond_table`), gathered two qubits per uint16.
+(`BobRounds.code`), and against pairs also his raw-key record. Alice's lands
+in her records, where each chunk becomes her table index,
+code * 4 + basis * 2 + coin, and is gathered in place, two qubits per
+uint16, from one table cached per layout and announcement (`_respond_table`).
 Her records keep the table entries packed (`AliceRecords`), and
 `_reduce_arrays` folds the packed bytes, so an honest attempt at eta = 1
 holds two raw-length arrays: Bob's code and Alice's packed records.
@@ -374,15 +374,13 @@ def _respond_table(layout: RoundLayout,
     return _pair_table(_pack(outcome, conclusive, bit).ravel()), fair, second
 
 
-def _byte_pieces(rng: np.random.Generator, count: int, out: np.ndarray,
-                 reuse: bool = False) -> Iterator[tuple[int, np.ndarray]]:
-    """Draw the bytes of one `rng.bytes(count)` piece by piece; yield (start, piece).
+def _byte_pieces(rng: np.random.Generator, count: int,
+                 out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Draw the bytes of one `rng.bytes(count)` into `out`, a uint8 array of
+    at least `count` bytes, piece by piece; yield (start, out[start:stop]).
 
-    Without `reuse` each piece is out[start:start + piece.size] of a
-    `count`-byte `out`; with it, a prefix of `out`, a buffer of at least
-    min(count, CHUNK + 4) bytes that the next piece overwrites. Run to its
-    end, it leaves the state of the one call; no other draw may come
-    between its pieces.
+    Every start is even. Run to its end, it leaves the state of the one
+    call; no other draw may come between its pieces.
 
     `Generator.bytes` takes 32-bit words from `next_uint32`, which splits
     each 64-bit output into its low half, returned, and its high half, kept
@@ -403,7 +401,7 @@ def _byte_pieces(rng: np.random.Generator, count: int, out: np.ndarray,
     start = 0
     while start < count:
         stop = min(count, (start or head) + CHUNK)
-        piece = out[:stop - start] if reuse else out[start:stop]
+        piece = out[start:stop]
         if not raw:
             piece[:] = np.frombuffer(rng.bytes(piece.size), dtype=np.uint8)
         else:
@@ -628,44 +626,33 @@ class HonestAlice:
                 rng: np.random.Generator) -> AliceRecords:
         count = kept.size
         table, fair, second = _respond_table(rounds.layout, config.announcement)
-        # Alice's draw byte: bit 0 fair coin, bit 1 basis. It becomes her
-        # table index, code * 4 + basis * 2 + coin, one piece at a time in
-        # `index_buf`; each piece of the records is scratch space until the
-        # lookup fills it. A pad byte after the piece in both buffers lets an
-        # odd piece be gathered two qubits per uint16 as well.
-        index_buf = np.empty(min(count, CHUNK + 4) + 1, dtype=np.uint8)
+        # Alice's draw byte: bit 0 fair coin, bit 1 basis. Each piece of it
+        # lands in her records, becomes her table index,
+        # code * 4 + basis * 2 + coin, and is gathered in place; an odd last
+        # piece is gathered two qubits per uint16 through the pad byte.
         records = np.empty(count + count % 2, dtype=np.uint8)
-        if fair:
-            pieces = _byte_pieces(rng, count, index_buf, reuse=True)
-        else:
+        scratch = np.empty(min(count, CHUNK + 4), dtype=np.uint8)
+        pieces = _byte_pieces(rng, count, records)
+        if not fair:
             # The float coins come after all of the bytes, as in one `rng.bytes` call.
-            pieces = _copied_pieces(_byte_draws(rng, count), index_buf)
+            pieces = list(pieces)
         for start, index in pieces:
             size = index.size
-            packed = records[start:start + size]
             code = _at_kept(rounds.code, kept, slice(start, start + size))
-            np.multiply(code, 4, out=packed)
             if fair:
                 index &= 3
             else:
                 index &= 2
                 index |= rng.random(size) < second[code, index >> 1]
-            index |= packed
+            index |= np.multiply(code, 4, out=scratch[:size])
             if size % 2:
-                index_buf[size] = 0
+                records[count] = 0
                 size += 1
-            # Every index byte is below 4 * len(layout.second), so no entry is clipped.
-            table.take(index_buf[:size].view(np.uint16),
-                       out=records[start:start + size].view(np.uint16), mode="clip")
+            # Every index byte is below 4 * len(layout.second), so no entry is
+            # clipped; `take` reads the indices before it writes `out`.
+            gathered = records[start:start + size].view(np.uint16)
+            table.take(gathered, out=gathered, mode="clip")
         return AliceRecords(packed=records[:count])
-
-
-def _copied_pieces(draw: np.ndarray, buffer: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
-    """`CHUNK`-byte pieces of `draw`, each copied into a prefix of `buffer`; (start, piece)."""
-    for start in range(0, draw.size, CHUNK):
-        piece = buffer[:min(CHUNK, draw.size - start)]
-        piece[:] = draw[start:start + CHUNK]
-        yield start, piece
 
 
 # --------------------------------------------------------------------------

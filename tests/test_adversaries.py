@@ -24,7 +24,6 @@ from qpq.adversaries import (
     alice_joint_helstrom,
     biased_analytics,
     biased_attack_report,
-    biased_known_bit_mismatch,
     biased_round_trials,
     cheat_detection,
     conclusiveness_guess_bound,
@@ -653,14 +652,23 @@ class TestCheatDetection:
         if only_single:
             assert cheat_detection(only_single, n_check=1) is None
 
-    def test_known_bit_mismatch_composition(self, rng):
-        """Empirical known-final-bit error equals the XOR convolution oracle."""
-        for phi, k in ((math.pi / 8, 7), (0.3, 2), (0.3, 4)):
-            eps = 1.0 - biased_analytics(phi).p_b
-            expected = xor_error_bruteforce(eps, k)
-            n = 100_000
-            emp = biased_known_bit_mismatch(phi, k, n, rng)
-            assert abs(emp - expected) <= three_sigma(max(expected, 0.01), n) + 1e-3
+    @pytest.mark.parametrize("phi,k,n,seed", [(0.3, 2, 2_000, 61), (0.3, 4, 20_000, 62),
+                                              (math.pi / 8, 7, 20_000, 63)],
+                             ids=["phi0.3-k2", "phi0.3-k4", "phi-pi8-k7"])
+    def test_known_bit_mismatch_composition(self, phi, k, n, seed):
+        """The engine's known-final-bit mismatch rate under the biased attack
+        equals the XOR convolution oracle and the closed form
+        (1 - (2 p_b - 1)^k) / 2, by an exact binomial test at 99% over every
+        known final bit."""
+        p_b = biased_analytics(phi).p_b
+        expected = (1.0 - (2.0 * p_b - 1.0) ** k) / 2.0
+        assert xor_error_bruteforce(1.0 - p_b, k) == pytest.approx(expected, abs=1e-12)
+        report = monte_carlo(ProtocolConfig(n=n, k=k, seed=seed), bob=BiasedBob(phi),
+                             trials=20)
+        known = report.extra["known_bits_total"]
+        mismatches = round(report.empirical["known_mismatch_rate"] * known)
+        assert known > 0
+        assert stats.binomial_test(mismatches, known, expected), (mismatches, known, expected)
 
     def test_bad_check_count_rejected(self):
         with pytest.raises(ValueError, match="checked bit"):

@@ -64,10 +64,10 @@ def every_draw(monkeypatch):
     alice_bytes = np.tile(ALL_BYTES, 256)
     draws = iter([bob_bytes, alice_bytes])
 
-    def pieces(rng, count, out, reuse=False):
+    def pieces(rng, count, out):
         draw = next(draws)
         for start in range(0, count, CHUNK):
-            piece = out[:min(CHUNK, count - start)] if reuse else out[start:start + CHUNK]
+            piece = out[start:min(count, start + CHUNK)]
             piece[:] = draw[start:start + piece.size]
             yield start, piece
 
@@ -847,17 +847,15 @@ BYTE_DRAW_SIZES = [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, CHUNK - 1, CHUNK, CHUNK +
 
 
 def streamed_byte_draws(rng, size):
-    """Alice's streamed draw: pieces in one reused buffer, copied out in order."""
-    buffer = np.empty(min(size, CHUNK + 4) + 1, dtype=np.uint8)
-    got = np.empty(size, dtype=np.uint8)
+    """Alice's streamed draw: each piece is out[start:stop], in order, from even starts."""
+    out = np.empty(size + size % 2, dtype=np.uint8)
     stop = 0
-    for start, piece in protocol._byte_pieces(rng, size, buffer, reuse=True):
-        assert start == stop
-        assert piece.base is buffer and piece.ctypes.data == buffer.ctypes.data  # a prefix
-        got[start:start + piece.size] = piece
+    for start, piece in protocol._byte_pieces(rng, size, out):
+        assert start == stop and start % 2 == 0
+        assert piece.base is out and piece.ctypes.data == out.ctypes.data + start
         stop = start + piece.size
     assert stop == size
-    return got
+    return out[:size]
 
 
 @pytest.mark.parametrize("spare", [False, True], ids=["aligned", "spare-half"])
@@ -865,7 +863,7 @@ def streamed_byte_draws(rng, size):
 @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
 def test_byte_draws_match_one_bytes_call_for_every_bit_generator(bit_generator, size, spare):
     """The bytes, the whole state and the next draws equal one rng.bytes call's,
-    drawn whole (Bob) and streamed through one reused buffer (Alice).
+    drawn whole (Bob) and streamed piece by piece into Alice's records.
 
     With `spare`, one 32-bit draw first leaves half of a 64-bit output
     buffered; MT19937 has no such buffer and takes the `rng.bytes` pieces.
@@ -906,14 +904,20 @@ def test_fair_bits_match_one_integers_call_for_every_bit_generator(bit_generator
 class TestChunkedRespond:
     """HonestAlice.respond works through CHUNK qubits at a time; the oracle in one pass."""
 
+    @pytest.mark.parametrize("spare", [False, True], ids=["aligned", "spare-half"])
     @pytest.mark.parametrize("kept_kind", ["mask", "index"])
     @pytest.mark.parametrize("table", ["honest", "biased", "entangled"])
     @pytest.mark.parametrize("announcement", ["sarg", "bb84"])
     @pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7])
-    def test_matches_the_whole_array_oracle(self, size, announcement, table, kept_kind):
+    def test_matches_the_whole_array_oracle(self, size, announcement, table, kept_kind, spare):
+        """With `spare`, one 32-bit draw first leaves half of a 64-bit output
+        buffered, so Alice's first piece is the 4-byte head plus CHUNK."""
         rounds, kept, config = respond_inputs(table, size, kept_kind, announcement)
         assert protocol._respond_table(rounds.layout, announcement)[1] == (table == "honest")
         chunked_rng, whole_rng = np.random.default_rng(9), np.random.default_rng(9)
+        if spare:
+            for rng in (chunked_rng, whole_rng):
+                rng.integers(0, 2**32 - 1, dtype=np.uint32)
         got = HonestAlice().respond(rounds, kept, config, chunked_rng)
         want = whole_array_respond(rounds, kept, config, whole_rng)
         for name in ("basis", "packed", "outcome", "conclusive", "bit"):
@@ -963,6 +967,23 @@ class TestEngineSeams:
         finally:
             tracemalloc.stop()
         assert peak / config.raw_length <= 3.0
+
+    def test_float_coin_peak_memory_per_qubit(self):
+        """One float-coin run (BiasedBob(0.3)) at N = 10^5, k = 9 holds at most
+        4 bytes per raw qubit: Alice's draw lands in her records, with no
+        second full-length copy. Its first attempt is expected to restart."""
+        config = ProtocolConfig(n=10**5, k=9, seed=0, max_restarts=0)
+        database = np.zeros(config.n, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            try:
+                run_protocol(config, database, 0, bob=BiasedBob(0.3))
+            except RestartLimitExceeded:
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / config.raw_length <= 4.0
 
 
 def transcript_digest(t) -> str:

@@ -3,8 +3,8 @@
 Usage: python tools/compare_cli.py PARENT_TREE CHANGE_TREE [--seeds 12345 7]
 
 Each tree is a checkout of this repository. For every seed, each tree's
-`src/` runs every `CLI_COMMANDS` argv of `bench/processes.py`, plus
-`run -v`, with `--seed SEED` appended. Every run is a fresh interpreter in a
+`src/` runs every `CLI_COMMANDS` argv of `bench/processes.py`, plus the
+`EXTRA_COMMANDS`, with `--seed SEED` appended. Every run is a fresh interpreter in a
 temporary directory of its own, so each writes its default report files
 there. Per command and seed it prints whether the JSON reports, the CSV
 files and the exit codes of the two trees match. It exits 0 when every one
@@ -25,14 +25,21 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600.0
+# `run -v`, a lossy run, and a run of 70,005 raw qubits: an odd count over
+# one `protocol.CHUNK`.
+EXTRA_COMMANDS = {
+    "run -v": ["run", "-v"],
+    "run -v lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
+    "run -v odd": ["run", "-v", "--n", "14001", "--k", "5"],
+}
 
 
 def cli_commands(processes: Path = REPO / "bench" / "processes.py") -> dict[str, list[str]]:
-    """The benchmark's `CLI_COMMANDS`, read from its source, plus `run -v`."""
+    """The benchmark's `CLI_COMMANDS`, read from its source, plus `EXTRA_COMMANDS`."""
     for node in ast.parse(processes.read_text()).body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "CLI_COMMANDS" for t in node.targets):
-            return {**ast.literal_eval(node.value), "run -v": ["run", "-v"]}
+            return {**ast.literal_eval(node.value), **EXTRA_COMMANDS}
     raise ValueError(f"no CLI_COMMANDS in {processes}")
 
 
