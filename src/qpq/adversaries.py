@@ -49,6 +49,7 @@ from .protocol import (
     BobRounds,
     CONCLUSIVE_TABLE,
     HonestAlice,
+    Law,
     ProtocolConfig,
     RoundLayout,
     Transcript,
@@ -101,17 +102,19 @@ class UsdAlice:
 
     Each stored qubit is identified with probability 1 - 1/sqrt(2) and then
     always correctly; the failure outcome is symmetric between the two
-    equal-prior candidates, so the records give it posterior 1/2.
+    equal-prior candidates, so the records give it posterior 1/2. A basis
+    announcement leaves no pair to discriminate (see `Bb84MemoryAlice`).
     """
 
     kind = "usd"
-    keeps_key_sound = True
 
-    def expected_conclusive(self, config: ProtocolConfig) -> float:
-        return USD_SUCCESS
+    def law(self, config: ProtocolConfig) -> Law:
+        return Law(USD_SUCCESS)
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
+        if config.announcement == "bb84":
+            raise ValueError("discrimination attack needs pair announcements")
         sent = _at_kept(rounds.sent, kept)
         if (sent < 0).any():
             raise ValueError("discrimination attack needs definite sent symbols")
@@ -131,10 +134,9 @@ class Bb84MemoryAlice:
     """
 
     kind = "bb84_memory"
-    keeps_key_sound = True
 
-    def expected_conclusive(self, config: ProtocolConfig) -> float:
-        return 1.0 if config.announcement == "bb84" else USD_SUCCESS
+    def law(self, config: ProtocolConfig) -> Law:
+        return Law(1.0 if config.announcement == "bb84" else USD_SUCCESS)
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
@@ -339,7 +341,6 @@ class BiasedBob:
     phi: float
 
     kind = "biased"
-    keeps_key_sound = False
 
     def __post_init__(self):
         object.__setattr__(self, "phi", float(self.phi))
@@ -348,11 +349,10 @@ class BiasedBob:
     def label(self) -> str:
         return f"biased(phi={self.phi:.6f})"
 
-    def analytics(self) -> BiasedAnalytics:
-        return biased_analytics(self.phi)
-
-    def expected_conclusive(self, config: ProtocolConfig) -> float:
-        return self.analytics().p_c
+    def law(self, config: ProtocolConfig) -> Law:
+        # A known final bit XORs k conclusive raw bits; he guesses each with p_b.
+        ana = biased_analytics(self.phi)
+        return Law(ana.p_c, (1.0 - (2.0 * ana.p_b - 1.0) ** config.k) / 2.0)
 
     def round_statistics(self, trials: int, rng: np.random.Generator) -> ProviderRounds:
         return biased_round_trials(self.phi, trials, rng)
@@ -363,7 +363,7 @@ class BiasedBob:
 
     def key_bits(self, rounds: BobRounds, kept: np.ndarray, alice: AliceRecords,
                  config: ProtocolConfig, rng: np.random.Generator) -> np.ndarray:
-        return np.full(kept.size, self.analytics().ml_bit, dtype=np.uint8)
+        return np.full(kept.size, biased_analytics(self.phi).ml_bit, dtype=np.uint8)
 
 
 # --------------------------------------------------------------------------
@@ -498,14 +498,10 @@ class EntangledBob:
     def label(self) -> str:
         return f"entangled({self.mode})"
 
-    @property
-    def keeps_key_sound(self) -> bool:
-        """Only the honest register basis recovers the bit Alice concludes."""
-        return self.mode == "honest_basis"
-
-    def expected_conclusive(self, config: ProtocolConfig) -> float:
-        # Alice's marginal is honest in either mode.
-        return 0.25
+    def law(self, config: ProtocolConfig) -> Law:
+        # Alice's marginal is honest in either mode. Only the honest register
+        # basis recovers the bit she concludes; the other leaves his key a fair coin.
+        return Law(0.25, 0.0 if self.mode == "honest_basis" else 0.5)
 
     def round_statistics(self, trials: int, rng: np.random.Generator) -> ProviderRounds:
         return entangled_round_trials(self.mode, trials, rng)
@@ -543,13 +539,13 @@ def _known_bits_through_runs(bob, n: int, k: int, runs: int, seed: int,
     attempt), without the key, the query or the ciphertext. numpy's
     SeedSequence reads a trailing 0 as the padding of a shorter seed, so
     [seed, stream, 0] would be the battery's own stream.
-    Returns (empirical mean, 99% half-width, analytic n * p_c**k).
+    Returns (empirical mean, 99% half-width, n * p_c**k with p_c from `bob.law`).
     """
     config = ProtocolConfig(n=runs * n, k=k, seed=seed)
     attempt = _run_attempt(config, HonestAlice(), bob, np.random.default_rng([seed, stream, 1]))
     known = _known_columns(attempt.alice.packed, config.n, k).reshape(runs, n)
     mean, hw = stats.mean_ci(np.count_nonzero(known, axis=1))
-    return mean, hw, n * bob.expected_conclusive(config) ** k
+    return mean, hw, n * bob.law(config).conclusive ** k
 
 
 def _provider_report(bob, trials: int,

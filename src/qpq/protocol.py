@@ -44,9 +44,9 @@ holds two raw-length arrays: Bob's code and Alice's packed records.
 The full-length per-qubit record (`Transcript.records`) is built only when
 a caller reads it; it derives every posterior, whatever the strategy.
 
-Each strategy class also states the analytic probability that one kept
-qubit is conclusive for Alice (`expected_conclusive`) and whether Alice's
-known bits always match Bob's key under it (`keeps_key_sound`).
+Each strategy class states its closed forms for a config as one `Law`
+(`law`): the chance that a kept qubit is conclusive for Alice, and the
+chance that one of her known final bits disagrees with Bob's key.
 """
 
 from __future__ import annotations
@@ -489,6 +489,19 @@ HONEST_LAYOUTS = {
 }
 
 
+class Law(NamedTuple):
+    """A strategy's closed forms: the chance that a kept qubit is conclusive for
+    Alice, and that one of her known final bits disagrees with Bob's key."""
+
+    conclusive: float
+    known_wrong: float = 0.0
+
+
+# An honest round is conclusive with chance 1/4 against a pair (the other
+# basis, then the orthogonal outcome) and 1/2 against a basis (the same basis).
+HONEST_LAWS = {"sarg": Law(0.25), "bb84": Law(0.5)}
+
+
 def _decode(code: np.ndarray, field: tuple[int, ...]) -> np.ndarray:
     """One `RoundLayout` field per code, as int8: one bitwise pass for the
     honest symbol bits, a gather from the field otherwise."""
@@ -580,21 +593,14 @@ class AliceRecords:
                    for start in range(0, self.packed.size, CHUNK))
 
 
-def _honest_conclusive(config: ProtocolConfig) -> float:
-    """Conclusive probability of an honest round: 1/4 against a pair (the other
-    basis, then the orthogonal outcome), 1/2 against a basis (the same basis)."""
-    return 0.5 if config.announcement == "bb84" else 0.25
-
-
 @dataclass(frozen=True)
 class HonestBob:
     """Protocol-following provider."""
 
     kind = "honest"
-    keeps_key_sound = True
 
-    def expected_conclusive(self, config: ProtocolConfig) -> float:
-        return _honest_conclusive(config)
+    def law(self, config: ProtocolConfig) -> Law:
+        return HONEST_LAWS[config.announcement]
 
     def rounds(self, count: int, config: ProtocolConfig, rng: np.random.Generator) -> BobRounds:
         code = _byte_draws(rng, count)
@@ -617,10 +623,9 @@ class HonestAlice:
     """Protocol-following user: direct measurement, mechanical interpretation."""
 
     kind = "honest"
-    keeps_key_sound = True
 
-    def expected_conclusive(self, config: ProtocolConfig) -> float:
-        return _honest_conclusive(config)
+    def law(self, config: ProtocolConfig) -> Law:
+        return HONEST_LAWS[config.announcement]
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:

@@ -174,6 +174,18 @@ class TestUsdAttack:
         with pytest.raises(ValueError, match="definite sent symbols"):
             UsdAlice().respond(rounds, np.arange(10), config, rng)
 
+    def test_basis_announcements_are_rejected_before_her_draw(self, monkeypatch):
+        """Against a basis there is no pair to discriminate, and Bob's raw bit
+        is the symbol's bit 1, not the bit 0 the attack would write down."""
+        def no_draw(*args):
+            raise AssertionError("the discrimination coins were drawn")
+
+        monkeypatch.setattr(adversaries, "usd_success_trials", no_draw)
+        config = ProtocolConfig(n=200, k=2, seed=1, announcement="bb84")
+        with pytest.raises(ValueError, match="pair announcements"):
+            run_protocol(config, np.zeros(200, dtype=np.uint8), 0, alice=UsdAlice(),
+                         rng=np.random.default_rng(1))
+
     def test_full_runs_reach_the_predicted_known_mean(self):
         config = ProtocolConfig(n=2000, k=3, seed=31)
         report = monte_carlo(config, alice=UsdAlice(), trials=300)
@@ -518,7 +530,7 @@ class TestKnownBitRuns:
         monkeypatch.undo()
         want = known_counts_through_run_protocol(bob, n, 2, runs, seed, stream)
         assert seen == [want]
-        assert got == (*stats.mean_ci(want), n * bob.expected_conclusive(ProtocolConfig(n, 2)) ** 2)
+        assert got == (*stats.mean_ci(want), n * bob.law(ProtocolConfig(n, 2)).conclusive ** 2)
         if n == 6:
             assert 0 in want and max(want) > 0
 
@@ -652,19 +664,22 @@ class TestCheatDetection:
         if only_single:
             assert cheat_detection(only_single, n_check=1) is None
 
-    @pytest.mark.parametrize("phi,k,n,seed", [(0.3, 2, 2_000, 61), (0.3, 4, 20_000, 62),
-                                              (math.pi / 8, 7, 20_000, 63)],
-                             ids=["phi0.3-k2", "phi0.3-k4", "phi-pi8-k7"])
-    def test_known_bit_mismatch_composition(self, phi, k, n, seed):
-        """The engine's known-final-bit mismatch rate under the biased attack
-        equals the XOR convolution oracle and the closed form
-        (1 - (2 p_b - 1)^k) / 2, by an exact binomial test at 99% over every
-        known final bit."""
-        p_b = biased_analytics(phi).p_b
-        expected = (1.0 - (2.0 * p_b - 1.0) ** k) / 2.0
+    @pytest.mark.parametrize("bob,p_b,k,n,seed", [
+        (BiasedBob(0.3), biased_analytics(0.3).p_b, 2, 2_000, 61),
+        (BiasedBob(0.3), biased_analytics(0.3).p_b, 4, 20_000, 62),
+        (BiasedBob(math.pi / 8), biased_analytics(math.pi / 8).p_b, 7, 20_000, 63),
+        (EntangledBob("conclusiveness_basis"), 0.5, 2, 2_000, 64),
+    ], ids=["phi0.3-k2", "phi0.3-k4", "phi-pi8-k7", "register-conclusiveness-k2"])
+    def test_known_bit_mismatch_composition(self, bob, p_b, k, n, seed):
+        """The engine's known-final-bit mismatch rate under a provider attack
+        equals its law's `known_wrong` and the XOR convolution oracle of k
+        raw bits that Bob guesses with p_b each, by an exact binomial test at
+        99% over every known final bit. The conclusiveness-basis register
+        leaves his key a fair coin, p_b = 1/2."""
+        config = ProtocolConfig(n=n, k=k, seed=seed)
+        expected = bob.law(config).known_wrong
         assert xor_error_bruteforce(1.0 - p_b, k) == pytest.approx(expected, abs=1e-12)
-        report = monte_carlo(ProtocolConfig(n=n, k=k, seed=seed), bob=BiasedBob(phi),
-                             trials=20)
+        report = monte_carlo(config, bob=bob, trials=20)
         known = report.extra["known_bits_total"]
         mismatches = round(report.empirical["known_mismatch_rate"] * known)
         assert known > 0
@@ -706,38 +721,56 @@ class TestSizeValidation:
             no_signaling_audit(**kwargs)
 
 
-# Pairing, strategies, announcement, analytic per-round conclusive rate, and
-# whether Bob's key stays sound (the report then checks retrieval).
+# Pairing, strategies, announcement, and the law at k = 2: the analytic
+# per-round conclusive rate, and the chance that a known final bit is wrong
+# (the report checks retrieval exactly when it is 0).
 PAIRINGS = [
-    ("honest-sarg", None, None, "sarg", 0.25, True),
-    ("honest-bb84", None, None, "bb84", 0.5, True),
-    ("usd", UsdAlice(), None, "sarg", 0.2928932188134524, True),
-    ("bb84-memory-sarg", Bb84MemoryAlice(), None, "sarg", 0.2928932188134524, True),
-    ("bb84-memory-bb84", Bb84MemoryAlice(), None, "bb84", 1.0, True),
-    ("biased-pi/8", None, BiasedBob(math.pi / 8), "sarg", 0.1464466094067262, False),
-    ("register-honest", None, EntangledBob("honest_basis"), "sarg", 0.25, True),
+    ("honest-sarg", None, None, "sarg", 0.25, 0.0),
+    ("honest-bb84", None, None, "bb84", 0.5, 0.0),
+    ("usd", UsdAlice(), None, "sarg", 0.2928932188134524, 0.0),
+    ("bb84-memory-sarg", Bb84MemoryAlice(), None, "sarg", 0.2928932188134524, 0.0),
+    ("bb84-memory-bb84", Bb84MemoryAlice(), None, "bb84", 1.0, 0.0),
+    ("biased-pi/8", None, BiasedBob(math.pi / 8), "sarg", 0.1464466094067262, 0.5),
+    ("register-honest", None, EntangledBob("honest_basis"), "sarg", 0.25, 0.0),
     ("register-conclusiveness", None, EntangledBob("conclusiveness_basis"), "sarg", 0.25,
-     False),
+     0.5),
 ]
 
 
 class TestStrategyAnalytics:
-    @pytest.mark.parametrize("alice,bob,announcement,rate,sound",
+    @pytest.mark.parametrize("alice,bob,announcement,rate,known_wrong",
                              [p[1:] for p in PAIRINGS], ids=[p[0] for p in PAIRINGS])
     def test_monte_carlo_takes_the_strategy_analytics(self, alice, bob, announcement,
-                                                      rate, sound):
-        config = ProtocolConfig(n=40, k=1, seed=3, announcement=announcement)
+                                                      rate, known_wrong):
+        config = ProtocolConfig(n=40, k=2, seed=3, announcement=announcement)
+        for strategy in [alice or bob] if alice or bob else [HonestAlice(), HonestBob()]:
+            law = strategy.law(config)
+            assert isinstance(law, protocol.Law)
+            assert law._fields == ("conclusive", "known_wrong")
+            assert law.conclusive == rate
+            assert law.known_wrong == pytest.approx(known_wrong, abs=1e-12)
         report = monte_carlo(config, alice=alice, bob=bob, trials=2)
         assert report.analytic["conclusive_rate"] == rate
-        assert report.analytic["known_mean"] == pytest.approx(40 * rate)
-        assert ("retrieval_correct" in report.passed) == sound
-        assert ("known_bits_sound" in report.passed) == sound
+        assert report.analytic["known_mean"] == pytest.approx(40 * rate ** 2)
+        assert ("retrieval_correct" in report.passed) == (known_wrong == 0.0)
+        assert ("known_bits_sound" in report.passed) == (known_wrong == 0.0)
         alice, bob = alice or HonestAlice(), bob or HonestBob()
         assert (report.params["alice"], report.params["bob"]) == (alice.kind, bob.kind)
         assert set(report.params) == {"config", "trials", "alice", "bob",
                                       *dataclasses.asdict(bob)}
         for name, value in dataclasses.asdict(bob).items():
             assert report.params[name] == value
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 4, math.pi], ids=["0", "pi/4", "pi"])
+    def test_a_bias_with_one_conclusive_outcome_keeps_the_key_sound(self, phi):
+        """At these angles only one conclusive outcome can occur, so p_b is 1.0
+        and Bob's guess is always her bit: the law's `known_wrong` is 0, and
+        the report adds the exact checks, which hold."""
+        config = ProtocolConfig(n=400, k=2, seed=5)
+        assert BiasedBob(phi).law(config).known_wrong == 0.0
+        report = monte_carlo(config, bob=BiasedBob(phi), trials=20)
+        assert report.passed["retrieval_correct"] and report.passed["known_bits_sound"]
+        assert report.empirical["known_mismatch_rate"] == 0.0
 
     def test_run_protocol_rejects_cheating_on_both_sides(self):
         config = ProtocolConfig(n=10, k=1)

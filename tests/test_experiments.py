@@ -1,5 +1,7 @@
 """Experiment-layer tests: closed forms, drivers, reports, combining."""
 
+import hashlib
+import json
 import math
 import os
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from qpq import experiments, stats
-from qpq.adversaries import USD_SUCCESS, UsdAlice
+from qpq.adversaries import USD_SUCCESS, BiasedBob, EntangledBob, UsdAlice
 from qpq.experiments import (
     TABLE1_REFERENCE,
     bb84_attack_experiment,
@@ -145,6 +147,44 @@ class TestMonteCarlo:
     def test_category_counts_cover_all_kept_qubits(self):
         counts = honest_category_counts(ProtocolConfig(n=100, k=2, seed=1), trials=10)
         assert counts.sum() >= 10 * 200  # restarts can only add attempts
+
+
+class TestProviderMonteCarloDigests:
+    """sha256 of `monte_carlo` reports under the provider strategies.
+
+    No CLI command runs `monte_carlo` with a provider strategy, so the CLI
+    digests cannot see these reports. Pinned while each strategy still
+    stated a soundness flag beside its conclusive rate, before the two
+    became one `Law`.
+    """
+
+    BOBS = {
+        "biased-0.3": BiasedBob(0.3),
+        "register-honest": EntangledBob("honest_basis"),
+        "register-conclusiveness": EntangledBob("conclusiveness_basis"),
+    }
+    DIGESTS = {
+        ("biased-0.3", 12345):
+            "73524818b943c21d3e0bb9bf2b0b19ac98f2bc87900d5727ab9f223517e909b4",
+        ("register-honest", 12345):
+            "5f5b4166912c28604101989b73967ff9663c449d548a4dcc10ac83fa96acb40e",
+        ("register-conclusiveness", 12345):
+            "28ddab4ffa432bd818f0748d86f443220cf9abea7072c4c15e7e49c4ea8e2183",
+        ("biased-0.3", 7):
+            "6c0a0e2516eca9d98a175ef3d33ba3e5839b10e0634f10383c82413994ce9418",
+        ("register-honest", 7):
+            "c71a880f343b664f33ea2e660fa3ffa79137c4d958db8f20c8c47a2184ba4ba6",
+        ("register-conclusiveness", 7):
+            "75b5904ed4215a92dc1a6c143cd251b1d9e9b6e7dcdfe509722d99de9fc347bc",
+    }
+
+    @pytest.mark.parametrize("name,seed", list(DIGESTS),
+                             ids=[f"{name}-seed{seed}" for name, seed in DIGESTS])
+    def test_report_digest(self, name, seed):
+        report = monte_carlo(ProtocolConfig(n=2000, k=2, seed=seed), bob=self.BOBS[name],
+                             trials=20)
+        digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == self.DIGESTS[name, seed]
 
 
 class TestUsdCurve:
