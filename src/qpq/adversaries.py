@@ -3,12 +3,14 @@
 User-side attacks: perfect-memory unambiguous discrimination of the
 announced pair, the joint minimum-error (Helstrom) measurement on the k
 qubits behind one final key bit, and the basis-announcement contrast mode
-that breaks the scheme entirely. Provider-side attacks: biased state
-preparation at an arbitrary Hilbert angle, and an entangled register held
-back per qubit. Each provider battery returns its round counts beside its
-analytic p_c and p_b (`ProviderRounds`); the biased one counts its four
-outcome classes straight from its two draws, with no per-round outcome
-array. One helper reads every sampled rate from the counts into the shared
+that breaks the scheme entirely; the discrimination user packs her coin
+bytes in her records in place (`_usd_coins`). Provider-side attacks:
+biased state preparation at an arbitrary Hilbert angle, and an entangled
+register held back per qubit. Each provider battery returns its round
+counts beside its analytic p_c and p_b (`ProviderRounds`), drawn as one
+multinomial sample of the per-round law of its cells (Alice's 4 outcomes,
+or the register's 16 round codes), so its cost does not grow with its
+size. One helper reads every sampled rate from the counts into the shared
 part of an `ExperimentReport`, to which the attack reports and the
 no-signaling audit over the whole family add their checks, with intervals
 from the same counts. The attack reports also count the final key bits an
@@ -55,6 +57,8 @@ from .protocol import (
     Transcript,
     _at_kept,
     _byte_draws,
+    _byte_pieces,
+    _decode,
     _fair_bits,
     _known_columns,
     _run_attempt,
@@ -79,21 +83,31 @@ USD_TOP, USD_LOW = USD_THRESHOLD >> 45, USD_THRESHOLD & (2**45 - 1)
 # user-side attacks
 # --------------------------------------------------------------------------
 
-def usd_success_trials(trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Success mask of the discrimination measurement: Bernoulli(USD_SUCCESS)
-    coins, exactly as `rng.random(trials) < USD_SUCCESS` decides them, from
-    about one byte per coin in place of one 64-bit output.
-
-    One byte per coin is U's top 8 bits. The coins whose byte ties with
-    USD_TOP (1 in 256) then take one 8-byte word each, whose top 45 bits
-    are U's low bits; with no tie, nothing more is drawn.
+def _usd_coins(rng: np.random.Generator, count: int, out: np.ndarray, lost: int, gain) -> None:
+    """Draw `count` Bernoulli(USD_SUCCESS) coins, exactly as
+    `rng.random(count) < USD_SUCCESS` decides them, into out[:count] (uint8):
+    `lost` where a coin fails, lost + gain(part) where it wins, for `part` a
+    slice or an index array of positions. U's top 8 bits are one byte per
+    coin, drawn `protocol.CHUNK` at a time and overwritten in place; after
+    the last piece, each coin whose byte ties with USD_TOP (1 in 256) takes
+    one 8-byte word, whose top 45 bits are U's low bits.
     """
-    top = _byte_draws(rng, trials)
-    coins = top < USD_TOP
-    ties = np.flatnonzero(top == USD_TOP)
-    low = _byte_draws(rng, 8 * ties.size).view("<u8") >> 19
-    coins[ties[low < USD_LOW]] = True
-    return coins
+    ties = [np.empty(0, dtype=np.intp)]
+    for start, top in _byte_pieces(rng, count, out):
+        ties.append(np.flatnonzero(top == USD_TOP) + start)
+        np.multiply(top < USD_TOP, gain(slice(start, start + top.size)), out=top)
+        top += lost
+    tied = np.concatenate(ties)
+    low = _byte_draws(rng, 8 * tied.size).view("<u8") >> 19
+    won = tied[low < USD_LOW]
+    out[won] = lost + gain(won)
+
+
+def usd_success_trials(trials: int, rng: np.random.Generator) -> np.ndarray:
+    """Success mask of the discrimination measurement, one byte per coin (`_usd_coins`)."""
+    coins = np.empty(trials, dtype=np.uint8)
+    _usd_coins(rng, trials, coins, 0, lambda part: np.uint8(1))
+    return coins.view(bool)
 
 
 @dataclass(frozen=True)
@@ -115,12 +129,17 @@ class UsdAlice:
                 rng: np.random.Generator) -> AliceRecords:
         if config.announcement == "bb84":
             raise ValueError("discrimination attack needs pair announcements")
-        sent = _at_kept(rounds.sent, kept)
-        if (sent < 0).any():
+        if min(rounds.layout.sent) < 0:
             raise ValueError("discrimination attack needs definite sent symbols")
-        conclusive = usd_success_trials(kept.size, rng)
-        bit = (sent & 1) | -(~conclusive).view(np.int8)  # -1 where inconclusive
-        return AliceRecords.from_fields(outcome=-1, conclusive=conclusive, bit=bit)
+
+        def gain(part):
+            # A won coin adds conclusive (4) and bit + 1 (bits 3-4) to 0x23.
+            sent = _decode(_at_kept(rounds.code, kept, part), rounds.layout.sent)
+            return (((sent & 1) << 3) + 12).view(np.uint8)
+
+        records = np.empty(kept.size, dtype=np.uint8)
+        _usd_coins(rng, kept.size, records, 0x23, gain)
+        return AliceRecords(packed=records)
 
 
 @dataclass(frozen=True)
@@ -231,33 +250,10 @@ class ProviderRounds:
     rho_inconclusive: np.ndarray | None = None
 
 
-def _round_draws(trials: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one provider battery, in their fixed order.
-
-    Alice's basis per round, `_fair_bits` coins, so the values of
-    `rng.integers(0, 2, trials)`; then one uniform per round,
-    `rng.random(trials)`, which decides whether she sees the second member
-    of her basis.
-    """
-    basis = _fair_bits(rng, trials)
-    return basis, rng.random(trials)
-
-
-def _outcome_draws(second_prob: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome per round: basis b uniform, then b + 2 with chance second_prob[b], else b."""
-    basis, uniform = _round_draws(trials, rng)
-    return basis + 2 * (uniform < second_prob[basis])
-
-
-def _outcome_counts(second_prob: np.ndarray, trials: int, rng: np.random.Generator) -> np.ndarray:
-    """`np.bincount(_outcome_draws(...), minlength=4)` from the same draws, without
-    an outcome array: the rounds per outcome UP, RIGHT, DOWN, LEFT."""
-    coins, uniform = _round_draws(trials, rng)
-    basis = coins.astype(bool)
-    diagonal = np.count_nonzero(basis)
-    down = np.count_nonzero((uniform < second_prob[0]) & ~basis)
-    left = np.count_nonzero((uniform < second_prob[1]) & basis)
-    return np.array([trials - diagonal - down, diagonal - left, down, left])
+def _outcome_law(second_prob: np.ndarray) -> np.ndarray:
+    """Chance of each outcome UP, RIGHT, DOWN, LEFT of one round: Alice's basis
+    b uniform, then the second member b + 2 with chance second_prob[b]."""
+    return np.concatenate([0.5 - 0.5 * second_prob, 0.5 * second_prob])
 
 
 def _fixed_state_rounds(count: int, config: ProtocolConfig, second_prob: np.ndarray,
@@ -317,7 +313,7 @@ def biased_round_trials(phi: float, trials: int, rng: np.random.Generator) -> Pr
     """Simulate biased-preparation rounds against an honest user."""
     stats.require_size("trials", trials)
     ana = biased_analytics(phi)
-    counts = _outcome_counts(_biased_second_prob(phi), trials, rng)
+    counts = rng.multinomial(trials, _outcome_law(_biased_second_prob(phi)))
     conclusive = CONCLUSIVE_TABLE[0]  # the provider attacks announce {UP, RIGHT}
     n_c = int(counts[conclusive].sum())
     basis_guess = 0 if ana.ml_bit == 1 else 1
@@ -410,6 +406,15 @@ ER_REGISTER_ONE_PROB = {
 }
 
 
+# Chance of each register round code, Alice's outcome + 4 * his register
+# outcome + 8 * his own coin, which stands in for the bit the conclusiveness
+# basis erases (always 0 in the honest basis).
+ER_CELL_LAW = {
+    mode: np.multiply.outer([0.5, 0.5] if mode == "conclusiveness_basis" else [1.0, 0.0],
+                            np.stack([1.0 - one, one]) * _outcome_law(ER_SECOND_PROB)).ravel()
+    for mode, one in ER_REGISTER_ONE_PROB.items()}
+
+
 def conditional_register_mixtures() -> tuple[DensityMatrix, DensityMatrix]:
     """Exact register states conditioned on a conclusive / inconclusive round."""
     conclusive = np.zeros((2, 2))
@@ -448,13 +453,7 @@ def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> 
     """
     _check_mode(mode)
     stats.require_size("trials", trials)
-    outcome = _outcome_draws(ER_SECOND_PROB, trials, rng)
-    # Round code: Alice's outcome, + 4 * Bob's register outcome, + 8 * his
-    # own coin, which stands in for the bit the conclusiveness basis erases.
-    code = outcome + 4 * (rng.random(trials) < ER_REGISTER_ONE_PROB[mode][outcome])
-    if mode == "conclusiveness_basis":
-        code += 8 * _fair_bits(rng, trials)
-    counts = np.bincount(code, minlength=16).reshape(2, 2, 4)
+    counts = rng.multinomial(trials, ER_CELL_LAW[mode]).reshape(2, 2, 4)
     coin, reg_out, alice_outcome = np.indices(counts.shape)
     conclusive = CONCLUSIVE_TABLE[0, alice_outcome]
     n_c = int(counts[conclusive].sum())

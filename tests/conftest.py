@@ -289,26 +289,54 @@ def xor_error_bruteforce(eps: float, k: int) -> float:
     return float(dist[1::2].sum())
 
 
+# The count fields of a `ProviderRounds`, in the order the round rules return them.
+ROUND_FIELDS = ("conclusive", "bit_hits", "basis_hits", "p_c_hits")
+
+
+def biased_round_fields(phi, basis, second):
+    """The count fields each biased round adds to, as bool arrays in
+    `ROUND_FIELDS` order, from Alice's basis and whether she saw its second
+    member: her outcome and bit from the interpretation tables, his guess
+    the maximum-likelihood bit."""
+    ana = biased_analytics(phi)
+    outcome = basis + 2 * second
+    conclusive = CONCLUSIVE_TABLE[0, outcome]
+    return (conclusive, conclusive & (BIT_TABLE[0, outcome] == ana.ml_bit),
+            basis == (0 if ana.ml_bit == 1 else 1), conclusive)
+
+
+def entangled_round_fields(mode, basis, second, reg_out, coin):
+    """The count fields each register round adds to, as in
+    `biased_round_fields`, from Alice's basis and second-member flag, his
+    register outcome and his own coin (read only in the conclusiveness basis)."""
+    outcome = basis + 2 * second
+    conclusive = CONCLUSIVE_TABLE[0, outcome]
+    if mode == "honest_basis":
+        bob_bit = reg_out
+        basis_guess = np.where(bob_bit == 1, 0, 1)
+        p_c_hit = conclusive
+    else:
+        bob_bit = coin
+        guess_conclusive = reg_out == 1
+        p_c_hit = guess_conclusive == conclusive
+        implied = np.where(bob_bit == 1, 0, 1)
+        basis_guess = np.where(guess_conclusive, implied, 1 - implied)
+    return (conclusive, conclusive & (bob_bit == BIT_TABLE[0, outcome]),
+            basis_guess == basis, p_c_hit)
+
+
 def biased_round_trials_per_trial(phi, trials, rng):
     """Per-trial twin of `qpq.adversaries.biased_round_trials`.
 
-    Looks up Alice's conclusiveness and bit for every round in the
-    interpretation tables; draws from the stream in the same order as the
-    outcome-count route.
+    Draws every round, Alice's basis and then whether she sees its second
+    member, and adds up `biased_round_fields`.
     """
     ana = biased_analytics(phi)
     basis = rng.integers(0, 2, trials)
     second = rng.random(trials) < _biased_second_prob(phi)[basis]
-    outcome = basis + 2 * second
-    conclusive = CONCLUSIVE_TABLE[0, outcome]
-    alice_bit = BIT_TABLE[0, outcome]
-    n_c = int(conclusive.sum())
-    basis_guess = 0 if ana.ml_bit == 1 else 1
-    return ProviderRounds(trials=trials, conclusive=n_c,
-                          bit_hits=int((alice_bit[conclusive] == ana.ml_bit).sum()),
-                          basis_hits=int((basis == basis_guess).sum()),
-                          p_c_hits=n_c, p_c=ana.p_c, p_b=ana.p_b,
-                          p_c_sigma_rate=max(n_c / trials, 1e-9))
+    counts = [int(f.sum()) for f in biased_round_fields(phi, basis, second)]
+    return ProviderRounds(trials, *counts, p_c=ana.p_c, p_b=ana.p_b,
+                          p_c_sigma_rate=max(counts[0] / trials, 1e-9))
 
 
 def entangled_round_trials_per_trial(mode, trials, rng):
@@ -316,31 +344,54 @@ def entangled_round_trials_per_trial(mode, trials, rng):
     basis = rng.integers(0, 2, trials)
     second = rng.random(trials) < ER_SECOND_PROB[basis]
     outcome = basis + 2 * second
-    conclusive = CONCLUSIVE_TABLE[0, outcome]
-    alice_bit = BIT_TABLE[0, outcome]
-
     reg_out = (rng.random(trials) < ER_REGISTER_ONE_PROB[mode][outcome]).astype(np.int8)
+    coin = (rng.integers(0, 2, trials) if mode == "conclusiveness_basis"
+            else np.zeros(trials, dtype=np.int64))
+    counts = [int(f.sum()) for f in entangled_round_fields(mode, basis, second, reg_out, coin)]
     if mode == "honest_basis":
-        bob_bit = reg_out
-        basis_guess = np.where(bob_bit == 1, 0, 1)
-        p_c_hits, p_c, p_b = int(conclusive.sum()), 0.25, 1.0
+        p_c, p_b = 0.25, 1.0
     else:
-        bob_bit = rng.integers(0, 2, trials).astype(np.int8)
-        guess_conclusive = reg_out == 1
-        p_c_hits = int((guess_conclusive == conclusive).sum())
         p_c, p_b = conclusiveness_guess_bound(), 0.5
-        implied = np.where(bob_bit == 1, 0, 1)
-        basis_guess = np.where(guess_conclusive, implied, 1 - implied)
 
-    bit_hits = int((bob_bit[conclusive] == alice_bit[conclusive]).sum())
-
-    counts = np.bincount(outcome, minlength=4).astype(float)
+    per_outcome = np.bincount(outcome, minlength=4).astype(float)
     outers = np.einsum("oi,oj->oij", ER_REGISTERS, ER_REGISTERS)
     conc_sel = CONCLUSIVE_TABLE[0]
-    rho_c = np.einsum("o,oij->ij", counts * conc_sel, outers) / counts[conc_sel].sum()
-    rho_n = np.einsum("o,oij->ij", counts * ~conc_sel, outers) / counts[~conc_sel].sum()
+    rho_c = np.einsum("o,oij->ij", per_outcome * conc_sel, outers) / per_outcome[conc_sel].sum()
+    rho_n = np.einsum("o,oij->ij", per_outcome * ~conc_sel, outers) / per_outcome[~conc_sel].sum()
 
-    return ProviderRounds(trials=trials, conclusive=int(conclusive.sum()), bit_hits=bit_hits,
-                          basis_hits=int((basis_guess == basis).sum()), p_c_hits=p_c_hits,
-                          p_c=p_c, p_b=p_b, p_c_sigma_rate=0.5,
+    return ProviderRounds(trials, *counts, p_c=p_c, p_b=p_b, p_c_sigma_rate=0.5,
                           rho_conclusive=rho_c, rho_inconclusive=rho_n)
+
+
+def _enumerated_law(prob, cell, fields, cells):
+    """Sum the chances of the enumerated rounds per cell and per count field."""
+    law = np.bincount(cell, weights=prob, minlength=cells)
+    return law, {name: math.fsum(prob[f]) for name, f in zip(ROUND_FIELDS, fields)}
+
+
+def biased_round_law(phi):
+    """The per-round law of the biased battery, enumerated over Alice's basis b
+    and whether she sees its second member, chance second_prob[b]: the chance
+    of each outcome UP, RIGHT, DOWN, LEFT, and of each count field's event."""
+    basis, second = np.array(list(itertools.product((0, 1), (0, 1)))).T
+    p = _biased_second_prob(phi)[basis]
+    prob = 0.5 * np.where(second == 1, p, 1.0 - p)
+    return _enumerated_law(prob, basis + 2 * second,
+                           biased_round_fields(phi, basis, second), 4)
+
+
+def entangled_round_law(mode):
+    """The per-round law of the register battery, enumerated as in
+    `biased_round_law` and over his register outcome and his own coin: the
+    chance of each code, outcome + 4 * register + 8 * coin, and of each
+    count field's event. The honest basis draws no coin; it reads as 0."""
+    coins = (0, 1) if mode == "conclusiveness_basis" else (0,)
+    basis, second, reg_out, coin = np.array(
+        list(itertools.product((0, 1), (0, 1), (0, 1), coins))).T
+    outcome = basis + 2 * second
+    p_second = ER_SECOND_PROB[basis]
+    p_one = ER_REGISTER_ONE_PROB[mode][outcome]
+    prob = (0.5 * np.where(second == 1, p_second, 1.0 - p_second)
+            * np.where(reg_out == 1, p_one, 1.0 - p_one) / len(coins))
+    return _enumerated_law(prob, outcome + 4 * reg_out + 8 * coin,
+                           entangled_round_fields(mode, basis, second, reg_out, coin), 16)

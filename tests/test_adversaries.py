@@ -50,7 +50,10 @@ from qpq.quantum import K_MAX, sarg_state, usd_bound
 
 from conftest import (
     BIT_GENERATORS,
+    ROUND_FIELDS,
+    biased_round_law,
     biased_round_trials_per_trial,
+    entangled_round_law,
     entangled_round_trials_per_trial,
     helstrom_measurement_trials_dense,
     helstrom_measurement_trials_integers,
@@ -130,13 +133,18 @@ class TestUsdAttack:
         settles the coin whatever the tie words hold."""
         top = np.array([USD_TOP - 1, USD_TOP, USD_TOP, USD_TOP + 1], dtype=np.uint8)
         words = np.array([USD_LOW - 1, USD_LOW], dtype="<u8") << 19 | (2**19 - 1)
-        draws = iter([top, words.view(np.uint8)])
-        monkeypatch.setattr(adversaries, "_byte_draws", lambda rng, count: next(draws))
+
+        def top_pieces(rng, count, out):
+            out[:count] = top
+            yield 0, out[:count]
+
+        monkeypatch.setattr(adversaries, "_byte_pieces", top_pieces)
+        monkeypatch.setattr(adversaries, "_byte_draws", lambda rng, count: words.view(np.uint8))
         assert usd_success_trials(4, None).tolist() == [True, True, False, False]
 
     def test_coin_peak_memory(self):
-        """At audit's 350,000 coins the draw peaks at about 3 bytes per coin:
-        the top bytes, the coins and one comparison mask."""
+        """At audit's 350,000 coins the draw peaks at about 1.5 bytes per coin:
+        the top bytes, overwritten by the coins, and one piece's masks."""
         trials = 350_000
         rng = np.random.default_rng(7)
         tracemalloc.start()
@@ -145,7 +153,7 @@ class TestUsdAttack:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / trials <= 3.5
+        assert peak / trials <= 2.0
 
     def test_scalar_interpret_matches_rate(self, rng):
         n = 30_000
@@ -180,7 +188,8 @@ class TestUsdAttack:
         def no_draw(*args):
             raise AssertionError("the discrimination coins were drawn")
 
-        monkeypatch.setattr(adversaries, "usd_success_trials", no_draw)
+        # Her coins draw their bytes through `_byte_pieces`.
+        monkeypatch.setattr(adversaries, "_byte_pieces", no_draw)
         config = ProtocolConfig(n=200, k=2, seed=1, announcement="bb84")
         with pytest.raises(ValueError, match="pair announcements"):
             run_protocol(config, np.zeros(200, dtype=np.uint8), 0, alice=UsdAlice(),
@@ -344,39 +353,127 @@ ORACLE_PHIS = [0.0, math.pi / 8, math.pi / 4, 0.3, math.pi / 2, 2.0,
                3 * math.pi / 4, 5 * math.pi / 8, math.pi]
 
 
-def assert_same_round_stats(fast, oracle):
-    """Counts and analytic values exactly equal; rho within 1e-15, NaN matching NaN."""
-    for f in dataclasses.fields(fast):
-        got, want = getattr(fast, f.name), getattr(oracle, f.name)
-        if isinstance(want, np.ndarray):
-            assert np.allclose(got, want, rtol=0.0, atol=1e-15, equal_nan=True), f.name
-        elif isinstance(want, float) and math.isnan(want):
-            assert math.isnan(got), f.name
-        else:
-            assert type(got) is type(want) and got == want, f.name
+class LawSpy:
+    """Stands in for a generator: records each `multinomial` law it is asked for."""
+
+    def __init__(self):
+        self.laws = []
+
+    def multinomial(self, n, pvals):
+        self.laws.append(np.array(pvals))
+        return np.random.default_rng(0).multinomial(n, pvals)
 
 
-class TestRoundTrialOracles:
-    """The outcome-count batteries equal the per-trial table lookups, draw for draw."""
+class TestRoundBatteryLaws:
+    """Each battery draws its cell counts as one multinomial sample of the per-round law.
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    The reference is the per-round law of the per-trial twins, enumerated
+    round by round from the same tables and rules (`biased_round_law`,
+    `entangled_round_law`).
+    """
+
     @pytest.mark.parametrize("phi", ORACLE_PHIS)
-    def test_biased_counts_match_per_trial_lookups(self, phi, seed):
-        for trials in (1, 7, 20_000):
-            fast = biased_round_trials(phi, trials, np.random.default_rng([seed, trials]))
-            oracle = biased_round_trials_per_trial(phi, trials,
-                                                   np.random.default_rng([seed, trials]))
-            assert_same_round_stats(fast, oracle)
+    def test_biased_cell_law_is_the_per_round_law(self, phi):
+        spy = LawSpy()
+        biased_round_trials(phi, 100, spy)
+        assert len(spy.laws) == 1
+        np.testing.assert_allclose(spy.laws[0], biased_round_law(phi)[0], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("mode", ER_MODES)
+    def test_entangled_cell_law_is_the_per_round_law(self, mode):
+        spy = LawSpy()
+        entangled_round_trials(mode, 100, spy)
+        assert len(spy.laws) == 1
+        np.testing.assert_allclose(spy.laws[0], entangled_round_law(mode)[0],
+                                   rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("battery,law", [
+        (lambda t, rng: biased_round_trials(0.3, t, rng), lambda: biased_round_law(0.3)),
+        (lambda t, rng: biased_round_trials(2.0, t, rng), lambda: biased_round_law(2.0)),
+        *[(lambda t, rng, mode=mode: entangled_round_trials(mode, t, rng),
+           lambda mode=mode: entangled_round_law(mode)) for mode in ER_MODES],
+        (lambda t, rng: biased_round_trials_per_trial(0.3, t, rng),
+         lambda: biased_round_law(0.3)),
+        (lambda t, rng: entangled_round_trials_per_trial("conclusiveness_basis", t, rng),
+         lambda: entangled_round_law("conclusiveness_basis")),
+    ], ids=["bias-0.3", "bias-2.0", "entangle-honest", "entangle-conclusiveness",
+            "twin-bias-0.3", "twin-entangle-conclusiveness"])
+    def test_count_fields_fail_their_binomial_tests_at_most_one_percent(self, battery, law):
+        """Over 300 seeds no test uses elsewhere, each count field passes an
+        exact 99% binomial test against its enumerated rate, except in a
+        number of seeds consistent with a true rate of 1% or less (one-sided
+        exact binomial test at 99%). The twins take the same test, so the
+        enumerated rates are the per-trial law's."""
+        trials, seeds = 200, range(80_000, 80_300)
+        rates = law()[1]
+        failures = dict.fromkeys(ROUND_FIELDS, 0)
+        for seed in seeds:
+            ev = battery(trials, np.random.default_rng(seed))
+            for name in ROUND_FIELDS:
+                failures[name] += not stats.binomial_test(getattr(ev, name), trials, rates[name])
+        for name, count in failures.items():
+            assert stats.binomial_tails(count, len(seeds), 0.01)[1] > 0.01, (name, failures)
+
+
+def assert_round_record(ev, twin, trials):
+    """One battery's record beside its per-trial twin's on what no draw sets.
+
+    The stream-free fields equal the twin's exactly. Each count field is an
+    int in [0, trials]; `bit_hits` is at most `conclusive`, and equals it
+    where his guess of a conclusive bit is certain (p_b = 1). A register
+    state is NaN exactly when no round fell into its class, and otherwise a
+    unit-trace, symmetric, positive semidefinite matrix.
+    """
+    for name in ("trials", "p_c", "p_b"):
+        got, want = getattr(ev, name), getattr(twin, name)
+        assert type(got) is type(want) and got == want, name
+    for name in ROUND_FIELDS:
+        count = getattr(ev, name)
+        assert type(count) is int and 0 <= count <= trials, name
+    assert ev.bit_hits <= ev.conclusive
+    if ev.p_b == 1.0:
+        assert ev.bit_hits == ev.conclusive
+    for rho, empty in ((ev.rho_conclusive, ev.conclusive == 0),
+                       (ev.rho_inconclusive, ev.conclusive == trials)):
+        if rho is None:
+            continue
+        assert bool(np.isnan(rho).all()) == empty
+        if not empty:
+            assert abs(np.trace(rho) - 1.0) <= 1e-15
+            np.testing.assert_allclose(rho, rho.T, rtol=0.0, atol=1e-15)
+            assert np.linalg.eigvalsh(rho).min() >= -1e-15
+
+
+class TestRoundBatteryRecords:
+    """Battery and per-trial twin agree on every field the draws do not set,
+    at one round, a few and a full battery, over seeds whose single rounds
+    land in every class, the empty ones included."""
+
+    @pytest.mark.parametrize("trials", [1, 7, 20_000])
+    @pytest.mark.parametrize("phi", ORACLE_PHIS)
+    def test_biased_record_matches_the_twin_off_the_stream(self, phi, trials):
+        for seed in range(8):
+            ev = biased_round_trials(phi, trials, np.random.default_rng([seed, trials]))
+            twin = biased_round_trials_per_trial(phi, trials,
+                                                 np.random.default_rng([seed, trials]))
+            for record in (ev, twin):
+                assert_round_record(record, twin, trials)
+                assert record.p_c_hits == record.conclusive
+                assert record.p_c_sigma_rate == max(record.conclusive / trials, 1e-9)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
-    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("trials", [1, 7, 20_000])
     @pytest.mark.parametrize("mode", ER_MODES)
-    def test_entangled_counts_match_per_trial_lookups(self, mode, seed):
-        for trials in (1, 7, 20_000):
-            fast = entangled_round_trials(mode, trials, np.random.default_rng([seed, trials]))
-            oracle = entangled_round_trials_per_trial(mode, trials,
-                                                      np.random.default_rng([seed, trials]))
-            assert_same_round_stats(fast, oracle)
+    def test_entangled_record_matches_the_twin_off_the_stream(self, mode, trials):
+        for seed in range(8):
+            ev = entangled_round_trials(mode, trials, np.random.default_rng([seed, trials]))
+            twin = entangled_round_trials_per_trial(mode, trials,
+                                                    np.random.default_rng([seed, trials]))
+            for record in (ev, twin):
+                assert_round_record(record, twin, trials)
+                assert record.p_c_sigma_rate == 0.5
+                if mode == "honest_basis":
+                    assert record.p_c_hits == record.conclusive
 
 
 class TestEntangledRegister:
@@ -557,22 +654,6 @@ class TestKnownBitRuns:
                                                                       stream)
             failures += abs(mean - expected) > hw
         assert stats.binomial_tails(failures, len(seeds), 0.01)[1] > 0.01, failures
-
-
-class TestOutcomeCounts:
-    """The biased battery counts outcomes from the outcome draws' own two draws."""
-
-    @pytest.mark.parametrize("phi", [0.0, math.pi / 8, math.pi / 4, math.pi / 2, math.pi])
-    def test_counts_and_state_equal_the_outcome_bincount(self, phi):
-        second_prob = adversaries._biased_second_prob(phi)
-        # 17,000 trials take more than one `protocol.CHUNK` of coin bytes.
-        for trials in (1, 7, 17_000):
-            mine, ref = (np.random.default_rng([trials, 5]) for _ in range(2))
-            counts = adversaries._outcome_counts(second_prob, trials, mine)
-            want = np.bincount(adversaries._outcome_draws(second_prob, trials, ref), minlength=4)
-            assert counts.tolist() == want.tolist()
-            assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
-            assert mine.random() == ref.random()
 
 
 class TestProviderRounds:

@@ -568,8 +568,13 @@ class TestReportDigests:
     from one float per coin to the byte-and-tie draw, after checking that
     only values sampled from `UsdAlice` changed (`qubit_success_rate`, the
     `run_*` empirical and ci99 values, `known_mean_sarg`) and every analytic
-    value stayed bit-identical. The `run -v` digests cover
-    the honest engine's per-qubit records with every qubit detected, under
+    value stayed bit-identical. The attack-bob and sweep digests, and the
+    sweep CSV digest, were re-pinned when the round batteries moved from
+    per-round draws to one multinomial sample of their outcome classes,
+    after checking key by key (`tools/compare_cli.py --keys`) that only
+    sampled `empirical` values and their `ci99` widths moved and every
+    analytic value stayed bit-identical. The `run -v` digests cover the
+    honest engine's per-qubit records with every qubit detected, under
     loss, and over 70,000 qubits, more than one `protocol.CHUNK`; the
     combine digest covers the honest engine driven through several keys.
     The table1, usd-curve and first helstrom digests are taken at default
@@ -601,12 +606,12 @@ class TestReportDigests:
     SEED_12345 = {
         "attack-alice-usd": "372eab1ec81eb65b3ef111a535f9b55ced335f82357707e2f34b65d308521270",
         "attack-alice-bb84": "d4e4bf4882990f08373e55a07bb6cfbe4bab484ea6dbb21b1421a3fcb497a66a",
-        "attack-bob-bias": "7877f6a1872b78615455fb515df0308aada1d76e614104f3efa26bfe3f6797d3",
+        "attack-bob-bias": "e610843fc02d208b43dbc926fea69254b5c1ca8593a593ed9e000315a4fb8cd8",
         "attack-bob-entangle":
-            "1b8b74794e7748571d42f4673f1804af9067662c3b5c11fc1fd27be70e9cd7d6",
+            "0ce1be3b0aa466505c6ed00abd4b81b8b468b7e3c1f070bbb8c25e7bc07e7a4d",
         "attack-bob-entangle-honest":
-            "53723e00dd4860958d5a1dc6e22619353f130f368de6a80539ac0b6d3eccf1cf",
-        "sweep": "b600280aba7b0361e160ad8f65c9c4908ca1b8342aecc9c0eca1635e6f9a8b4d",
+            "20c6d1f0d2f8a8490420736a58f59d2c0144b4638a0e6e0ca9d2df552f293218",
+        "sweep": "62223a41634ce6bbee59902920c6f2a13084fabc469b51b48d3063908b72657c",
         "run-records": "9a8fbfc535084f6106123d0c0626605ebe70e2f57d223ee6ab8086b1d20f137e",
         "run-records-lossy": "c0ac96a4bbb0597a8960a850949d00ca3f538e2579be3e222d067bc49cc894cf",
         "run-records-multi-chunk":
@@ -625,12 +630,12 @@ class TestReportDigests:
     SEED_7 = {
         "attack-alice-usd": "20e530c7e2858d18610ddfa24701b5329b5dbdcad45f3fc42703a1098ab19f40",
         "attack-alice-bb84": "f744316be9e6e5e7c2eee15a235b3a4d0ea70ebf8b39d7e43e57731a41d6d50d",
-        "attack-bob-bias": "e781e955e79b65cd603ba14cf155dcd7d502bd8fdc256b3a131af8848579b121",
+        "attack-bob-bias": "11babd947310bc9ba158cd291545659bbb66b5a3e1684621b470437bbb95d2a3",
         "attack-bob-entangle":
-            "6255c144c8a599f709ba6d8ec399f9ba0a779bad50e4882f94b179f03afd83bb",
+            "76f49dd7802b3d2f589a038aba869ea5821f791be33043042b39d5c1190b1411",
         "attack-bob-entangle-honest":
-            "da647f0d4359a8ce8124be008c0b83a2b832e16a453dfcdba0c88260b1383eb8",
-        "sweep": "b0d0879b923c834b74090722d6a3312b5b95452d9c5c9c01c10f2341bc15cd0a",
+            "71f651abc75034544ff4123a7c2b7fca43965fe9c55ccf1dbd6036a74d820e9e",
+        "sweep": "2d44f1f0113917d9ec61a01b941d486305ae66fe25cf706647fc8a0cee2301be",
         "run-records": "bff45f541d271ecdb52f14d57c22099f02a48037e67285bddda2a34b42bdfd5e",
         "run-records-lossy": "fa4aca485199ab0898db223abaacc199688f2b5c860d38d45d21aef83541e70e",
         "run-records-multi-chunk":
@@ -659,12 +664,13 @@ class TestReportDigests:
         assert self._digest(name, "7", tmp_path) == self.SEED_7[name]
 
     def test_sweep_csv_digest(self, tmp_path):
-        """Pinned before the report fold; the CSV columns kept every byte."""
+        """Pinned before the report fold, where the CSV columns kept every byte;
+        re-pinned with the sweep digests when the batteries became multinomial."""
         csv_path = tmp_path / "sweep.csv"
         run_cli(["sweep", "--points", "7", "--trials-per-point", "2000", "--seed", "12345",
                  "--out", str(tmp_path / "sweep.json"), "--csv", str(csv_path)])
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == \
-            "16f55dba8555f01b054f3b8f7b1bc915d171ad509b3472b412e329933cefea8f"
+            "3c812a7053b955246322730d96f19a34bc67858382d71cab120ddf0192eb75c9"
 
     def test_usd_curve_csv_digest(self, tmp_path):
         csv_path = tmp_path / "curve.csv"

@@ -990,6 +990,21 @@ class TestEngineSeams:
 
         assert self._traced_peak(run) / config.raw_length <= 4.0
 
+    def test_usd_attempt_peak_memory_per_qubit(self):
+        """One UsdAlice attempt at N = 10^5, k = 9 holds at most 3 bytes per raw
+        qubit: her coin bytes land in her records and are packed there, with
+        no raw-length temporaries. Its first attempt may restart."""
+        config = ProtocolConfig(n=10**5, k=9, seed=0, max_restarts=0)
+        database = np.zeros(config.n, dtype=np.uint8)
+
+        def run():
+            try:
+                run_protocol(config, database, 0, alice=UsdAlice())
+            except RestartLimitExceeded:
+                pass
+
+        assert self._traced_peak(run) / config.raw_length <= 3.0
+
 
 def transcript_digest(t) -> str:
     """sha256 over every `RawRecords` field (name, dtype, shape, bytes) and the key."""

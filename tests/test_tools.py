@@ -36,3 +36,19 @@ class TestCompareCli:
         assert tool._verdict(report, tool.Outcome(0, {"qpq_run.json": b"{ }"}), ".json") == "DIFF"
         assert tool._verdict(report, tool.Outcome(0, {}), ".json") == "DIFF"
         assert tool._verdict(report, report, ".csv") == "none"
+
+    def test_keys_lists_the_dotted_paths_of_differing_values(self):
+        """Nested dicts and lists by index; a key or file only one run wrote is listed."""
+        tool = load_compare_cli()
+        parent = tool.Outcome(0, {
+            "qpq_sweep.json": b'{"ok": true, "strategies": [{"p_c": 0.25, "p_b": 1.0}, '
+                              b'{"p_c": 0.5}]}',
+            "qpq_run.json": b'{"a": 1}', "qpq_sweep.csv": b"x"})
+        change = tool.Outcome(0, {
+            "qpq_sweep.json": b'{"ok": true, "strategies": [{"p_c": 0.25, "p_b": 0.5}, '
+                              b'{"p_c": 0.5, "n": 2}]}',
+            "qpq_bob.json": b"{}", "qpq_sweep.csv": b"y"})
+        assert tool.differing_keys(parent, change) == [
+            "qpq_bob.json", "qpq_run.json",
+            "qpq_sweep.json: strategies.0.p_b", "qpq_sweep.json: strategies.1.n"]
+        assert tool.differing_keys(parent, parent) == []

@@ -1,21 +1,23 @@
 """Compare the CLI output of two source trees, command by command.
 
-Usage: python tools/compare_cli.py PARENT_TREE CHANGE_TREE [--seeds 12345 7]
+Usage: python tools/compare_cli.py PARENT_TREE CHANGE_TREE [--seeds 12345 7] [--keys]
 
 Each tree is a checkout of this repository. For every seed, each tree's
 `src/` runs every `CLI_COMMANDS` argv of `bench/processes.py`, plus the
 `EXTRA_COMMANDS`, with `--seed SEED` appended. Every run is a fresh interpreter in a
 temporary directory of its own, so each writes its default report files
 there. Per command and seed it prints whether the JSON reports, the CSV
-files and the exit codes of the two trees match. It exits 0 when every one
-matches and 1 otherwise. `bench/processes.py` is parsed, not imported, and
-nothing under `bench/` is written.
+files and the exit codes of the two trees match; with `--keys`, below each
+command whose JSON differs, the dotted key paths whose values differ. It
+exits 0 when every one matches and 1 otherwise. `bench/processes.py` is
+parsed, not imported, and nothing under `bench/` is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -68,12 +70,46 @@ def _verdict(parent: Outcome, change: Outcome, suffix: str) -> str:
     return "same" if a == b else "DIFF"
 
 
-def compare(parent_tree: Path, change_tree: Path, argv: list[str], seed: str) -> dict[str, str]:
-    """Per kind of output, "same", "DIFF" or (for files neither run wrote) "none"."""
-    parent, change = run_tree(parent_tree, argv, seed), run_tree(change_tree, argv, seed)
+def _row(parent: Outcome, change: Outcome) -> dict[str, str]:
     exit_codes = f"{parent.exit_code}/{change.exit_code}"
     return {"json": _verdict(parent, change, ".json"), "csv": _verdict(parent, change, ".csv"),
             "exit": ("same " if parent.exit_code == change.exit_code else "DIFF ") + exit_codes}
+
+
+def compare(parent_tree: Path, change_tree: Path, argv: list[str], seed: str) -> dict[str, str]:
+    """Per kind of output, "same", "DIFF" or (for files neither run wrote) "none"."""
+    return _row(run_tree(parent_tree, argv, seed), run_tree(change_tree, argv, seed))
+
+
+_MISSING = object()
+
+
+def _key_paths(a, b, path: str) -> list[str]:
+    """Dotted paths below `path` where two JSON values differ; list items by
+    index, and a key only one side holds as a difference."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [p for key in sorted(a.keys() | b.keys(), key=str)
+                for p in _key_paths(a.get(key, _MISSING), b.get(key, _MISSING),
+                                    f"{path}.{key}" if path else str(key))]
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return [p for i, (x, y) in enumerate(zip(a, b))
+                for p in _key_paths(x, y, f"{path}.{i}" if path else str(i))]
+    return [] if type(a) is type(b) and a == b else [path]
+
+
+def differing_keys(parent: Outcome, change: Outcome) -> list[str]:
+    """"FILE: dotted.key" per value that differs between the JSON files of two
+    runs; a file only one run wrote is listed by its name alone."""
+    a = {name: data for name, data in parent.files.items() if name.endswith(".json")}
+    b = {name: data for name, data in change.files.items() if name.endswith(".json")}
+    lines = []
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            lines.append(name)
+        else:
+            lines += [f"{name}: {path}" for path in
+                      _key_paths(json.loads(a[name]), json.loads(b[name]), "")]
+    return lines
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -81,14 +117,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent_tree", type=Path)
     parser.add_argument("change_tree", type=Path)
     parser.add_argument("--seeds", nargs="+", default=["12345", "7"])
+    parser.add_argument("--keys", action="store_true",
+                        help="list the differing key paths of each differing JSON report")
     args = parser.parse_args(argv)
     all_same = True
     for seed in args.seeds:
         for name, command in cli_commands().items():
-            row = compare(args.parent_tree, args.change_tree, command, seed)
+            parent = run_tree(args.parent_tree, command, seed)
+            change = run_tree(args.change_tree, command, seed)
+            row = _row(parent, change)
             all_same &= "DIFF" not in " ".join(row.values())
             print(f"seed {seed:>6}  {name:<24}  json {row['json']:<4}  csv {row['csv']:<4}  "
                   f"exit {row['exit']}", flush=True)
+            if args.keys and row["json"] == "DIFF":
+                for line in differing_keys(parent, change):
+                    print(f"    {line}", flush=True)
     print("all identical" if all_same else "DIFFERENCES FOUND")
     return 0 if all_same else 1
 
