@@ -163,18 +163,23 @@ def _resolve_jobs(args: argparse.Namespace, file_cfg: dict) -> int:
 
 
 def _resolve_seed(args: argparse.Namespace, file_cfg: dict) -> int:
+    """--seed, else the config file's, else ${SEED_ENV_VAR}, else DEFAULT_SEED;
+    a negative seed from any of them is a usage error that names its source."""
     if args.seed is not None:
-        return args.seed
-    if "seed" in file_cfg:
+        seed, source = args.seed, "--seed"
+    elif "seed" in file_cfg:
         _check_file_value("seed", file_cfg["seed"], DEFAULT_SEED)
-        return file_cfg["seed"]
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        seed, source = file_cfg["seed"], "--seed in the config file"
+    elif (env := os.environ.get(SEED_ENV_VAR)) is not None:
         try:
-            return int(env)
+            seed, source = int(env), f"${SEED_ENV_VAR}"
         except ValueError as exc:
             raise UsageError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    else:
+        return DEFAULT_SEED
+    if seed < 0:
+        raise UsageError(f"{source} must be a non-negative integer, got {seed}")
+    return seed
 
 
 def _write_json(path: Path, doc: dict) -> None:

@@ -28,10 +28,16 @@ from .adversaries import (
     usd_success_trials,
 )
 from .protocol import (
+    CHUNK,
     HonestAlice,
     HonestBob,
     ProtocolConfig,
     RestartLimitExceeded,
+    _honest_first_attempts,
+    _known_key,
+    decrypt_bit,
+    encrypt_database,
+    query_shift,
     run_protocol,
 )
 from .quantum import K_MAX, parity_bounds
@@ -138,6 +144,57 @@ def _run_trial(config: ProtocolConfig, alice, bob, trial: int) -> TrialResult:
     )
 
 
+def _honest_batch(config: ProtocolConfig, trials: range) -> list[TrialResult]:
+    """`_run_trial` of the honest pair for each of `trials`, whose first attempts
+    `_honest_first_attempts` makes as one batch.
+
+    Each trial draws on its own stream in `_run_trial`'s order, so every
+    result is the one `_run_trial` gives. A trial whose first attempt knows
+    no bit is rerun whole by `_run_trial`, from its seed.
+    """
+    streams = []
+    for t in trials:
+        rng = np.random.default_rng([config.seed, t])
+        database = rng.integers(0, 2, config.n, dtype=np.uint8)
+        streams.append((t, rng, database, int(rng.integers(config.n))))
+    firsts = _honest_first_attempts(config, [rng for _, rng, _, _ in streams])
+    need = config.raw_length
+    results = []
+    for (t, rng, database, target), bob_key, known, packed, conclusive in zip(streams, *firsts):
+        if not known.any():
+            results.append(_run_trial(config, HonestAlice(), HonestBob(), t))
+            continue
+        key = _known_key(bob_key, known, packed, config.n, config.k)
+        chosen, shift = query_shift(key.alice_known, target, config.n, rng)
+        ciphertext = encrypt_database(database, key.bob_key, shift)
+        retrieved = decrypt_bit(ciphertext, target, key.alice_known[chosen])
+        known_count = len(key.alice_known)
+        results.append(TrialResult(
+            success=True, restarted=False, first_known=known_count, final_known=known_count,
+            known_mismatches=len(key.mismatched_indices()), conclusive_total=int(conclusive),
+            kept_total=need, retrieved_correct=retrieved == int(database[target])))
+    return results
+
+
+def _trial_batch(config: ProtocolConfig, alice, bob, size: int, trials: int,
+                 batch: int) -> tuple[np.ndarray, np.ndarray]:
+    """The trials from batch * size on, at most `size` of them and none from
+    `trials` on: their first-attempt known counts, and the sum of each
+    `TrialResult` field over them.
+
+    The honest pair itself runs them as one `_honest_batch` when
+    size * n * k fits in `CHUNK`; every other pair runs `_run_trial`.
+    """
+    span = range(batch * size, min(trials, (batch + 1) * size))
+    if (type(alice) is HonestAlice and type(bob) is HonestBob
+            and size * config.raw_length <= CHUNK):
+        results = _honest_batch(config, span)
+    else:
+        results = [_run_trial(config, alice, bob, t) for t in span]
+    first_known = np.array([r.first_known for r in results], dtype=np.int64)
+    return first_known, np.array(results, dtype=np.int64).sum(axis=0)
+
+
 def _worker_count(jobs: int, chunks: int, cpus: int | None = None) -> int:
     """Processes worth starting: min(jobs, cores, chunks), at least one.
 
@@ -178,7 +235,10 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     The closed forms are the cheating side's `Law` (else the honest one); a
     `known_wrong` of 0 adds the exact retrieval and known-bit soundness checks.
     Each trial owns the stream derived from (config.seed, trial index), so
-    results are identical for any job count. Known-bit statistics are taken
+    results are identical for any job count and batching: the honest pair
+    itself runs the first attempts of CHUNK // (n * k) trials as one
+    `_honest_batch` where n * k <= CHUNK, and each batch returns only its
+    first-attempt known counts and field sums. Known-bit statistics are taken
     from the first attempt of each run (the unconditioned distribution);
     restart exhaustion counts as a failed trial, not a crash. The dispersion
     interval needs at least two trials.
@@ -187,15 +247,19 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     start = time.perf_counter()
     alice = alice if alice is not None else HonestAlice()
     bob = bob if bob is not None else HonestBob()
-    results: list[TrialResult] = _map_trials(_run_trial, (config, alice, bob), trials, jobs)
-
-    first_known = np.array([r.first_known for r in results], dtype=float)
-    restarted = sum(r.restarted for r in results)
-    kept_total = sum(r.kept_total for r in results)
-    conclusive_total = sum(r.conclusive_total for r in results)
-    successes = [r for r in results if r.success]
-    known_total = sum(r.final_known for r in successes)
-    mismatch_total = sum(r.known_mismatches for r in successes)
+    size = max(1, CHUNK // config.raw_length)
+    batches = _map_trials(_trial_batch, (config, alice, bob, size, trials),
+                          -(-trials // size), jobs)
+    first_known = np.concatenate([known for known, _ in batches]).astype(float)
+    # Field sums; a failed trial counts no known bit, mismatch or correct
+    # retrieval, so the sums over the successes are the sums over all trials.
+    totals = TrialResult._make(np.sum([sums for _, sums in batches], axis=0).tolist())
+    restarted = totals.restarted
+    kept_total = totals.kept_total
+    conclusive_total = totals.conclusive_total
+    successes = totals.success
+    known_total = totals.final_known
+    mismatch_total = totals.known_mismatches
 
     strategy = bob if isinstance(alice, HonestAlice) else alice
     p_conclusive, known_wrong = strategy.law(config)
@@ -241,11 +305,11 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
         passed["known_dispersion"] = abs(ratio - expected_ratio) <= ratio_hw
 
     if successes:
-        correct = sum(r.retrieved_correct for r in successes)
-        empirical["retrieval_correct_rate"] = correct / len(successes)
+        correct = totals.retrieved_correct
+        empirical["retrieval_correct_rate"] = correct / successes
         if known_wrong == 0.0:
             analytic["retrieval_correct_rate"] = 1.0
-            passed["retrieval_correct"] = correct == len(successes)
+            passed["retrieval_correct"] = correct == successes
             passed["known_bits_sound"] = mismatch_total == 0
         if known_total:
             empirical["known_mismatch_rate"] = mismatch_total / known_total
@@ -255,7 +319,7 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
         params={"config": config.to_dict(), "trials": trials,
                 "alice": alice.kind, "bob": bob.kind, **dataclasses.asdict(strategy)},
         analytic=analytic, empirical=empirical, ci99=ci99, passed=passed,
-        extra={"successes": len(successes), "failures": trials - len(successes),
+        extra={"successes": successes, "failures": trials - successes,
                "known_bits_total": known_total},
         runtime_s=time.perf_counter() - start,
     )

@@ -43,6 +43,9 @@ Her records keep the table entries packed (`AliceRecords`), and
 holds two raw-length arrays: Bob's code and Alice's packed records.
 The full-length per-qubit record (`Transcript.records`) is built only when
 a caller reads it; it derives every posterior, whatever the strategy.
+`_honest_first_attempts` makes one honest attempt per generator, as
+`_run_attempt` would, and runs Alice's gather and the folds once over the
+batch; `monte_carlo` runs its honest trials through it.
 
 Each strategy class states its closed forms for a config as one `Law`
 (`law`): the chance that a kept qubit is conclusive for Alice, and the
@@ -51,6 +54,7 @@ chance that one of her known final bits disagrees with Bob's key.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterator, NamedTuple
@@ -227,6 +231,12 @@ class ProtocolConfig:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        # The seed and eta are kept as given, so a report shows them unchanged.
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        if isinstance(self.eta, bool) or not isinstance(self.eta, numbers.Real):
+            raise ValueError(f"eta must be a real number, got {self.eta!r}")
         if self.n < 1:
             raise ValueError(f"database size must be >= 1, got {self.n}")
         if self.k < 1:
@@ -374,6 +384,26 @@ def _respond_table(layout: RoundLayout,
     return _pair_table(_pack(outcome, conclusive, bit).ravel()), fair, second
 
 
+def _gather_in_place(table: np.ndarray, records: np.ndarray, code: np.ndarray,
+                     scratch: np.ndarray) -> None:
+    """Turn Alice's records into her `_respond_table` entries in place.
+
+    `records` is uint8 and C-contiguous, with an even last axis whose first
+    `code.shape[-1]` entries hold basis * 2 + coin for Bob's `code` of the
+    same leading shape; the pad entry after them, if any, is zeroed. Each
+    becomes her table index, code * 4 + basis * 2 + coin, and is gathered
+    two qubits per uint16. `scratch` is a uint8 array of the shape of `code`.
+    """
+    size = code.shape[-1]
+    index = records[..., :size]
+    index |= np.multiply(code, 4, out=scratch)
+    records[..., size:] = 0
+    # Every index byte is below 4 * len(layout.second), so no entry is
+    # clipped; `take` reads the indices before it writes `out`.
+    gathered = records.view(np.uint16)
+    table.take(gathered, out=gathered, mode="clip")
+
+
 def _byte_pieces(rng: np.random.Generator, count: int,
                  out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Draw the bytes of one `rng.bytes(count)` into `out`, a uint8 array of
@@ -384,15 +414,16 @@ def _byte_pieces(rng: np.random.Generator, count: int,
 
     `Generator.bytes` takes 32-bit words from `next_uint32`, which splits
     each 64-bit output into its low half, returned, and its high half, kept
-    as a spare (`has_uint32`, `uinteger` in the state). So the bytes are the
-    little-endian bytes of consecutive `random_raw` outputs, once a spare
-    held at entry is drained through `rng.bytes` into the first piece. Each
-    piece then takes `CHUNK` bytes of outputs, and before the last piece is
-    yielded the state's spare is set as `next_uint32` would leave it: the
-    last output's high half, marked unused when an odd number of words was
-    taken. A bit generator whose state has no `has_uint32` (MT19937) fills
-    each piece from one `CHUNK`-byte `rng.bytes` call; the calls join into
-    the one call's bytes because every call but the last takes whole words.
+    as a spare (`has_uint32`, `uinteger` in the state). So the bytes are
+    those of a spare held at entry, read little-endian from the state, then
+    the little-endian bytes of consecutive `random_raw` outputs. Each piece
+    takes `CHUNK` bytes of outputs, and before the last piece is yielded the
+    state's spare is set as `next_uint32` would leave it: the last output's
+    high half, marked unused when an odd number of words was taken, or the
+    spare marked used when it held every byte. A bit generator whose state
+    has no `has_uint32` (MT19937) fills each piece from one `CHUNK`-byte
+    `rng.bytes` call; the calls join into the one call's bytes because every
+    call but the last takes whole words.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
@@ -407,8 +438,12 @@ def _byte_pieces(rng: np.random.Generator, count: int,
         else:
             body = piece
             if head and not start:
-                piece[:head] = np.frombuffer(rng.bytes(head), dtype=np.uint8)
+                piece[:head] = np.frombuffer(state["uinteger"].to_bytes(4, "little")[:head],
+                                             dtype=np.uint8)
                 body = piece[head:]
+                if not body.size:
+                    state["has_uint32"] = 0
+                    bitgen.state = state
             if body.size:
                 words = bitgen.random_raw(-(-body.size // 8))
                 body[:] = words.astype("<u8", copy=False).view(np.uint8)[:body.size]
@@ -632,9 +667,8 @@ class HonestAlice:
         count = kept.size
         table, fair, second = _respond_table(rounds.layout, config.announcement)
         # Alice's draw byte: bit 0 fair coin, bit 1 basis. Each piece of it
-        # lands in her records, becomes her table index,
-        # code * 4 + basis * 2 + coin, and is gathered in place; an odd last
-        # piece is gathered two qubits per uint16 through the pad byte.
+        # lands in her records and is gathered in place; an odd last piece
+        # through the pad byte.
         records = np.empty(count + count % 2, dtype=np.uint8)
         scratch = np.empty(min(count, CHUNK + 4), dtype=np.uint8)
         pieces = _byte_pieces(rng, count, records)
@@ -649,14 +683,8 @@ class HonestAlice:
             else:
                 index &= 2
                 index |= rng.random(size) < second[code, index >> 1]
-            index |= np.multiply(code, 4, out=scratch[:size])
-            if size % 2:
-                records[count] = 0
-                size += 1
-            # Every index byte is below 4 * len(layout.second), so no entry is
-            # clipped; `take` reads the indices before it writes `out`.
-            gathered = records[start:start + size].view(np.uint16)
-            table.take(gathered, out=gathered, mode="clip")
+            _gather_in_place(table, records[start:start + size + size % 2], code,
+                             scratch[:size])
         return AliceRecords(packed=records[:count])
 
 
@@ -664,27 +692,42 @@ class HonestAlice:
 # key reduction and retrieval
 # --------------------------------------------------------------------------
 
+def _fold(ufunc: np.ufunc, raw: np.ndarray, n: int, k: int) -> np.ndarray:
+    """`ufunc` folded over the k rows of n entries of `raw`'s last axis; any
+    leading axes are kept. `raw` is not copied when that axis is contiguous."""
+    return ufunc.reduce(raw.reshape(raw.shape[:-1] + (k, n)), axis=-2)
+
+
 def _known_columns(packed: np.ndarray, n: int, k: int) -> np.ndarray:
     """Bool per key position: Alice knows it where the conclusive flag (bit 2)
     of her `AliceRecords.packed` is set in all k rows of n raw entries."""
     # `!= 0` makes bools, on which `flatnonzero` and `count_nonzero` are
     # several times faster than on bytes.
-    return (np.bitwise_and.reduce(packed.reshape(k, n), axis=0) & 4) != 0
+    return (_fold(np.bitwise_and, packed, n, k) & 4) != 0
+
+
+def _fold_rows(bob_bits: np.ndarray, packed: np.ndarray, n: int,
+               k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's key, his raw bits (the lowest bit of each entry, of any integer
+    dtype) XOR-folded, and Alice's `_known_columns`; see `_fold`."""
+    bob_key = _fold(np.bitwise_xor, bob_bits, n, k)
+    bob_key &= 1
+    return bob_key, _known_columns(packed, n, k)
+
+
+def _known_key(bob_key: np.ndarray, known: np.ndarray, packed: np.ndarray, n: int,
+               k: int) -> ObliviousKey:
+    """One attempt's key from its `_fold_rows`: Alice's value of each known
+    column is the XOR of bit 4 of her `packed` records, her raw bit, over
+    the rows, which is folded only there."""
+    idx = np.flatnonzero(known)
+    vals = (np.bitwise_xor.reduce(packed.reshape(k, n)[:, idx], axis=0) >> 4) & 1
+    return ObliviousKey.from_arrays(bob_key, idx, vals)
 
 
 def _reduce_arrays(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> ObliviousKey:
-    """XOR-fold k rows of n raw entries into Bob's key and Alice's known bits.
-
-    Bob's raw bit is the lowest bit of each of his entries, which may have
-    any integer dtype; `packed` is Alice's `AliceRecords.packed`. Neither is
-    copied. Alice knows the `_known_columns`; the value of each is the XOR
-    of bit 4, her raw bit, over the rows, which is folded only there.
-    """
-    bob_key = np.bitwise_xor.reduce(bob_bits.reshape(k, n), axis=0)
-    bob_key &= 1
-    idx = np.flatnonzero(_known_columns(packed, n, k))
-    vals = (np.bitwise_xor.reduce(packed.reshape(k, n)[:, idx], axis=0) >> 4) & 1
-    return ObliviousKey.from_arrays(bob_key, idx, vals)
+    """XOR-fold k rows of n raw entries into Bob's key and Alice's known bits."""
+    return _known_key(*_fold_rows(bob_bits, packed, n, k), packed, n, k)
 
 
 def query_shift(alice_known: dict[int, int], target_index: int, n: int,
@@ -811,32 +854,75 @@ class Transcript:
         return doc
 
 
-def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -> _Attempt:
-    """Send until n*k qubits are detected, then measure and announce."""
+def _joined(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays end to end; a single array itself, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _send(config: ProtocolConfig, bob,
+          rng: np.random.Generator) -> tuple[BobRounds, np.ndarray, np.ndarray]:
+    """Bob's rounds until n*k qubits are detected: (rounds, detected, kept).
+
+    At eta = 1 `detected` and `kept` are one read-only broadcast True. Under
+    loss Bob sends chunks, each sized to complete the raw string with room
+    to spare and followed by its detection floats; `kept` holds the indices
+    of the first n*k detected qubits, and the rounds and `detected` end at
+    the last of them. One chunk, the common case, is not copied.
+    """
     need = config.raw_length
     if config.eta == 1.0:
-        rounds = bob.rounds(need, config, rng)
-        detected = kept = np.broadcast_to(np.True_, need)  # read-only, holds one byte
-    else:
-        chunks: list[BobRounds] = []
-        detected_chunks: list[np.ndarray] = []
-        have = 0
-        while have < need:
-            count = int((need - have) / config.eta * 1.05) + 16
-            chunks.append(bob.rounds(count, config, rng))
-            detected_chunks.append(rng.random(count) < config.eta)
-            have += int(np.count_nonzero(detected_chunks[-1]))
-        detected = np.concatenate(detected_chunks)
-        kept = np.nonzero(detected)[0][:need]
-        # Drop everything after the qubit that completed the raw string.
-        end = kept[-1] + 1
-        rounds = BobRounds(code=np.concatenate([c.code for c in chunks])[:end],
-                           layout=chunks[0].layout)
-        detected = detected[:end]
+        detected = np.broadcast_to(np.True_, need)  # read-only, holds one byte
+        return bob.rounds(need, config, rng), detected, detected
+    chunks: list[BobRounds] = []
+    detected_chunks: list[np.ndarray] = []
+    have = 0
+    while have < need:
+        count = int((need - have) / config.eta * 1.05) + 16
+        chunks.append(bob.rounds(count, config, rng))
+        detected_chunks.append(rng.random(count) < config.eta)
+        have += int(np.count_nonzero(detected_chunks[-1]))
+    detected = _joined(detected_chunks)
+    kept = np.nonzero(detected)[0][:need]
+    # Drop everything after the qubit that completed the raw string.
+    end = kept[-1] + 1
+    code = _joined([c.code for c in chunks])[:end]
+    return BobRounds(code=code, layout=chunks[0].layout), detected[:end], kept
+
+
+def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -> _Attempt:
+    """Send until n*k qubits are detected, then measure and announce."""
+    rounds, detected, kept = _send(config, bob, rng)
     alice_rec = alice.respond(rounds, kept, config, rng)
     bob_bits = bob.key_bits(rounds, kept, alice_rec, config, rng)
     return _Attempt(rounds=rounds, detected=detected, kept=kept,
                     alice=alice_rec, bob_bits=bob_bits)
+
+
+def _honest_first_attempts(config: ProtocolConfig, rngs: list[np.random.Generator]
+                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One honest attempt per generator, each drawn as `_run_attempt` draws it,
+    with Alice's table gather, the folds and the conclusive counts made once
+    over the batch. Returns, one row per attempt: Bob's key and Alice's known
+    columns (`_fold_rows`), her packed records and her conclusive count."""
+    need = config.raw_length
+    bob = HonestBob()
+    layout = HONEST_LAYOUTS[config.announcement]
+    table = _respond_table(layout, config.announcement)[0]
+    codes = np.empty((len(rngs), need), dtype=np.uint8)
+    records = np.empty((len(rngs), need + need % 2), dtype=np.uint8)
+    for code, row, rng in zip(codes, records, rngs):
+        rounds, _, kept = _send(config, bob, rng)
+        code[:] = _at_kept(rounds.code, kept)
+        for _ in _byte_pieces(rng, need, row):
+            pass
+    packed = records[:, :need]
+    packed &= 3  # Alice's draw byte: bit 0 fair coin, bit 1 basis
+    _gather_in_place(table, records, codes, np.empty_like(codes))
+    # Bob's key record reads his kept codes alone: every code of the batch is kept.
+    bob_bits = bob.key_bits(BobRounds(code=codes.reshape(-1), layout=layout),
+                            np.broadcast_to(np.True_, codes.size), None, config, None)
+    bob_keys, known = _fold_rows(bob_bits.reshape(codes.shape), packed, config.n, config.k)
+    return bob_keys, known, packed, np.count_nonzero(packed & 4, axis=-1)
 
 
 def _scatter_records(att: _Attempt) -> RawRecords:

@@ -129,6 +129,29 @@ class TestSeedResolution:
                         "--target", "0", "--out", str(out)]) == 0
         assert json.loads(out.read_text())["config"]["seed"] == 5
 
+    @pytest.mark.parametrize("command", [
+        ["run"], ["table1"], ["attack-alice", "--strategy", "helstrom"],
+        ["attack-bob", "--strategy", "bias"], ["sweep"], ["usd-curve"], ["combine"],
+    ], ids=lambda command: command[0])
+    def test_negative_flag_seed_names_the_flag(self, command, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        assert run_cli(command + ["--seed", "-1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: --seed must be a non-negative integer, got -1" in err
+        assert not out.exists()
+
+    def test_negative_file_or_env_seed_names_its_source(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -2}))
+        out = tmp_path / "r.json"
+        assert run_cli(["table1", "--config", str(cfg), "--out", str(out)]) == 1
+        assert ("--seed in the config file must be a non-negative integer, got -2"
+                in capsys.readouterr().err)
+        monkeypatch.setenv("QPQ_SEED", "-3")
+        assert run_cli(["table1", "--out", str(out)]) == 1
+        assert "$QPQ_SEED must be a non-negative integer, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_config_file_supplies_defaults(self, tmp_path):

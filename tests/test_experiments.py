@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from qpq.experiments import (
     usd_curve,
     usd_curve_experiment,
 )
-from qpq.protocol import ProtocolConfig, run_protocol
+from qpq.protocol import CHUNK, HonestAlice, HonestBob, ProtocolConfig, run_protocol
 
 from conftest import honest_category_counts, parity_usd_bound_50_digits
 
@@ -185,6 +186,145 @@ class TestProviderMonteCarloDigests:
                              trials=20)
         digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
         assert digest.hexdigest() == self.DIGESTS[name, seed]
+
+
+class TestHonestMonteCarloDigests:
+    """sha256 of 200-trial honest `monte_carlo` reports.
+
+    No CLI command runs honest `monte_carlo`, so the CLI digests cannot see
+    these reports. The points are the benchmark's lossy (1000, 4) run, the
+    same run at eta = 1 and under basis announcements, and a restart-heavy
+    point where most first attempts know no bit and some runs exhaust their
+    restarts. Pinned while every trial still ran through `run_protocol`.
+    """
+
+    POINTS = {
+        "lossy": {"n": 1000, "k": 4, "eta": 0.5},
+        "lossless": {"n": 1000, "k": 4},
+        "bb84": {"n": 1000, "k": 4, "eta": 0.5, "announcement": "bb84"},
+        "restart-heavy": {"n": 7, "k": 2, "eta": 0.8, "max_restarts": 3},
+    }
+    DIGESTS = {
+        ("lossy", 12345):
+            "56501b0d85b4a74037c21cefacc2b2d2d0183a62203eaccace59309b8c7029d5",
+        ("lossless", 12345):
+            "7ec24ae1902081dd0465109aa4f4192c7c2b328f6f276f01dfdf49abe6678d96",
+        ("bb84", 12345):
+            "06582d594ff30a1b8ecc67e8ae3374721a5f7213c9dc34a27fde19d1f02ce48d",
+        ("restart-heavy", 12345):
+            "5c8454f482a99180bb84a0fed167436a5e38b4b879e598296692de5b19a7c4e0",
+        ("lossy", 7):
+            "641b298967d95ca52fa4f4678447164173b366a0f0970cd3a55773e97bb3600d",
+        ("lossless", 7):
+            "a1da08af2eb938fdb73aa6f952b9ce3451628cd87ab15bf1fa3db71396cdc1c7",
+        ("bb84", 7):
+            "7923de886105607da3d35b2c07cb8574a7c7b6b1f53b9789147d2ade69ebf90b",
+        ("restart-heavy", 7):
+            "6d7a1c7a3d65d01f74428e0628770e16967d0f5fc61246938f516fde594b2183",
+    }
+
+    @pytest.mark.parametrize("name,seed", list(DIGESTS),
+                             ids=[f"{name}-seed{seed}" for name, seed in DIGESTS])
+    def test_report_digest(self, name, seed):
+        report = monte_carlo(ProtocolConfig(seed=seed, **self.POINTS[name]), trials=200)
+        digest = hashlib.sha256(json.dumps(report.to_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == self.DIGESTS[name, seed]
+
+
+def per_trial(config, trials):
+    """Every trial of the honest pair through `_run_trial`, one by one."""
+    return [experiments._run_trial(config, HonestAlice(), HonestBob(), t) for t in trials]
+
+
+class TestHonestBatches:
+    """`monte_carlo` runs the honest pair's first attempts in batches of
+    CHUNK // (n * k) trials; each trial's result is the one `_run_trial` gives."""
+
+    @pytest.mark.parametrize("n,k,eta,announcement,max_restarts,trials", [
+        (1000, 4, 1.0, "sarg", 20, 37),
+        (1000, 4, 0.5, "sarg", 20, 37),
+        (1000, 4, 0.37, "bb84", 20, 37),
+        (301, 3, 0.37, "sarg", 20, 150),
+        (7, 2, 0.8, "sarg", 3, 300),
+        (7, 2, 0.8, "sarg", 0, 300),
+        (CHUNK // 4, 4, 0.5, "sarg", 20, 3),
+    ], ids=["lossless", "lossy", "bb84-lossy", "odd-raw-length", "restarts",
+            "restart-limit", "one-chunk"])
+    def test_every_trial_result_equals_run_trial(self, n, k, eta, announcement,
+                                                 max_restarts, trials):
+        """Field for field, over every batch of a trial count that is not a
+        multiple of the batch size (but for batches of one trial). At (7, 2)
+        about 60% of first attempts know no bit; with no restart allowed
+        those trials fail."""
+        config = ProtocolConfig(n=n, k=k, eta=eta, announcement=announcement,
+                                max_restarts=max_restarts, seed=23)
+        size = CHUNK // config.raw_length
+        assert size == 1 or trials % size
+        spans = [range(lo, min(trials, lo + size)) for lo in range(0, trials, size)]
+        got = [r for span in spans for r in experiments._honest_batch(config, span)]
+        want = per_trial(config, range(trials))
+        assert got == want
+        assert all(type(a) is type(b) for r, w in zip(got, want) for a, b in zip(r, w))
+        if max_restarts == 0:
+            assert 0 < sum(not r.success for r in got) < trials
+
+    @pytest.mark.parametrize("n,k,batched", [(CHUNK // 4, 4, True), (CHUNK + 1, 1, False)],
+                             ids=["raw-length-chunk", "raw-length-chunk-plus-one"])
+    def test_batches_stop_past_one_chunk(self, n, k, batched, monkeypatch):
+        """n * k = CHUNK runs batches of one trial; one qubit more runs `_run_trial`."""
+        config = ProtocolConfig(n=n, k=k, eta=0.5, seed=4)
+        calls = []
+        batch = experiments._honest_batch
+        monkeypatch.setattr(experiments, "_honest_batch",
+                            lambda config, trials: calls.append(trials) or batch(config, trials))
+        report = monte_carlo(config, trials=3).to_json()
+        assert calls == ([range(0, 1), range(1, 2), range(2, 3)] if batched else [])
+        monkeypatch.setattr(experiments, "_honest_batch", per_trial)
+        assert monte_carlo(config, trials=3).to_json() == report
+
+    @pytest.mark.parametrize("eta,max_restarts", [(1.0, 20), (0.5, 20), (0.8, 0)])
+    def test_reports_equal_trial_by_trial_runs(self, eta, max_restarts, monkeypatch):
+        """250 trials in batches of 109, 109 and 32."""
+        config = ProtocolConfig(n=200, k=3, eta=eta, max_restarts=max_restarts, seed=8)
+        report = monte_carlo(config, trials=250).to_json()
+        monkeypatch.setattr(experiments, "_honest_batch", per_trial)
+        assert monte_carlo(config, trials=250).to_json() == report
+
+    def test_job_count_does_not_change_the_report(self):
+        config = ProtocolConfig(n=1000, k=4, eta=0.5, seed=19)
+        assert (monte_carlo(config, trials=37, jobs=2).to_json()
+                == monte_carlo(config, trials=37, jobs=1).to_json())
+
+    def test_honest_subclasses_run_trial_by_trial(self):
+        """A strategy that overrides the honest one keeps its own seams."""
+        responses = []
+
+        class CountingAlice(HonestAlice):
+            def respond(self, rounds, kept, config, rng):
+                responses.append(kept.size)
+                return super().respond(rounds, kept, config, rng)
+
+        config = ProtocolConfig(n=100, k=2, seed=6)
+        report = monte_carlo(config, alice=CountingAlice(), trials=20)
+        assert len(responses) >= 20
+        assert report.to_dict()["empirical"] == monte_carlo(config, trials=20).to_dict()["empirical"]
+
+    def test_peak_memory_does_not_grow_with_trials(self):
+        """2,000 trials at (1000, 4) peak within 1.5x of 200: the batch arrays
+        are sized by CHUNK and each trial leaves only its tally behind. Each
+        run follows an untraced one, which loads what `default_rng` imports
+        lazily."""
+        def traced_peak(trials):
+            run = lambda: monte_carlo(ProtocolConfig(n=1000, k=4, seed=3), trials=trials)
+            run()
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(2000) <= 1.5 * traced_peak(200)
 
 
 class TestUsdCurve:

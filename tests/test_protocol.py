@@ -8,6 +8,7 @@ see every one of the 256 values of their draw byte, in every combination.
 import dataclasses
 import hashlib
 import math
+import re
 import tracemalloc
 import weakref
 
@@ -669,6 +670,29 @@ class TestConfigValidation:
         sizes = {"n": 10, "k": 2, "max_restarts": 3, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
             ProtocolConfig(**sizes)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("eta", True, "eta must be a real number, got True"),
+        ("eta", np.True_, "eta must be a real number, got np.True_"),
+        ("eta", "0.5", "eta must be a real number, got '0.5'"),
+        ("eta", 0.5j, "eta must be a real number, got 0.5j"),
+        ("seed", True, "seed must be a non-negative integer, got True"),
+        ("seed", -1, "seed must be a non-negative integer, got -1"),
+        ("seed", np.int64(-5), "seed must be a non-negative integer, got np.int64(-5)"),
+        ("seed", 3.0, "seed must be a non-negative integer, got 3.0"),
+        ("seed", "3", "seed must be a non-negative integer, got '3'"),
+    ], ids=["eta-bool", "eta-numpy-bool", "eta-str", "eta-complex", "seed-bool",
+            "seed-negative", "seed-numpy-negative", "seed-float", "seed-str"])
+    def test_rejects_a_bad_eta_or_seed_up_front(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ProtocolConfig(n=10, k=1, **{field: value})
+
+    def test_keeps_eta_and_seed_as_given(self):
+        """Ints and numpy values pass unchanged, so no report byte moves."""
+        config = ProtocolConfig(n=10, k=1, eta=np.float32(0.5), seed=np.uint16(3))
+        assert type(config.eta) is np.float32 and type(config.seed) is np.uint16
+        doc = ProtocolConfig(n=10, k=1, eta=1, seed=0).to_dict()
+        assert type(doc["eta"]) is int and type(doc["seed"]) is int
 
     def test_stores_numpy_integer_sizes_as_python_ints(self):
         config = ProtocolConfig(n=np.int64(10), k=np.uint8(2), max_restarts=np.int32(3))
