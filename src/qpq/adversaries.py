@@ -15,9 +15,9 @@ part of an `ExperimentReport`, to which the attack reports and the
 no-signaling audit over the whole family add their checks, with intervals
 from the same counts. The attack reports also count the final key bits an
 honest user knows after one attempt against the strategy: 150 blocks of
-400 positions of one first attempt through the engine's attempt seam
-(`protocol._run_attempt`), counted at the known columns without building a
-key, a query or a ciphertext.
+400 positions of one first attempt, Bob's rounds (`protocol._send`) and the
+honest user's records, counted at the known columns without drawing Bob's
+key record or building a key, a query or a ciphertext.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .protocol import (
     _decode,
     _fair_bits,
     _known_columns,
-    _run_attempt,
+    _send,
     run_protocol,  # noqa: F401 (bench/tests/test_bench.py traces through it)
 )
 
@@ -527,22 +527,26 @@ def _known_bits_through_runs(bob, n: int, k: int, runs: int, seed: int,
                              stream: int) -> tuple[float, float, float]:
     """Mean known-bit count of first attempts under a provider strategy.
 
-    The runs are the n-position blocks of one honest-user attempt at
-    runs * n positions through `_run_attempt`, drawing from [seed, stream, 1],
-    apart from the round battery's [seed, stream]. Block r counts the
-    `_known_columns` among positions r * n to (r + 1) * n - 1. A fixed-state
-    provider prepares every raw qubit independently, so the blocks are
-    independent Binomial(n, p_c**k) counts, the law of separate attempts at
-    n. They are the per-block known sets a `run_protocol` call with no
-    restarts would build from the same stream (none at all for an empty
-    attempt), without the key, the query or the ciphertext. numpy's
+    The runs are the n-position blocks of one honest-user attempt at runs * n
+    positions: Bob's rounds and Alice's records, drawn as `_run_attempt`
+    draws them from [seed, stream, 1] (the battery draws from [seed,
+    stream]), but not his key record, its last draw, which no count reads.
+    Block r counts the `_known_columns` among positions r * n to
+    (r + 1) * n - 1. A fixed-state provider prepares every raw qubit
+    independently, so the blocks are independent Binomial(n, p_c**k)
+    counts, the law of separate attempts at n. They are the per-block known
+    sets a `run_protocol` call with no restarts would build from the same
+    stream (none for an empty attempt), without the key, the query or the
+    ciphertext. numpy's
     SeedSequence reads a trailing 0 as the padding of a shorter seed, so
     [seed, stream, 0] would be the battery's own stream.
     Returns (empirical mean, 99% half-width, n * p_c**k with p_c from `bob.law`).
     """
     config = ProtocolConfig(n=runs * n, k=k, seed=seed)
-    attempt = _run_attempt(config, HonestAlice(), bob, np.random.default_rng([seed, stream, 1]))
-    known = _known_columns(attempt.alice.packed, config.n, k).reshape(runs, n)
+    rng = np.random.default_rng([seed, stream, 1])
+    rounds, _, kept = _send(config, bob, rng)
+    packed = HonestAlice().respond(rounds, kept, config, rng).packed
+    known = _known_columns(packed, config.n, k).reshape(runs, n)
     mean, hw = stats.mean_ci(np.count_nonzero(known, axis=1))
     return mean, hw, n * bob.law(config).conclusive ** k
 
@@ -576,7 +580,7 @@ def _attack_report(bob, trials: int, seed: int, stream: int) -> ExperimentReport
     The rounds draw from the stream [seed, stream]. A side experiment
     measures how many final key bits an honest user ends up knowing at
     n = 400, k = 2: 150 blocks of 400 positions of one first attempt
-    through `_run_attempt` at 60,000 positions, on the stream
+    at 60,000 positions (`_known_bits_through_runs`), on the stream
     [seed, stream, 1]. A rate without samples fails its check.
     """
     start = time.perf_counter()
@@ -705,12 +709,10 @@ def cheat_detection(transcripts: Iterable[Transcript], n_check: int) -> float | 
         raise ValueError("need at least one checked bit")
     outcomes = []
     for t in transcripts:
-        extras = [j for j in t.key.known_indices() if j != t.chosen_index]
-        if not extras:
-            continue
-        checked = extras[:n_check]
-        outcomes.append(any(t.key.alice_known[j] != int(t.key.bob_key[j])
-                            for j in checked))
+        known, bits = t.key._entries()
+        checked = np.flatnonzero(known != t.chosen_index)[:n_check]
+        if checked.size:
+            outcomes.append(bool((bits[checked] != t.key.bob_key[known[checked]]).any()))
     if not outcomes:
         return None
     return float(np.mean(outcomes))

@@ -237,7 +237,7 @@ def _cmd_run(args, file_cfg, seed) -> int:
     doc["retrieval_correct"] = t.retrieved_bit == expected
     _write_json(out_path, doc)
     print(f"n={config.n} k={config.k} eta={config.eta} seed={seed}")
-    print(f"restarts={t.restarts} known_bits={len(t.key.alice_known)} "
+    print(f"restarts={t.restarts} known_bits={t.key.known.size} "
           f"chosen_j={t.chosen_index} shift={t.shift}")
     print(f"target={target} retrieved={t.retrieved_bit} expected={expected} "
           f"{'OK' if t.retrieved_bit == expected else 'MISMATCH'}")

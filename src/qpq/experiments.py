@@ -136,7 +136,7 @@ def _run_trial(config: ProtocolConfig, alice, bob, trial: int) -> TrialResult:
         success=True,
         restarted=t.restarts > 0,
         first_known=t.attempt_known_counts[0],
-        final_known=len(t.key.alice_known),
+        final_known=t.key.known.size,
         known_mismatches=len(t.key.mismatched_indices()),
         conclusive_total=sum(t.attempt_conclusive_counts),
         kept_total=config.raw_length * (t.restarts + 1),
@@ -165,10 +165,10 @@ def _honest_batch(config: ProtocolConfig, trials: range) -> list[TrialResult]:
             results.append(_run_trial(config, HonestAlice(), HonestBob(), t))
             continue
         key = _known_key(bob_key, known, packed, config.n, config.k)
-        chosen, shift = query_shift(key.alice_known, target, config.n, rng)
+        place, shift = query_shift(key.known, target, config.n, rng)
         ciphertext = encrypt_database(database, key.bob_key, shift)
-        retrieved = decrypt_bit(ciphertext, target, key.alice_known[chosen])
-        known_count = len(key.alice_known)
+        retrieved = decrypt_bit(ciphertext, target, key.bits[place])
+        known_count = key.known.size
         results.append(TrialResult(
             success=True, restarted=False, first_known=known_count, final_known=known_count,
             known_mismatches=len(key.mismatched_indices()), conclusive_total=int(conclusive),
@@ -467,7 +467,7 @@ def combine_known_sets(known_sets: Sequence[Sequence[int]], n: int) -> np.ndarra
     """
     aligned: list[np.ndarray] = []
     for idx, known in enumerate(known_sets):
-        arr = np.unique(np.asarray(sorted(known), dtype=np.int64))
+        arr = np.unique(np.asarray(known, dtype=np.int64))
         if arr.size == 0:
             raise ValueError(f"input string {idx} has an empty known set")
         if arr[0] < 0 or arr[-1] >= n:
@@ -485,7 +485,7 @@ def _combine_trial(config: ProtocolConfig, m: int, trial: int) -> int:
     sets = []
     for _ in range(m):
         t = run_protocol(config, database, 0, rng=rng)
-        sets.append(t.key.known_indices())
+        sets.append(t.key.known)
     return int(combine_known_sets(sets, config.n).size)
 
 

@@ -152,59 +152,57 @@ class Interpretation:
 
 @dataclass(frozen=True, eq=False)
 class ObliviousKey:
-    """Bob's full N-bit key plus Alice's sparse view of it.
-
-    A key built from a dict checks it entry by entry; the engine's keys come
-    from `from_arrays`, which checks its arrays whole.
-    """
+    """Bob's full N-bit key plus Alice's sparse view of it: she knows bits[i]
+    at known[i], for positions that increase within [0, n). It holds
+    read-only views, so the caller's arrays stay writeable. `alice_known`,
+    the entries as a dict, is built on first read; once a caller has taken
+    it, the entry readers read it, so an edit to it shows."""
 
     bob_key: np.ndarray
-    alice_known: dict[int, int]
+    known: np.ndarray
+    bits: np.ndarray
 
     def __post_init__(self):
-        key = np.ascontiguousarray(self.bob_key, dtype=np.uint8)
-        key.setflags(write=False)
-        object.__setattr__(self, "bob_key", key)
+        key = np.ascontiguousarray(self.bob_key, dtype=np.uint8).view()
+        idx = np.asarray(self.known, dtype=np.intp).view()
+        bits = np.asarray(self.bits, dtype=np.intp)
         n = key.size
-        for j, bit in self.alice_known.items():
-            if not 0 <= j < n or bit not in (0, 1):
-                raise ValueError(f"known entry {j}: {bit} outside the key")
-
-    @classmethod
-    def from_arrays(cls, bob_key: np.ndarray, idx: np.ndarray,
-                    bits: np.ndarray) -> "ObliviousKey":
-        """The key whose Alice knows bits[i] at position idx[i].
-
-        The arrays are checked whole in place of the per-entry loop: the
-        indices increase and lie in [0, n), and every bit is 0 or 1.
-        """
-        key = cls(bob_key=bob_key, alice_known={})
-        n = key.size
+        if idx.ndim != 1 or bits.shape != idx.shape:
+            raise ValueError(f"positions {idx.shape} and bits {bits.shape} need one 1-D shape")
         # `count_nonzero` costs a fraction of `any` on the few entries of a
         # typical key.
         if idx.size and (idx[0] < 0 or idx[-1] >= n or np.count_nonzero(idx[1:] <= idx[:-1])):
             raise ValueError(f"known indices must increase within [0, {n})")
         if np.count_nonzero(bits >> 1):
             raise ValueError("known bits must be 0 or 1")
-        object.__setattr__(key, "alice_known", dict(zip(idx.tolist(), bits.tolist())))
-        return key
+        for name, value in (("bob_key", key), ("known", idx), ("bits", bits.astype(np.uint8))):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def alice_known(self) -> dict[int, int]:
+        return dict(zip(self.known.tolist(), self.bits.tolist()))
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(positions, bits) in position order; from `alice_known` once it is taken."""
+        taken = self.__dict__.get("alice_known")
+        if taken is None:
+            return self.known, self.bits
+        known = np.fromiter(taken, dtype=np.intp, count=len(taken))
+        order = known.argsort()
+        return known[order], np.fromiter(taken.values(), dtype=np.intp, count=len(taken))[order]
 
     @property
     def size(self) -> int:
         return int(self.bob_key.size)
 
     def known_indices(self) -> list[int]:
-        return sorted(self.alice_known)
+        return self._entries()[0].tolist()
 
     def mismatched_indices(self) -> list[int]:
-        """Known positions where Alice's value disagrees with Bob's key.
-
-        Read from the dict on each call, so a later change to it shows.
-        """
-        known = self.alice_known
-        idx = np.fromiter(known, dtype=np.intp, count=len(known))
-        bits = np.fromiter(known.values(), dtype=np.intp, count=len(known))
-        return sorted(idx[bits != self.bob_key.take(idx)].tolist())
+        """Known positions where Alice's value disagrees with Bob's key."""
+        known, bits = self._entries()
+        return known[bits != self.bob_key.take(known)].tolist()
 
 
 @dataclass(frozen=True)
@@ -722,7 +720,7 @@ def _known_key(bob_key: np.ndarray, known: np.ndarray, packed: np.ndarray, n: in
     the rows, which is folded only there."""
     idx = np.flatnonzero(known)
     vals = (np.bitwise_xor.reduce(packed.reshape(k, n)[:, idx], axis=0) >> 4) & 1
-    return ObliviousKey.from_arrays(bob_key, idx, vals)
+    return ObliviousKey(bob_key, idx, vals)
 
 
 def _reduce_arrays(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> ObliviousKey:
@@ -730,16 +728,15 @@ def _reduce_arrays(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> 
     return _known_key(*_fold_rows(bob_bits, packed, n, k), packed, n, k)
 
 
-def query_shift(alice_known: dict[int, int], target_index: int, n: int,
+def query_shift(known: np.ndarray, target_index: int, n: int,
                 rng: np.random.Generator) -> tuple[int, int]:
-    """Pick a known key position j uniformly and announce s = (j - i) mod n."""
-    if not alice_known:
+    """Pick a place p in `known` uniformly; return p and the shift (known[p] - i) mod n."""
+    if not len(known):
         raise EmptyKnownSet("cannot build a query without a known key bit")
     if not 0 <= target_index < n:
         raise ValueError(f"target index {target_index} outside [0, {n})")
-    known = sorted(alice_known)
-    j = known[int(rng.integers(len(known)))]
-    return j, (j - target_index) % n
+    place = int(rng.integers(len(known)))
+    return place, (int(known[place]) - target_index) % n
 
 
 def encrypt_database(database: np.ndarray, bob_key: np.ndarray, shift: int) -> np.ndarray:
@@ -838,11 +835,12 @@ class Transcript:
         return _scatter_records(self.final_attempt)
 
     def to_dict(self, verbose: bool = False) -> dict:
+        known, bits = self.key._entries()
         doc = {
             "config": self.config.to_dict(),
             "restarts": self.restarts,
-            "known_indices": self.key.known_indices(),
-            "known_bits": {str(j): b for j, b in sorted(self.key.alice_known.items())},
+            "known_indices": known.tolist(),
+            "known_bits": {str(j): b for j, b in zip(known.tolist(), bits.tolist())},
             "target_index": self.target_index,
             "chosen_index": self.chosen_index,
             "shift": self.shift,
@@ -990,19 +988,19 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     for _ in range(config.max_restarts + 1):
         att = _run_attempt(config, alice, bob, rng)
         key = _reduce_arrays(att.bob_bits, att.alice.packed, config.n, config.k)
-        known_counts.append(len(key.alice_known))
+        known_counts.append(key.known.size)
         conclusive_counts.append(att.alice.conclusive_count)
-        if key.alice_known:
+        if key.known.size:
             break
         att = key = None  # release this attempt's arrays before the next one
     else:
         raise RestartLimitExceeded(conclusive_counts)
 
-    chosen_j, shift = query_shift(key.alice_known, target_index, config.n, rng)
+    place, shift = query_shift(key.known, target_index, config.n, rng)
     ciphertext = encrypt_database(x, key.bob_key, shift)
-    retrieved = decrypt_bit(ciphertext, target_index, key.alice_known[chosen_j])
+    retrieved = decrypt_bit(ciphertext, target_index, key.bits[place])
     return Transcript(config=config, restarts=len(known_counts) - 1, key=key,
-                      target_index=target_index, chosen_index=chosen_j,
+                      target_index=target_index, chosen_index=int(key.known[place]),
                       shift=shift, ciphertext=ciphertext, retrieved_bit=retrieved,
                       final_attempt=att, attempt_known_counts=known_counts,
                       attempt_conclusive_counts=conclusive_counts)

@@ -76,7 +76,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=float)
+        amps = np.asarray(self.amplitudes, dtype=float).view()  # the caller's stays writeable
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         if amps.ndim != 1 or amps.size < 2 or amps.size & (amps.size - 1):
@@ -104,7 +104,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+        m = np.asarray(self.matrix, dtype=float).view()  # the caller's stays writeable
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:

@@ -598,7 +598,8 @@ class TestReportDigests:
     sampled `empirical` values and their `ci99` widths moved and every
     analytic value stayed bit-identical. The `run -v` digests cover the
     honest engine's per-qubit records with every qubit detected, under
-    loss, and over 70,000 qubits, more than one `protocol.CHUNK`; the
+    loss, over 70,000 qubits, more than one `protocol.CHUNK`, and at k = 1,
+    where the key holds 8 known bits at seed 12345 (5 at seed 7); the
     combine digest covers the honest engine driven through several keys.
     The table1, usd-curve and first helstrom digests are taken at default
     argv; `TestGoldenReports` compares the last two with the dense route.
@@ -618,6 +619,7 @@ class TestReportDigests:
         "run-records": ["run", "-v", "--n", "2000", "--k", "3"],
         "run-records-lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
         "run-records-multi-chunk": ["run", "-v", "--n", "14000", "--k", "5"],
+        "run-records-many-known": ["run", "-v", "--n", "40", "--k", "1"],
         "combine": ["combine", "--m", "3", "--n", "2000", "--k", "3", "--trials", "20",
                     "--jobs", "1"],
         "table1": ["table1"],
@@ -639,6 +641,8 @@ class TestReportDigests:
         "run-records-lossy": "c0ac96a4bbb0597a8960a850949d00ca3f538e2579be3e222d067bc49cc894cf",
         "run-records-multi-chunk":
             "3aa92710f6133479028f01c02fca5dac232cbea866aa69781fd005750a659c97",
+        "run-records-many-known":
+            "7cdf762e3fe614cda41bb7d7fddb471db849ddc47f07caf2d159c8b511c9fe26",
         "combine": "5887db72a51941fc377e039bdbb0763af28a46070c7c9851ae09d88994936d21",
         "table1": "981a2b789cd7e4e10f725ce4a306e9395df1fefe3846f704f868a873d22dbfd8",
         "usd-curve": "73328b34c103c4cc01e2ab3604cbe505c9db45eb1cc2d4819ff879909daf60e4",
@@ -663,6 +667,8 @@ class TestReportDigests:
         "run-records-lossy": "fa4aca485199ab0898db223abaacc199688f2b5c860d38d45d21aef83541e70e",
         "run-records-multi-chunk":
             "90a804f8cb3745a58d2925e8b5ac74cf6c9f051f378ef4e56d45fcba18c90040",
+        "run-records-many-known":
+            "2e5cc12cf530dae6077a8fe28fa08dc8b9a2c17cd8c2628991b2885975f0f9a5",
         "combine": "6e68d2db32d640686023eda8f1159d66ef7ec401de3a3aca51c3917f46b2db3b",
         "attack-alice-helstrom":
             "906ee5455a7ab271790c8072c179f0f9af0da5e64e341fd207662e9d08811842",

@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 from qpq import experiments, stats
-from qpq.adversaries import USD_SUCCESS, BiasedBob, EntangledBob, UsdAlice
+from qpq.adversaries import (
+    USD_SUCCESS,
+    Bb84MemoryAlice,
+    BiasedBob,
+    EntangledBob,
+    UsdAlice,
+    cheat_detection,
+)
 from qpq.experiments import (
     TABLE1_REFERENCE,
     bb84_attack_experiment,
@@ -25,7 +32,14 @@ from qpq.experiments import (
     usd_curve,
     usd_curve_experiment,
 )
-from qpq.protocol import CHUNK, HonestAlice, HonestBob, ProtocolConfig, run_protocol
+from qpq.protocol import (
+    CHUNK,
+    HonestAlice,
+    HonestBob,
+    ObliviousKey,
+    ProtocolConfig,
+    run_protocol,
+)
 
 from conftest import honest_category_counts, parity_usd_bound_50_digits
 
@@ -453,6 +467,35 @@ class TestCombine:
 
 def _square(base, t):
     return base + t * t
+
+
+class TestKeysStayArrays:
+    """No engine or driver path builds a key's `alice_known` dict."""
+
+    @pytest.fixture(autouse=True)
+    def no_dict(self, monkeypatch):
+        def taken(key):
+            raise AssertionError("alice_known was built")
+        monkeypatch.setattr(ObliviousKey, "alice_known", property(taken))
+
+    def test_run_protocol_and_its_readers(self):
+        config = ProtocolConfig(n=200, k=2, seed=3)
+        database = np.random.default_rng(1).integers(0, 2, config.n, dtype=np.uint8)
+        t = run_protocol(config, database, 5)
+        assert t.retrieved_bit == database[5]
+        assert t.to_dict()["known_indices"] == t.key.known_indices()
+        assert t.key.mismatched_indices() == [] and cheat_detection([t], 3) in (None, 0.0)
+
+    def test_honest_lossy_monte_carlo_with_restarts(self):
+        report = monte_carlo(ProtocolConfig(n=20, k=2, eta=0.5, seed=4), trials=40)
+        assert report.empirical["restart_fraction"] > 0 and report.extra["failures"] == 0
+
+    def test_bb84_memory_monte_carlo_under_basis_announcements(self):
+        monte_carlo(ProtocolConfig(n=100, k=2, seed=5, announcement="bb84"),
+                    alice=Bb84MemoryAlice(), trials=10)
+
+    def test_multi_string_combine(self):
+        multi_string_combine(m=3, n=200, k=3, trials=10, seed=6)
 
 
 class TestTrialMapper:

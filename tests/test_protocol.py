@@ -310,21 +310,33 @@ class TestReduceKey:
 
 class TestQueryShiftEncrypt:
     def test_simple_shift(self, rng):
-        j, s = query_shift({5: 1}, target_index=2, n=10, rng=rng)
-        assert (j, s) == (5, 3)
+        place, s = query_shift(np.array([5]), target_index=2, n=10, rng=rng)
+        assert (place, s) == (0, 3)
 
     def test_wrapping_shift(self, rng):
-        j, s = query_shift({1: 0}, target_index=8, n=10, rng=rng)
-        assert (j, s) == (1, 3)
+        place, s = query_shift(np.array([1]), target_index=8, n=10, rng=rng)
+        assert (place, s) == (0, 3)
 
     def test_tie_break_is_uniform(self, rng):
         n = 20_000
-        picks = sum(query_shift({2: 0, 7: 1}, 0, 10, rng)[0] == 2 for _ in range(n))
+        picks = sum(query_shift(np.array([2, 7]), 0, 10, rng)[0] == 0 for _ in range(n))
         assert abs(picks - n / 2) <= three_sigma_count(0.5, n)
+
+    def test_picks_the_positions_of_the_dict_route(self):
+        """The picks of the route that sorted a dict's keys, at fixed seeds:
+        one `rng.integers(len(known))` draw per query."""
+        known = np.array([2, 7, 11, 30, 31])
+        picks = [query_shift(known, 5, 40, np.random.default_rng(s)) for s in range(8)]
+        assert [(int(known[p]), s) for p, s in picks] == [
+            (31, 26), (11, 6), (31, 26), (31, 26), (30, 25), (30, 25), (11, 6), (31, 26)]
+        rng = np.random.default_rng(99)
+        picks = [query_shift(known, 33, 40, rng) for _ in range(8)]
+        assert [(int(known[p]), s) for p, s in picks] == [
+            (31, 38), (11, 18), (30, 37), (11, 18), (2, 9), (11, 18), (31, 38), (31, 38)]
 
     def test_empty_known_set_raises(self, rng):
         with pytest.raises(EmptyKnownSet):
-            query_shift({}, 0, 10, rng)
+            query_shift(np.array([], dtype=np.intp), 0, 10, rng)
 
     def test_zero_shift_identity(self):
         x = np.array([1, 0, 1, 1], dtype=np.uint8)
@@ -365,24 +377,40 @@ class TestQueryShiftEncrypt:
 
 
 class TestObliviousKeyType:
-    def test_rejects_out_of_range_known_index(self):
-        with pytest.raises(ValueError, match="known entry"):
-            ObliviousKey(bob_key=np.zeros(4, dtype=np.uint8), alice_known={4: 0})
-
-    @pytest.mark.parametrize("idx,bits,match", [
+    @pytest.mark.parametrize("known,bits,match", [
         ([0, 2, 4], [1, 0, 1], "indices"),
+        ([-1, 2], [1, 0], "indices"),
         ([0, 3, 2], [1, 0, 1], "indices"),
+        ([0, 2, 2], [1, 0, 1], "indices"),
         ([0, 2, 3], [1, 2, 1], "bits"),
-    ], ids=["index-out-of-range", "indices-not-increasing", "bit-of-2"])
-    def test_from_arrays_rejects_entries_outside_the_key(self, idx, bits, match):
+        ([0, 2, 3], [1, -1, 1], "bits"),
+        ([0, 2], [1, 0, 1], "shape"),
+        ([[0, 2]], [[1, 0]], "shape"),
+    ], ids=["index-out-of-range", "negative-index", "indices-not-increasing",
+            "repeated-index", "bit-of-2", "bit-of-minus-1", "length-mismatch", "two-dim"])
+    def test_rejects_entries_outside_the_key(self, known, bits, match):
         with pytest.raises(ValueError, match=match):
-            ObliviousKey.from_arrays(np.zeros(4, dtype=np.uint8), np.array(idx),
-                                     np.array(bits, dtype=np.uint8))
+            ObliviousKey(np.zeros(4, dtype=np.uint8), np.array(known), np.array(bits))
+
+    def test_holds_read_only_arrays_and_leaves_the_callers_writeable(self):
+        bob_key = np.array([1, 0, 1, 1], dtype=np.uint8)
+        known = np.array([0, 3], dtype=np.intp)
+        bits = np.array([1, 0], dtype=np.uint8)
+        key = ObliviousKey(bob_key, known, bits)
+        for given, held in ((bob_key, key.bob_key), (known, key.known), (bits, key.bits)):
+            assert given.flags.writeable and not held.flags.writeable
+        assert (key.known.dtype, key.bits.dtype) == (np.intp, np.uint8)
+        assert key.alice_known == {0: 1, 3: 0}
+        assert key.known_indices() == [0, 3] and key.mismatched_indices() == [3]
+
+    def test_empty_lists_make_an_empty_known_set(self):
+        key = ObliviousKey(np.zeros(3, dtype=np.uint8), [], [])
+        assert key.size == 3 and key.alice_known == {} and key.mismatched_indices() == []
 
     @pytest.mark.parametrize("size", [0, 1, 4, 1000])
     def test_mismatches_equal_the_per_entry_loop_after_changes(self, size):
         rng = np.random.default_rng([size, 31])
-        key = ObliviousKey(bob_key=rng.integers(0, 2, 1000, dtype=np.uint8), alice_known={})
+        key = ObliviousKey(rng.integers(0, 2, 1000, dtype=np.uint8), [], [])
         known = key.alice_known
         positions = rng.permutation(1000)[:size].tolist()
         known.update(zip(positions, key.bob_key[positions].tolist()))
@@ -393,6 +421,7 @@ class TestObliviousKeyType:
         known.update({j: 1 - int(key.bob_key[j]) for j in range(0, 1000, 97)})
         want = [j for j, bit in sorted(known.items()) if bit != int(key.bob_key[j])]
         assert key.mismatched_indices() == want
+        assert key.known_indices() == sorted(known)
 
 
 class TestRunProtocol:

@@ -77,6 +77,13 @@ class TestStateTypes:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(2))
 
+    def test_states_freeze_their_own_array_not_the_callers(self):
+        amplitudes = np.array([INV_SQRT2, INV_SQRT2])
+        matrix = np.eye(2) / 2
+        state, rho = PureState(amplitudes), DensityMatrix(matrix)
+        assert amplitudes.flags.writeable and matrix.flags.writeable
+        assert not state.amplitudes.flags.writeable and not rho.matrix.flags.writeable
+
 
 class TestSargStates:
     def test_up_is_first_axis(self):

@@ -27,12 +27,14 @@ from typing import NamedTuple
 
 REPO = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600.0
-# `run -v`, a lossy run, and a run of 70,005 raw qubits: an odd count over
-# one `protocol.CHUNK`.
+# `run -v`, a lossy run, a run of 70,005 raw qubits (an odd count over one
+# `protocol.CHUNK`), and a k = 1 run whose key holds 8 known bits at seed
+# 12345.
 EXTRA_COMMANDS = {
     "run -v": ["run", "-v"],
     "run -v lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
     "run -v odd": ["run", "-v", "--n", "14001", "--k", "5"],
+    "run -v many-known": ["run", "-v", "--n", "40", "--k", "1"],
 }
 
 
