@@ -30,11 +30,11 @@ from .adversaries import (
 from .protocol import (
     CHUNK,
     HonestAlice,
-    HonestBob,
     ProtocolConfig,
     RestartLimitExceeded,
-    _honest_first_attempts,
+    _first_attempts,
     _known_key,
+    _strategies,
     decrypt_bit,
     encrypt_database,
     query_shift,
@@ -123,74 +123,57 @@ class TrialResult(NamedTuple):
     retrieved_correct: bool
 
 
-def _run_trial(config: ProtocolConfig, alice, bob, trial: int) -> TrialResult:
-    rng = np.random.default_rng([config.seed, trial])
-    database = rng.integers(0, 2, config.n, dtype=np.uint8)
-    target = int(rng.integers(config.n))
-    try:
-        t = run_protocol(config, database, target, alice=alice, bob=bob, rng=rng)
-    except RestartLimitExceeded as exc:
-        return TrialResult(False, True, 0, 0, 0, sum(exc.conclusive_counts),
-                           config.raw_length * exc.attempts, False)
-    return TrialResult(
-        success=True,
-        restarted=t.restarts > 0,
-        first_known=t.attempt_known_counts[0],
-        final_known=t.key.known.size,
-        known_mismatches=len(t.key.mismatched_indices()),
-        conclusive_total=sum(t.attempt_conclusive_counts),
-        kept_total=config.raw_length * (t.restarts + 1),
-        retrieved_correct=t.retrieved_bit == int(database[target]),
-    )
+def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> list[TrialResult]:
+    """One `TrialResult` per trial t of `trials`, as one `run_protocol` call
+    on the stream `[seed, t]` gives it, after t's database and target.
 
-
-def _honest_batch(config: ProtocolConfig, trials: range) -> list[TrialResult]:
-    """`_run_trial` of the honest pair for each of `trials`, whose first attempts
-    `_honest_first_attempts` makes as one batch.
-
-    Each trial draws on its own stream in `_run_trial`'s order, so every
-    result is the one `_run_trial` gives. A trial whose first attempt knows
-    no bit is rerun whole by `_run_trial`, from its seed.
+    `_first_attempts` makes every trial's first attempt on its stream as one
+    batch. A trial whose first attempt knows no bit goes on along that
+    stream through `run_protocol` with one restart fewer; with no restart
+    left it fails.
     """
     streams = []
     for t in trials:
         rng = np.random.default_rng([config.seed, t])
         database = rng.integers(0, 2, config.n, dtype=np.uint8)
-        streams.append((t, rng, database, int(rng.integers(config.n))))
-    firsts = _honest_first_attempts(config, [rng for _, rng, _, _ in streams])
+        streams.append((rng, database, int(rng.integers(config.n))))
+    firsts = _first_attempts(config, alice, bob, [rng for rng, _, _ in streams])
     need = config.raw_length
     results = []
-    for (t, rng, database, target), bob_key, known, packed, conclusive in zip(streams, *firsts):
-        if not known.any():
-            results.append(_run_trial(config, HonestAlice(), HonestBob(), t))
+    for (rng, database, target), bob_key, known, packed, conclusive in zip(streams, *firsts):
+        restarted = not known.any()
+        try:
+            if not restarted:
+                key = _known_key(bob_key, known, packed, config.n, config.k)
+                place, shift = query_shift(key.known, target, config.n, rng)
+                ciphertext = encrypt_database(database, key.bob_key, shift)
+                retrieved, later = decrypt_bit(ciphertext, target, key.bits[place]), []
+            elif config.max_restarts:
+                fewer = dataclasses.replace(config, max_restarts=config.max_restarts - 1)
+                run = run_protocol(fewer, database, target, alice=alice, bob=bob, rng=rng)
+                key, retrieved, later = run.key, run.retrieved_bit, run.attempt_conclusive_counts
+            else:  # no restart left: the trial fails after its first attempt
+                raise RestartLimitExceeded([])
+        except RestartLimitExceeded as exc:
+            results.append(TrialResult(False, True, 0, 0, 0,
+                                       int(conclusive) + sum(exc.conclusive_counts),
+                                       need * (exc.attempts + 1), False))
             continue
-        key = _known_key(bob_key, known, packed, config.n, config.k)
-        place, shift = query_shift(key.known, target, config.n, rng)
-        ciphertext = encrypt_database(database, key.bob_key, shift)
-        retrieved = decrypt_bit(ciphertext, target, key.bits[place])
-        known_count = key.known.size
         results.append(TrialResult(
-            success=True, restarted=False, first_known=known_count, final_known=known_count,
-            known_mismatches=len(key.mismatched_indices()), conclusive_total=int(conclusive),
-            kept_total=need, retrieved_correct=retrieved == int(database[target])))
+            success=True, restarted=restarted, first_known=0 if restarted else key.known.size,
+            final_known=key.known.size, known_mismatches=len(key.mismatched_indices()),
+            conclusive_total=int(conclusive) + sum(later), kept_total=need * (len(later) + 1),
+            retrieved_correct=retrieved == int(database[target])))
     return results
 
 
 def _trial_batch(config: ProtocolConfig, alice, bob, size: int, trials: int,
                  batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """The trials from batch * size on, at most `size` of them and none from
-    `trials` on: their first-attempt known counts, and the sum of each
-    `TrialResult` field over them.
-
-    The honest pair itself runs them as one `_honest_batch` when
-    size * n * k fits in `CHUNK`; every other pair runs `_run_trial`.
-    """
-    span = range(batch * size, min(trials, (batch + 1) * size))
-    if (type(alice) is HonestAlice and type(bob) is HonestBob
-            and size * config.raw_length <= CHUNK):
-        results = _honest_batch(config, span)
-    else:
-        results = [_run_trial(config, alice, bob, t) for t in span]
+    """The `_trial_results` from batch * size on, at most `size` of them and
+    none from `trials` on: their first-attempt known counts, and the sum of
+    each `TrialResult` field over them."""
+    results = _trial_results(config, alice, bob,
+                             range(batch * size, min(trials, (batch + 1) * size)))
     first_known = np.array([r.first_known for r in results], dtype=np.int64)
     return first_known, np.array(results, dtype=np.int64).sum(axis=0)
 
@@ -235,18 +218,17 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     The closed forms are the cheating side's `Law` (else the honest one); a
     `known_wrong` of 0 adds the exact retrieval and known-bit soundness checks.
     Each trial owns the stream derived from (config.seed, trial index), so
-    results are identical for any job count and batching: the honest pair
-    itself runs the first attempts of CHUNK // (n * k) trials as one
-    `_honest_batch` where n * k <= CHUNK, and each batch returns only its
-    first-attempt known counts and field sums. Known-bit statistics are taken
-    from the first attempt of each run (the unconditioned distribution);
-    restart exhaustion counts as a failed trial, not a crash. The dispersion
-    interval needs at least two trials.
+    results are identical for any job count and batching: `_trial_batch`
+    makes the first attempts of CHUNK // (n * k) trials as one batch and
+    returns only their first-attempt known counts and field sums. Known-bit
+    statistics are taken from the first attempt of each run (the
+    unconditioned distribution); restart exhaustion counts as a failed trial,
+    not a crash. The dispersion interval needs at least two trials; cheating
+    on both sides raises ValueError, as in `run_protocol`, before any draw.
     """
     stats.require_size("trials", trials, 2)
     start = time.perf_counter()
-    alice = alice if alice is not None else HonestAlice()
-    bob = bob if bob is not None else HonestBob()
+    alice, bob = _strategies(alice, bob)
     size = max(1, CHUNK // config.raw_length)
     batches = _map_trials(_trial_batch, (config, alice, bob, size, trials),
                           -(-trials // size), jobs)

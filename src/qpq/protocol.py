@@ -43,9 +43,9 @@ Her records keep the table entries packed (`AliceRecords`), and
 holds two raw-length arrays: Bob's code and Alice's packed records.
 The full-length per-qubit record (`Transcript.records`) is built only when
 a caller reads it; it derives every posterior, whatever the strategy.
-`_honest_first_attempts` makes one honest attempt per generator, as
-`_run_attempt` would, and runs Alice's gather and the folds once over the
-batch; `monte_carlo` runs its honest trials through it.
+`_first_attempts` makes one attempt per generator, as `_run_attempt`
+would, and folds them once over the batch, and for the honest pair also
+runs Alice's gather once; `monte_carlo` makes every first attempt through it.
 
 Each strategy class states its closed forms for a config as one `Law`
 (`law`): the chance that a kept qubit is conclusive for Alice, and the
@@ -896,31 +896,42 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
                     alice=alice_rec, bob_bits=bob_bits)
 
 
-def _honest_first_attempts(config: ProtocolConfig, rngs: list[np.random.Generator]
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One honest attempt per generator, each drawn as `_run_attempt` draws it,
-    with Alice's table gather, the folds and the conclusive counts made once
-    over the batch. Returns, one row per attempt: Bob's key and Alice's known
-    columns (`_fold_rows`), her packed records and her conclusive count."""
+def _first_attempts(config: ProtocolConfig, alice, bob, rngs: list[np.random.Generator]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list | np.ndarray]:
+    """One attempt per generator, each drawn as `_run_attempt` draws it, with
+    the folds made once over the batch. Returns, one row per attempt: Bob's
+    key and Alice's known columns (`_fold_rows`), her packed records and her
+    conclusive count.
+
+    The honest pair itself (not a subclass), when the batch fits in `CHUNK`,
+    also makes Alice's table gather and the conclusive counts once; every
+    other batch joins the rows of one `_run_attempt` each, and a batch of one
+    is not copied.
+    """
     need = config.raw_length
-    bob = HonestBob()
-    layout = HONEST_LAYOUTS[config.announcement]
-    table = _respond_table(layout, config.announcement)[0]
-    codes = np.empty((len(rngs), need), dtype=np.uint8)
-    records = np.empty((len(rngs), need + need % 2), dtype=np.uint8)
-    for code, row, rng in zip(codes, records, rngs):
-        rounds, _, kept = _send(config, bob, rng)
-        code[:] = _at_kept(rounds.code, kept)
-        for _ in _byte_pieces(rng, need, row):
-            pass
-    packed = records[:, :need]
-    packed &= 3  # Alice's draw byte: bit 0 fair coin, bit 1 basis
-    _gather_in_place(table, records, codes, np.empty_like(codes))
-    # Bob's key record reads his kept codes alone: every code of the batch is kept.
-    bob_bits = bob.key_bits(BobRounds(code=codes.reshape(-1), layout=layout),
-                            np.broadcast_to(np.True_, codes.size), None, config, None)
-    bob_keys, known = _fold_rows(bob_bits.reshape(codes.shape), packed, config.n, config.k)
-    return bob_keys, known, packed, np.count_nonzero(packed & 4, axis=-1)
+    if type(alice) is HonestAlice and type(bob) is HonestBob and len(rngs) * need <= CHUNK:
+        layout = HONEST_LAYOUTS[config.announcement]
+        table = _respond_table(layout, config.announcement)[0]
+        codes = np.empty((len(rngs), need), dtype=np.uint8)
+        records = np.empty((len(rngs), need + need % 2), dtype=np.uint8)
+        for code, row, rng in zip(codes, records, rngs):
+            rounds, _, kept = _send(config, bob, rng)
+            code[:] = _at_kept(rounds.code, kept)
+            for _ in _byte_pieces(rng, need, row):
+                pass
+        packed = records[:, :need]
+        packed &= 3  # Alice's draw byte: bit 0 fair coin, bit 1 basis
+        _gather_in_place(table, records, codes, np.empty_like(codes))
+        # Bob's key record reads his kept codes alone: every code of the batch is kept.
+        bob_bits = bob.key_bits(BobRounds(code=codes, layout=layout),
+                                np.broadcast_to(np.True_, codes.shape), None, config, None)
+        conclusive = np.count_nonzero(packed & 4, axis=-1)
+    else:
+        attempts = [_run_attempt(config, alice, bob, rng) for rng in rngs]
+        bob_bits = _joined([att.bob_bits for att in attempts]).reshape(len(rngs), need)
+        packed = _joined([att.alice.packed for att in attempts]).reshape(len(rngs), need)
+        conclusive = [att.alice.conclusive_count for att in attempts]
+    return *_fold_rows(bob_bits, packed, config.n, config.k), packed, conclusive
 
 
 def _scatter_records(att: _Attempt) -> RawRecords:
@@ -950,6 +961,15 @@ def _scatter_records(att: _Attempt) -> RawRecords:
                       posterior_bit1=posterior, bob_bit=bob_bit)
 
 
+def _strategies(alice, bob) -> tuple:
+    """(alice, bob), honest where None; ValueError when both sides cheat."""
+    alice = alice if alice is not None else HonestAlice()
+    bob = bob if bob is not None else HonestBob()
+    if not isinstance(alice, HonestAlice) and not isinstance(bob, HonestBob):
+        raise ValueError("simultaneous cheating on both sides is not modeled")
+    return alice, bob
+
+
 def run_protocol(config: ProtocolConfig, database, target_index: int,
                  alice=None, bob=None, rng: np.random.Generator | None = None) -> Transcript:
     """Execute attempts until Alice knows a key bit, then retrieve one database bit.
@@ -962,10 +982,7 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     index is a Python or numpy integer, not a bool, in [0, n); anything else
     raises ValueError before any draw.
     """
-    alice = alice if alice is not None else HonestAlice()
-    bob = bob if bob is not None else HonestBob()
-    if not isinstance(alice, HonestAlice) and not isinstance(bob, HonestBob):
-        raise ValueError("simultaneous cheating on both sides is not modeled")
+    alice, bob = _strategies(alice, bob)
     x = np.asarray(database)
     if x.dtype.kind not in "biu":
         raise ValueError(f"database entries must be 0 or 1 as bool or integers, got {x.dtype}")

@@ -604,13 +604,18 @@ class TestReportDigests:
     The table1, usd-curve and first helstrom digests are taken at default
     argv; `TestGoldenReports` compares the last two with the dense route.
     The two attack-bob entangle digests cover both register modes, and the
-    k = 2 helstrom digest a sampler run that ends in a short batch.
+    k = 2 helstrom digest a sampler run that ends in a short batch. The
+    attack-alice-bb84-restarts digests were taken while every `monte_carlo`
+    trial whose first attempt knew no bit was rerun from its seed; about a
+    third of its `UsdAlice` contrast's first attempts are empty.
     """
 
     ARGV = {
         "attack-alice-usd": ["attack-alice", "--strategy", "usd", "--n", "2000", "--k", "3",
                              "--trials", "20", "--jobs", "1"],
         "attack-alice-bb84": ["attack-alice", "--strategy", "bb84"],
+        "attack-alice-bb84-restarts": ["attack-alice", "--strategy", "bb84", "--n", "40",
+                                       "--k", "3", "--trials", "200"],
         "attack-bob-bias": ["attack-bob", "--strategy", "bias", "--trials", "20000"],
         "attack-bob-entangle": ["attack-bob", "--strategy", "entangle", "--trials", "20000"],
         "attack-bob-entangle-honest": ["attack-bob", "--strategy", "entangle", "--mode",
@@ -631,6 +636,8 @@ class TestReportDigests:
     SEED_12345 = {
         "attack-alice-usd": "372eab1ec81eb65b3ef111a535f9b55ced335f82357707e2f34b65d308521270",
         "attack-alice-bb84": "d4e4bf4882990f08373e55a07bb6cfbe4bab484ea6dbb21b1421a3fcb497a66a",
+        "attack-alice-bb84-restarts":
+            "404b98c50d31564d42459d814e658fb6ca0199f63d0bccceb3127fcaadf3e3fd",
         "attack-bob-bias": "e610843fc02d208b43dbc926fea69254b5c1ca8593a593ed9e000315a4fb8cd8",
         "attack-bob-entangle":
             "0ce1be3b0aa466505c6ed00abd4b81b8b468b7e3c1f070bbb8c25e7bc07e7a4d",
@@ -657,6 +664,8 @@ class TestReportDigests:
     SEED_7 = {
         "attack-alice-usd": "20e530c7e2858d18610ddfa24701b5329b5dbdcad45f3fc42703a1098ab19f40",
         "attack-alice-bb84": "f744316be9e6e5e7c2eee15a235b3a4d0ea70ebf8b39d7e43e57731a41d6d50d",
+        "attack-alice-bb84-restarts":
+            "b4d3b5af76dc5f1b7ab53057f7faac8cecbbdd00bc167ec82cdd95a28757191a",
         "attack-bob-bias": "11babd947310bc9ba158cd291545659bbb66b5a3e1684621b470437bbb95d2a3",
         "attack-bob-entangle":
             "76f49dd7802b3d2f589a038aba869ea5821f791be33043042b39d5c1190b1411",

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qpq import experiments, stats
+from qpq import experiments, protocol, stats
 from qpq.adversaries import (
     USD_SUCCESS,
     Bb84MemoryAlice,
@@ -38,6 +38,7 @@ from qpq.protocol import (
     HonestBob,
     ObliviousKey,
     ProtocolConfig,
+    RestartLimitExceeded,
     run_protocol,
 )
 
@@ -134,6 +135,16 @@ class TestMonteCarlo:
         center, half = stats.wilson_interval(1, 20)
         assert center - half > p0
         assert report.passed["restart_fraction"]
+
+    def test_cheating_on_both_sides_rejected_before_any_draw(self, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a draw was made")
+
+        monkeypatch.setattr(experiments, "_map_trials", no_draw)
+        monkeypatch.setattr(protocol, "_send", no_draw)
+        with pytest.raises(ValueError, match="both sides"):
+            monte_carlo(ProtocolConfig(n=40, k=3), alice=UsdAlice(), bob=BiasedBob(0.3),
+                        trials=20)
 
     def test_usd_strategy_uses_its_own_analytics(self):
         report = monte_carlo(ProtocolConfig(n=1500, k=2, seed=2), alice=UsdAlice(),
@@ -245,71 +256,123 @@ class TestHonestMonteCarloDigests:
         assert digest.hexdigest() == self.DIGESTS[name, seed]
 
 
-def per_trial(config, trials):
-    """Every trial of the honest pair through `_run_trial`, one by one."""
-    return [experiments._run_trial(config, HonestAlice(), HonestBob(), t) for t in trials]
+def per_trial(config, alice, bob, trials):
+    """Each trial as one `run_protocol` call on its stream `[seed, t]`, after
+    its database and target: the trial-by-trial route of `monte_carlo`."""
+    results = []
+    for t in trials:
+        rng = np.random.default_rng([config.seed, t])
+        database = rng.integers(0, 2, config.n, dtype=np.uint8)
+        target = int(rng.integers(config.n))
+        try:
+            run = run_protocol(config, database, target, alice=alice, bob=bob, rng=rng)
+        except RestartLimitExceeded as exc:
+            results.append(experiments.TrialResult(
+                False, True, 0, 0, 0, sum(exc.conclusive_counts),
+                config.raw_length * exc.attempts, False))
+            continue
+        results.append(experiments.TrialResult(
+            success=True, restarted=run.restarts > 0, first_known=run.attempt_known_counts[0],
+            final_known=run.key.known.size, known_mismatches=len(run.key.mismatched_indices()),
+            conclusive_total=sum(run.attempt_conclusive_counts),
+            kept_total=config.raw_length * (run.restarts + 1),
+            retrieved_correct=run.retrieved_bit == int(database[target])))
+    return results
 
 
-class TestHonestBatches:
-    """`monte_carlo` runs the honest pair's first attempts in batches of
-    CHUNK // (n * k) trials; each trial's result is the one `_run_trial` gives."""
+class TestTrialBatches:
+    """`monte_carlo` makes the first attempts of CHUNK // (n * k) trials as one
+    batch, and each trial's result is the one `per_trial` gives."""
 
-    @pytest.mark.parametrize("n,k,eta,announcement,max_restarts,trials", [
-        (1000, 4, 1.0, "sarg", 20, 37),
-        (1000, 4, 0.5, "sarg", 20, 37),
-        (1000, 4, 0.37, "bb84", 20, 37),
-        (301, 3, 0.37, "sarg", 20, 150),
-        (7, 2, 0.8, "sarg", 3, 300),
-        (7, 2, 0.8, "sarg", 0, 300),
-        (CHUNK // 4, 4, 0.5, "sarg", 20, 3),
-    ], ids=["lossless", "lossy", "bb84-lossy", "odd-raw-length", "restarts",
-            "restart-limit", "one-chunk"])
-    def test_every_trial_result_equals_run_trial(self, n, k, eta, announcement,
-                                                 max_restarts, trials):
-        """Field for field, over every batch of a trial count that is not a
-        multiple of the batch size (but for batches of one trial). At (7, 2)
-        about 60% of first attempts know no bit; with no restart allowed
-        those trials fail."""
-        config = ProtocolConfig(n=n, k=k, eta=eta, announcement=announcement,
-                                max_restarts=max_restarts, seed=23)
-        size = CHUNK // config.raw_length
+    # id: (alice, bob, config, trials, whether some first attempt knows no bit)
+    CASES = {
+        "honest-lossless": (None, None, dict(n=1000, k=4), 37, True),
+        "honest-lossy": (None, None, dict(n=1000, k=4, eta=0.5), 37, True),
+        "honest-bb84-lossy": (None, None, dict(n=1000, k=4, eta=0.37, announcement="bb84"),
+                              37, False),
+        "honest-odd-raw-length": (None, None, dict(n=301, k=3, eta=0.37), 150, True),
+        "honest-restarts-3": (None, None, dict(n=7, k=2, eta=0.8, max_restarts=3), 300, True),
+        "honest-restarts-1": (None, None, dict(n=7, k=2, eta=0.8, max_restarts=1), 300, True),
+        "honest-restarts-0": (None, None, dict(n=7, k=2, eta=0.8, max_restarts=0), 300, True),
+        "honest-chunk": (None, None, dict(n=CHUNK // 4, k=4, eta=0.5), 3, False),
+        "honest-chunk-plus-one": (None, None, dict(n=CHUNK + 1, k=1, eta=0.5), 3, False),
+        "usd": (UsdAlice(), None, dict(n=40, k=3), 600, True),
+        "usd-lossy-past-chunk": (UsdAlice(), None, dict(n=CHUNK // 2 + 1, k=2, eta=0.5), 3,
+                                 False),
+        "bb84-memory-bases": (Bb84MemoryAlice(), None, dict(n=10, k=2, announcement="bb84"),
+                              30, False),
+        "bb84-memory-pairs": (Bb84MemoryAlice(), None, dict(n=10, k=3), 100, True),
+        "biased-0.3": (None, BiasedBob(0.3), dict(n=20, k=2, max_restarts=1), 100, True),
+        "register-honest": (None, EntangledBob("honest_basis"), dict(n=20, k=2), 100, True),
+        "register-conclusiveness": (None, EntangledBob("conclusiveness_basis"),
+                                    dict(n=20, k=2), 100, True),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_every_trial_result_equals_one_run_protocol_call(self, name):
+        """Field for field and type for type, over every batch of a trial count
+        that is not a multiple of the batch size (but for batches of one
+        trial). At (7, 2, eta = 0.8) about 60% of first attempts know no bit;
+        with no restart allowed those trials fail."""
+        alice, bob = protocol._strategies(*self.CASES[name][:2])
+        params, trials, empty_firsts = self.CASES[name][2:]
+        config = ProtocolConfig(seed=23, **params)
+        size = max(1, CHUNK // config.raw_length)
         assert size == 1 or trials % size
         spans = [range(lo, min(trials, lo + size)) for lo in range(0, trials, size)]
-        got = [r for span in spans for r in experiments._honest_batch(config, span)]
-        want = per_trial(config, range(trials))
+        got = [r for span in spans for r in experiments._trial_results(config, alice, bob, span)]
+        want = per_trial(config, alice, bob, range(trials))
         assert got == want
         assert all(type(a) is type(b) for r, w in zip(got, want) for a, b in zip(r, w))
-        if max_restarts == 0:
+        assert any(r.first_known == 0 for r in want) == empty_firsts
+        if config.max_restarts < 3 and empty_firsts:
             assert 0 < sum(not r.success for r in got) < trials
 
     @pytest.mark.parametrize("n,k,batched", [(CHUNK // 4, 4, True), (CHUNK + 1, 1, False)],
                              ids=["raw-length-chunk", "raw-length-chunk-plus-one"])
-    def test_batches_stop_past_one_chunk(self, n, k, batched, monkeypatch):
-        """n * k = CHUNK runs batches of one trial; one qubit more runs `_run_trial`."""
+    def test_the_honest_gather_stops_past_one_chunk(self, n, k, batched, monkeypatch):
+        """n * k = CHUNK runs the honest rows; one qubit more runs one
+        `_run_attempt` per trial."""
         config = ProtocolConfig(n=n, k=k, eta=0.5, seed=4)
         calls = []
-        batch = experiments._honest_batch
-        monkeypatch.setattr(experiments, "_honest_batch",
-                            lambda config, trials: calls.append(trials) or batch(config, trials))
-        report = monte_carlo(config, trials=3).to_json()
-        assert calls == ([range(0, 1), range(1, 2), range(2, 3)] if batched else [])
-        monkeypatch.setattr(experiments, "_honest_batch", per_trial)
-        assert monte_carlo(config, trials=3).to_json() == report
+        attempt = protocol._run_attempt
+        monkeypatch.setattr(protocol, "_run_attempt",
+                            lambda *args: calls.append(1) or attempt(*args))
+        monte_carlo(config, trials=3)
+        assert len(calls) == (0 if batched else 3)
 
-    @pytest.mark.parametrize("eta,max_restarts", [(1.0, 20), (0.5, 20), (0.8, 0)])
-    def test_reports_equal_trial_by_trial_runs(self, eta, max_restarts, monkeypatch):
-        """250 trials in batches of 109, 109 and 32."""
+    @pytest.mark.parametrize("alice,bob,eta,max_restarts", [
+        (None, None, 1.0, 20), (None, None, 0.5, 20), (None, None, 0.8, 0),
+        (UsdAlice(), None, 1.0, 1), (None, BiasedBob(0.3), 0.8, 2),
+    ], ids=["honest", "honest-lossy", "honest-restart-limit", "usd", "biased-0.3-lossy"])
+    def test_reports_equal_trial_by_trial_runs(self, alice, bob, eta, max_restarts,
+                                               monkeypatch):
+        """250 trials; the honest pair runs them in batches of 109, 109 and 32."""
         config = ProtocolConfig(n=200, k=3, eta=eta, max_restarts=max_restarts, seed=8)
-        report = monte_carlo(config, trials=250).to_json()
-        monkeypatch.setattr(experiments, "_honest_batch", per_trial)
-        assert monte_carlo(config, trials=250).to_json() == report
+        report = monte_carlo(config, alice=alice, bob=bob, trials=250).to_json()
+        monkeypatch.setattr(experiments, "_trial_results", per_trial)
+        assert monte_carlo(config, alice=alice, bob=bob, trials=250).to_json() == report
+
+    @pytest.mark.parametrize("alice", [None, UsdAlice()], ids=["honest", "usd"])
+    def test_no_attempt_is_made_twice(self, alice, monkeypatch):
+        """At (7, 2, eta = 0.8) most first attempts know no bit. Bob sends once
+        per attempt of the trial-by-trial runs: an empty first attempt goes
+        on along its stream, and is not made again from the trial's seed."""
+        config = ProtocolConfig(n=7, k=2, eta=0.8, max_restarts=3, seed=31)
+        attempts = sum(r.kept_total // config.raw_length
+                       for r in per_trial(config, alice, HonestBob(), range(300)))
+        sends = []
+        send = protocol._send
+        monkeypatch.setattr(protocol, "_send", lambda *args: sends.append(1) or send(*args))
+        monte_carlo(config, alice=alice, trials=300)
+        assert len(sends) == attempts > 300
 
     def test_job_count_does_not_change_the_report(self):
         config = ProtocolConfig(n=1000, k=4, eta=0.5, seed=19)
         assert (monte_carlo(config, trials=37, jobs=2).to_json()
                 == monte_carlo(config, trials=37, jobs=1).to_json())
 
-    def test_honest_subclasses_run_trial_by_trial(self):
+    def test_honest_subclasses_keep_their_own_seams(self):
         """A strategy that overrides the honest one keeps its own seams."""
         responses = []
 

@@ -16,14 +16,17 @@ def load_compare_cli():
 class TestCompareCli:
     def test_commands_are_the_benchmark_ones_plus_verbose_run(self):
         """The 10 benchmark commands plus `run -v`, a lossy run, an odd
-        multi-chunk run and a run with many known bits."""
+        multi-chunk run, a run with many known bits and a memory attack
+        whose contrast restarts."""
         commands = load_compare_cli().cli_commands()
         assert commands["run -v"] == ["run", "-v"]
         assert commands["run -v lossy"] == ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"]
         assert commands["run -v odd"] == ["run", "-v", "--n", "14001", "--k", "5"]
         assert commands["run -v many-known"] == ["run", "-v", "--n", "40", "--k", "1"]
+        assert commands["attack-alice bb84 restarts"] == [
+            "attack-alice", "--strategy", "bb84", "--n", "40", "--k", "3", "--trials", "200"]
         assert commands["run"] == ["run"] and commands["combine"] == ["combine"]
-        assert len(commands) == 14
+        assert len(commands) == 15
 
     def test_one_command_against_the_same_tree_matches(self):
         """usd-curve writes a JSON report and a CSV file; two fresh runs agree."""

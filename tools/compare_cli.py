@@ -28,13 +28,16 @@ from typing import NamedTuple
 REPO = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600.0
 # `run -v`, a lossy run, a run of 70,005 raw qubits (an odd count over one
-# `protocol.CHUNK`), and a k = 1 run whose key holds 8 known bits at seed
-# 12345.
+# `protocol.CHUNK`), a k = 1 run whose key holds 8 known bits at seed
+# 12345, and a memory attack whose pair-announcement contrast (`UsdAlice`'s
+# measurement) finds about a third of its first attempts empty.
 EXTRA_COMMANDS = {
     "run -v": ["run", "-v"],
     "run -v lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
     "run -v odd": ["run", "-v", "--n", "14001", "--k", "5"],
     "run -v many-known": ["run", "-v", "--n", "40", "--k", "1"],
+    "attack-alice bb84 restarts": ["attack-alice", "--strategy", "bb84", "--n", "40", "--k", "3",
+                                   "--trials", "200"],
 }
 
 
@@ -129,7 +132,7 @@ def main(argv: list[str] | None = None) -> int:
             change = run_tree(args.change_tree, command, seed)
             row = _row(parent, change)
             all_same &= "DIFF" not in " ".join(row.values())
-            print(f"seed {seed:>6}  {name:<24}  json {row['json']:<4}  csv {row['csv']:<4}  "
+            print(f"seed {seed:>6}  {name:<26}  json {row['json']:<4}  csv {row['csv']:<4}  "
                   f"exit {row['exit']}", flush=True)
             if args.keys and row["json"] == "DIFF":
                 for line in differing_keys(parent, change):
