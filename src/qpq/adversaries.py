@@ -90,12 +90,13 @@ def _usd_coins(rng: np.random.Generator, count: int, out: np.ndarray, lost: int,
     slice or an index array of positions. U's top 8 bits are one byte per
     coin, drawn `protocol.CHUNK` at a time and overwritten in place; after
     the last piece, each coin whose byte ties with USD_TOP (1 in 256) takes
-    one 8-byte word, whose top 45 bits are U's low bits.
+    one 8-byte word, whose top 45 bits are U's low bits. The win mask is
+    multiplied in as uint8: numpy casts a bool operand in buffered steps.
     """
     ties = [np.empty(0, dtype=np.intp)]
     for start, top in _byte_pieces(rng, count, out):
         ties.append(np.flatnonzero(top == USD_TOP) + start)
-        np.multiply(top < USD_TOP, gain(slice(start, start + top.size)), out=top)
+        np.multiply((top < USD_TOP).view(np.uint8), gain(slice(start, start + top.size)), out=top)
         top += lost
     tied = np.concatenate(ties)
     low = _byte_draws(rng, 8 * tied.size).view("<u8") >> 19
@@ -127,6 +128,9 @@ class UsdAlice:
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
+        """Her records, packed in place by `_usd_coins`; the gain is built on the
+        fresh `_decode` bytes with `* 8`, as `_pack` does: numpy 2.4 runs a
+        uint8 `<< 3` several times slower."""
         if config.announcement == "bb84":
             raise ValueError("discrimination attack needs pair announcements")
         if min(rounds.layout.sent) < 0:
@@ -134,8 +138,11 @@ class UsdAlice:
 
         def gain(part):
             # A won coin adds conclusive (4) and bit + 1 (bits 3-4) to 0x23.
-            sent = _decode(_at_kept(rounds.code, kept, part), rounds.layout.sent)
-            return (((sent & 1) << 3) + 12).view(np.uint8)
+            added = _decode(_at_kept(rounds.code, kept, part), rounds.layout.sent).view(np.uint8)
+            added &= 1
+            added *= 8
+            added += 12
+            return added
 
         records = np.empty(kept.size, dtype=np.uint8)
         _usd_coins(rng, kept.size, records, 0x23, gain)

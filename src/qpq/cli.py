@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import adversaries, experiments
-from .protocol import ProtocolConfig, RestartLimitExceeded, run_protocol
+from .protocol import ProtocolConfig, RestartLimitExceeded, _fair_bits, run_protocol
 from .stats import ExperimentReport
 
 DEFAULT_SEED = 12345
@@ -218,7 +218,7 @@ def _cmd_run(args, file_cfg, seed) -> int:
     if args.db is not None:
         database = _load_database(args.db, config.n)
     else:
-        database = rng.integers(0, 2, config.n, dtype=np.uint8)
+        database = _fair_bits(rng, config.n, np.uint8)
     target = opts["target"]
     out_path = args.out or Path("qpq_run.json")
     start = time.perf_counter()

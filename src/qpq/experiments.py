@@ -32,6 +32,7 @@ from .protocol import (
     HonestAlice,
     ProtocolConfig,
     RestartLimitExceeded,
+    _fair_bits,
     _first_attempts,
     _known_key,
     _strategies,
@@ -125,7 +126,8 @@ class TrialResult(NamedTuple):
 
 def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> list[TrialResult]:
     """One `TrialResult` per trial t of `trials`, as one `run_protocol` call
-    on the stream `[seed, t]` gives it, after t's database and target.
+    on the stream `[seed, t]` gives it, after t's database (one byte draw's
+    top bits, as `_fair_bits` draws them) and target.
 
     `_first_attempts` makes every trial's first attempt on its stream as one
     batch. A trial whose first attempt knows no bit goes on along that
@@ -135,7 +137,7 @@ def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> list[Tr
     streams = []
     for t in trials:
         rng = np.random.default_rng([config.seed, t])
-        database = rng.integers(0, 2, config.n, dtype=np.uint8)
+        database = _fair_bits(rng, config.n, np.uint8)
         streams.append((rng, database, int(rng.integers(config.n))))
     firsts = _first_attempts(config, alice, bob, [rng for rng, _, _ in streams])
     need = config.raw_length

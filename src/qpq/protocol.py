@@ -30,9 +30,10 @@ draws (`_byte_pieces`) copy the bit generator's 64-bit outputs
 (`random_raw`) `CHUNK` bytes at a time and then set its spare 32-bit half
 as `Generator.bytes` would, so bytes and state match one `rng.bytes` call;
 a bit generator without that spare (MT19937) is read through `rng.bytes`.
-`_fair_bits` keeps the top bit of each 32-bit word of a byte draw, which
-gives the values and the state of `rng.integers(0, 2, count)`; the
-adversary layer draws its fair coins through it.
+`_fair_bits` keeps the top bit of each 32-bit word, or of each byte, of a
+byte draw, which gives the values and the state of `rng.integers(0, 2,
+count)` of that dtype; the adversary layer draws its fair coins and the
+experiments and the CLI their databases through it.
 Bob's draw, masked to its three used bits, is his one per-qubit array
 (`BobRounds.code`), and against pairs also his raw-key record. Alice's lands
 in her records, where each chunk becomes her table index,
@@ -467,17 +468,19 @@ def _byte_draws(rng: np.random.Generator, count: int) -> np.ndarray:
     return out
 
 
-def _fair_bits(rng: np.random.Generator, count: int) -> np.ndarray:
-    """`count` fair coins as uint32 0s and 1s: the values of one
-    `rng.integers(0, 2, count)`, leaving the generator in the same state.
+def _fair_bits(rng: np.random.Generator, count: int, dtype=np.uint32) -> np.ndarray:
+    """`count` fair coins as 0s and 1s of `dtype`, uint32 or uint8: the values
+    of one `rng.integers(0, 2, count)` (of dtype uint8 for uint8), leaving
+    the generator in the same state.
 
     That call takes the top bit of each of `count` successive 32-bit words
-    from `next_uint32`, and `rng.bytes(4 * count)` takes the same words, so
-    the coins are the top bits of the byte draw's little-endian 32-bit
-    words.
+    from `next_uint32`, or for uint8 of each byte of ceil(count / 4) such
+    words, low byte first. `rng.bytes` of `count` words of `dtype` takes the
+    same 32-bit words, so the coins are the top bits of its words.
     """
-    words = _byte_draws(rng, 4 * count).view("<u4")
-    words >>= 31
+    size = np.dtype(dtype).itemsize
+    words = _byte_draws(rng, count * size).view(f"<u{size}")
+    words >>= 8 * size - 1
     return words
 
 

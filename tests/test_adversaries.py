@@ -121,6 +121,34 @@ class TestUsdAttack:
         assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
         assert mine.random() == ref.random()
 
+    @pytest.mark.parametrize("layout", ["honest", "gathered"])
+    @pytest.mark.parametrize("kept_kind", ["mask", "index"])
+    @pytest.mark.parametrize("size", [CHUNK - 1, CHUNK + 3, 3 * CHUNK + 5])
+    def test_records_repeat_the_byte_twin(self, size, kept_kind, layout):
+        """The packed records are `_pack` of the twin's coins: conclusive with
+        the sent symbol's bit where a coin wins, no outcome and no bit
+        elsewhere. `kept` is the engine's broadcast mask or increasing
+        indices; the gathered layout's `sent` is not the honest symbol bits,
+        so the sent symbols are gathered from it."""
+        fields = protocol.HONEST_LAYOUTS["sarg"]
+        if layout == "gathered":
+            fields = fields._replace(sent=fields.sent[::-1])
+        draw = np.random.default_rng([size, 26])
+        total = size if kept_kind == "mask" else size + 999
+        rounds = protocol.BobRounds(code=draw.integers(0, 8, total, dtype=np.uint8),
+                                    layout=fields)
+        if kept_kind == "mask":
+            kept = np.broadcast_to(np.True_, size)
+        else:
+            kept = np.sort(draw.choice(total, size, replace=False))
+        mine, ref = (np.random.default_rng([size, 27]) for _ in range(2))
+        got = UsdAlice().respond(rounds, kept, ProtocolConfig(n=10, k=1), mine).packed
+        won = usd_success_trials_bytes(size, ref)
+        sent = np.array(fields.sent, dtype=np.int8)[rounds.code[kept]]
+        want = protocol._pack(-1, won, np.where(won, sent & 1, -1))
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+
     def test_threshold_is_the_float_rule_on_the_53_bit_grid(self):
         """U / 2^53 < USD_SUCCESS exactly when U < USD_THRESHOLD, for every
         53-bit U: the rule is monotone in U, and it flips between T - 1 and T."""

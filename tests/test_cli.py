@@ -607,7 +607,11 @@ class TestReportDigests:
     k = 2 helstrom digest a sampler run that ends in a short batch. The
     attack-alice-bb84-restarts digests were taken while every `monte_carlo`
     trial whose first attempt knew no bit was rerun from its seed; about a
-    third of its `UsdAlice` contrast's first attempts are empty.
+    third of its `UsdAlice` contrast's first attempts are empty. The
+    attack-alice-usd-odd digests were taken while each trial's database came
+    from one `rng.integers` call; its 9,363-bit databases end inside a
+    32-bit word, and its 65,541 raw qubits fill one `protocol.CHUNK` and an
+    odd piece.
     """
 
     ARGV = {
@@ -616,6 +620,8 @@ class TestReportDigests:
         "attack-alice-bb84": ["attack-alice", "--strategy", "bb84"],
         "attack-alice-bb84-restarts": ["attack-alice", "--strategy", "bb84", "--n", "40",
                                        "--k", "3", "--trials", "200"],
+        "attack-alice-usd-odd": ["attack-alice", "--strategy", "usd", "--n", "9363", "--k", "7",
+                                 "--trials", "40"],
         "attack-bob-bias": ["attack-bob", "--strategy", "bias", "--trials", "20000"],
         "attack-bob-entangle": ["attack-bob", "--strategy", "entangle", "--trials", "20000"],
         "attack-bob-entangle-honest": ["attack-bob", "--strategy", "entangle", "--mode",
@@ -638,6 +644,8 @@ class TestReportDigests:
         "attack-alice-bb84": "d4e4bf4882990f08373e55a07bb6cfbe4bab484ea6dbb21b1421a3fcb497a66a",
         "attack-alice-bb84-restarts":
             "404b98c50d31564d42459d814e658fb6ca0199f63d0bccceb3127fcaadf3e3fd",
+        "attack-alice-usd-odd":
+            "ab247a05214bf1273e0d535696973847a9612f78af05d13ada04e010b47dc045",
         "attack-bob-bias": "e610843fc02d208b43dbc926fea69254b5c1ca8593a593ed9e000315a4fb8cd8",
         "attack-bob-entangle":
             "0ce1be3b0aa466505c6ed00abd4b81b8b468b7e3c1f070bbb8c25e7bc07e7a4d",
@@ -666,6 +674,8 @@ class TestReportDigests:
         "attack-alice-bb84": "f744316be9e6e5e7c2eee15a235b3a4d0ea70ebf8b39d7e43e57731a41d6d50d",
         "attack-alice-bb84-restarts":
             "b4d3b5af76dc5f1b7ab53057f7faac8cecbbdd00bc167ec82cdd95a28757191a",
+        "attack-alice-usd-odd":
+            "c28d7a6e3092fe1cfa7b2cab4fe6d04ac6932b52c0cce7f0afaf235c7d4e5e07",
         "attack-bob-bias": "11babd947310bc9ba158cd291545659bbb66b5a3e1684621b470437bbb95d2a3",
         "attack-bob-entangle":
             "76f49dd7802b3d2f589a038aba869ea5821f791be33043042b39d5c1190b1411",

@@ -954,6 +954,27 @@ def test_fair_bits_match_one_integers_call_for_every_bit_generator(bit_generator
     assert mine.random() == ref.random()
 
 
+@pytest.mark.parametrize("spare", [False, True], ids=["aligned", "spare-half"])
+@pytest.mark.parametrize("size", [0, 1, 2, 3, 4, 5, 7, 1000, 50_001, CHUNK + 2, 4 * CHUNK + 3])
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_fair_bytes_match_one_uint8_integers_call_for_every_bit_generator(bit_generator, size,
+                                                                         spare):
+    """A database draw: the uint8 coins, the whole state and the next draws
+    equal one rng.integers(0, 2, size, dtype=np.uint8) call's, which takes
+    ceil(size / 4) 32-bit words, with and without a spare 32-bit half."""
+    mine, ref = (np.random.Generator(bit_generator([size, 26])) for _ in range(2))
+    if spare:
+        for rng in (mine, ref):
+            rng.integers(0, 2**32 - 1, dtype=np.uint32)
+    got = protocol._fair_bits(mine, size, np.uint8)
+    want = ref.integers(0, 2, size, dtype=np.uint8)
+    assert got.dtype == want.dtype == np.uint8 and np.array_equal(got, want)
+    assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
+    assert np.array_equal(mine.integers(0, 2, 3), ref.integers(0, 2, 3))
+    assert mine.bytes(5) == ref.bytes(5)
+    assert mine.random() == ref.random()
+
+
 class TestChunkedRespond:
     """HonestAlice.respond works through CHUNK qubits at a time; the oracle in one pass."""
 

@@ -16,8 +16,8 @@ def load_compare_cli():
 class TestCompareCli:
     def test_commands_are_the_benchmark_ones_plus_verbose_run(self):
         """The 10 benchmark commands plus `run -v`, a lossy run, an odd
-        multi-chunk run, a run with many known bits and a memory attack
-        whose contrast restarts."""
+        multi-chunk run, a run with many known bits, a memory attack whose
+        contrast restarts and an odd multi-chunk discrimination attack."""
         commands = load_compare_cli().cli_commands()
         assert commands["run -v"] == ["run", "-v"]
         assert commands["run -v lossy"] == ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"]
@@ -25,8 +25,10 @@ class TestCompareCli:
         assert commands["run -v many-known"] == ["run", "-v", "--n", "40", "--k", "1"]
         assert commands["attack-alice bb84 restarts"] == [
             "attack-alice", "--strategy", "bb84", "--n", "40", "--k", "3", "--trials", "200"]
+        assert commands["attack-alice usd odd"] == [
+            "attack-alice", "--strategy", "usd", "--n", "9363", "--k", "7", "--trials", "40"]
         assert commands["run"] == ["run"] and commands["combine"] == ["combine"]
-        assert len(commands) == 15
+        assert len(commands) == 16
 
     def test_one_command_against_the_same_tree_matches(self):
         """usd-curve writes a JSON report and a CSV file; two fresh runs agree."""

@@ -29,8 +29,10 @@ REPO = Path(__file__).resolve().parent.parent
 TIMEOUT_S = 600.0
 # `run -v`, a lossy run, a run of 70,005 raw qubits (an odd count over one
 # `protocol.CHUNK`), a k = 1 run whose key holds 8 known bits at seed
-# 12345, and a memory attack whose pair-announcement contrast (`UsdAlice`'s
-# measurement) finds about a third of its first attempts empty.
+# 12345, a memory attack whose pair-announcement contrast (`UsdAlice`'s
+# measurement) finds about a third of its first attempts empty, and a
+# discrimination attack of 65,541 raw qubits (one `protocol.CHUNK` and an odd
+# piece) on databases of 9,363 bits, not a whole number of 32-bit words.
 EXTRA_COMMANDS = {
     "run -v": ["run", "-v"],
     "run -v lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
@@ -38,6 +40,8 @@ EXTRA_COMMANDS = {
     "run -v many-known": ["run", "-v", "--n", "40", "--k", "1"],
     "attack-alice bb84 restarts": ["attack-alice", "--strategy", "bb84", "--n", "40", "--k", "3",
                                    "--trials", "200"],
+    "attack-alice usd odd": ["attack-alice", "--strategy", "usd", "--n", "9363", "--k", "7",
+                             "--trials", "40"],
 }
 
 
