@@ -40,10 +40,16 @@ in her records, where each chunk becomes her table index,
 code * 4 + basis * 2 + coin, and is gathered in place, two qubits per
 uint16, from one table cached per layout and announcement (`_respond_table`).
 Her records keep the table entries packed (`AliceRecords`), and
-`_reduce_arrays` folds the packed bytes, so an honest attempt at eta = 1
-holds two raw-length arrays: Bob's code and Alice's packed records.
+`_reduce_arrays` folds the packed bytes, so such an attempt holds two
+raw-length arrays: Bob's code and Alice's packed records.
+`run_protocol` streams the honest pair itself against pairs at eta = 1
+with n >= `CHUNK` on PCG64 or PCG64DXSM instead (`_streamed_attempt`): each
+row of each draw is read from a copy of the bit generator entered at its
+offset with `advance`, and the rows are folded one column block at a time,
+in O(n + CHUNK) memory, with the same key, counts and generator state.
 The full-length per-qubit record (`Transcript.records`) is built only when
-a caller reads it; it derives every posterior, whatever the strategy.
+a caller reads it; it derives every posterior, whatever the strategy, and
+a streamed final attempt is made again from its start state for it.
 `_first_attempts` makes one attempt per generator, as `_run_attempt`
 would, and folds them once over the batch, and for the honest pair also
 runs Alice's gather once; `monte_carlo` makes every first attempt through it.
@@ -731,6 +737,135 @@ def _reduce_arrays(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> 
     return _known_key(*_fold_rows(bob_bits, packed, n, k), packed, n, k)
 
 
+# --------------------------------------------------------------------------
+# the streamed honest attempt
+# --------------------------------------------------------------------------
+
+# Bit 0 of each byte of a uint64 lane, and every bit.
+_LOW_BITS = np.uint64(0x0101010101010101)
+_ALL_BITS = np.uint64(0xFFFFFFFFFFFFFFFF)
+
+
+def _generator_at(state: dict):
+    """A new bit generator of the `numpy.random` kind that `state` names, set to it."""
+    bitgen = getattr(np.random, state["bit_generator"])(0)
+    bitgen.state = state
+    return bitgen
+
+
+def _state_after(state: dict, count: int) -> dict:
+    """The state that one `rng.bytes(count)`, count > 4, leaves from `state`,
+    as `_byte_pieces` sets it: after the last of its outputs, whose high half
+    is the spare."""
+    taken = count - (4 if state["has_uint32"] else 0)
+    bitgen = _generator_at(state)
+    bitgen.advance(-(-taken // 8) - 1)
+    last = int(bitgen.random_raw())
+    after = bitgen.state
+    after["has_uint32"] = -(-taken // 4) % 2
+    after["uinteger"] = last >> 32
+    return after
+
+
+class _DrawReader:
+    """The bytes of one `rng.bytes` draw from `offset` on, read in order from a
+    copy of the bit generator entered there.
+
+    `state` is the generator's state where the draw starts. The draw's bytes
+    are the spare half, if one is held, then the little-endian bytes of
+    consecutive outputs (`_byte_pieces`), so the byte at offset o past a
+    spare of `head` bytes is byte (o - head) % 8 of output (o - head) // 8.
+    The copy is advanced to that output, and `tail` holds the bytes of the
+    last output taken that are not yet read.
+    """
+
+    def __init__(self, state: dict, offset: int):
+        self.bitgen = _generator_at(state)
+        head = 4 if state["has_uint32"] else 0
+        if offset < head:
+            self.tail = np.frombuffer(state["uinteger"].to_bytes(4, "little")[offset:],
+                                      dtype=np.uint8)
+        else:
+            skip, drop = divmod(offset - head, 8)
+            self.bitgen.advance(skip)
+            self.tail = self.bitgen.random_raw(1).astype("<u8", copy=False).view(np.uint8)[drop:]
+
+    def read(self, out: np.ndarray) -> None:
+        """Fill `out`, a uint8 array, with the next `out.size` bytes."""
+        have = min(self.tail.size, out.size)
+        out[:have] = self.tail[:have]
+        self.tail = self.tail[have:]
+        rest = out.size - have
+        if rest:
+            words = self.bitgen.random_raw(-(-rest // 8)).astype("<u8", copy=False).view(np.uint8)
+            out[have:] = words[:rest]
+            self.tail = words[rest:].copy()  # not a view that keeps every word
+
+
+def _streamed_attempt(config: ProtocolConfig, rng: np.random.Generator) -> tuple[ObliviousKey, int]:
+    """One honest attempt against pairs at eta = 1 on a PCG64 or PCG64DXSM
+    generator, with n >= `CHUNK`: its key and Alice's conclusive count,
+    exactly as `_run_attempt` and `_reduce_arrays` give them, and the
+    generator left in the same state.
+
+    No raw-length array is made. Each of the k rows of Bob's draw and of
+    Alice's, which follows it, is read through a `_DrawReader`, one column
+    block of `CHUNK` at a time, and every row of a block is folded into that
+    block's accumulators while they are in cache. The work is done in uint64
+    lanes of eight qubits: with A Alice's draw byte and B Bob's, bit 0 of
+    `((A >> 1) ^ B) & (A ^ B ^ (B >> 1) ^ (B >> 2))` is her conclusive flag,
+    and `((A >> 1) & 1) ^ 1` her bit, the `_respond_table` entries of
+    `HONEST_LAYOUTS["sarg"]`. Bob's key is bit 0 of the XOR of his bytes,
+    and Alice's value of a known column bit 1 of the XOR of hers, flipped
+    when k is odd.
+    """
+    n, k, count = config.n, config.k, config.raw_length
+    bob_start = rng.bit_generator.state
+    alice_start = _state_after(bob_start, count)
+    bob = [_DrawReader(bob_start, row * n) for row in range(k)]
+    alice = [_DrawReader(alice_start, row * n) for row in range(k)]
+    a, b, flag, term, bob_xor, alice_xor, known = (np.empty(CHUNK // 8, dtype=np.uint64)
+                                                   for _ in range(7))
+    a_bytes, b_bytes = a.view(np.uint8), b.view(np.uint8)
+    bob_key = np.empty(n, dtype=np.uint8)
+    idx_parts, bit_parts = [], []
+    conclusive = 0
+    for start in range(0, n, CHUNK):
+        size = min(CHUNK, n - start)
+        # A short last block ends in zero bytes, which are never conclusive.
+        a_bytes[size:] = 0
+        b_bytes[size:] = 0
+        known.fill(_ALL_BITS)
+        bob_xor.fill(0)
+        alice_xor.fill(0)
+        for row in range(k):
+            alice[row].read(a_bytes[:size])
+            bob[row].read(b_bytes[:size])
+            np.right_shift(b, 2, out=term)
+            term ^= a
+            term ^= b
+            np.right_shift(b, 1, out=flag)
+            term ^= flag
+            np.right_shift(a, 1, out=flag)
+            flag ^= b
+            flag &= term
+            known &= flag
+            bob_xor ^= b
+            alice_xor ^= a
+            flag &= _LOW_BITS
+            conclusive += int(np.count_nonzero(flag.view(np.uint8)))
+        np.bitwise_and(bob_xor.view(np.uint8)[:size], 1, out=bob_key[start:start + size])
+        known &= _LOW_BITS
+        # On bools, `flatnonzero` is several times faster than on bytes.
+        idx = np.flatnonzero(known.view(bool)[:size])
+        bit_parts.append((alice_xor.view(np.uint8)[idx] >> 1) & 1)
+        idx_parts.append(idx + start)
+    rng.bit_generator.state = _state_after(alice_start, count)
+    bits = _joined(bit_parts)
+    bits ^= k & 1
+    return ObliviousKey(bob_key, _joined(idx_parts), bits), conclusive
+
+
 def query_shift(known: np.ndarray, target_index: int, n: int,
                 rng: np.random.Generator) -> tuple[int, int]:
     """Pick a place p in `known` uniformly; return p and the shift (known[p] - i) mod n."""
@@ -828,9 +963,19 @@ class Transcript:
     shift: int
     ciphertext: np.ndarray
     retrieved_bit: int
-    final_attempt: _Attempt = field(repr=False)
+    # The final attempt, or the bit generator state a streamed one started from.
+    attempt: _Attempt | dict = field(repr=False)
     attempt_known_counts: list[int] = field(default_factory=list)
     attempt_conclusive_counts: list[int] = field(default_factory=list)
+
+    @cached_property
+    def final_attempt(self) -> _Attempt:
+        """The final attempt; a streamed one is made again by `_run_attempt`
+        from its start state on first read."""
+        if isinstance(self.attempt, _Attempt):
+            return self.attempt
+        return _run_attempt(self.config, HonestAlice(), HonestBob(),
+                            np.random.Generator(_generator_at(self.attempt)))
 
     @cached_property
     def records(self) -> RawRecords:
@@ -1005,11 +1150,21 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     conclusive_counts: list[int] = []
     att = None
     key = None
+    # The `advance(d)` of PCG64 and PCG64DXSM moves exactly d `random_raw`
+    # outputs on, so `_streamed_attempt` can enter a byte draw at any offset.
+    streamed = (type(alice) is HonestAlice and type(bob) is HonestBob and config.eta == 1.0
+                and config.announcement == "sarg" and config.n >= CHUNK
+                and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM))
     for _ in range(config.max_restarts + 1):
-        att = _run_attempt(config, alice, bob, rng)
-        key = _reduce_arrays(att.bob_bits, att.alice.packed, config.n, config.k)
+        if streamed:
+            att = rng.bit_generator.state
+            key, conclusive = _streamed_attempt(config, rng)
+        else:
+            att = _run_attempt(config, alice, bob, rng)
+            key = _reduce_arrays(att.bob_bits, att.alice.packed, config.n, config.k)
+            conclusive = att.alice.conclusive_count
         known_counts.append(key.known.size)
-        conclusive_counts.append(att.alice.conclusive_count)
+        conclusive_counts.append(conclusive)
         if key.known.size:
             break
         att = key = None  # release this attempt's arrays before the next one
@@ -1022,5 +1177,5 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     return Transcript(config=config, restarts=len(known_counts) - 1, key=key,
                       target_index=target_index, chosen_index=int(key.known[place]),
                       shift=shift, ciphertext=ciphertext, retrieved_bit=retrieved,
-                      final_attempt=att, attempt_known_counts=known_counts,
+                      attempt=att, attempt_known_counts=known_counts,
                       attempt_conclusive_counts=conclusive_counts)

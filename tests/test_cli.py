@@ -601,6 +601,10 @@ class TestReportDigests:
     loss, over 70,000 qubits, more than one `protocol.CHUNK`, and at k = 1,
     where the key holds 8 known bits at seed 12345 (5 at seed 7); the
     combine digest covers the honest engine driven through several keys.
+    The two `run-streamed` digests, taken while every attempt drew its raw
+    arrays, cover the streamed honest attempt: at n = 65,536, k = 9 its
+    runs restart (7 times at seed 12345, twice at seed 7), and at n = 70,001
+    the database draw leaves the spare half of an output.
     The table1, usd-curve and first helstrom digests are taken at default
     argv; `TestGoldenReports` compares the last two with the dense route.
     The two attack-bob entangle digests cover both register modes, and the
@@ -631,6 +635,8 @@ class TestReportDigests:
         "run-records-lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
         "run-records-multi-chunk": ["run", "-v", "--n", "14000", "--k", "5"],
         "run-records-many-known": ["run", "-v", "--n", "40", "--k", "1"],
+        "run-streamed-restarts": ["run", "--n", "65536", "--k", "9"],
+        "run-streamed-odd": ["run", "--n", "70001", "--k", "3"],
         "combine": ["combine", "--m", "3", "--n", "2000", "--k", "3", "--trials", "20",
                     "--jobs", "1"],
         "table1": ["table1"],
@@ -658,6 +664,9 @@ class TestReportDigests:
             "3aa92710f6133479028f01c02fca5dac232cbea866aa69781fd005750a659c97",
         "run-records-many-known":
             "7cdf762e3fe614cda41bb7d7fddb471db849ddc47f07caf2d159c8b511c9fe26",
+        "run-streamed-restarts":
+            "84cd1ffa470f47ba71fc0c46a1ea8abeb675b96dc1a6938c804773382e586a07",
+        "run-streamed-odd": "906b8957dd3ff800b3ad6ba7022c7771e465d1335d4201e9a82fc8a95cd690b4",
         "combine": "5887db72a51941fc377e039bdbb0763af28a46070c7c9851ae09d88994936d21",
         "table1": "981a2b789cd7e4e10f725ce4a306e9395df1fefe3846f704f868a873d22dbfd8",
         "usd-curve": "73328b34c103c4cc01e2ab3604cbe505c9db45eb1cc2d4819ff879909daf60e4",
@@ -688,6 +697,9 @@ class TestReportDigests:
             "90a804f8cb3745a58d2925e8b5ac74cf6c9f051f378ef4e56d45fcba18c90040",
         "run-records-many-known":
             "2e5cc12cf530dae6077a8fe28fa08dc8b9a2c17cd8c2628991b2885975f0f9a5",
+        "run-streamed-restarts":
+            "0ccdd773ad19d256669dd85b6ff7fd6b3d23df03f3223ff7830526c19c03da08",
+        "run-streamed-odd": "43aaca952d950e1b2f47989bbaad16ef0b2b0f9af7b3917b2230a205981d6ebc",
         "combine": "6e68d2db32d640686023eda8f1159d66ef7ec401de3a3aca51c3917f46b2db3b",
         "attack-alice-helstrom":
             "906ee5455a7ab271790c8072c179f0f9af0da5e64e341fd207662e9d08811842",

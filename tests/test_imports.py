@@ -53,11 +53,23 @@ def test_guard_flags_imports_left_behind():
     assert names == ["run_protocol", "RestartLimitExceeded", "la"]
 
 
-def test_importing_qpq_loads_no_process_pool():
+def imported_modules(prefixes: tuple[str, ...]) -> str:
+    """The sorted names of the modules under `prefixes` that `import qpq, qpq.cli`
+    loads in a fresh interpreter, as printed."""
     code = ("import sys, qpq, qpq.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+            f"if m.startswith({prefixes!r})))")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_importing_qpq_loads_no_process_pool():
+    assert imported_modules(("concurrent", "multiprocessing")) == "[]"
+
+
+def test_importing_qpq_loads_no_numpy_random():
+    """numpy loads `numpy.random` on first use, ≈25 ms; the package reads it
+    only when it runs, where a generator already exists."""
+    assert imported_modules(("numpy.random",)) == "[]"

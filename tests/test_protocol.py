@@ -1079,6 +1079,175 @@ class TestEngineSeams:
 
         assert self._traced_peak(run) / config.raw_length <= 3.0
 
+    def test_streamed_peak_memory_does_not_grow_with_k(self):
+        """At n = 10^5 one streamed honest run at k = 9 peaks within 1.25x of one
+        at k = 3: it holds the key and a few `CHUNK` buffers, no raw-length array."""
+        def peak(k):
+            config = ProtocolConfig(n=10**5, k=k, seed=0)
+            database = np.zeros(config.n, dtype=np.uint8)
+            return self._traced_peak(lambda: run_protocol(config, database, 0))
+
+        assert peak(9) <= 1.25 * peak(3)
+
+    def test_materialized_peak_memory_per_qubit(self):
+        """The honest user as a subclass takes the materialized route; at
+        N = 10^5, k = 9 it too holds at most 3 bytes per raw qubit."""
+        config = ProtocolConfig(n=10**5, k=9, seed=0)
+        database = np.zeros(config.n, dtype=np.uint8)
+        peak = self._traced_peak(lambda: run_protocol(config, database, 0, alice=PlainAlice()))
+        assert peak / config.raw_length <= 3.0
+
+
+class PlainAlice(HonestAlice):
+    """The honest user as a subclass, which `run_protocol` does not stream."""
+
+
+def streamed_twins(kind, seed, spare: int) -> list[np.random.Generator]:
+    """Two generators of bit generator `kind` in one state, which holds the
+    spare half of an output when `spare` is 1."""
+    twins = [np.random.Generator(kind(seed)) for _ in range(2)]
+    for rng in twins:
+        if spare:
+            rng.bytes(4)
+        assert rng.bit_generator.state["has_uint32"] == spare
+    return twins
+
+
+def assert_same_state_and_draws(mine: np.random.Generator, ref: np.random.Generator) -> None:
+    assert mine.bit_generator.state == ref.bit_generator.state
+    assert mine.random() == ref.random()
+    assert mine.bytes(11) == ref.bytes(11)
+    assert mine.integers(1 << 40) == ref.integers(1 << 40)
+
+
+STREAMED_KINDS = pytest.mark.parametrize("kind", [np.random.PCG64, np.random.PCG64DXSM],
+                                         ids=lambda kind: kind.__name__)
+# Every n at k = 1, 3 and 9 (at n = CHUNK, k = 9 most attempts know no bit),
+# and an even k, where Alice's folded bit is not flipped.
+STREAMED_SHAPES = [(n, k) for n in (CHUNK, CHUNK + 1, 70_001, 2 * CHUNK + 3)
+                   for k in (1, 3, 9)] + [(70_001, 2)]
+
+
+class TestStreamedAttempt:
+    """The honest pair itself against pairs at eta = 1, with n >= CHUNK, on
+    PCG64 or PCG64DXSM, makes each attempt in `_streamed_attempt`: the same
+    key, counts, generator state and later draws as `_run_attempt` and
+    `_reduce_arrays` on a twin generator."""
+
+    @STREAMED_KINDS
+    @pytest.mark.parametrize("spare", [0, 1])
+    @pytest.mark.parametrize("n,k", STREAMED_SHAPES)
+    def test_attempt_matches_the_materialized_one(self, kind, spare, n, k):
+        mine, ref = streamed_twins(kind, [n, k], spare)
+        config = ProtocolConfig(n=n, k=k)
+        key, conclusive = protocol._streamed_attempt(config, mine)
+        att = protocol._run_attempt(config, HonestAlice(), HonestBob(), ref)
+        want = protocol._reduce_arrays(att.bob_bits, att.alice.packed, n, k)
+        for name in ("bob_key", "known", "bits"):
+            got, expected = getattr(key, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
+        assert conclusive == att.alice.conclusive_count
+        assert_same_state_and_draws(mine, ref)
+
+    @STREAMED_KINDS
+    @pytest.mark.parametrize("spare", [0, 1])
+    def test_run_with_restarts_matches_the_materialized_run(self, kind, spare):
+        """At (CHUNK, 9) about 78% of attempts know no bit."""
+        config = ProtocolConfig(n=CHUNK, k=9)
+        database = np.random.default_rng(8).integers(0, 2, CHUNK, dtype=np.uint8)
+        mine, ref = streamed_twins(kind, 11, spare)
+        got = run_protocol(config, database, 5, rng=mine)
+        want = run_protocol(config, database, 5, alice=PlainAlice(), rng=ref)
+        assert got.restarts > 0
+        assert got.to_dict() == want.to_dict()
+        assert got.attempt_known_counts == want.attempt_known_counts
+        assert got.attempt_conclusive_counts == want.attempt_conclusive_counts
+        assert np.array_equal(got.key.bob_key, want.key.bob_key)
+        assert np.array_equal(got.ciphertext, want.ciphertext)
+        assert_same_state_and_draws(mine, ref)
+        # The final attempt, made again from its start state after the restarts.
+        assert np.array_equal(got.final_attempt.rounds.code, want.final_attempt.rounds.code)
+        assert np.array_equal(got.final_attempt.alice.packed, want.final_attempt.alice.packed)
+
+    @STREAMED_KINDS
+    def test_restart_limit_carries_the_materialized_counts(self, kind):
+        config = ProtocolConfig(n=CHUNK, k=9, max_restarts=2)
+        database = np.zeros(CHUNK, dtype=np.uint8)
+        mine, ref = streamed_twins(kind, 10, 0)
+        with pytest.raises(RestartLimitExceeded) as got:
+            run_protocol(config, database, 0, rng=mine)
+        with pytest.raises(RestartLimitExceeded) as want:
+            run_protocol(config, database, 0, alice=PlainAlice(), rng=ref)
+        assert got.value.conclusive_counts == want.value.conclusive_counts
+        assert len(got.value.conclusive_counts) == 3
+        assert_same_state_and_draws(mine, ref)
+
+    def test_records_replay_the_final_attempt(self):
+        """The transcript keeps the start state, not the attempt's arrays; its
+        records are those of the materialized final attempt."""
+        config = ProtocolConfig(n=CHUNK + 1, k=1)
+        database = np.ones(config.n, dtype=np.uint8)
+        got = run_protocol(config, database, 3, rng=np.random.default_rng(21))
+        want = run_protocol(config, database, 3, alice=PlainAlice(),
+                            rng=np.random.default_rng(21))
+        assert isinstance(got.attempt, dict)
+        direct = protocol._scatter_records(want.final_attempt)
+        for f in dataclasses.fields(RawRecords):
+            assert np.array_equal(getattr(got.records, f.name), getattr(direct, f.name),
+                                  equal_nan=True), f.name
+        assert got.to_dict(verbose=True)["records"] == list(direct.iter_dicts())
+
+    @pytest.mark.parametrize("case", ["MT19937", "SFC64", "Philox", "bb84", "lossy",
+                                      "alice-subclass", "bob-subclass", "n-below-chunk",
+                                      "PCG64", "PCG64DXSM"])
+    def test_only_the_honest_pair_on_advanceable_generators_is_streamed(self, case,
+                                                                        monkeypatch):
+        calls = []
+        real = protocol._run_attempt
+        monkeypatch.setattr(protocol, "_run_attempt",
+                            lambda *args: calls.append(args) or real(*args))
+        kind = getattr(np.random, case, np.random.PCG64)
+        config = ProtocolConfig(n=CHUNK - 1 if case == "n-below-chunk" else CHUNK, k=2,
+                                eta=0.9 if case == "lossy" else 1.0,
+                                announcement="bb84" if case == "bb84" else "sarg")
+        t = run_protocol(config, np.zeros(config.n, dtype=np.uint8), 0,
+                         alice=PlainAlice() if case == "alice-subclass" else None,
+                         bob=type("PlainBob", (HonestBob,), {})() if case == "bob-subclass"
+                         else None,
+                         rng=np.random.Generator(kind(6)))
+        streamed = case in ("PCG64", "PCG64DXSM")
+        assert len(calls) == (0 if streamed else t.restarts + 1)
+        t.final_attempt
+        assert len(calls) == (1 if streamed else t.restarts + 1)
+
+    def test_lane_formula_matches_the_respond_table(self, monkeypatch):
+        """Every (Bob byte, Alice byte) pair once at k = 1: Alice's known columns
+        and her bits there are the conclusive flags and bits of
+        `_respond_table(HONEST_LAYOUTS["sarg"], "sarg")` at all 32 indices."""
+        bob_bytes = np.repeat(ALL_BYTES, 256)
+        alice_bytes = np.tile(ALL_BYTES, 256)
+        draws = iter([bob_bytes, alice_bytes])
+
+        class Reader:
+            def __init__(self, state, offset):
+                self.draw = next(draws)[offset:]
+
+            def read(self, out):
+                out[:] = self.draw[:out.size]
+                self.draw = self.draw[out.size:]
+
+        monkeypatch.setattr(protocol, "_DrawReader", Reader)
+        config = ProtocolConfig(n=bob_bytes.size, k=1)
+        key, conclusive = protocol._streamed_attempt(config, np.random.default_rng(0))
+        entries, _ = honest_respond_entries("sarg")
+        index = (bob_bytes & 7).astype(np.intp) * 4 + (alice_bytes & 3)
+        assert set(index.tolist()) == set(range(32))
+        want = (entries[index] & 4) != 0
+        assert np.array_equal(key.known, np.flatnonzero(want))
+        assert conclusive == np.count_nonzero(want)
+        assert np.array_equal(key.bits, (entries[index[want]] >> 4) & 1)
+        assert np.array_equal(key.bob_key, bob_bytes & 1)
+
 
 def transcript_digest(t) -> str:
     """sha256 over every `RawRecords` field (name, dtype, shape, bytes) and the key."""
