@@ -32,9 +32,8 @@ from .protocol import (
     HonestAlice,
     ProtocolConfig,
     RestartLimitExceeded,
+    _attempts,
     _fair_bits,
-    _first_attempts,
-    _known_key,
     _strategies,
     decrypt_bit,
     encrypt_database,
@@ -129,7 +128,7 @@ def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> list[Tr
     on the stream `[seed, t]` gives it, after t's database (one byte draw's
     top bits, as `_fair_bits` draws them) and target.
 
-    `_first_attempts` makes every trial's first attempt on its stream as one
+    `_attempts` makes every trial's first attempt on its stream as one
     batch. A trial whose first attempt knows no bit goes on along that
     stream through `run_protocol` with one restart fewer; with no restart
     left it fails.
@@ -139,14 +138,13 @@ def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> list[Tr
         rng = np.random.default_rng([config.seed, t])
         database = _fair_bits(rng, config.n, np.uint8)
         streams.append((rng, database, int(rng.integers(config.n))))
-    firsts = _first_attempts(config, alice, bob, [rng for rng, _, _ in streams])
+    firsts = _attempts(config, alice, bob, [rng for rng, _, _ in streams])
     need = config.raw_length
     results = []
-    for (rng, database, target), bob_key, known, packed, conclusive in zip(streams, *firsts):
-        restarted = not known.any()
+    for (rng, database, target), (key, conclusive) in zip(streams, firsts):
+        restarted = not key.known.size
         try:
             if not restarted:
-                key = _known_key(bob_key, known, packed, config.n, config.k)
                 place, shift = query_shift(key.known, target, config.n, rng)
                 ciphertext = encrypt_database(database, key.bob_key, shift)
                 retrieved, later = decrypt_bit(ciphertext, target, key.bits[place]), []
@@ -158,13 +156,13 @@ def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> list[Tr
                 raise RestartLimitExceeded([])
         except RestartLimitExceeded as exc:
             results.append(TrialResult(False, True, 0, 0, 0,
-                                       int(conclusive) + sum(exc.conclusive_counts),
+                                       conclusive + sum(exc.conclusive_counts),
                                        need * (exc.attempts + 1), False))
             continue
         results.append(TrialResult(
             success=True, restarted=restarted, first_known=0 if restarted else key.known.size,
             final_known=key.known.size, known_mismatches=len(key.mismatched_indices()),
-            conclusive_total=int(conclusive) + sum(later), kept_total=need * (len(later) + 1),
+            conclusive_total=conclusive + sum(later), kept_total=need * (len(later) + 1),
             retrieved_correct=retrieved == int(database[target])))
     return results
 

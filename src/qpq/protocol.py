@@ -25,11 +25,14 @@ basis, per basis. Every such probability of an honest signal state is 0, 1/2
 or 1, so an honest round needs only fair coins: each side draws one byte per
 qubit, and one packed table gives outcome, conclusiveness and bit. A layout
 whose law is not all 0, 1/2 or 1 (a biased preparation at a generic angle,
-the entangled register) takes a float coin per qubit instead. The byte
-draws (`_byte_pieces`) copy the bit generator's 64-bit outputs
+the entangled register) takes a float coin per qubit instead.
+
+The byte draws (`_byte_pieces`) copy the bit generator's 64-bit outputs
 (`random_raw`) `CHUNK` bytes at a time and then set its spare 32-bit half
-as `Generator.bytes` would, so bytes and state match one `rng.bytes` call;
-a bit generator without that spare (MT19937) is read through `rng.bytes`.
+as `Generator.bytes` would (`_end_state`), so bytes and state match one
+`rng.bytes` call; a bit generator without that spare (MT19937) is read
+through `rng.bytes`. A `_DrawReader` reads the same bytes from any offset,
+on a copy of a PCG64 or PCG64DXSM generator moved there with `advance`.
 `_fair_bits` keeps the top bit of each 32-bit word, or of each byte, of a
 byte draw, which gives the values and the state of `rng.integers(0, 2,
 count)` of that dtype; the adversary layer draws its fair coins and the
@@ -39,20 +42,17 @@ Bob's draw, masked to its three used bits, is his one per-qubit array
 in her records, where each chunk becomes her table index,
 code * 4 + basis * 2 + coin, and is gathered in place, two qubits per
 uint16, from one table cached per layout and announcement (`_respond_table`).
-Her records keep the table entries packed (`AliceRecords`), and
-`_reduce_arrays` folds the packed bytes, so such an attempt holds two
-raw-length arrays: Bob's code and Alice's packed records.
-`run_protocol` streams the honest pair itself against pairs at eta = 1
-with n >= `CHUNK` on PCG64 or PCG64DXSM instead (`_streamed_attempt`): each
-row of each draw is read from a copy of the bit generator entered at its
-offset with `advance`, and the rows are folded one column block at a time,
-in O(n + CHUNK) memory, with the same key, counts and generator state.
-The full-length per-qubit record (`Transcript.records`) is built only when
-a caller reads it; it derives every posterior, whatever the strategy, and
-a streamed final attempt is made again from its start state for it.
-`_first_attempts` makes one attempt per generator, as `_run_attempt`
-would, and folds them once over the batch, and for the honest pair also
-runs Alice's gather once; `monte_carlo` makes every first attempt through it.
+Her records keep the table entries packed (`AliceRecords`), which the folds
+(`_fold_rows`, `_known_key`) read.
+
+`_attempts` alone picks how an attempt is made, for each of `run_protocol`'s
+attempts and for a batch of `monte_carlo`'s first attempts: streamed in
+O(n + CHUNK) memory, gathered as one batch array, or one `_run_attempt`
+each, which holds Bob's code and Alice's packed records at raw length, all
+with the same key, counts and generator state. A transcript keeps its final
+attempt's start state and strategies; the full-length per-qubit record
+(`Transcript.records`), which derives every posterior whatever the
+strategy, is made again from them when read.
 
 Each strategy class states its closed forms for a config as one `Law`
 (`law`): the chance that a kept qubit is conclusive for Alice, and the
@@ -409,6 +409,19 @@ def _gather_in_place(table: np.ndarray, records: np.ndarray, code: np.ndarray,
     table.take(gathered, out=gathered, mode="clip")
 
 
+def _end_state(state: dict, count: int, head: int, last) -> dict:
+    """`state`, read after the last output `last` of one `rng.bytes(count)`
+    draw that began on a spare of `head` bytes, with the spare set as
+    `next_uint32` leaves it: `last`'s high half, unused when an odd number
+    of words came from outputs, or, when count <= head, the spare used."""
+    if count <= head:
+        state["has_uint32"] = 0
+    else:
+        state["has_uint32"] = -(-(count - head) // 4) % 2
+        state["uinteger"] = int(last) >> 32
+    return state
+
+
 def _byte_pieces(rng: np.random.Generator, count: int,
                  out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Draw the bytes of one `rng.bytes(count)` into `out`, a uint8 array of
@@ -423,18 +436,17 @@ def _byte_pieces(rng: np.random.Generator, count: int,
     those of a spare held at entry, read little-endian from the state, then
     the little-endian bytes of consecutive `random_raw` outputs. Each piece
     takes `CHUNK` bytes of outputs, and before the last piece is yielded the
-    state's spare is set as `next_uint32` would leave it: the last output's
-    high half, marked unused when an odd number of words was taken, or the
-    spare marked used when it held every byte. A bit generator whose state
-    has no `has_uint32` (MT19937) fills each piece from one `CHUNK`-byte
+    state's spare is set (`_end_state`). A bit generator whose state has no
+    `has_uint32` (MT19937) fills each piece from one `CHUNK`-byte
     `rng.bytes` call; the calls join into the one call's bytes because every
-    call but the last takes whole words.
+    call but the last takes whole words. A `_DrawReader` reads the same
+    bytes from any offset, but costs more per small draw than this loop.
     """
     bitgen = rng.bit_generator
     state = bitgen.state
     raw = "has_uint32" in state
     head = min(count, 4) if raw and state["has_uint32"] else 0
-    start = 0
+    last = start = 0
     while start < count:
         stop = min(count, (start or head) + CHUNK)
         piece = out[start:stop]
@@ -446,17 +458,12 @@ def _byte_pieces(rng: np.random.Generator, count: int,
                 piece[:head] = np.frombuffer(state["uinteger"].to_bytes(4, "little")[:head],
                                              dtype=np.uint8)
                 body = piece[head:]
-                if not body.size:
-                    state["has_uint32"] = 0
-                    bitgen.state = state
             if body.size:
                 words = bitgen.random_raw(-(-body.size // 8))
                 body[:] = words.astype("<u8", copy=False).view(np.uint8)[:body.size]
-                if stop == count:
-                    state = bitgen.state
-                    state["has_uint32"] = -(-(count - head) // 4) % 2
-                    state["uinteger"] = int(words[-1]) >> 32
-                    bitgen.state = state
+                last = words[-1]
+            if stop == count:
+                bitgen.state = _end_state(bitgen.state, count, head, last)
         yield start, piece
         start = stop
 
@@ -732,11 +739,6 @@ def _known_key(bob_key: np.ndarray, known: np.ndarray, packed: np.ndarray, n: in
     return ObliviousKey(bob_key, idx, vals)
 
 
-def _reduce_arrays(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> ObliviousKey:
-    """XOR-fold k rows of n raw entries into Bob's key and Alice's known bits."""
-    return _known_key(*_fold_rows(bob_bits, packed, n, k), packed, n, k)
-
-
 # --------------------------------------------------------------------------
 # the streamed honest attempt
 # --------------------------------------------------------------------------
@@ -753,60 +755,64 @@ def _generator_at(state: dict):
     return bitgen
 
 
-def _state_after(state: dict, count: int) -> dict:
-    """The state that one `rng.bytes(count)`, count > 4, leaves from `state`,
-    as `_byte_pieces` sets it: after the last of its outputs, whose high half
-    is the spare."""
-    taken = count - (4 if state["has_uint32"] else 0)
-    bitgen = _generator_at(state)
-    bitgen.advance(-(-taken // 8) - 1)
-    last = int(bitgen.random_raw())
-    after = bitgen.state
-    after["has_uint32"] = -(-taken // 4) % 2
-    after["uinteger"] = last >> 32
-    return after
-
-
 class _DrawReader:
-    """The bytes of one `rng.bytes` draw from `offset` on, read in order from a
-    copy of the bit generator entered there.
-
-    `state` is the generator's state where the draw starts. The draw's bytes
-    are the spare half, if one is held, then the little-endian bytes of
-    consecutive outputs (`_byte_pieces`), so the byte at offset o past a
-    spare of `head` bytes is byte (o - head) % 8 of output (o - head) // 8.
-    The copy is advanced to that output, and `tail` holds the bytes of the
-    last output taken that are not yet read.
+    """One `rng.bytes` draw of a PCG64 or PCG64DXSM generator, read in order
+    from byte `offset` on: past the `head` bytes of a spare held at the
+    draw's start, byte o is byte (o - head) % 8 of output (o - head) // 8
+    (`_byte_pieces`). The reader draws from a copy of the generator moved
+    there with `advance`, whose step is one output, so `rng` itself is left
+    alone. The `left` high bytes of `last`, the last output
+    taken (at first, the spare as a high half), are not yet read.
+    `finish(count)`, once the reads reach the draw's end, sets `rng` to the
+    state of one `rng.bytes(count)`.
     """
 
-    def __init__(self, state: dict, offset: int):
+    __slots__ = ("rng", "bitgen", "head", "last", "left")
+
+    def __init__(self, rng: np.random.Generator, offset: int):
+        self.rng = rng
+        state = rng.bit_generator.state
+        self.head = 4 if state["has_uint32"] else 0
         self.bitgen = _generator_at(state)
-        head = 4 if state["has_uint32"] else 0
-        if offset < head:
-            self.tail = np.frombuffer(state["uinteger"].to_bytes(4, "little")[offset:],
-                                      dtype=np.uint8)
+        if offset < self.head:
+            self.last, self.left = state["uinteger"] << 32, self.head - offset
         else:
-            skip, drop = divmod(offset - head, 8)
+            skip, drop = divmod(offset - self.head, 8)
             self.bitgen.advance(skip)
-            self.tail = self.bitgen.random_raw(1).astype("<u8", copy=False).view(np.uint8)[drop:]
+            self.last, self.left = self.bitgen.random_raw(), 8 - drop
 
     def read(self, out: np.ndarray) -> None:
-        """Fill `out`, a uint8 array, with the next `out.size` bytes."""
-        have = min(self.tail.size, out.size)
-        out[:have] = self.tail[:have]
-        self.tail = self.tail[have:]
-        rest = out.size - have
-        if rest:
-            words = self.bitgen.random_raw(-(-rest // 8)).astype("<u8", copy=False).view(np.uint8)
-            out[have:] = words[:rest]
-            self.tail = words[rest:].copy()  # not a view that keeps every word
+        """Fill `out`, a uint8 array, with the draw's next `out.size` bytes."""
+        have = min(self.left, out.size)
+        if have:
+            tail = int(self.last).to_bytes(8, "little")[8 - self.left:]
+            out[:have] = np.frombuffer(tail[:have], dtype=np.uint8)
+            self.left -= have
+        size = out.size - have
+        if size:
+            raw = self.bitgen.random_raw(-(-size // 8))
+            self.last, self.left = raw[-1], -size % 8
+            out[have:] = raw.astype("<u8", copy=False).view(np.uint8)[:size]
+
+    def finish(self, count: int) -> None:
+        """Set `rng` to the end state of a draw of count >= 1 bytes."""
+        self.rng.bit_generator.state = _end_state(self.bitgen.state, count, self.head,
+                                                  self.last)
+
+
+def _state_after(rng: np.random.Generator, count: int) -> None:
+    """Set `rng` to the state after one `rng.bytes(count)`, count >= 1,
+    without drawing its bytes: a reader enters the draw at its last byte."""
+    reader = _DrawReader(rng, count - 1)
+    reader.read(np.empty(1, dtype=np.uint8))
+    reader.finish(count)
 
 
 def _streamed_attempt(config: ProtocolConfig, rng: np.random.Generator) -> tuple[ObliviousKey, int]:
     """One honest attempt against pairs at eta = 1 on a PCG64 or PCG64DXSM
     generator, with n >= `CHUNK`: its key and Alice's conclusive count,
-    exactly as `_run_attempt` and `_reduce_arrays` give them, and the
-    generator left in the same state.
+    exactly as `_run_attempt` and the folds give them, and the generator
+    left in the same state.
 
     No raw-length array is made. Each of the k rows of Bob's draw and of
     Alice's, which follows it, is read through a `_DrawReader`, one column
@@ -820,10 +826,9 @@ def _streamed_attempt(config: ProtocolConfig, rng: np.random.Generator) -> tuple
     when k is odd.
     """
     n, k, count = config.n, config.k, config.raw_length
-    bob_start = rng.bit_generator.state
-    alice_start = _state_after(bob_start, count)
-    bob = [_DrawReader(bob_start, row * n) for row in range(k)]
-    alice = [_DrawReader(alice_start, row * n) for row in range(k)]
+    bob = [_DrawReader(rng, row * n) for row in range(k)]
+    _state_after(rng, count)
+    alice = [_DrawReader(rng, row * n) for row in range(k)]
     a, b, flag, term, bob_xor, alice_xor, known = (np.empty(CHUNK // 8, dtype=np.uint64)
                                                    for _ in range(7))
     a_bytes, b_bytes = a.view(np.uint8), b.view(np.uint8)
@@ -860,7 +865,7 @@ def _streamed_attempt(config: ProtocolConfig, rng: np.random.Generator) -> tuple
         idx = np.flatnonzero(known.view(bool)[:size])
         bit_parts.append((alice_xor.view(np.uint8)[idx] >> 1) & 1)
         idx_parts.append(idx + start)
-    rng.bit_generator.state = _state_after(alice_start, count)
+    alice[-1].finish(count)
     bits = _joined(bit_parts)
     bits ^= k & 1
     return ObliviousKey(bob_key, _joined(idx_parts), bits), conclusive
@@ -963,19 +968,19 @@ class Transcript:
     shift: int
     ciphertext: np.ndarray
     retrieved_bit: int
-    # The final attempt, or the bit generator state a streamed one started from.
-    attempt: _Attempt | dict = field(repr=False)
+    # The bit generator state the final attempt started from, and its strategies.
+    start: dict = field(repr=False)
+    alice: object
+    bob: object
     attempt_known_counts: list[int] = field(default_factory=list)
     attempt_conclusive_counts: list[int] = field(default_factory=list)
 
     @cached_property
     def final_attempt(self) -> _Attempt:
-        """The final attempt; a streamed one is made again by `_run_attempt`
-        from its start state on first read."""
-        if isinstance(self.attempt, _Attempt):
-            return self.attempt
-        return _run_attempt(self.config, HonestAlice(), HonestBob(),
-                            np.random.Generator(_generator_at(self.attempt)))
+        """The final attempt, made again by `_run_attempt` from its start state
+        on a new generator on first read."""
+        return _run_attempt(self.config, self.alice, self.bob,
+                            np.random.Generator(_generator_at(self.start)))
 
     @cached_property
     def records(self) -> RawRecords:
@@ -1044,42 +1049,49 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
                     alice=alice_rec, bob_bits=bob_bits)
 
 
-def _first_attempts(config: ProtocolConfig, alice, bob, rngs: list[np.random.Generator]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list | np.ndarray]:
-    """One attempt per generator, each drawn as `_run_attempt` draws it, with
-    the folds made once over the batch. Returns, one row per attempt: Bob's
-    key and Alice's known columns (`_fold_rows`), her packed records and her
-    conclusive count.
-
-    The honest pair itself (not a subclass), when the batch fits in `CHUNK`,
-    also makes Alice's table gather and the conclusive counts once; every
-    other batch joins the rows of one `_run_attempt` each, and a batch of one
-    is not copied.
+def _attempts(config: ProtocolConfig, alice, bob,
+              rngs: list[np.random.Generator]) -> list[tuple[ObliviousKey, int]]:
+    """One attempt per generator, drawn as `_run_attempt` draws it: its key and
+    Alice's conclusive count, folded once over the batch. The honest pair
+    itself (not a subclass) streams an attempt alone on a PCG64 or PCG64DXSM
+    generator against pairs at eta = 1 with n >= `CHUNK`, and gathers a batch
+    that fits in `CHUNK` qubits in one array, one attempt only under loss past
+    `CHUNK` / 2; every other batch joins one `_run_attempt` per generator.
     """
-    need = config.raw_length
-    if type(alice) is HonestAlice and type(bob) is HonestBob and len(rngs) * need <= CHUNK:
+    n, k, need = config.n, config.k, config.raw_length
+    honest = type(alice) is HonestAlice and type(bob) is HonestBob
+    # `advance(d)` of PCG64 and PCG64DXSM moves exactly d outputs on.
+    if (honest and len(rngs) == 1 and config.eta == 1.0 and config.announcement == "sarg"
+            and n >= CHUNK
+            and type(rngs[0].bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)):
+        return [_streamed_attempt(config, rngs[0])]
+    # One attempt gains from the gather only under loss and past CHUNK / 2
+    # qubits, where `_run_attempt` picks Bob's kept codes out twice.
+    lone_gain = config.eta < 1.0 and 2 * need > CHUNK
+    if honest and len(rngs) * need <= CHUNK and (len(rngs) > 1 or lone_gain):
         layout = HONEST_LAYOUTS[config.announcement]
-        table = _respond_table(layout, config.announcement)[0]
-        codes = np.empty((len(rngs), need), dtype=np.uint8)
+        codes = []
         records = np.empty((len(rngs), need + need % 2), dtype=np.uint8)
-        for code, row, rng in zip(codes, records, rngs):
+        for row, rng in zip(records, rngs):
             rounds, _, kept = _send(config, bob, rng)
-            code[:] = _at_kept(rounds.code, kept)
+            codes.append(_at_kept(rounds.code, kept))
             for _ in _byte_pieces(rng, need, row):
                 pass
+        codes = _joined(codes).reshape(len(rngs), need)
         packed = records[:, :need]
         packed &= 3  # Alice's draw byte: bit 0 fair coin, bit 1 basis
-        _gather_in_place(table, records, codes, np.empty_like(codes))
+        _gather_in_place(_respond_table(layout, config.announcement)[0], records, codes,
+                         np.empty_like(codes))
         # Bob's key record reads his kept codes alone: every code of the batch is kept.
         bob_bits = bob.key_bits(BobRounds(code=codes, layout=layout),
                                 np.broadcast_to(np.True_, codes.shape), None, config, None)
-        conclusive = np.count_nonzero(packed & 4, axis=-1)
     else:
         attempts = [_run_attempt(config, alice, bob, rng) for rng in rngs]
         bob_bits = _joined([att.bob_bits for att in attempts]).reshape(len(rngs), need)
         packed = _joined([att.alice.packed for att in attempts]).reshape(len(rngs), need)
-        conclusive = [att.alice.conclusive_count for att in attempts]
-    return *_fold_rows(bob_bits, packed, config.n, config.k), packed, conclusive
+    bob_keys, known = _fold_rows(bob_bits, packed, n, k)
+    return [(_known_key(*row, n, k), AliceRecords(row[2]).conclusive_count)
+            for row in zip(bob_keys, known, packed)]
 
 
 def _scatter_records(att: _Attempt) -> RawRecords:
@@ -1123,12 +1135,13 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     """Execute attempts until Alice knows a key bit, then retrieve one database bit.
 
     Raises RestartLimitExceeded when max_restarts + 1 attempts all end with
-    an empty known set. The returned transcript keeps the final attempt,
-    whose per-qubit record is built on first read, plus per-attempt summary
-    counts. The database holds n bools or integers, each 0 or 1; any other
-    dtype or value raises ValueError before it is cast to bytes. The target
-    index is a Python or numpy integer, not a bool, in [0, n); anything else
-    raises ValueError before any draw.
+    an empty known set. The returned transcript keeps the final attempt's
+    start state and strategies, from which its per-qubit record is made on
+    first read, plus per-attempt summary counts. The database holds n bools
+    or integers, each 0 or 1; any other dtype or value raises ValueError
+    before it is cast to bytes. The target index is a Python or numpy
+    integer, not a bool, in [0, n); anything else raises ValueError before
+    any draw.
     """
     alice, bob = _strategies(alice, bob)
     x = np.asarray(database)
@@ -1148,26 +1161,14 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
 
     known_counts: list[int] = []
     conclusive_counts: list[int] = []
-    att = None
-    key = None
-    # The `advance(d)` of PCG64 and PCG64DXSM moves exactly d `random_raw`
-    # outputs on, so `_streamed_attempt` can enter a byte draw at any offset.
-    streamed = (type(alice) is HonestAlice and type(bob) is HonestBob and config.eta == 1.0
-                and config.announcement == "sarg" and config.n >= CHUNK
-                and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM))
     for _ in range(config.max_restarts + 1):
-        if streamed:
-            att = rng.bit_generator.state
-            key, conclusive = _streamed_attempt(config, rng)
-        else:
-            att = _run_attempt(config, alice, bob, rng)
-            key = _reduce_arrays(att.bob_bits, att.alice.packed, config.n, config.k)
-            conclusive = att.alice.conclusive_count
+        start = rng.bit_generator.state
+        [(key, conclusive)] = _attempts(config, alice, bob, [rng])
         known_counts.append(key.known.size)
         conclusive_counts.append(conclusive)
         if key.known.size:
             break
-        att = key = None  # release this attempt's arrays before the next one
+        key = None  # release this attempt's key before the next one
     else:
         raise RestartLimitExceeded(conclusive_counts)
 
@@ -1177,5 +1178,5 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     return Transcript(config=config, restarts=len(known_counts) - 1, key=key,
                       target_index=target_index, chosen_index=int(key.known[place]),
                       shift=shift, ciphertext=ciphertext, retrieved_bit=retrieved,
-                      attempt=att, attempt_known_counts=known_counts,
+                      start=start, alice=alice, bob=bob, attempt_known_counts=known_counts,
                       attempt_conclusive_counts=conclusive_counts)

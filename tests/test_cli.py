@@ -604,7 +604,10 @@ class TestReportDigests:
     The two `run-streamed` digests, taken while every attempt drew its raw
     arrays, cover the streamed honest attempt: at n = 65,536, k = 9 its
     runs restart (7 times at seed 12345, twice at seed 7), and at n = 70,001
-    the database draw leaves the spare half of an output.
+    the database draw leaves the spare half of an output. The
+    `run-records-streamed` digests, taken while a transcript kept any final
+    attempt but a streamed one whole, cover the records of a streamed
+    attempt made again from its start state.
     The table1, usd-curve and first helstrom digests are taken at default
     argv; `TestGoldenReports` compares the last two with the dense route.
     The two attack-bob entangle digests cover both register modes, and the
@@ -637,6 +640,7 @@ class TestReportDigests:
         "run-records-many-known": ["run", "-v", "--n", "40", "--k", "1"],
         "run-streamed-restarts": ["run", "--n", "65536", "--k", "9"],
         "run-streamed-odd": ["run", "--n", "70001", "--k", "3"],
+        "run-records-streamed": ["run", "-v", "--n", "65536", "--k", "1"],
         "combine": ["combine", "--m", "3", "--n", "2000", "--k", "3", "--trials", "20",
                     "--jobs", "1"],
         "table1": ["table1"],
@@ -667,6 +671,8 @@ class TestReportDigests:
         "run-streamed-restarts":
             "84cd1ffa470f47ba71fc0c46a1ea8abeb675b96dc1a6938c804773382e586a07",
         "run-streamed-odd": "906b8957dd3ff800b3ad6ba7022c7771e465d1335d4201e9a82fc8a95cd690b4",
+        "run-records-streamed":
+            "91ec56979da74dcd7a9bfc3d7c93fb479765d79b84910f576842972fe9bfec01",
         "combine": "5887db72a51941fc377e039bdbb0763af28a46070c7c9851ae09d88994936d21",
         "table1": "981a2b789cd7e4e10f725ce4a306e9395df1fefe3846f704f868a873d22dbfd8",
         "usd-curve": "73328b34c103c4cc01e2ab3604cbe505c9db45eb1cc2d4819ff879909daf60e4",
@@ -700,6 +706,8 @@ class TestReportDigests:
         "run-streamed-restarts":
             "0ccdd773ad19d256669dd85b6ff7fd6b3d23df03f3223ff7830526c19c03da08",
         "run-streamed-odd": "43aaca952d950e1b2f47989bbaad16ef0b2b0f9af7b3917b2230a205981d6ebc",
+        "run-records-streamed":
+            "6b7b5823052a2aa120f756fd022095b0738ac2f4f76869f326fd636d49774d3d",
         "combine": "6e68d2db32d640686023eda8f1159d66ef7ec401de3a3aca51c3917f46b2db3b",
         "attack-alice-helstrom":
             "906ee5455a7ab271790c8072c179f0f9af0da5e64e341fd207662e9d08811842",

@@ -7,6 +7,8 @@ see every one of the 256 values of their draw byte, in every combination.
 
 import dataclasses
 import hashlib
+import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -279,13 +281,19 @@ def seeded_run_records() -> RawRecords:
     return run_protocol(config, np.zeros(config.n, dtype=np.uint8), 0).records
 
 
+def fold(bob_bits, packed, n, k) -> ObliviousKey:
+    """One attempt's key as the engine folds it: `_fold_rows`, then `_known_key`."""
+    return protocol._known_key(*protocol._fold_rows(bob_bits, packed, n, k), packed, n, k)
+
+
 def reduce(bob_bits, conclusive, alice_bits, n, k) -> ObliviousKey:
     alice = AliceRecords.from_fields(outcome=0, conclusive=conclusive, bit=alice_bits)
-    return protocol._reduce_arrays(np.asarray(bob_bits, dtype=np.uint8), alice.packed, n, k)
+    return fold(np.asarray(bob_bits, dtype=np.uint8), alice.packed, n, k)
 
 
 class TestReduceKey:
-    """The engine's k-fold XOR reduction, `_reduce_arrays`; -1 marks no bit."""
+    """The engine's k-fold XOR reduction, `_fold_rows` and `_known_key`; -1
+    marks no bit."""
 
     def test_k1_is_the_identity_reduction(self):
         key = reduce([1, 0, 0], [True, False, True], [1, -1, 0], n=3, k=1)
@@ -1131,8 +1139,8 @@ STREAMED_SHAPES = [(n, k) for n in (CHUNK, CHUNK + 1, 70_001, 2 * CHUNK + 3)
 class TestStreamedAttempt:
     """The honest pair itself against pairs at eta = 1, with n >= CHUNK, on
     PCG64 or PCG64DXSM, makes each attempt in `_streamed_attempt`: the same
-    key, counts, generator state and later draws as `_run_attempt` and
-    `_reduce_arrays` on a twin generator."""
+    key, counts, generator state and later draws as `_run_attempt` and the
+    folds on a twin generator."""
 
     @STREAMED_KINDS
     @pytest.mark.parametrize("spare", [0, 1])
@@ -1142,7 +1150,7 @@ class TestStreamedAttempt:
         config = ProtocolConfig(n=n, k=k)
         key, conclusive = protocol._streamed_attempt(config, mine)
         att = protocol._run_attempt(config, HonestAlice(), HonestBob(), ref)
-        want = protocol._reduce_arrays(att.bob_bits, att.alice.packed, n, k)
+        want = fold(att.bob_bits, att.alice.packed, n, k)
         for name in ("bob_key", "known", "bits"):
             got, expected = getattr(key, name), getattr(want, name)
             assert got.dtype == expected.dtype and np.array_equal(got, expected), name
@@ -1183,14 +1191,15 @@ class TestStreamedAttempt:
         assert_same_state_and_draws(mine, ref)
 
     def test_records_replay_the_final_attempt(self):
-        """The transcript keeps the start state, not the attempt's arrays; its
-        records are those of the materialized final attempt."""
+        """The transcript keeps the final attempt's start state, not its
+        arrays; its records are those of the materialized final attempt."""
         config = ProtocolConfig(n=CHUNK + 1, k=1)
         database = np.ones(config.n, dtype=np.uint8)
         got = run_protocol(config, database, 3, rng=np.random.default_rng(21))
         want = run_protocol(config, database, 3, alice=PlainAlice(),
                             rng=np.random.default_rng(21))
-        assert isinstance(got.attempt, dict)
+        assert got.start == np.random.default_rng(21).bit_generator.state
+        assert "final_attempt" not in vars(got)
         direct = protocol._scatter_records(want.final_attempt)
         for f in dataclasses.fields(RawRecords):
             assert np.array_equal(getattr(got.records, f.name), getattr(direct, f.name),
@@ -1218,7 +1227,26 @@ class TestStreamedAttempt:
         streamed = case in ("PCG64", "PCG64DXSM")
         assert len(calls) == (0 if streamed else t.restarts + 1)
         t.final_attempt
-        assert len(calls) == (1 if streamed else t.restarts + 1)
+        # Every route replays the final attempt once from its start state.
+        assert len(calls) == (1 if streamed else t.restarts + 2)
+
+    @pytest.mark.parametrize("n,eta,gathered", [(CHUNK // 2, 0.5, False),
+                                                (CHUNK // 2 + 1, 0.5, True),
+                                                (CHUNK // 2 + 1, 1.0, False)],
+                             ids=["half-chunk", "half-chunk-plus-one", "lossless"])
+    def test_a_lone_honest_attempt_is_gathered_past_half_a_chunk_under_loss(
+            self, n, eta, gathered, monkeypatch):
+        """A `run_protocol` attempt of the honest pair at n * k <= CHUNK / 2,
+        or at eta = 1, goes through `_run_attempt`, and so through every
+        strategy seam; a lossy one of a qubit more is gathered as a batch of
+        one."""
+        calls = []
+        real = protocol._run_attempt
+        monkeypatch.setattr(protocol, "_run_attempt",
+                            lambda *args: calls.append(args) or real(*args))
+        config = ProtocolConfig(n=n, k=1, eta=eta, seed=2)
+        t = run_protocol(config, np.zeros(n, dtype=np.uint8), 0)
+        assert len(calls) == (0 if gathered else t.restarts + 1)
 
     def test_lane_formula_matches_the_respond_table(self, monkeypatch):
         """Every (Bob byte, Alice byte) pair once at k = 1: Alice's known columns
@@ -1229,14 +1257,18 @@ class TestStreamedAttempt:
         draws = iter([bob_bytes, alice_bytes])
 
         class Reader:
-            def __init__(self, state, offset):
+            def __init__(self, rng, offset):
                 self.draw = next(draws)[offset:]
 
             def read(self, out):
                 out[:] = self.draw[:out.size]
                 self.draw = self.draw[out.size:]
 
+            def finish(self, count):
+                pass
+
         monkeypatch.setattr(protocol, "_DrawReader", Reader)
+        monkeypatch.setattr(protocol, "_state_after", lambda rng, count: None)
         config = ProtocolConfig(n=bob_bytes.size, k=1)
         key, conclusive = protocol._streamed_attempt(config, np.random.default_rng(0))
         entries, _ = honest_respond_entries("sarg")
@@ -1247,6 +1279,101 @@ class TestStreamedAttempt:
         assert conclusive == np.count_nonzero(want)
         assert np.array_equal(key.bits, (entries[index[want]] >> 4) & 1)
         assert np.array_equal(key.bob_key, bob_bytes & 1)
+
+
+class TestDrawReader:
+    """`_DrawReader` reads one `rng.bytes(count)` of PCG64 or PCG64DXSM from
+    any offset, and its `finish` leaves the state of that one call.
+    `_byte_pieces`, which reads every bit generator's draws from offset 0,
+    is covered by `test_byte_draws_match_one_bytes_call_for_every_bit_generator`."""
+
+    @STREAMED_KINDS
+    @pytest.mark.parametrize("spare", [0, 1])
+    @pytest.mark.parametrize("offset", list(range(14)) + [CHUNK - 1, CHUNK, CHUNK + 3])
+    def test_uneven_reads_from_any_offset_are_one_bytes_call(self, kind, spare, offset):
+        count = 2 * CHUNK + 11
+        mine, ref = streamed_twins(kind, [offset, 3], spare)
+        want = np.frombuffer(ref.bytes(count), dtype=np.uint8)[offset:]
+        start_state = mine.bit_generator.state
+        reader = protocol._DrawReader(mine, offset)
+        got = np.zeros(count - offset, dtype=np.uint8)
+        start = 0
+        for size in itertools.cycle((1, 7, CHUNK + 5, 3, 8, 2)):
+            piece = got[start:start + size]
+            reader.read(piece)
+            start += piece.size
+            if start == got.size:
+                break
+        # The reader reads a copy, so `mine` moves only at `finish`.
+        assert mine.bit_generator.state == start_state
+        reader.finish(count)
+        assert np.array_equal(got, want)
+        assert_same_state_and_draws(mine, ref)
+
+    @STREAMED_KINDS
+    @pytest.mark.parametrize("spare", [0, 1])
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 8, 9, 12, 13, CHUNK + 3])
+    def test_state_after_is_one_bytes_call(self, kind, spare, count):
+        """Counts within the spare half, ending on a 32-bit word or within one."""
+        mine, ref = streamed_twins(kind, [count, 4], spare)
+        protocol._state_after(mine, count)
+        ref.bytes(count)
+        assert_same_state_and_draws(mine, ref)
+
+
+class TestReplayedRecords:
+    """A transcript keeps its final attempt's start state and strategies, and
+    `final_attempt` makes that attempt again with `_run_attempt` on a new
+    generator, under every strategy. Every run but the memory attack under
+    bases, which knows every bit it keeps, restarts at least once. The
+    honest run on MT19937 makes its attempts through `_run_attempt`, and the
+    lossy one of 32,772 raw qubits, above `CHUNK` / 2, in the batched gather. The
+    `to_dict(verbose=True)` digests were taken while every transcript but a
+    streamed one held its final attempt whole."""
+
+    # id: (alice, bob, config, bit generator, seed, restarts, sha256 of the verbose report)
+    CASES = {
+        "usd": (UsdAlice(), None, dict(n=8, k=3), np.random.PCG64, 0, 3,
+                "7ff20d621de54bcefb419d80e42387ab98737fc7fe10bd2548ed376aa4dd55ee"),
+        "bb84-memory-bases": (Bb84MemoryAlice(), None, dict(n=8, k=3, announcement="bb84"),
+                              np.random.PCG64, 0, 0,
+                              "6653132a765db6f0a927507887c050a55f54104bcf6bd07500b6b843f4e1a595"),
+        "biased-0.3-lossy": (None, BiasedBob(0.3), dict(n=20, k=2, eta=0.6), np.random.PCG64, 1,
+                             8, "a9386f8e0bded77dbd1163b5603a1088b18d7a4e08567c68fcf486eba7352286"),
+        "register-honest": (None, EntangledBob("honest_basis"), dict(n=20, k=2), np.random.PCG64,
+                            0, 1,
+                            "02f18f648f3f89d1d3f75bac69a31ad4c3be0540efac42d6c141a95c1b82d6fb"),
+        "register-conclusiveness": (
+            None, EntangledBob("conclusiveness_basis"), dict(n=20, k=2), np.random.PCG64, 0, 1,
+            "34e79c8b03108daf3ea1a795b74f4526e56bce1fb6da3e9bb95a5f39b80faafb"),
+        "honest-mt19937": (None, None, dict(n=8, k=3), np.random.MT19937, 0, 3,
+                           "f91dc03511411ad4baed2190ae17271b0145e468dc91de3d3490ef32d3b4b434"),
+        "honest-gathered": (None, None, dict(n=5462, k=6, eta=0.9), np.random.PCG64, 0, 1,
+                            "6d9e6c9f01d53d447c645bfca46a8a383dc6d640c91c0eb42803b8ca0fc3575e"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_records_are_those_of_the_final_attempt(self, name):
+        alice, bob, params, kind, seed, restarts, digest = self.CASES[name]
+        config = ProtocolConfig(**params)
+        rng = np.random.Generator(kind(seed))
+        t = run_protocol(config, np.arange(config.n) % 2, 3, alice=alice, bob=bob, rng=rng)
+        assert t.restarts == restarts
+        assert "final_attempt" not in vars(t)
+        after = repr(rng.bit_generator.state)
+        # A twin generator, moved through the attempts that knew no bit.
+        alice, bob = protocol._strategies(alice, bob)
+        twin = np.random.Generator(kind(seed))
+        for _ in range(restarts):
+            protocol._run_attempt(config, alice, bob, twin)
+        assert repr(t.start) == repr(twin.bit_generator.state)
+        direct = protocol._scatter_records(protocol._run_attempt(config, alice, bob, twin))
+        for f in dataclasses.fields(RawRecords):
+            assert np.array_equal(getattr(t.records, f.name), getattr(direct, f.name),
+                                  equal_nan=True), f.name
+        doc = json.dumps(t.to_dict(verbose=True), sort_keys=True).encode()
+        assert hashlib.sha256(doc).hexdigest() == digest
+        assert repr(rng.bit_generator.state) == after
 
 
 def transcript_digest(t) -> str:

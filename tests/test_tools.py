@@ -17,8 +17,9 @@ class TestCompareCli:
     def test_commands_are_the_benchmark_ones_plus_verbose_run(self):
         """The 10 benchmark commands plus `run -v`, a lossy run, an odd
         multi-chunk run, a run with many known bits, a memory attack whose
-        contrast restarts, an odd multi-chunk discrimination attack, and two
-        streamed runs: one that restarts and one that starts on a spare half."""
+        contrast restarts, an odd multi-chunk discrimination attack, and three
+        streamed runs: one that restarts, one that starts on a spare half and
+        a verbose one, whose records replay its final attempt."""
         commands = load_compare_cli().cli_commands()
         assert commands["run -v"] == ["run", "-v"]
         assert commands["run -v lossy"] == ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"]
@@ -30,8 +31,9 @@ class TestCompareCli:
             "attack-alice", "--strategy", "usd", "--n", "9363", "--k", "7", "--trials", "40"]
         assert commands["run restarts"] == ["run", "--n", "65536", "--k", "9"]
         assert commands["run odd spare"] == ["run", "--n", "70001", "--k", "3"]
+        assert commands["run -v streamed"] == ["run", "-v", "--n", "65536", "--k", "1"]
         assert commands["run"] == ["run"] and commands["combine"] == ["combine"]
-        assert len(commands) == 18
+        assert len(commands) == 19
 
     def test_one_command_against_the_same_tree_matches(self):
         """usd-curve writes a JSON report and a CSV file; two fresh runs agree."""

@@ -33,9 +33,10 @@ TIMEOUT_S = 600.0
 # measurement) finds about a third of its first attempts empty, and a
 # discrimination attack of 65,541 raw qubits (one `protocol.CHUNK` and an odd
 # piece) on databases of 9,363 bits, not a whole number of 32-bit words.
-# The two plain runs take the streamed honest attempt: at n = 65,536, k = 9
-# most attempts restart, and at n = 70,001 the database draw leaves the
-# spare half of an output, where the first attempt's draw starts.
+# The two plain runs and `run -v streamed` take the streamed honest attempt:
+# at n = 65,536, k = 9 most attempts restart, at n = 70,001 the database
+# draw leaves the spare half of an output, where the first attempt's draw
+# starts, and the verbose run replays its final attempt for the records.
 EXTRA_COMMANDS = {
     "run -v": ["run", "-v"],
     "run -v lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
@@ -47,6 +48,7 @@ EXTRA_COMMANDS = {
                              "--trials", "40"],
     "run restarts": ["run", "--n", "65536", "--k", "9"],
     "run odd spare": ["run", "--n", "70001", "--k", "3"],
+    "run -v streamed": ["run", "-v", "--n", "65536", "--k", "1"],
 }
 
 
