@@ -14,10 +14,9 @@ size. One helper reads every sampled rate from the counts into the shared
 part of an `ExperimentReport`, to which the attack reports and the
 no-signaling audit over the whole family add their checks, with intervals
 from the same counts. The attack reports also count the final key bits an
-honest user knows after one attempt against the strategy: 150 blocks of
-400 positions of one first attempt, Bob's rounds (`protocol._send`) and the
-honest user's records, counted at the known columns without drawing Bob's
-key record or building a key, a query or a ciphertext.
+honest user knows after one attempt against the strategy: the known
+positions of one first attempt that `protocol._attempts` makes, counted per
+block of 400 of its 60,000 positions, without a query or a ciphertext.
 """
 
 from __future__ import annotations
@@ -56,12 +55,11 @@ from .protocol import (
     RoundLayout,
     Transcript,
     _at_kept,
+    _attempts,
     _byte_draws,
     _byte_pieces,
     _decode,
     _fair_bits,
-    _known_columns,
-    _send,
     run_protocol,  # noqa: F401 (bench/tests/test_bench.py traces through it)
 )
 
@@ -535,26 +533,22 @@ def _known_bits_through_runs(bob, n: int, k: int, runs: int, seed: int,
     """Mean known-bit count of first attempts under a provider strategy.
 
     The runs are the n-position blocks of one honest-user attempt at runs * n
-    positions: Bob's rounds and Alice's records, drawn as `_run_attempt`
-    draws them from [seed, stream, 1] (the battery draws from [seed,
-    stream]), but not his key record, its last draw, which no count reads.
-    Block r counts the `_known_columns` among positions r * n to
-    (r + 1) * n - 1. A fixed-state provider prepares every raw qubit
+    positions, made by `_attempts` from [seed, stream, 1] (the battery draws
+    from [seed, stream]). Block r counts the attempt's known positions among
+    r * n to (r + 1) * n - 1. A fixed-state provider prepares every raw qubit
     independently, so the blocks are independent Binomial(n, p_c**k)
     counts, the law of separate attempts at n. They are the per-block known
     sets a `run_protocol` call with no restarts would build from the same
-    stream (none for an empty attempt), without the key, the query or the
-    ciphertext. numpy's
-    SeedSequence reads a trailing 0 as the padding of a shorter seed, so
-    [seed, stream, 0] would be the battery's own stream.
+    stream (none for an empty attempt), without the query or the
+    ciphertext: every draw a count reads comes before Bob's key record, the
+    attempt's last. numpy's SeedSequence reads a trailing 0 as the padding
+    of a shorter seed, so [seed, stream, 0] would be the battery's own stream.
     Returns (empirical mean, 99% half-width, n * p_c**k with p_c from `bob.law`).
     """
     config = ProtocolConfig(n=runs * n, k=k, seed=seed)
     rng = np.random.default_rng([seed, stream, 1])
-    rounds, _, kept = _send(config, bob, rng)
-    packed = HonestAlice().respond(rounds, kept, config, rng).packed
-    known = _known_columns(packed, config.n, k).reshape(runs, n)
-    mean, hw = stats.mean_ci(np.count_nonzero(known, axis=1))
+    [(key, _)] = _attempts(config, HonestAlice(), bob, [rng])
+    mean, hw = stats.mean_ci(np.bincount(key.known // n, minlength=runs))
     return mean, hw, n * bob.law(config).conclusive ** k
 
 

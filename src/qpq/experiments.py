@@ -445,8 +445,11 @@ def combine_known_sets(known_sets: Sequence[Sequence[int]], n: int) -> np.ndarra
 
     Each string is cyclically shifted so that its first known index lands at
     position 0; a position of the combined key is known only where every
-    shifted string is known. Raises if any input set is empty.
+    shifted string is known. Raises ValueError if there is no input set or
+    any input set is empty.
     """
+    if len(known_sets) == 0:
+        raise ValueError("known_sets is empty: no known set to combine")
     aligned: list[np.ndarray] = []
     for idx, known in enumerate(known_sets):
         arr = np.unique(np.asarray(known, dtype=np.int64))

@@ -45,14 +45,15 @@ uint16, from one table cached per layout and announcement (`_respond_table`).
 Her records keep the table entries packed (`AliceRecords`), which the folds
 (`_fold_rows`, `_known_key`) read.
 
-`_attempts` alone picks how an attempt is made, for each of `run_protocol`'s
-attempts and for a batch of `monte_carlo`'s first attempts: streamed in
-O(n + CHUNK) memory, gathered as one batch array, or one `_run_attempt`
-each, which holds Bob's code and Alice's packed records at raw length, all
-with the same key, counts and generator state. A transcript keeps its final
-attempt's start state and strategies; the full-length per-qubit record
-(`Transcript.records`), which derives every posterior whatever the
-strategy, is made again from them when read.
+`_attempts` makes every attempt but a transcript's replay: each of
+`run_protocol`'s attempts, a batch of `monte_carlo`'s first attempts and
+the known-bit runs of the provider reports. It alone picks how: streamed in
+O(n + CHUNK) memory, a batch of two or more gathered as one array, or one
+`_run_attempt` each, which holds Bob's code and Alice's packed records at
+raw length, all with the same key, counts and generator state. A
+transcript keeps its final attempt's start state and strategies; the
+full-length per-qubit record (`Transcript.records`), which derives every
+posterior whatever the strategy, is made again from them when read.
 
 Each strategy class states its closed forms for a config as one `Law`
 (`law`): the chance that a kept qubit is conclusive for Alice, and the
@@ -712,21 +713,17 @@ def _fold(ufunc: np.ufunc, raw: np.ndarray, n: int, k: int) -> np.ndarray:
     return ufunc.reduce(raw.reshape(raw.shape[:-1] + (k, n)), axis=-2)
 
 
-def _known_columns(packed: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Bool per key position: Alice knows it where the conclusive flag (bit 2)
-    of her `AliceRecords.packed` is set in all k rows of n raw entries."""
-    # `!= 0` makes bools, on which `flatnonzero` and `count_nonzero` are
-    # several times faster than on bytes.
-    return (_fold(np.bitwise_and, packed, n, k) & 4) != 0
-
-
 def _fold_rows(bob_bits: np.ndarray, packed: np.ndarray, n: int,
                k: int) -> tuple[np.ndarray, np.ndarray]:
     """Bob's key, his raw bits (the lowest bit of each entry, of any integer
-    dtype) XOR-folded, and Alice's `_known_columns`; see `_fold`."""
+    dtype) XOR-folded, and Alice's known columns, a bool per key position
+    where the conclusive flag (bit 2) of her `AliceRecords.packed` is set in
+    all k rows; see `_fold`."""
     bob_key = _fold(np.bitwise_xor, bob_bits, n, k)
     bob_key &= 1
-    return bob_key, _known_columns(packed, n, k)
+    # `!= 0` makes bools, on which `flatnonzero` and `count_nonzero` are
+    # several times faster than on bytes.
+    return bob_key, (_fold(np.bitwise_and, packed, n, k) & 4) != 0
 
 
 def _known_key(bob_key: np.ndarray, known: np.ndarray, packed: np.ndarray, n: int,
@@ -1055,8 +1052,8 @@ def _attempts(config: ProtocolConfig, alice, bob,
     Alice's conclusive count, folded once over the batch. The honest pair
     itself (not a subclass) streams an attempt alone on a PCG64 or PCG64DXSM
     generator against pairs at eta = 1 with n >= `CHUNK`, and gathers a batch
-    that fits in `CHUNK` qubits in one array, one attempt only under loss past
-    `CHUNK` / 2; every other batch joins one `_run_attempt` per generator.
+    of two or more attempts that fits in `CHUNK` qubits in one array; every
+    other attempt, lone or in a batch, is one `_run_attempt`.
     """
     n, k, need = config.n, config.k, config.raw_length
     honest = type(alice) is HonestAlice and type(bob) is HonestBob
@@ -1065,10 +1062,7 @@ def _attempts(config: ProtocolConfig, alice, bob,
             and n >= CHUNK
             and type(rngs[0].bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)):
         return [_streamed_attempt(config, rngs[0])]
-    # One attempt gains from the gather only under loss and past CHUNK / 2
-    # qubits, where `_run_attempt` picks Bob's kept codes out twice.
-    lone_gain = config.eta < 1.0 and 2 * need > CHUNK
-    if honest and len(rngs) * need <= CHUNK and (len(rngs) > 1 or lone_gain):
+    if honest and len(rngs) > 1 and len(rngs) * need <= CHUNK:
         layout = HONEST_LAYOUTS[config.announcement]
         codes = []
         records = np.empty((len(rngs), need + need % 2), dtype=np.uint8)

@@ -614,7 +614,7 @@ class TestAttackReportStreams:
 
         monkeypatch.setattr(adversaries, "_provider_report",
                             record(adversaries._provider_report, battery))
-        monkeypatch.setattr(adversaries, "_send", record(adversaries._send, runs))
+        monkeypatch.setattr(protocol, "_send", record(protocol._send, runs))
         report(seed)
         assert len(battery) == 1 and len(runs) == 1
         assert battery != runs

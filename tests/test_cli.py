@@ -610,8 +610,10 @@ class TestReportDigests:
     attempt made again from its start state.
     The table1, usd-curve and first helstrom digests are taken at default
     argv; `TestGoldenReports` compares the last two with the dense route.
-    The two attack-bob entangle digests cover both register modes, and the
-    k = 2 helstrom digest a sampler run that ends in a short batch. The
+    The two attack-bob entangle digests cover both register modes, the
+    attack-bob-bias-fair digests the bias at phi = 0, whose known-bit runs
+    take `HonestAlice.respond`'s fair-coin path, and the k = 2 helstrom
+    digest a sampler run that ends in a short batch. The
     attack-alice-bb84-restarts digests were taken while every `monte_carlo`
     trial whose first attempt knew no bit was rerun from its seed; about a
     third of its `UsdAlice` contrast's first attempts are empty. The
@@ -630,6 +632,8 @@ class TestReportDigests:
         "attack-alice-usd-odd": ["attack-alice", "--strategy", "usd", "--n", "9363", "--k", "7",
                                  "--trials", "40"],
         "attack-bob-bias": ["attack-bob", "--strategy", "bias", "--trials", "20000"],
+        "attack-bob-bias-fair": ["attack-bob", "--strategy", "bias", "--phi", "0",
+                                 "--trials", "20000"],
         "attack-bob-entangle": ["attack-bob", "--strategy", "entangle", "--trials", "20000"],
         "attack-bob-entangle-honest": ["attack-bob", "--strategy", "entangle", "--mode",
                                        "honest_basis", "--trials", "20000"],
@@ -657,6 +661,8 @@ class TestReportDigests:
         "attack-alice-usd-odd":
             "ab247a05214bf1273e0d535696973847a9612f78af05d13ada04e010b47dc045",
         "attack-bob-bias": "e610843fc02d208b43dbc926fea69254b5c1ca8593a593ed9e000315a4fb8cd8",
+        "attack-bob-bias-fair":
+            "e492864c17c4a6e860b1e29d404a7e9a5f60bf4e948e7f441b592bdf3c688ee6",
         "attack-bob-entangle":
             "0ce1be3b0aa466505c6ed00abd4b81b8b468b7e3c1f070bbb8c25e7bc07e7a4d",
         "attack-bob-entangle-honest":
@@ -692,6 +698,8 @@ class TestReportDigests:
         "attack-alice-usd-odd":
             "c28d7a6e3092fe1cfa7b2cab4fe6d04ac6932b52c0cce7f0afaf235c7d4e5e07",
         "attack-bob-bias": "11babd947310bc9ba158cd291545659bbb66b5a3e1684621b470437bbb95d2a3",
+        "attack-bob-bias-fair":
+            "a8444077b4b1e3b734633b440d225fcdaf91dbab1e3a7504c02f9482fb75e01d",
         "attack-bob-entangle":
             "76f49dd7802b3d2f589a038aba869ea5821f791be33043042b39d5c1190b1411",
         "attack-bob-entangle-honest":

@@ -328,18 +328,19 @@ class TestTrialBatches:
         if config.max_restarts < 3 and empty_firsts:
             assert 0 < sum(not r.success for r in got) < trials
 
-    @pytest.mark.parametrize("n,k,batched", [(CHUNK // 4, 4, True), (CHUNK + 1, 1, False)],
+    @pytest.mark.parametrize("n,k,batched", [(CHUNK // 8, 4, True), (CHUNK + 1, 1, False)],
                              ids=["raw-length-chunk", "raw-length-chunk-plus-one"])
     def test_the_honest_gather_stops_past_one_chunk(self, n, k, batched, monkeypatch):
-        """n * k = CHUNK runs the honest rows; one qubit more runs one
-        `_run_attempt` per trial."""
+        """Two trials at n * k = CHUNK / 2 fill one batch of CHUNK raw qubits,
+        which runs the honest rows; past one chunk a batch holds one trial,
+        which runs one `_run_attempt`."""
         config = ProtocolConfig(n=n, k=k, eta=0.5, seed=4)
         calls = []
         attempt = protocol._run_attempt
         monkeypatch.setattr(protocol, "_run_attempt",
                             lambda *args: calls.append(1) or attempt(*args))
-        monte_carlo(config, trials=3)
-        assert len(calls) == (0 if batched else 3)
+        monte_carlo(config, trials=2)
+        assert len(calls) == (0 if batched else 2)
 
     @pytest.mark.parametrize("alice,bob,eta,max_restarts", [
         (None, None, 1.0, 20), (None, None, 0.5, 20), (None, None, 0.8, 0),
@@ -488,6 +489,12 @@ class TestCombine:
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             combine_known_sets([[1], []], n=10)
+
+    @pytest.mark.parametrize("known_sets", [[], np.empty((0, 3), dtype=np.int64)],
+                             ids=["list", "array"])
+    def test_no_input_set_rejected(self, known_sets):
+        with pytest.raises(ValueError, match="^known_sets is empty"):
+            combine_known_sets(known_sets, n=10)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):

@@ -53,6 +53,29 @@ def test_guard_flags_imports_left_behind():
     assert names == ["run_protocol", "RestartLimitExceeded", "la"]
 
 
+# How one attempt is made is the engine's own business: every other module
+# goes through `protocol._attempts` (or `run_protocol`).
+ATTEMPT_MAKERS = {"_send", "_run_attempt", "_streamed_attempt"}
+
+
+def attempt_makers_imported(source: str) -> list[str]:
+    """The `ATTEMPT_MAKERS` names that the source imports, in order."""
+    return [alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names
+            if alias.name in ATTEMPT_MAKERS]
+
+
+@pytest.mark.parametrize("path", [path for path in sorted(PACKAGE.glob("*.py"))
+                                  if path.name != "protocol.py"], ids=lambda path: path.name)
+def test_only_the_engine_makes_attempts(path):
+    assert attempt_makers_imported(path.read_text()) == []
+
+
+def test_attempt_guard_flags_an_engine_import():
+    source = "from .protocol import _attempts, _send\nfrom qpq.protocol import _run_attempt\n"
+    assert attempt_makers_imported(source) == ["_send", "_run_attempt"]
+
+
 def imported_modules(prefixes: tuple[str, ...]) -> str:
     """The sorted names of the modules under `prefixes` that `import qpq, qpq.cli`
     loads in a fresh interpreter, as printed."""

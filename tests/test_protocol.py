@@ -1230,23 +1230,20 @@ class TestStreamedAttempt:
         # Every route replays the final attempt once from its start state.
         assert len(calls) == (1 if streamed else t.restarts + 2)
 
-    @pytest.mark.parametrize("n,eta,gathered", [(CHUNK // 2, 0.5, False),
-                                                (CHUNK // 2 + 1, 0.5, True),
-                                                (CHUNK // 2 + 1, 1.0, False)],
+    @pytest.mark.parametrize("n,eta", [(CHUNK // 2, 0.5), (CHUNK // 2 + 1, 0.5),
+                                       (CHUNK // 2 + 1, 1.0)],
                              ids=["half-chunk", "half-chunk-plus-one", "lossless"])
-    def test_a_lone_honest_attempt_is_gathered_past_half_a_chunk_under_loss(
-            self, n, eta, gathered, monkeypatch):
-        """A `run_protocol` attempt of the honest pair at n * k <= CHUNK / 2,
-        or at eta = 1, goes through `_run_attempt`, and so through every
-        strategy seam; a lossy one of a qubit more is gathered as a batch of
-        one."""
+    def test_a_lone_honest_attempt_is_never_gathered(self, n, eta, monkeypatch):
+        """A `run_protocol` attempt of the honest pair below n = CHUNK, lossy
+        or at eta = 1, on either side of n * k = CHUNK / 2, goes through
+        `_run_attempt`, and so through every strategy seam."""
         calls = []
         real = protocol._run_attempt
         monkeypatch.setattr(protocol, "_run_attempt",
                             lambda *args: calls.append(args) or real(*args))
         config = ProtocolConfig(n=n, k=1, eta=eta, seed=2)
         t = run_protocol(config, np.zeros(n, dtype=np.uint8), 0)
-        assert len(calls) == (0 if gathered else t.restarts + 1)
+        assert len(calls) == t.restarts + 1
 
     def test_lane_formula_matches_the_respond_table(self, monkeypatch):
         """Every (Bob byte, Alice byte) pair once at k = 1: Alice's known columns
@@ -1326,8 +1323,9 @@ class TestReplayedRecords:
     `final_attempt` makes that attempt again with `_run_attempt` on a new
     generator, under every strategy. Every run but the memory attack under
     bases, which knows every bit it keeps, restarts at least once. The
-    honest run on MT19937 makes its attempts through `_run_attempt`, and the
-    lossy one of 32,772 raw qubits, above `CHUNK` / 2, in the batched gather. The
+    honest runs on MT19937 and under loss at 32,772 raw qubits
+    (`honest-gathered`, a lone attempt the batched gather once made) make
+    their attempts through `_run_attempt` as well. The
     `to_dict(verbose=True)` digests were taken while every transcript but a
     streamed one held its final attempt whole."""
 

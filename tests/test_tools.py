@@ -17,9 +17,10 @@ class TestCompareCli:
     def test_commands_are_the_benchmark_ones_plus_verbose_run(self):
         """The 10 benchmark commands plus `run -v`, a lossy run, an odd
         multi-chunk run, a run with many known bits, a memory attack whose
-        contrast restarts, an odd multi-chunk discrimination attack, and three
+        contrast restarts, an odd multi-chunk discrimination attack, three
         streamed runs: one that restarts, one that starts on a spare half and
-        a verbose one, whose records replay its final attempt."""
+        a verbose one, whose records replay its final attempt, and two
+        provider attacks: the honest register basis and the bias at phi = 0."""
         commands = load_compare_cli().cli_commands()
         assert commands["run -v"] == ["run", "-v"]
         assert commands["run -v lossy"] == ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"]
@@ -32,8 +33,12 @@ class TestCompareCli:
         assert commands["run restarts"] == ["run", "--n", "65536", "--k", "9"]
         assert commands["run odd spare"] == ["run", "--n", "70001", "--k", "3"]
         assert commands["run -v streamed"] == ["run", "-v", "--n", "65536", "--k", "1"]
+        assert commands["attack-bob entangle honest"] == [
+            "attack-bob", "--strategy", "entangle", "--mode", "honest_basis"]
+        assert commands["attack-bob bias fair"] == ["attack-bob", "--strategy", "bias",
+                                                    "--phi", "0"]
         assert commands["run"] == ["run"] and commands["combine"] == ["combine"]
-        assert len(commands) == 19
+        assert len(commands) == 21
 
     def test_one_command_against_the_same_tree_matches(self):
         """usd-curve writes a JSON report and a CSV file; two fresh runs agree."""

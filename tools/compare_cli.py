@@ -37,6 +37,9 @@ TIMEOUT_S = 600.0
 # at n = 65,536, k = 9 most attempts restart, at n = 70,001 the database
 # draw leaves the spare half of an output, where the first attempt's draw
 # starts, and the verbose run replays its final attempt for the records.
+# The two attack-bob layouts key the known-bit runs' attempt: the honest
+# register basis draws Bob's key record as floats, and the bias at phi = 0
+# meets `HonestAlice.respond`'s fair-coin path.
 EXTRA_COMMANDS = {
     "run -v": ["run", "-v"],
     "run -v lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
@@ -49,6 +52,9 @@ EXTRA_COMMANDS = {
     "run restarts": ["run", "--n", "65536", "--k", "9"],
     "run odd spare": ["run", "--n", "70001", "--k", "3"],
     "run -v streamed": ["run", "-v", "--n", "65536", "--k", "1"],
+    "attack-bob entangle honest": ["attack-bob", "--strategy", "entangle", "--mode",
+                                   "honest_basis"],
+    "attack-bob bias fair": ["attack-bob", "--strategy", "bias", "--phi", "0"],
 }
 
 
