@@ -3,8 +3,10 @@
 User-side attacks: perfect-memory unambiguous discrimination of the
 announced pair, the joint minimum-error (Helstrom) measurement on the k
 qubits behind one final key bit, and the basis-announcement contrast mode
-that breaks the scheme entirely; the discrimination user packs her coin
-bytes in her records in place (`_usd_coins`). Provider-side attacks:
+that breaks the scheme entirely. The discrimination user's coins come from
+one kernel (`_usd_coins`) that turns each coin byte into a win flag in
+place; her `known_final` folds the flags into her known final bits, and her
+`respond` packs them into records. Provider-side attacks:
 biased state preparation at an arbitrary Hilbert angle, and an entangled
 register held back per qubit. Each provider battery returns its round
 counts beside its analytic p_c and p_b (`ProviderRounds`), drawn as one
@@ -48,7 +50,9 @@ from .protocol import (
     AliceRecords,
     BIT_TABLE,
     BobRounds,
+    CHUNK,
     CONCLUSIVE_TABLE,
+    FLOAT_PIECE,
     HonestAlice,
     Law,
     ProtocolConfig,
@@ -60,6 +64,7 @@ from .protocol import (
     _byte_pieces,
     _decode,
     _fair_bits,
+    _fold,
     run_protocol,  # noqa: F401 (bench/tests/test_bench.py traces through it)
 )
 
@@ -81,32 +86,39 @@ USD_TOP, USD_LOW = USD_THRESHOLD >> 45, USD_THRESHOLD & (2**45 - 1)
 # user-side attacks
 # --------------------------------------------------------------------------
 
-def _usd_coins(rng: np.random.Generator, count: int, out: np.ndarray, lost: int, gain) -> None:
-    """Draw `count` Bernoulli(USD_SUCCESS) coins, exactly as
-    `rng.random(count) < USD_SUCCESS` decides them, into out[:count] (uint8):
-    `lost` where a coin fails, lost + gain(part) where it wins, for `part` a
-    slice or an index array of positions. U's top 8 bits are one byte per
-    coin, drawn `protocol.CHUNK` at a time and overwritten in place; after
-    the last piece, each coin whose byte ties with USD_TOP (1 in 256) takes
-    one 8-byte word, whose top 45 bits are U's low bits. The win mask is
-    multiplied in as uint8: numpy casts a bool operand in buffered steps.
+def _usd_coins(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Turn `out`, a uint8 array, into Bernoulli(USD_SUCCESS) win flags in
+    place, exactly as `rng.random(out.size) < USD_SUCCESS` decides them, and
+    return them as a bool view.
+
+    The draws, in order: one `rng.bytes(out.size)`, U's top 8 bits, one
+    byte per coin, drawn `protocol.CHUNK` at a time into `out`; then, if
+    any byte ties with USD_TOP (1 in 256), one `rng.bytes(8 * ties)`, whose
+    8-byte words hold in their top 45 bits U's low bits, one word per tied
+    coin in position order. Each piece is searched for ties and turned into
+    flags while it is in cache; the ties are settled after the last piece.
     """
     ties = [np.empty(0, dtype=np.intp)]
-    for start, top in _byte_pieces(rng, count, out):
+    for start, top in _byte_pieces(rng, out.size, out):
         ties.append(np.flatnonzero(top == USD_TOP) + start)
-        np.multiply((top < USD_TOP).view(np.uint8), gain(slice(start, start + top.size)), out=top)
-        top += lost
+        np.less(top, USD_TOP, out=top.view(bool))
     tied = np.concatenate(ties)
     low = _byte_draws(rng, 8 * tied.size).view("<u8") >> 19
-    won = tied[low < USD_LOW]
-    out[won] = lost + gain(won)
+    won = out.view(bool)
+    won[tied[low < USD_LOW]] = True
+    return won
 
 
 def usd_success_trials(trials: int, rng: np.random.Generator) -> np.ndarray:
     """Success mask of the discrimination measurement, one byte per coin (`_usd_coins`)."""
-    coins = np.empty(trials, dtype=np.uint8)
-    _usd_coins(rng, trials, coins, 0, lambda part: np.uint8(1))
-    return coins.view(bool)
+    return _usd_coins(rng, np.empty(trials, dtype=np.uint8))
+
+
+def _check_discrimination(rounds: BobRounds, config: ProtocolConfig) -> None:
+    if config.announcement == "bb84":
+        raise ValueError("discrimination attack needs pair announcements")
+    if min(rounds.layout.sent) < 0:
+        raise ValueError("discrimination attack needs definite sent symbols")
 
 
 @dataclass(frozen=True)
@@ -117,6 +129,9 @@ class UsdAlice:
     always correctly; the failure outcome is symmetric between the two
     equal-prior candidates, so the records give it posterior 1/2. A basis
     announcement leaves no pair to discriminate (see `Bb84MemoryAlice`).
+    `known_final` and `respond` read the same coins (`_usd_coins`): the
+    engine's attempts take her known final bits, a transcript's replay her
+    records.
     """
 
     kind = "usd"
@@ -124,26 +139,37 @@ class UsdAlice:
     def law(self, config: ProtocolConfig) -> Law:
         return Law(USD_SUCCESS)
 
+    def known_final(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+        """(known positions, her bits there, conclusive count): the columns where
+        her coin wins in all k rows, the XOR over the rows of the sent
+        symbols' bits there, and the number of won coins."""
+        _check_discrimination(rounds, config)
+        n, k = config.n, config.k
+        won = _usd_coins(rng, np.empty(kept.size, dtype=np.uint8))
+        known = np.flatnonzero(_fold(np.bitwise_and, won, n, k))
+        sent = _decode(_at_kept(rounds.code, kept, np.arange(0, k * n, n)[:, None] + known),
+                       rounds.layout.sent)
+        return known, np.bitwise_xor.reduce(sent, axis=0) & 1, int(np.count_nonzero(won))
+
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
-        """Her records, packed in place by `_usd_coins`; the gain is built on the
-        fresh `_decode` bytes with `* 8`, as `_pack` does: numpy 2.4 runs a
-        uint8 `<< 3` several times slower."""
-        if config.announcement == "bb84":
-            raise ValueError("discrimination attack needs pair announcements")
-        if min(rounds.layout.sent) < 0:
-            raise ValueError("discrimination attack needs definite sent symbols")
-
-        def gain(part):
-            # A won coin adds conclusive (4) and bit + 1 (bits 3-4) to 0x23.
-            added = _decode(_at_kept(rounds.code, kept, part), rounds.layout.sent).view(np.uint8)
-            added &= 1
-            added *= 8
-            added += 12
-            return added
-
+        """Her records, packed in place over her coins (`_usd_coins`) `CHUNK` at a
+        time; the gain is built on the fresh `_decode` bytes with `* 8`, as
+        `_pack` does: numpy 2.4 runs a uint8 `<< 3` several times slower."""
+        _check_discrimination(rounds, config)
         records = np.empty(kept.size, dtype=np.uint8)
-        _usd_coins(rng, kept.size, records, 0x23, gain)
+        _usd_coins(rng, records)
+        for start in range(0, kept.size, CHUNK):
+            part = slice(start, start + CHUNK)
+            # A won coin adds conclusive (4) and bit + 1 (bits 3-4) to 0x23.
+            gain = _decode(_at_kept(rounds.code, kept, part), rounds.layout.sent).view(np.uint8)
+            gain &= 1
+            gain *= 8
+            gain += 12
+            piece = records[part]
+            piece *= gain
+            piece += 0x23
         return AliceRecords(packed=records)
 
 
@@ -519,8 +545,13 @@ class EntangledBob:
         # measurement from it reproduces the joint statistics without any
         # signaling shortcut (the correlation lives in the shared state).
         if self.mode == "honest_basis":
-            p_r1 = ER_REGISTER_ONE_PROB[self.mode][alice.outcome]
-            return (rng.random(kept.size) < p_r1).astype(np.uint8)
+            p_r1, outcome = ER_REGISTER_ONE_PROB[self.mode], alice.outcome
+            bits = np.empty(kept.size, dtype=np.uint8)
+            for start in range(0, kept.size, FLOAT_PIECE):
+                part = outcome[start:start + FLOAT_PIECE]
+                np.less(rng.random(part.size), p_r1[part],
+                        out=bits[start:start + FLOAT_PIECE].view(bool))
+            return bits
         return _fair_bits(rng, kept.size).astype(np.uint8)
 
 

@@ -10,7 +10,8 @@ database bit is retrieved through a user-chosen cyclic shift.
 announced pair. `run_protocol` drives whole runs on columnar numpy arrays
 through three strategy seams: Bob's `rounds` (preparation and announcement),
 Alice's `respond` (measurement and interpretation) and Bob's `key_bits`
-(his raw-key record: the lowest bit of each entry is his raw bit). Its
+(his raw-key record: the lowest bit of each entry is his raw bit). A user
+may also define `known_final`, her known final bits without records. Its
 tables (`OUTCOME_SECOND_PROB`, `CONCLUSIVE_TABLE`, `BIT_TABLE`) are
 tabulated at import time from the exact states and from `interpret`.
 `respond` and `key_bits` get `kept`, which selects the detected qubits of
@@ -47,10 +48,12 @@ Her records keep the table entries packed (`AliceRecords`), which the folds
 
 `_attempts` makes every attempt but a transcript's replay: each of
 `run_protocol`'s attempts, a batch of `monte_carlo`'s first attempts and
-the known-bit runs of the provider reports. It alone picks how: streamed in
-O(n + CHUNK) memory, a batch of two or more gathered as one array, or one
-`_run_attempt` each, which holds Bob's code and Alice's packed records at
-raw length, all with the same key, counts and generator state. A
+the known-bit runs of the provider reports. It alone picks how: through
+the user's own `known_final` against `HonestBob` (`UsdAlice`), with no
+records; for the honest pair, streamed in O(n + CHUNK) memory or a batch
+of two or more gathered as one array; else one `_run_attempt` each, which
+holds Bob's code and Alice's packed records at raw length. Every route
+gives the key, counts and generator state of `_run_attempt`. A
 transcript keeps its final attempt's start state and strategies; the
 full-length per-qubit record (`Transcript.records`), which derives every
 posterior whatever the strategy, is made again from them when read.
@@ -333,6 +336,12 @@ DYADIC_TOLERANCE = 1e-12
 # whole 64-bit outputs and the pieces join into one draw's bytes.
 CHUNK = 1 << 16
 
+# Float coins are drawn this many at a time, so each float64 temporary (64 KB)
+# stays below glibc's 128 KB mmap threshold and reuses heap pages instead of
+# faulting fresh ones in on every call. `rng.random` takes one output per
+# double, so the pieces join into one draw.
+FLOAT_PIECE = 1 << 13
+
 
 def _pack(outcome, conclusive, bit) -> np.ndarray:
     """One byte per entry: outcome in bits 0-1, conclusive in bit 2, bit + 1 in
@@ -498,8 +507,9 @@ def _fair_bits(rng: np.random.Generator, count: int, dtype=np.uint32) -> np.ndar
     return words
 
 
-def _at_kept(values: np.ndarray, kept: np.ndarray, part: slice = slice(None)) -> np.ndarray:
-    """values[kept][part], and a view when `kept` selects every value.
+def _at_kept(values: np.ndarray, kept: np.ndarray, part=slice(None)) -> np.ndarray:
+    """values[kept][part], for `part` a slice or an index array, and a view
+    when `kept` selects every value and `part` is a slice.
 
     `kept` is the all-True detection mask when every qubit was detected, and
     increasing indices of the detected qubits otherwise; either way a `kept`
@@ -697,7 +707,9 @@ class HonestAlice:
                 index &= 3
             else:
                 index &= 2
-                index |= rng.random(size) < second[code, index >> 1]
+                for lo in range(0, size, FLOAT_PIECE):
+                    part = index[lo:lo + FLOAT_PIECE]
+                    part |= rng.random(part.size) < second[code[lo:lo + FLOAT_PIECE], part >> 1]
             _gather_in_place(table, records[start:start + size + size % 2], code,
                              scratch[:size])
         return AliceRecords(packed=records[:count])
@@ -1049,13 +1061,26 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
 def _attempts(config: ProtocolConfig, alice, bob,
               rngs: list[np.random.Generator]) -> list[tuple[ObliviousKey, int]]:
     """One attempt per generator, drawn as `_run_attempt` draws it: its key and
-    Alice's conclusive count, folded once over the batch. The honest pair
-    itself (not a subclass) streams an attempt alone on a PCG64 or PCG64DXSM
-    generator against pairs at eta = 1 with n >= `CHUNK`, and gathers a batch
-    of two or more attempts that fits in `CHUNK` qubits in one array; every
-    other attempt, lone or in a batch, is one `_run_attempt`.
+    Alice's conclusive count. A user whose own class (not a parent) defines
+    `known_final`, against `HonestBob` itself, gives her known final bits
+    and count from it, with no records, and Bob's key is the fold of his
+    `key_bits`, read without her records. The honest pair itself (not a
+    subclass) streams an attempt alone on a PCG64 or PCG64DXSM generator
+    against pairs at eta = 1 with n >= `CHUNK`, and gathers a batch of two
+    or more attempts that fits in `CHUNK` qubits in one array; every other
+    attempt, lone or in a batch, is one `_run_attempt`, and the records of a
+    batch are folded once.
     """
     n, k, need = config.n, config.k, config.raw_length
+    if "known_final" in vars(type(alice)) and type(bob) is HonestBob:
+        keys = []
+        for rng in rngs:
+            rounds, _, kept = _send(config, bob, rng)
+            known, bits, conclusive = alice.known_final(rounds, kept, config, rng)
+            bob_key = _fold(np.bitwise_xor, bob.key_bits(rounds, kept, None, config, rng), n, k)
+            bob_key &= 1
+            keys.append((ObliviousKey(bob_key, known, bits), conclusive))
+        return keys
     honest = type(alice) is HonestAlice and type(bob) is HonestBob
     # `advance(d)` of PCG64 and PCG64DXSM moves exactly d outputs on.
     if (honest and len(rngs) == 1 and config.eta == 1.0 and config.announcement == "sarg"

@@ -43,6 +43,7 @@ from qpq.protocol import (
     ProtocolConfig,
     RestartLimitExceeded,
     CHUNK,
+    FLOAT_PIECE,
     SargSymbol,
     run_protocol,
 )
@@ -203,12 +204,13 @@ class TestUsdAttack:
         assert records.kept_count == 2500 * 2
         assert_discrimination_records(records)
 
-    def test_sent_symbol_must_be_announced(self, rng):
+    @pytest.mark.parametrize("method", ["respond", "known_final"])
+    def test_sent_symbol_must_be_announced(self, rng, method):
         """The attack needs a definite announced symbol; a biased state has none."""
         config = ProtocolConfig(n=10, k=1)
         rounds = BiasedBob(0.3).rounds(10, config, rng)
         with pytest.raises(ValueError, match="definite sent symbols"):
-            UsdAlice().respond(rounds, np.arange(10), config, rng)
+            getattr(UsdAlice(), method)(rounds, np.arange(10), config, rng)
 
     def test_basis_announcements_are_rejected_before_her_draw(self, monkeypatch):
         """Against a basis there is no pair to discriminate, and Bob's raw bit
@@ -565,6 +567,21 @@ class TestEntangledRegister:
                                    rtol=0.0, atol=1e-15)
         honest_second = OUTCOME_SECOND_PROB[[SargSymbol.UP, SargSymbol.RIGHT]].mean(axis=0)
         np.testing.assert_allclose(ER_OUTCOME_PROBS[2:], honest_second, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("size", [1, FLOAT_PIECE, 2 * FLOAT_PIECE + 5])
+    def test_honest_basis_key_record_is_one_float_draw(self, size):
+        """Drawn `FLOAT_PIECE` coins at a time, the key record holds the values
+        and leaves the state of one whole-array `rng.random(size)` comparison."""
+        config = ProtocolConfig(n=size, k=1)
+        bob = EntangledBob("honest_basis")
+        rounds = bob.rounds(size, config, None)
+        kept = np.broadcast_to(np.True_, size)
+        alice = HonestAlice().respond(rounds, kept, config, np.random.default_rng(3))
+        mine, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got = bob.key_bits(rounds, kept, alice, config, mine)
+        want = ref.random(size) < ER_REGISTER_ONE_PROB["honest_basis"][alice.outcome]
+        assert got.dtype == np.uint8 and np.array_equal(got, want)
+        assert mine.bit_generator.state == ref.bit_generator.state
 
     def test_full_run_with_honest_register_mode_stays_sound(self):
         config = ProtocolConfig(n=300, k=2, seed=5)

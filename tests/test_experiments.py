@@ -373,11 +373,13 @@ class TestTrialBatches:
         assert (monte_carlo(config, trials=37, jobs=2).to_json()
                 == monte_carlo(config, trials=37, jobs=1).to_json())
 
-    def test_honest_subclasses_keep_their_own_seams(self):
-        """A strategy that overrides the honest one keeps its own seams."""
+    @pytest.mark.parametrize("user", [HonestAlice, UsdAlice], ids=["honest", "usd"])
+    def test_honest_subclasses_keep_their_own_seams(self, user):
+        """A strategy that overrides a user's `respond` keeps its own seams: the
+        honest routes and `UsdAlice.known_final` serve those classes alone."""
         responses = []
 
-        class CountingAlice(HonestAlice):
+        class CountingAlice(user):
             def respond(self, rounds, kept, config, rng):
                 responses.append(kept.size)
                 return super().respond(rounds, kept, config, rng)
@@ -385,7 +387,8 @@ class TestTrialBatches:
         config = ProtocolConfig(n=100, k=2, seed=6)
         report = monte_carlo(config, alice=CountingAlice(), trials=20)
         assert len(responses) >= 20
-        assert report.to_dict()["empirical"] == monte_carlo(config, trials=20).to_dict()["empirical"]
+        assert (report.to_dict()["empirical"]
+                == monte_carlo(config, alice=user(), trials=20).to_dict()["empirical"])
 
     def test_peak_memory_does_not_grow_with_trials(self):
         """2,000 trials at (1000, 4) peak within 1.5x of 200: the batch arrays

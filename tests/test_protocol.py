@@ -20,6 +20,7 @@ from scipy.stats import chi2_contingency, chisquare
 
 from qpq import protocol
 from qpq.adversaries import Bb84MemoryAlice, BiasedBob, EntangledBob, UsdAlice
+from qpq.experiments import monte_carlo
 from qpq.protocol import (
     BIT_TABLE,
     CONCLUSIVE_TABLE,
@@ -1074,8 +1075,10 @@ class TestEngineSeams:
 
     def test_usd_attempt_peak_memory_per_qubit(self):
         """One UsdAlice attempt at N = 10^5, k = 9 holds at most 3 bytes per raw
-        qubit: her coin bytes land in her records and are packed there, with
-        no raw-length temporaries. Its first attempt may restart."""
+        qubit: Bob's code and her coin bytes, which become win flags in place
+        and are folded into her known final bits (`known_final`), with no
+        records and no raw-length temporaries. Its ties are searched one
+        `CHUNK` piece at a time. Its first attempt may restart."""
         config = ProtocolConfig(n=10**5, k=9, seed=0, max_restarts=0)
         database = np.zeros(config.n, dtype=np.uint8)
 
@@ -1122,7 +1125,8 @@ def streamed_twins(kind, seed, spare: int) -> list[np.random.Generator]:
 
 
 def assert_same_state_and_draws(mine: np.random.Generator, ref: np.random.Generator) -> None:
-    assert mine.bit_generator.state == ref.bit_generator.state
+    # By repr, which also compares the key array of an MT19937 state.
+    assert repr(mine.bit_generator.state) == repr(ref.bit_generator.state)
     assert mine.random() == ref.random()
     assert mine.bytes(11) == ref.bytes(11)
     assert mine.integers(1 << 40) == ref.integers(1 << 40)
@@ -1276,6 +1280,97 @@ class TestStreamedAttempt:
         assert conclusive == np.count_nonzero(want)
         assert np.array_equal(key.bits, (entries[index[want]] >> 4) & 1)
         assert np.array_equal(key.bob_key, bob_bytes & 1)
+
+
+def known_final_twins(kind, seed, spare: int, count: int) -> tuple[list, list]:
+    """`count` pairs of twin generators of bit generator `kind`; each holds the
+    spare half of an output when `spare` is 1 (PCG64 only)."""
+    twins = ([], [])
+    for i in range(count):
+        for side in twins:
+            rng = np.random.Generator(kind([seed, i]))
+            if spare:
+                rng.bytes(4)
+                assert rng.bit_generator.state["has_uint32"] == 1
+            side.append(rng)
+    return twins
+
+
+class TestKnownFinalAttempt:
+    """`UsdAlice` defines `known_final`, so `_attempts` makes her attempts
+    against `HonestBob` without records: the same key, conclusive count,
+    generator state and later draws as `_run_attempt` and the folds on twin
+    generators."""
+
+    # id: (bit generator, spare half at entry, n, k, eta, generators in the batch)
+    CASES = {
+        "pcg64": (np.random.PCG64, 0, 300, 3, 1.0, 1),
+        "pcg64-spare": (np.random.PCG64, 1, 300, 3, 1.0, 1),
+        "mt19937": (np.random.MT19937, 0, 300, 3, 1.0, 1),
+        "k-1": (np.random.PCG64, 0, 500, 1, 1.0, 1),
+        "n-below-8": (np.random.PCG64, 1, 5, 1, 1.0, 1),
+        "odd-raw-length": (np.random.PCG64, 0, 301, 3, 1.0, 1),
+        "chunk-and-odd-piece": (np.random.PCG64, 0, 9363, 7, 1.0, 1),
+        "lossy-past-chunk": (np.random.PCG64, 1, CHUNK // 2 + 1, 2, 0.5, 1),
+        "batch": (np.random.PCG64, 0, 40, 3, 1.0, 7),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_attempt_matches_the_materialized_one(self, name):
+        kind, spare, n, k, eta, batch = self.CASES[name]
+        config = ProtocolConfig(n=n, k=k, eta=eta)
+        mine, refs = known_final_twins(kind, [n, k], spare, batch)
+        got = protocol._attempts(config, UsdAlice(), HonestBob(), mine)
+        assert len(got) == batch
+        for (key, conclusive), ref in zip(got, refs):
+            att = protocol._run_attempt(config, UsdAlice(), HonestBob(), ref)
+            want = fold(att.bob_bits, att.alice.packed, n, k)
+            for field_name in ("bob_key", "known", "bits"):
+                value, expected = getattr(key, field_name), getattr(want, field_name)
+                assert value.dtype == expected.dtype, field_name
+                assert np.array_equal(value, expected), field_name
+            assert conclusive == att.alice.conclusive_count
+        for rng, ref in zip(mine, refs):
+            assert_same_state_and_draws(rng, ref)
+        if name in ("pcg64", "k-1", "chunk-and-odd-piece"):
+            assert got[0][0].known.size > 0
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Names of the `_run_attempt` and `UsdAlice.respond` calls made."""
+        seen = []
+        attempt, respond = protocol._run_attempt, UsdAlice.respond
+        monkeypatch.setattr(protocol, "_run_attempt",
+                            lambda *args: seen.append("_run_attempt") or attempt(*args))
+        monkeypatch.setattr(UsdAlice, "respond",
+                            lambda self, *args: seen.append("respond") or respond(self, *args))
+        return seen
+
+    def test_runs_make_no_records_until_the_final_attempt_is_read(self, calls):
+        """At (40, 3) about a third of attempts know no bit, so the run restarts."""
+        config = ProtocolConfig(n=40, k=3, seed=4)
+        t = run_protocol(config, np.zeros(40, dtype=np.uint8), 0, alice=UsdAlice())
+        assert t.restarts > 0 and calls == []
+        t.final_attempt
+        t.records
+        assert calls == ["_run_attempt", "respond"]
+
+    @pytest.mark.parametrize("eta", [1.0, 0.5])
+    def test_monte_carlo_makes_no_records(self, calls, eta):
+        """Neither the batched first attempts nor the runs of restarted trials."""
+        config = ProtocolConfig(n=40, k=3, eta=eta, seed=9)
+        report = monte_carlo(config, alice=UsdAlice(), trials=50)
+        assert report.empirical["restart_fraction"] > 0
+        assert calls == []
+
+    def test_the_memory_attack_stays_on_records(self, calls):
+        """`Bb84MemoryAlice` has no `known_final` of its own, so each of her
+        attempts against pairs is one `_run_attempt` through `UsdAlice.respond`."""
+        assert "known_final" not in vars(Bb84MemoryAlice)
+        config = ProtocolConfig(n=40, k=3, seed=4)
+        t = run_protocol(config, np.zeros(40, dtype=np.uint8), 0, alice=Bb84MemoryAlice())
+        assert t.restarts > 0
+        assert calls == ["_run_attempt", "respond"] * (t.restarts + 1)
 
 
 class TestDrawReader:

@@ -30,9 +30,11 @@ TIMEOUT_S = 600.0
 # `run -v`, a lossy run, a run of 70,005 raw qubits (an odd count over one
 # `protocol.CHUNK`), a k = 1 run whose key holds 8 known bits at seed
 # 12345, a memory attack whose pair-announcement contrast (`UsdAlice`'s
-# measurement) finds about a third of its first attempts empty, and a
+# measurement) finds about a third of its first attempts empty, a
 # discrimination attack of 65,541 raw qubits (one `protocol.CHUNK` and an odd
-# piece) on databases of 9,363 bits, not a whole number of 32-bit words.
+# piece) on databases of 9,363 bits, not a whole number of 32-bit words, and
+# one of 7 raw qubits, fewer than one 8-byte output, whose trials run in one
+# batch of known final bits (`UsdAlice.known_final`).
 # The two plain runs and `run -v streamed` take the streamed honest attempt:
 # at n = 65,536, k = 9 most attempts restart, at n = 70,001 the database
 # draw leaves the spare half of an output, where the first attempt's draw
@@ -49,6 +51,8 @@ EXTRA_COMMANDS = {
                                    "--trials", "200"],
     "attack-alice usd odd": ["attack-alice", "--strategy", "usd", "--n", "9363", "--k", "7",
                              "--trials", "40"],
+    "attack-alice usd tiny": ["attack-alice", "--strategy", "usd", "--n", "7", "--k", "1",
+                              "--trials", "40"],
     "run restarts": ["run", "--n", "65536", "--k", "9"],
     "run odd spare": ["run", "--n", "70001", "--k", "3"],
     "run -v streamed": ["run", "-v", "--n", "65536", "--k", "1"],
