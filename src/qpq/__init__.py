@@ -4,15 +4,11 @@ from .quantum import (
     DensityMatrix,
     PureState,
     SargSymbol,
-    UsdBound,
-    fidelity,
     helstrom_guess,
     parity_bounds,
     parity_mixtures,
     sarg_state,
     state_at_angle,
-    trace_distance,
-    usd_bound,
 )
 from .protocol import (
     AnnouncedPair,
@@ -36,7 +32,6 @@ from .adversaries import (
     UsdAlice,
     alice_joint_helstrom,
     biased_analytics,
-    cheat_detection,
     no_signaling_audit,
 )
 from .experiments import (

@@ -28,7 +28,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,7 +57,6 @@ from .protocol import (
     Law,
     ProtocolConfig,
     RoundLayout,
-    Transcript,
     _at_kept,
     _attempts,
     _byte_draws,
@@ -70,8 +69,8 @@ from .protocol import (
 
 # Optimal unambiguous-discrimination success rate for the equal-prior
 # announced pair {UP, RIGHT}: one minus their overlap 1/sqrt(2). It equals
-# `quantum.usd_bound` of the two states bit for bit (the equal-overlap
-# pure-state pair attains the bound).
+# the bound 1 - F of the two states bit for bit (the equal-overlap pure-state
+# pair attains it), which the tests' dense `usd_bound` checks.
 USD_SUCCESS = 1 - math.sqrt(0.5)
 
 # `rng.random() < USD_SUCCESS` is the event U < USD_THRESHOLD for the 53-bit
@@ -724,27 +723,3 @@ def no_signaling_audit(points: int = 181, trials_per_point: int = 20_000,
                        familywise_confidence=confidence,
                        trials_per_point=trials_per_point)
 
-
-# --------------------------------------------------------------------------
-# cheat detection
-# --------------------------------------------------------------------------
-
-def cheat_detection(transcripts: Iterable[Transcript], n_check: int) -> float | None:
-    """Probability that buying extra known bits exposes a lying provider.
-
-    For each run, Alice compares up to `n_check` of her known key bits
-    beyond the queried one against the provider's answers (his key). The
-    return value is the fraction of runs with at least one mismatch, or
-    None when no run offered an extra bit to check.
-    """
-    if n_check < 1:
-        raise ValueError("need at least one checked bit")
-    outcomes = []
-    for t in transcripts:
-        known, bits = t.key._entries()
-        checked = np.flatnonzero(known != t.chosen_index)[:n_check]
-        if checked.size:
-            outcomes.append(bool((bits[checked] != t.key.bob_key[known[checked]]).any()))
-    if not outcomes:
-        return None
-    return float(np.mean(outcomes))

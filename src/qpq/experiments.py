@@ -389,6 +389,8 @@ def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0) -> Exp
     Both "routes" evaluate 1/2 (1 + 2**(-k/2)), so `max_route_difference` is 0
     by construction; the dense check lives in `TestJointHelstrom`/`TestParityBlocks`.
     """
+    if not 1 <= k <= K_MAX:
+        raise ValueError(f"k must lie in 1..{K_MAX}, got {k}")
     start = time.perf_counter()
     worst = 0.0
     for kk in range(1, AGREEMENT_K_MAX + 1):

@@ -1,17 +1,20 @@
 """Exact linear algebra for real-amplitude qubit states.
 
 Everything the simulator needs from quantum mechanics lives here: the four
-SARG signal states and the two-state discrimination figures of merit (trace
-distance, fidelity, Helstrom guessing probability, unambiguous-discrimination
-bound). All states carry real amplitudes; the protocol never produces a
-complex coefficient. The protocol engine samples from Born-rule outcome
-tables that it builds from these states at import time.
+SARG signal states, the Helstrom guessing probability of two states, and
+the discrimination figures of the k-qubit parity mixtures. All states carry
+real amplitudes; the protocol never produces a complex coefficient. The
+protocol engine samples from Born-rule outcome tables that it builds from
+these states at import time.
 
 The k-qubit parity mixtures behind one final key bit have two routes: the
 closed forms of `parity_bounds` (capped at K_MAX), from the split of both
 mixtures into 2**(k-1) planes in the |+/-> basis, which the drivers use;
 and the dense 2**k x 2**k matrices (`parity_mixtures`, capped at
-DENSE_K_MAX), which cross-check them.
+DENSE_K_MAX), the tests' cross-check, which stay here while the benchmark's
+tracer binds them. Trace distance, fidelity and the unambiguous
+discrimination bound of two dense states run only in those checks, so
+they live with the tests (`tests/conftest.py`).
 """
 
 from __future__ import annotations
@@ -24,10 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Tolerances used by the state validators and the discrimination routines.
+# Tolerances used by the state validators.
 NORM_TOL = 1e-12        # unit norm / unit trace / symmetry
-EIG_FLOOR = -1e-10      # eigenvalues below this are an error, above are clipped
-SUPPORT_TOL = 1e-10     # eigenvalue threshold defining the support of a state
+EIG_FLOOR = -1e-10      # eigenvalues below this are an error
 
 K_MAX = 16              # largest k of parity_bounds and the drivers
 DENSE_K_MAX = 12        # largest k of the dense route (two 2**k x 2**k matrices)
@@ -146,44 +148,6 @@ def _check_same_dim(a: DensityMatrix, b: DensityMatrix) -> None:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
-def _clip_spectrum(eigenvalues: np.ndarray, context: str) -> np.ndarray:
-    """Zero the round-off part of a PSD spectrum before square roots.
-
-    Eigenvalues below -1e-10 are treated as real negativity and raise;
-    anything within the relative noise floor of zero is truncated so that
-    rank-deficient inputs do not leak O(sqrt(eps)) into trace roots.
-    """
-    low = float(eigenvalues.min()) if eigenvalues.size else 0.0
-    if low < EIG_FLOOR:
-        raise ValueError(f"{context}: eigenvalue {low!r} below the {EIG_FLOOR} floor")
-    floor = eigenvalues.size * np.finfo(float).eps * max(float(eigenvalues.max()), 0.0)
-    out = eigenvalues.copy()
-    out[out < floor] = 0.0
-    return out
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the sum of absolute eigenvalues of a - b. Lies in [0, 1]."""
-    _check_same_dim(a, b)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
-
-
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Square-root fidelity trace sqrt(sqrt(a) b sqrt(a)).
-
-    Equals the absolute overlap |<psi0|psi1>| on pure states; 1 iff a == b.
-    Computed by two symmetric eigendecompositions with eigenvalue clipping.
-    """
-    _check_same_dim(a, b)
-    w, u = np.linalg.eigh(a.matrix)
-    w = _clip_spectrum(w, "fidelity: first argument")
-    sqrt_a = (u * np.sqrt(w)) @ u.T
-    inner = sqrt_a @ b.matrix @ sqrt_a
-    inner = 0.5 * (inner + inner.T)
-    w2 = _clip_spectrum(np.linalg.eigvalsh(inner), "fidelity: inner product")
-    return float(np.sqrt(w2).sum())
-
-
 def helstrom_guess(a: DensityMatrix, b: DensityMatrix, prior_a: float = 0.5) -> float:
     """Minimum-error guessing probability between a (prior p) and b (1 - p).
 
@@ -196,35 +160,6 @@ def helstrom_guess(a: DensityMatrix, b: DensityMatrix, prior_a: float = 0.5) -> 
         raise ValueError(f"prior must lie in [0, 1], got {prior_a}")
     diff = prior_a * a.matrix - (1.0 - prior_a) * b.matrix
     return 0.5 * (1.0 + float(np.abs(np.linalg.eigvalsh(diff)).sum()))
-
-
-class UsdBound(NamedTuple):
-    """Equal-prior unambiguous-discrimination bound plus feasibility flag."""
-
-    bound: float
-    feasible: bool
-
-
-def _has_support_outside(a: DensityMatrix, b: DensityMatrix) -> bool:
-    """True if part of a's support lies outside b's support (threshold 1e-10)."""
-    w, u = np.linalg.eigh(b.matrix)
-    kernel = u[:, w <= SUPPORT_TOL]
-    if kernel.shape[1] == 0:
-        return False  # b has full support, nothing lies outside it
-    leaked = float(np.einsum("ij,ik,kj->", kernel, a.matrix, kernel))
-    return leaked > SUPPORT_TOL
-
-
-def usd_bound(a: DensityMatrix, b: DensityMatrix) -> UsdBound:
-    """Upper bound 1 - F(a, b) on the equal-prior unambiguous success rate.
-
-    Unambiguously identifying both states is only possible when each state
-    has support outside the other's support; the flag reports that
-    feasibility via a rank/support comparison.
-    """
-    _check_same_dim(a, b)
-    feasible = _has_support_outside(a, b) and _has_support_outside(b, a)
-    return UsdBound(bound=1.0 - fidelity(a, b), feasible=feasible)
 
 
 def kron_power(m: np.ndarray, k: int) -> np.ndarray:

@@ -1,8 +1,15 @@
-"""Shared helpers: random states, brute-force twins used as oracles, run tallies."""
+"""Shared helpers: random states, the dense discrimination routines, brute-force
+twins used as oracles, cheat detection and run tallies.
+
+Trace distance, fidelity, the unambiguous-discrimination bound and cheat
+detection run in no command or report of the package, only as the tests'
+independent route, so they are defined here rather than in `qpq`.
+"""
 
 import itertools
 import math
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import pytest
@@ -25,19 +32,20 @@ from qpq.protocol import (
     AliceRecords,
     BobRounds,
     ProtocolConfig,
+    Transcript,
     run_protocol,
 )
 from qpq.quantum import (
+    EIG_FLOOR,
     DensityMatrix,
     ParityBounds,
     PureState,
     SargSymbol,
-    fidelity,
+    _check_same_dim,
     helstrom_guess,
     helstrom_parity_table,
     parity_mixtures,
     sarg_state,
-    trace_distance,
 )
 
 
@@ -66,6 +74,99 @@ def random_density(rng, dim=2, rank=None) -> DensityMatrix:
         v /= np.linalg.norm(v)
         m += w * np.outer(v, v)
     return DensityMatrix(m)
+
+
+# The dense discrimination routines, the tests' independent route to
+# `parity_bounds` and `USD_SUCCESS`.
+SUPPORT_TOL = 1e-10     # eigenvalue threshold defining the support of a state
+
+
+def _clip_spectrum(eigenvalues: np.ndarray, context: str) -> np.ndarray:
+    """Zero the round-off part of a PSD spectrum before square roots.
+
+    Eigenvalues below -1e-10 are treated as real negativity and raise;
+    anything within the relative noise floor of zero is truncated so that
+    rank-deficient inputs do not leak O(sqrt(eps)) into trace roots.
+    """
+    low = float(eigenvalues.min()) if eigenvalues.size else 0.0
+    if low < EIG_FLOOR:
+        raise ValueError(f"{context}: eigenvalue {low!r} below the {EIG_FLOOR} floor")
+    floor = eigenvalues.size * np.finfo(float).eps * max(float(eigenvalues.max()), 0.0)
+    out = eigenvalues.copy()
+    out[out < floor] = 0.0
+    return out
+
+
+def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Half the sum of absolute eigenvalues of a - b. Lies in [0, 1]."""
+    _check_same_dim(a, b)
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
+
+
+def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
+    """Square-root fidelity trace sqrt(sqrt(a) b sqrt(a)).
+
+    Equals the absolute overlap |<psi0|psi1>| on pure states; 1 iff a == b.
+    Computed by two symmetric eigendecompositions with eigenvalue clipping.
+    """
+    _check_same_dim(a, b)
+    w, u = np.linalg.eigh(a.matrix)
+    w = _clip_spectrum(w, "fidelity: first argument")
+    sqrt_a = (u * np.sqrt(w)) @ u.T
+    inner = sqrt_a @ b.matrix @ sqrt_a
+    inner = 0.5 * (inner + inner.T)
+    w2 = _clip_spectrum(np.linalg.eigvalsh(inner), "fidelity: inner product")
+    return float(np.sqrt(w2).sum())
+
+
+class UsdBound(NamedTuple):
+    """Equal-prior unambiguous-discrimination bound plus feasibility flag."""
+
+    bound: float
+    feasible: bool
+
+
+def _has_support_outside(a: DensityMatrix, b: DensityMatrix) -> bool:
+    """True if part of a's support lies outside b's support (threshold 1e-10)."""
+    w, u = np.linalg.eigh(b.matrix)
+    kernel = u[:, w <= SUPPORT_TOL]
+    if kernel.shape[1] == 0:
+        return False  # b has full support, nothing lies outside it
+    leaked = float(np.einsum("ij,ik,kj->", kernel, a.matrix, kernel))
+    return leaked > SUPPORT_TOL
+
+
+def usd_bound(a: DensityMatrix, b: DensityMatrix) -> UsdBound:
+    """Upper bound 1 - F(a, b) on the equal-prior unambiguous success rate.
+
+    Unambiguously identifying both states is only possible when each state
+    has support outside the other's support; the flag reports that
+    feasibility via a rank/support comparison.
+    """
+    _check_same_dim(a, b)
+    feasible = _has_support_outside(a, b) and _has_support_outside(b, a)
+    return UsdBound(bound=1.0 - fidelity(a, b), feasible=feasible)
+
+
+def cheat_detection(transcripts: Iterable[Transcript], n_check: int) -> float | None:
+    """Probability that buying extra known bits exposes a lying provider.
+
+    For each run, Alice compares up to `n_check` of her known key bits
+    beyond the queried one against the provider's answers (his key). The
+    return value is the fraction of runs with at least one mismatch, or
+    None when no run offered an extra bit to check.
+    """
+    if n_check < 1:
+        raise ValueError("need at least one checked bit")
+    outcomes = []
+    for t in transcripts:
+        known, bits = t.key._entries()
+        checked = np.flatnonzero(known != t.chosen_index)[:n_check]
+        if checked.size:
+            outcomes.append(bool((bits[checked] != t.key.bob_key[known[checked]]).any()))
+    if not outcomes:
+        return None
+    return float(np.mean(outcomes))
 
 
 def honest_category_counts(config: ProtocolConfig, trials: int) -> np.ndarray:

@@ -8,7 +8,9 @@ Criterion 5 asserts the exact shape of the discrimination-bound curve
 strictly on entering every odd depth. A strict decrease at every step is
 false for this curve; `tests/test_experiments.py::TestUsdCurve::
 test_pairs_flat_at_50_digits` confirms the pair equality with 50-digit
-arithmetic that shares no code with `qpq.quantum.fidelity`.
+arithmetic that shares no code with the dense `fidelity` of
+`tests/conftest.py`. That file also holds the trace distance and the
+unambiguous-discrimination bound that criteria 5 and 7 read.
 """
 
 import math
@@ -39,10 +41,10 @@ from qpq.experiments import (
     usd_curve,
 )
 from qpq.protocol import ProtocolConfig, run_protocol
-from qpq.quantum import parity_mixtures, trace_distance, usd_bound
+from qpq.quantum import parity_mixtures
 from qpq import stats
 
-from conftest import honest_category_counts
+from conftest import honest_category_counts, trace_distance, usd_bound
 
 SEED = 20260809
 

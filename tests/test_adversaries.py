@@ -25,7 +25,6 @@ from qpq.adversaries import (
     biased_analytics,
     biased_attack_report,
     biased_round_trials,
-    cheat_detection,
     conclusiveness_guess_bound,
     conditional_register_mixtures,
     entangled_attack_report,
@@ -47,17 +46,19 @@ from qpq.protocol import (
     SargSymbol,
     run_protocol,
 )
-from qpq.quantum import K_MAX, sarg_state, usd_bound
+from qpq.quantum import K_MAX, sarg_state
 
 from conftest import (
     BIT_GENERATORS,
     ROUND_FIELDS,
     biased_round_law,
     biased_round_trials_per_trial,
+    cheat_detection,
     entangled_round_law,
     entangled_round_trials_per_trial,
     helstrom_measurement_trials_dense,
     helstrom_measurement_trials_integers,
+    usd_bound,
     usd_success_trials_bytes,
     xor_error_bruteforce,
 )

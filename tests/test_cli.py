@@ -9,6 +9,7 @@ import pytest
 
 from qpq import adversaries, cli, experiments, stats
 from qpq.cli import SEED_ENV_VAR, _write_json, main
+from qpq.quantum import K_MAX
 
 from conftest import helstrom_measurement_trials_dense, parity_bounds_dense
 
@@ -377,6 +378,20 @@ class TestSizeValidation:
         assert run_cli(argv + ["--out", str(out), *extra]) == 1
         assert f"{name} must be >= 1" in capsys.readouterr().err
         assert not out.exists() and not csv_path.exists()
+
+    def test_helstrom_depth_above_k_max_exits_one(self, monkeypatch, tmp_path, capsys):
+        """k = K_MAX + 1 is rejected before the weight table is built or a
+        coin is drawn; both are patched to fail the test if they run."""
+        def untouched(*args, **kwargs):
+            raise AssertionError("called before k was checked")
+
+        monkeypatch.setattr(adversaries, "helstrom_parity_table", untouched)
+        monkeypatch.setattr(adversaries, "_fair_bits", untouched)
+        out = tmp_path / "r.json"
+        argv = ["attack-alice", "--strategy", "helstrom", "--k", str(K_MAX + 1)]
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert f"k must lie in 1..{K_MAX}, got {K_MAX + 1}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["attack-alice", "--strategy", "bb84", "--trials", "1", "--n", "10", "--k", "1"],

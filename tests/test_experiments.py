@@ -16,7 +16,6 @@ from qpq.adversaries import (
     BiasedBob,
     EntangledBob,
     UsdAlice,
-    cheat_detection,
 )
 from qpq.experiments import (
     TABLE1_REFERENCE,
@@ -42,7 +41,7 @@ from qpq.protocol import (
     run_protocol,
 )
 
-from conftest import honest_category_counts, parity_usd_bound_50_digits
+from conftest import cheat_detection, honest_category_counts, parity_usd_bound_50_digits
 
 
 class TestKeyStats:

@@ -1,9 +1,11 @@
-"""Import hygiene: no module of the package imports a name it never uses.
+"""Import hygiene: no module of the package imports a name it never uses,
+and no module defines a function or class that the package never reads.
 
 Neither ruff nor pyflakes is a dependency, so this is a small `ast` check of
 pyflakes' F401. A name counts as used where the module reads it anywhere
 (annotations included). `__init__` re-exports, so it is left out. An import
-kept on purpose carries `# noqa: F401` on its line. Importing the package
+kept on purpose carries `# noqa: F401` on its line. Code that only the tests
+read lives in `tests/conftest.py`, not in the package. Importing the package
 starts no process machinery; only a run with jobs > 1 loads it.
 """
 
@@ -51,6 +53,68 @@ def test_guard_flags_imports_left_behind():
     source += "\nfrom .protocol import RestartLimitExceeded\nimport numpy.linalg as la\n"
     names = [entry.split(": ")[1] for entry in unused_imports(source)]
     assert names == ["run_protocol", "RestartLimitExceeded", "la"]
+
+
+def unread_definitions(sources: dict[str, str]) -> list[str]:
+    """`module.name` for each top-level function or class of `sources` (module
+    name -> source) that no module reads outside its own definition.
+
+    A read is a loaded name that is the module's own definition, or that a
+    `from .module import name` binds, or `module.name` on a module bound by
+    `from . import module`. An attribute or keyword of the same name on
+    anything else is not a read.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    defined = {(module, node.name): node for module, tree in trees.items() for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    read = set()
+    for module, tree in trees.items():
+        imported, modules = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        modules[alias.asname or alias.name] = alias.name
+                    else:
+                        imported[alias.asname or alias.name] = (node.module, alias.name)
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in imported:
+                        read.add(imported[node.id])
+                    elif defined.get((module, node.id)) not in (None, top):
+                        read.add((module, node.id))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id in modules):
+                    read.add((modules[node.value.id], node.attr))
+    return [f"{module}.{name}" for module, name in defined if (module, name) not in read]
+
+
+# Definitions that nothing in the package reads but that stay, with the reason.
+UNREAD_ALLOWED = {
+    # bench/tracing.py hooks it and bench/tests/test_bench.py traces through it;
+    # it leaves with the dense-route counters of the benchmark (ROADMAP item 1).
+    "quantum.parity_mixtures",
+}
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in MODULES}
+
+
+def test_package_reads_every_definition():
+    assert [name for name in unread_definitions(package_sources())
+            if name not in UNREAD_ALLOWED] == []
+
+
+def test_guard_flags_an_unread_definition():
+    """A function read only by itself, as an attribute of another object and
+    as a keyword is flagged; one read through `module.name` is not."""
+    sources = package_sources()
+    sources["stats"] += ("\n\ndef left_behind(x):\n    return left_behind(x.left_behind)\n"
+                         "\n\ndef reached(report):\n    return report.copy(left_behind=1)\n")
+    sources["cli"] += "\nfrom . import stats as s\ns.reached\n"
+    assert unread_definitions(sources) == ["quantum.parity_mixtures", "stats.left_behind"]
 
 
 # How one attempt is made is the engine's own business: every other module

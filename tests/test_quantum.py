@@ -16,24 +16,24 @@ from qpq.quantum import (
     PureState,
     SargSymbol,
     dense_route_bytes,
-    fidelity,
     helstrom_guess,
     helstrom_parity_table,
     kron_power,
     parity_bounds,
     parity_mixtures,
     sarg_state,
-    trace_distance,
-    usd_bound,
 )
 
 from conftest import (
+    fidelity,
     parity_bounds_dense,
     parity_mixtures_bruteforce,
     parity_usd_bound_50_digits,
     parity_usd_bound_closed_form_50_digits,
     random_density,
     random_pure,
+    trace_distance,
+    usd_bound,
 )
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)

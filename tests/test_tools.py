@@ -71,3 +71,19 @@ class TestCompareCli:
             "qpq_bob.json", "qpq_run.json",
             "qpq_sweep.json: strategies.0.p_b", "qpq_sweep.json: strategies.1.n"]
         assert tool.differing_keys(parent, parent) == []
+
+    def test_source_lines_counts_newlines_as_wc_does(self, tmp_path):
+        """On this tree, the tool's count equals a line-by-line one; a last
+        line without a newline is not counted, as `wc -l` does not."""
+        tool = load_compare_cli()
+        direct = 0
+        for path in (ROOT / "src" / "qpq").glob("*.py"):
+            with open(path, "rb") as f:
+                direct += sum(line.endswith(b"\n") for line in f)
+        assert tool.source_lines(ROOT) == direct > 0
+        package = tmp_path / "src" / "qpq"
+        package.mkdir(parents=True)
+        (package / "a.py").write_bytes(b"x = 1\ny = 2")
+        (package / "b.py").write_bytes(b"\n\n")
+        (package / "notes.txt").write_bytes(b"\n")
+        assert tool.source_lines(tmp_path) == 3

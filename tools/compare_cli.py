@@ -8,9 +8,11 @@ Each tree is a checkout of this repository. For every seed, each tree's
 temporary directory of its own, so each writes its default report files
 there. Per command and seed it prints whether the JSON reports, the CSV
 files and the exit codes of the two trees match; with `--keys`, below each
-command whose JSON differs, the dotted key paths whose values differ. It
-exits 0 when every one matches and 1 otherwise. `bench/processes.py` is
-parsed, not imported, and nothing under `bench/` is written.
+command whose JSON differs, the dotted key paths whose values differ. Before
+its verdict it prints the line count of each tree's `src/qpq/*.py`, as
+`wc -l` counts them. It exits 0 when every one matches and 1 otherwise.
+`bench/processes.py` is parsed, not imported, and nothing under `bench/` is
+written.
 """
 
 from __future__ import annotations
@@ -107,6 +109,12 @@ def compare(parent_tree: Path, change_tree: Path, argv: list[str], seed: str) ->
     return _row(run_tree(parent_tree, argv, seed), run_tree(change_tree, argv, seed))
 
 
+def source_lines(tree: Path) -> int:
+    """Newlines in the tree's `src/qpq/*.py`, the total `wc -l` prints."""
+    package = Path(tree) / "src" / "qpq"
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
+
+
 _MISSING = object()
 
 
@@ -158,6 +166,8 @@ def main(argv: list[str] | None = None) -> int:
             if args.keys and row["json"] == "DIFF":
                 for line in differing_keys(parent, change):
                     print(f"    {line}", flush=True)
+    print(f"src/qpq/*.py lines: {source_lines(args.parent_tree)} → "
+          f"{source_lines(args.change_tree)}")
     print("all identical" if all_same else "DIFFERENCES FOUND")
     return 0 if all_same else 1
 
