@@ -356,12 +356,12 @@ def usd_attack_experiment(n: int = 50_000, k: int = 7, trials: int = 600,
                           jobs: int = 1) -> ExperimentReport:
     """Perfect-memory discrimination attack: per-qubit rate plus full runs."""
     stats.require_size("trials", trials, 2)
+    config = ProtocolConfig(n=n, k=k, seed=seed)
     start = time.perf_counter()
     rng = np.random.default_rng([seed, 10**6])
     hits = int(usd_success_trials(qubit_samples, rng).sum())
     rate, _ = stats.rate_ci(hits, qubit_samples)
     sigma3 = 3.0 * stats.binomial_sigma(USD_SUCCESS, qubit_samples)
-    config = ProtocolConfig(n=n, k=k, seed=seed)
     mc = monte_carlo(config, alice=UsdAlice(), trials=trials, jobs=jobs)
     return ExperimentReport(
         experiment="usd_attack",

@@ -28,12 +28,13 @@ qubit, and one packed table gives outcome, conclusiveness and bit. A layout
 whose law is not all 0, 1/2 or 1 (a biased preparation at a generic angle,
 the entangled register) takes a float coin per qubit instead.
 
-The byte draws (`_byte_pieces`) copy the bit generator's 64-bit outputs
-(`random_raw`) `CHUNK` bytes at a time and then set its spare 32-bit half
-as `Generator.bytes` would (`_end_state`), so bytes and state match one
-`rng.bytes` call; a bit generator without that spare (MT19937) is read
-through `rng.bytes`. A `_DrawReader` reads the same bytes from any offset,
-on a copy of a PCG64 or PCG64DXSM generator moved there with `advance`.
+Every byte draw goes through a `_DrawReader`, the one place that knows how
+`Generator.bytes` lays out the bit generator's 64-bit outputs (`random_raw`)
+and its spare 32-bit half, so bytes and end state match one `rng.bytes`
+call. `_byte_pieces` reads `rng`'s own generator `CHUNK` bytes at a time (a
+bit generator without the spare, MT19937, through `rng.bytes`); the
+streamed attempt enters a draw at any offset, on a copy of a PCG64 or
+PCG64DXSM generator moved there with `advance`.
 `_fair_bits` keeps the top bit of each 32-bit word, or of each byte, of a
 byte draw, which gives the values and the state of `rng.integers(0, 2,
 count)` of that dtype; the adversary layer draws its fair coins and the
@@ -336,10 +337,11 @@ DYADIC_TOLERANCE = 1e-12
 # whole 64-bit outputs and the pieces join into one draw's bytes.
 CHUNK = 1 << 16
 
-# Float coins are drawn this many at a time, so each float64 temporary (64 KB)
-# stays below glibc's 128 KB mmap threshold and reuses heap pages instead of
-# faulting fresh ones in on every call. `rng.random` takes one output per
-# double, so the pieces join into one draw.
+# Float coins are drawn, and Alice's uint16 table indices gathered, this many
+# at a time, so each float64 temporary, and the intp copy of the indices that
+# `take` makes, (64 KB) stays below glibc's 128 KB mmap threshold and reuses
+# heap pages instead of faulting fresh ones in on every call. `rng.random`
+# takes one output per double, so the pieces join into one draw.
 FLOAT_PIECE = 1 << 13
 
 
@@ -415,65 +417,104 @@ def _gather_in_place(table: np.ndarray, records: np.ndarray, code: np.ndarray,
     records[..., size:] = 0
     # Every index byte is below 4 * len(layout.second), so no entry is
     # clipped; `take` reads the indices before it writes `out`.
-    gathered = records.view(np.uint16)
-    table.take(gathered, out=gathered, mode="clip")
+    gathered = records.view(np.uint16).ravel()
+    for lo in range(0, gathered.size, FLOAT_PIECE):
+        part = gathered[lo:lo + FLOAT_PIECE]
+        table.take(part, out=part, mode="clip")
 
 
-def _end_state(state: dict, count: int, head: int, last) -> dict:
-    """`state`, read after the last output `last` of one `rng.bytes(count)`
-    draw that began on a spare of `head` bytes, with the spare set as
-    `next_uint32` leaves it: `last`'s high half, unused when an odd number
-    of words came from outputs, or, when count <= head, the spare used."""
-    if count <= head:
-        state["has_uint32"] = 0
-    else:
-        state["has_uint32"] = -(-(count - head) // 4) % 2
-        state["uinteger"] = int(last) >> 32
-    return state
+def _generator_at(state: dict):
+    """A new bit generator of the `numpy.random` kind that `state` names, set to it."""
+    bitgen = getattr(np.random, state["bit_generator"])(0)
+    bitgen.state = state
+    return bitgen
+
+
+class _DrawReader:
+    """One `rng.bytes` draw, read in order: the one place that knows its layout.
+
+    `Generator.bytes` takes 32-bit words from `next_uint32`, which returns
+    the low half of each 64-bit output and keeps the high half as a spare
+    (`has_uint32`, `uinteger` in the state). So past the `head` bytes of a
+    spare held at the draw's start, byte o is byte (o - head) % 8 of output
+    (o - head) // 8, little-endian. The `left` high bytes of `last`, the
+    last output taken (at first, the spare as a high half), are unread.
+
+    With no `offset`, the reader takes `rng`'s own outputs, none before a
+    byte past the head is read; MT19937, whose state holds no spare, is read
+    through `rng.bytes`, in whole 32-bit words but the last. From an
+    `offset`, 0 included, it reads a copy of a PCG64 or PCG64DXSM generator
+    moved there with `advance` (a step is one output), so `rng` moves only
+    at `finish(count)`: the state of one `rng.bytes(count)`, whose spare is
+    `last`'s high half when an odd number of words came from outputs.
+    """
+
+    __slots__ = ("rng", "bitgen", "raw", "head", "last", "left")
+
+    def __init__(self, rng: np.random.Generator, offset: int | None = None):
+        self.rng = rng
+        self.bitgen = rng.bit_generator
+        state = self.bitgen.state
+        self.raw = "has_uint32" in state
+        self.head = 4 if self.raw and state["has_uint32"] else 0
+        self.last, self.left = (state["uinteger"] << 32, 4) if self.head else (0, 0)
+        if offset is None:
+            return
+        self.bitgen = _generator_at(state)
+        if offset < self.head:
+            self.left -= offset
+        else:
+            skip, drop = divmod(offset - self.head, 8)
+            self.bitgen.advance(skip)
+            self.last, self.left = self.bitgen.random_raw(), 8 - drop
+
+    def read(self, out: np.ndarray) -> None:
+        """Fill `out`, a uint8 array, with the draw's next `out.size` bytes."""
+        if not self.raw:
+            out[:] = np.frombuffer(self.rng.bytes(out.size), dtype=np.uint8)
+            return
+        have = min(self.left, out.size)
+        if have:
+            tail = int(self.last).to_bytes(8, "little")[8 - self.left:]
+            out[:have] = np.frombuffer(tail[:have], dtype=np.uint8)
+            self.left -= have
+        size = out.size - have
+        if size:
+            raw = self.bitgen.random_raw(-(-size // 8))
+            self.last, self.left = raw[-1], -size % 8
+            out[have:] = raw.astype("<u8", copy=False).view(np.uint8)[:size]
+
+    def finish(self, count: int) -> None:
+        """Set `rng` to the end state of a draw of count >= 1 bytes."""
+        if not self.raw:
+            return
+        state = self.bitgen.state
+        if count <= self.head:
+            state["has_uint32"] = 0
+        else:
+            state["has_uint32"] = -(-(count - self.head) // 4) % 2
+            state["uinteger"] = int(self.last) >> 32
+        self.rng.bit_generator.state = state
 
 
 def _byte_pieces(rng: np.random.Generator, count: int,
                  out: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """Draw the bytes of one `rng.bytes(count)` into `out`, a uint8 array of
-    at least `count` bytes, piece by piece; yield (start, out[start:stop]).
+    at least `count` bytes, piece by piece through one `_DrawReader`; yield
+    (start, out[start:stop]).
 
-    Every start is even. Run to its end, it leaves the state of the one
-    call; no other draw may come between its pieces.
-
-    `Generator.bytes` takes 32-bit words from `next_uint32`, which splits
-    each 64-bit output into its low half, returned, and its high half, kept
-    as a spare (`has_uint32`, `uinteger` in the state). So the bytes are
-    those of a spare held at entry, read little-endian from the state, then
-    the little-endian bytes of consecutive `random_raw` outputs. Each piece
-    takes `CHUNK` bytes of outputs, and before the last piece is yielded the
-    state's spare is set (`_end_state`). A bit generator whose state has no
-    `has_uint32` (MT19937) fills each piece from one `CHUNK`-byte
-    `rng.bytes` call; the calls join into the one call's bytes because every
-    call but the last takes whole words. A `_DrawReader` reads the same
-    bytes from any offset, but costs more per small draw than this loop.
+    Every start is even and, past the spare's head, on a whole output.
+    Run to its end, it leaves the state of the one call, set before the
+    last piece is yielded; no other draw may come between its pieces.
     """
-    bitgen = rng.bit_generator
-    state = bitgen.state
-    raw = "has_uint32" in state
-    head = min(count, 4) if raw and state["has_uint32"] else 0
-    last = start = 0
+    reader = _DrawReader(rng)
+    start = 0
     while start < count:
-        stop = min(count, (start or head) + CHUNK)
+        stop = min(count, (start or reader.head) + CHUNK)
         piece = out[start:stop]
-        if not raw:
-            piece[:] = np.frombuffer(rng.bytes(piece.size), dtype=np.uint8)
-        else:
-            body = piece
-            if head and not start:
-                piece[:head] = np.frombuffer(state["uinteger"].to_bytes(4, "little")[:head],
-                                             dtype=np.uint8)
-                body = piece[head:]
-            if body.size:
-                words = bitgen.random_raw(-(-body.size // 8))
-                body[:] = words.astype("<u8", copy=False).view(np.uint8)[:body.size]
-                last = words[-1]
-            if stop == count:
-                bitgen.state = _end_state(bitgen.state, count, head, last)
+        reader.read(piece)
+        if stop == count:
+            reader.finish(count)
         yield start, piece
         start = stop
 
@@ -755,58 +796,6 @@ def _known_key(bob_key: np.ndarray, known: np.ndarray, packed: np.ndarray, n: in
 # Bit 0 of each byte of a uint64 lane, and every bit.
 _LOW_BITS = np.uint64(0x0101010101010101)
 _ALL_BITS = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-def _generator_at(state: dict):
-    """A new bit generator of the `numpy.random` kind that `state` names, set to it."""
-    bitgen = getattr(np.random, state["bit_generator"])(0)
-    bitgen.state = state
-    return bitgen
-
-
-class _DrawReader:
-    """One `rng.bytes` draw of a PCG64 or PCG64DXSM generator, read in order
-    from byte `offset` on: past the `head` bytes of a spare held at the
-    draw's start, byte o is byte (o - head) % 8 of output (o - head) // 8
-    (`_byte_pieces`). The reader draws from a copy of the generator moved
-    there with `advance`, whose step is one output, so `rng` itself is left
-    alone. The `left` high bytes of `last`, the last output
-    taken (at first, the spare as a high half), are not yet read.
-    `finish(count)`, once the reads reach the draw's end, sets `rng` to the
-    state of one `rng.bytes(count)`.
-    """
-
-    __slots__ = ("rng", "bitgen", "head", "last", "left")
-
-    def __init__(self, rng: np.random.Generator, offset: int):
-        self.rng = rng
-        state = rng.bit_generator.state
-        self.head = 4 if state["has_uint32"] else 0
-        self.bitgen = _generator_at(state)
-        if offset < self.head:
-            self.last, self.left = state["uinteger"] << 32, self.head - offset
-        else:
-            skip, drop = divmod(offset - self.head, 8)
-            self.bitgen.advance(skip)
-            self.last, self.left = self.bitgen.random_raw(), 8 - drop
-
-    def read(self, out: np.ndarray) -> None:
-        """Fill `out`, a uint8 array, with the draw's next `out.size` bytes."""
-        have = min(self.left, out.size)
-        if have:
-            tail = int(self.last).to_bytes(8, "little")[8 - self.left:]
-            out[:have] = np.frombuffer(tail[:have], dtype=np.uint8)
-            self.left -= have
-        size = out.size - have
-        if size:
-            raw = self.bitgen.random_raw(-(-size // 8))
-            self.last, self.left = raw[-1], -size % 8
-            out[have:] = raw.astype("<u8", copy=False).view(np.uint8)[:size]
-
-    def finish(self, count: int) -> None:
-        """Set `rng` to the end state of a draw of count >= 1 bytes."""
-        self.rng.bit_generator.state = _end_state(self.bitgen.state, count, self.head,
-                                                  self.last)
 
 
 def _state_after(rng: np.random.Generator, count: int) -> None:

@@ -393,14 +393,25 @@ class TestSizeValidation:
         assert f"k must lie in 1..{K_MAX}, got {K_MAX + 1}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["attack-alice", "--strategy", "bb84", "--trials", "1", "--n", "10", "--k", "1"],
-        ["attack-alice", "--strategy", "usd", "--trials", "1", "--n", "200", "--k", "2"],
-    ], ids=["bb84-1", "usd-1"])
-    def test_one_monte_carlo_trial_exits_one(self, argv, tmp_path, capsys):
+    @pytest.mark.parametrize("argv, message", [
+        (["attack-alice", "--strategy", "bb84", "--trials", "1", "--n", "10", "--k", "1"],
+         "trials must be >= 2"),
+        (["attack-alice", "--strategy", "usd", "--trials", "1", "--n", "200", "--k", "2"],
+         "trials must be >= 2"),
+        (["attack-alice", "--strategy", "usd", "--n", "0"], "database size must be >= 1"),
+        (["attack-alice", "--strategy", "usd", "--k", "0"], "security parameter must be >= 1"),
+    ], ids=["bb84-1", "usd-1", "usd-n-0", "usd-k-0"])
+    def test_one_monte_carlo_trial_exits_one(self, argv, message, monkeypatch, tmp_path,
+                                             capsys):
+        """One trial, or a discrimination attack of size 0, exits 1 before
+        its per-qubit coins are drawn."""
+        def untouched(*args, **kwargs):
+            raise AssertionError("drawn before the sizes were checked")
+
+        monkeypatch.setattr(experiments, "usd_success_trials", untouched)
         out = tmp_path / "r.json"
         assert run_cli(argv + ["--out", str(out)]) == 1
-        assert "trials must be >= 2" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

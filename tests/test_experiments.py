@@ -463,18 +463,22 @@ class TestAttackExperiments:
         assert report.all_passed()
         assert report.analytic["known_mean_bb84"] == 300.0
 
-    @pytest.mark.parametrize("call", [
-        lambda: monte_carlo(ProtocolConfig(n=10, k=1), trials=1),
-        lambda: bb84_attack_experiment(n=10, k=1, trials=1),
-        lambda: usd_attack_experiment(n=200, k=2, trials=1),
-    ], ids=["monte-carlo", "bb84", "usd"])
-    def test_fewer_than_two_trials_rejected_before_any_draw(self, call, monkeypatch):
+    @pytest.mark.parametrize("call, message", [
+        (lambda: monte_carlo(ProtocolConfig(n=10, k=1), trials=1), "trials must be >= 2"),
+        (lambda: bb84_attack_experiment(n=10, k=1, trials=1), "trials must be >= 2"),
+        (lambda: usd_attack_experiment(n=200, k=2, trials=1), "trials must be >= 2"),
+        (lambda: usd_attack_experiment(n=0, k=2), "database size must be >= 1"),
+        (lambda: usd_attack_experiment(n=200, k=0), "security parameter must be >= 1"),
+    ], ids=["monte-carlo", "bb84", "usd", "usd-n-0", "usd-k-0"])
+    def test_fewer_than_two_trials_rejected_before_any_draw(self, call, message, monkeypatch):
+        """Too few trials, and for the discrimination attack a size out of
+        range, are rejected before its per-qubit coins are drawn."""
         def no_draw(*args, **kwargs):
             raise AssertionError("a draw was made")
 
         for name in ("run_protocol", "usd_success_trials", "_map_trials"):
             monkeypatch.setattr(experiments, name, no_draw)
-        with pytest.raises(ValueError, match="trials must be >= 2"):
+        with pytest.raises(ValueError, match=message):
             call()
 
 

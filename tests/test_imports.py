@@ -5,8 +5,10 @@ Neither ruff nor pyflakes is a dependency, so this is a small `ast` check of
 pyflakes' F401. A name counts as used where the module reads it anywhere
 (annotations included). `__init__` re-exports, so it is left out. An import
 kept on purpose carries `# noqa: F401` on its line. Code that only the tests
-read lives in `tests/conftest.py`, not in the package. Importing the package
-starts no process machinery; only a run with jobs > 1 loads it.
+read lives in `tests/conftest.py`, not in the package. Only the engine makes
+attempts, and only `protocol._DrawReader` reads a bit generator's outputs.
+Importing the package starts no process machinery; only a run with
+jobs > 1 loads it.
 """
 
 import ast
@@ -138,6 +140,46 @@ def test_only_the_engine_makes_attempts(path):
 def test_attempt_guard_flags_an_engine_import():
     source = "from .protocol import _attempts, _send\nfrom qpq.protocol import _run_attempt\n"
     assert attempt_makers_imported(source) == ["_send", "_run_attempt"]
+
+
+# The byte layout of an `rng.bytes` draw, which every per-qubit array of a
+# run reproduces, is known to `protocol._DrawReader` alone: no other code
+# reads a bit generator's outputs or its spare 32-bit half.
+LAYOUT_ATTRIBUTES = {"random_raw", "advance"}
+LAYOUT_KEYS = {"has_uint32", "uinteger"}
+
+
+def layout_readers(sources: dict[str, str]) -> list[str]:
+    """`module.name` of each top-level statement (its line, when it has no
+    name) of `sources` that reads an attribute in `LAYOUT_ATTRIBUTES` or
+    holds a string in `LAYOUT_KEYS`, except `protocol._DrawReader`; sorted."""
+    found = set()
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            name = getattr(top, "name", top.lineno)
+            if (module, name) == ("protocol", "_DrawReader"):
+                continue
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in LAYOUT_ATTRIBUTES
+                        or isinstance(node, ast.Constant) and node.value in LAYOUT_KEYS):
+                    found.add(f"{module}.{name}")
+    return sorted(found)
+
+
+def test_only_the_draw_reader_knows_the_byte_layout():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert layout_readers(sources) == []
+
+
+def test_layout_guard_flags_a_stray_read():
+    """A stray `random_raw` and a spare key outside the reader are flagged; the
+    words in a docstring are not."""
+    sources = package_sources()
+    sources["adversaries"] += ("\n\ndef stray(rng):\n    \"\"\"Reads `random_raw`.\"\"\"\n"
+                               "    return rng.bit_generator.random_raw()\n")
+    sources["protocol"] += "\nSPARE = 'has_uint32'\n"
+    line = len(sources["protocol"].splitlines())
+    assert layout_readers(sources) == ["adversaries.stray", f"protocol.{line}"]
 
 
 def imported_modules(prefixes: tuple[str, ...]) -> str:

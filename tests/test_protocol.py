@@ -1100,10 +1100,12 @@ class TestEngineSeams:
 
         assert peak(9) <= 1.25 * peak(3)
 
-    def test_materialized_peak_memory_per_qubit(self):
-        """The honest user as a subclass takes the materialized route; at
-        N = 10^5, k = 9 it too holds at most 3 bytes per raw qubit."""
-        config = ProtocolConfig(n=10**5, k=9, seed=0)
+    @pytest.mark.parametrize("n, k", [(10**5, 9), (1 << 15, 9), (1 << 15, 7)])
+    def test_materialized_peak_memory_per_qubit(self, n, k):
+        """The honest user as a subclass takes the materialized route; it too
+        holds at most 3 bytes per raw qubit, also where the raw string is a
+        few `CHUNK`s, so a gather's temporary would weigh."""
+        config = ProtocolConfig(n=n, k=k, seed=0)
         database = np.zeros(config.n, dtype=np.uint8)
         peak = self._traced_peak(lambda: run_protocol(config, database, 0, alice=PlainAlice()))
         assert peak / config.raw_length <= 3.0
@@ -1115,12 +1117,13 @@ class PlainAlice(HonestAlice):
 
 def streamed_twins(kind, seed, spare: int) -> list[np.random.Generator]:
     """Two generators of bit generator `kind` in one state, which holds the
-    spare half of an output when `spare` is 1."""
+    spare half of an output when `spare` is 1 (MT19937, which holds none,
+    has then drawn one 32-bit word)."""
     twins = [np.random.Generator(kind(seed)) for _ in range(2)]
     for rng in twins:
         if spare:
             rng.bytes(4)
-        assert rng.bit_generator.state["has_uint32"] == spare
+        assert rng.bit_generator.state.get("has_uint32", spare) == spare
     return twins
 
 
@@ -1373,31 +1376,44 @@ class TestKnownFinalAttempt:
         assert calls == ["_run_attempt", "respond"] * (t.restarts + 1)
 
 
-class TestDrawReader:
-    """`_DrawReader` reads one `rng.bytes(count)` of PCG64 or PCG64DXSM from
-    any offset, and its `finish` leaves the state of that one call.
-    `_byte_pieces`, which reads every bit generator's draws from offset 0,
-    is covered by `test_byte_draws_match_one_bytes_call_for_every_bit_generator`."""
+# (offset, spare, kind): a copy of PCG64 or PCG64DXSM read from each offset,
+# and `rng`'s own bit generator of every kind read with no offset.
+READER_CASES = ([(offset, spare, kind)
+                 for offset in list(range(14)) + [CHUNK - 1, CHUNK, CHUNK + 3]
+                 for spare in (0, 1) for kind in (np.random.PCG64, np.random.PCG64DXSM)]
+                + [(None, spare, kind) for spare in (0, 1) for kind in BIT_GENERATORS])
 
-    @STREAMED_KINDS
-    @pytest.mark.parametrize("spare", [0, 1])
-    @pytest.mark.parametrize("offset", list(range(14)) + [CHUNK - 1, CHUNK, CHUNK + 3])
-    def test_uneven_reads_from_any_offset_are_one_bytes_call(self, kind, spare, offset):
+
+class TestDrawReader:
+    """`_DrawReader` reads one `rng.bytes(count)`, and its `finish` leaves the
+    state of that one call: from any offset on a copy of a PCG64 or
+    PCG64DXSM generator, and with no offset on `rng`'s own bit generator of
+    any kind, which `_byte_pieces` reads through (also covered by
+    `test_byte_draws_match_one_bytes_call_for_every_bit_generator`)."""
+
+    @pytest.mark.parametrize("offset, spare, kind", READER_CASES,
+                             ids=[f"{o}-{s}-{k.__name__}" for o, s, k in READER_CASES])
+    def test_uneven_reads_from_any_offset_are_one_bytes_call(self, offset, spare, kind):
+        """MT19937, read through `rng.bytes`, in whole 32-bit words but the last."""
         count = 2 * CHUNK + 11
-        mine, ref = streamed_twins(kind, [offset, 3], spare)
-        want = np.frombuffer(ref.bytes(count), dtype=np.uint8)[offset:]
+        first = offset or 0
+        mine, ref = streamed_twins(kind, [first, 3], spare)
+        want = np.frombuffer(ref.bytes(count), dtype=np.uint8)[first:]
         start_state = mine.bit_generator.state
         reader = protocol._DrawReader(mine, offset)
-        got = np.zeros(count - offset, dtype=np.uint8)
+        got = np.zeros(count - first, dtype=np.uint8)
         start = 0
-        for size in itertools.cycle((1, 7, CHUNK + 5, 3, 8, 2)):
+        sizes = (4, 12, CHUNK + 4, 8) if kind is np.random.MT19937 else (1, 7, CHUNK + 5, 3, 8, 2)
+        for size in itertools.cycle(sizes):
             piece = got[start:start + size]
             reader.read(piece)
             start += piece.size
             if start == got.size:
                 break
-        # The reader reads a copy, so `mine` moves only at `finish`.
-        assert mine.bit_generator.state == start_state
+        if offset is not None:
+            # At any offset, 0 included, the reader reads a copy, so `mine`
+            # moves only at `finish`.
+            assert mine.bit_generator.state == start_state
         reader.finish(count)
         assert np.array_equal(got, want)
         assert_same_state_and_draws(mine, ref)
