@@ -179,13 +179,25 @@ class Bb84MemoryAlice:
     Under basis announcements this reads off every raw bit exactly; against
     pair announcements the stored qubit still faces the two-state
     discrimination problem, so the attack degrades to the unambiguous
-    rates.
+    rates, `UsdAlice`'s. Like hers, `known_final` serves the engine's
+    attempts and `respond` a transcript's replay; under basis announcements
+    neither draws.
     """
 
     kind = "bb84_memory"
 
     def law(self, config: ProtocolConfig) -> Law:
         return Law(1.0 if config.announcement == "bb84" else USD_SUCCESS)
+
+    def known_final(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+        """(known positions, her bits there, conclusive count): under basis
+        announcements every position, the XOR over the k rows of the sent
+        symbols' bits, and every kept qubit; against pairs `UsdAlice`'s."""
+        if config.announcement != "bb84":
+            return UsdAlice().known_final(rounds, kept, config, rng)
+        bits = _fold(np.bitwise_xor, _at_kept(rounds.sent, kept) >> 1, config.n, config.k)
+        return np.arange(config.n), bits, kept.size
 
     def respond(self, rounds: BobRounds, kept: np.ndarray, config: ProtocolConfig,
                 rng: np.random.Generator) -> AliceRecords:
@@ -689,6 +701,8 @@ def no_signaling_audit(points: int = 181, trials_per_point: int = 20_000,
     within a simultaneous confidence band (the per-strategy level is
     Bonferroni-adjusted so the band holds jointly at `confidence`).
     """
+    from ._seeding import streams
+
     stats.require_size("points", points)
     stats.require_size("trials_per_point", trials_per_point)
     strategies = ([BiasedBob(phi) for phi in np.linspace(0.0, math.pi, points)]
@@ -700,8 +714,8 @@ def no_signaling_audit(points: int = 181, trials_per_point: int = 20_000,
     reports: list[ExperimentReport] = []
     max_product = -1.0
     max_strategy = ""
-    for idx, bob in enumerate(strategies):
-        rep, ev = _provider_report(bob, trials_per_point, np.random.default_rng([seed, idx]))
+    for bob, rng in zip(strategies, streams(seed, range(len(strategies)))):
+        rep, ev = _provider_report(bob, trials_per_point, rng)
         product, emp_product = rep.analytic["product"], rep.empirical["product"]
         # Conservative familywise interval for the empirical p_c * p_b.
         margin = (z_family * stats.binomial_sigma(ev.p_c_sigma_rate, trials_per_point)

@@ -279,7 +279,7 @@ def _cmd_attack_alice(args, file_cfg, seed) -> int:
     else:
         opts = _resolve(args, file_cfg, {"n": 1000, "k": 4, "trials": 50})
         report = experiments.bb84_attack_experiment(
-            n=opts["n"], k=opts["k"], trials=opts["trials"], seed=seed)
+            n=opts["n"], k=opts["k"], trials=opts["trials"], seed=seed, jobs=jobs)
     out = args.out or Path(f"qpq_attack_alice_{args.strategy}.json")
     return _report_exit(report, out, report.to_text())
 

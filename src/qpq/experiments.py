@@ -13,7 +13,9 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from functools import partial
+from itertools import islice
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,59 +125,63 @@ class TrialResult(NamedTuple):
     retrieved_correct: bool
 
 
-def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> list[TrialResult]:
-    """One `TrialResult` per trial t of `trials`, as one `run_protocol` call
-    on the stream `[seed, t]` gives it, after t's database (one byte draw's
-    top bits, as `_fair_bits` draws them) and target.
+def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> Iterator[TrialResult]:
+    """One `TrialResult` per trial t of `trials`, in order, as one
+    `run_protocol` call on the stream `[seed, t]` gives it, after t's
+    database (one byte draw's top bits, as `_fair_bits` draws them) and
+    target. One `_seeding.streams` call makes every stream.
 
-    `_attempts` makes every trial's first attempt on its stream as one
-    batch. A trial whose first attempt knows no bit goes on along that
-    stream through `run_protocol` with one restart fewer; with no restart
-    left it fails.
+    `_attempts` makes the first attempts of each CHUNK // (n * k) trials
+    (at least one) on their streams as one batch. A trial whose first
+    attempt knows no bit goes on along that stream through `run_protocol`
+    with one restart fewer; with no restart left it fails.
     """
-    streams = []
-    for t in trials:
-        rng = np.random.default_rng([config.seed, t])
-        database = _fair_bits(rng, config.n, np.uint8)
-        streams.append((rng, database, int(rng.integers(config.n))))
-    firsts = _attempts(config, alice, bob, [rng for rng, _, _ in streams])
+    from ._seeding import streams
+
     need = config.raw_length
-    results = []
-    for (rng, database, target), (key, conclusive) in zip(streams, firsts):
-        restarted = not key.known.size
-        try:
-            if not restarted:
-                place, shift = query_shift(key.known, target, config.n, rng)
-                ciphertext = encrypt_database(database, key.bob_key, shift)
-                retrieved, later = decrypt_bit(ciphertext, target, key.bits[place]), []
-            elif config.max_restarts:
-                fewer = dataclasses.replace(config, max_restarts=config.max_restarts - 1)
-                run = run_protocol(fewer, database, target, alice=alice, bob=bob, rng=rng)
-                key, retrieved, later = run.key, run.retrieved_bit, run.attempt_conclusive_counts
-            else:  # no restart left: the trial fails after its first attempt
-                raise RestartLimitExceeded([])
-        except RestartLimitExceeded as exc:
-            results.append(TrialResult(False, True, 0, 0, 0,
-                                       conclusive + sum(exc.conclusive_counts),
-                                       need * (exc.attempts + 1), False))
-            continue
-        results.append(TrialResult(
-            success=True, restarted=restarted, first_known=0 if restarted else key.known.size,
-            final_known=key.known.size, known_mismatches=len(key.mismatched_indices()),
-            conclusive_total=conclusive + sum(later), kept_total=need * (len(later) + 1),
-            retrieved_correct=retrieved == int(database[target])))
-    return results
+    rngs = streams(config.seed, trials)
+    while batch := list(islice(rngs, max(1, CHUNK // need))):
+        inputs = []
+        for rng in batch:
+            database = _fair_bits(rng, config.n, np.uint8)
+            inputs.append((rng, database, int(rng.integers(config.n))))
+        firsts = _attempts(config, alice, bob, batch)
+        for (rng, database, target), (key, conclusive) in zip(inputs, firsts):
+            restarted = not key.known.size
+            try:
+                if not restarted:
+                    place, shift = query_shift(key.known, target, config.n, rng)
+                    ciphertext = encrypt_database(database, key.bob_key, shift)
+                    retrieved, later = decrypt_bit(ciphertext, target, key.bits[place]), []
+                elif config.max_restarts:
+                    fewer = dataclasses.replace(config, max_restarts=config.max_restarts - 1)
+                    run = run_protocol(fewer, database, target, alice=alice, bob=bob, rng=rng)
+                    key, retrieved = run.key, run.retrieved_bit
+                    later = run.attempt_conclusive_counts
+                else:  # no restart left: the trial fails after its first attempt
+                    raise RestartLimitExceeded([])
+            except RestartLimitExceeded as exc:
+                yield TrialResult(False, True, 0, 0, 0, conclusive + sum(exc.conclusive_counts),
+                                  need * (exc.attempts + 1), False)
+                continue
+            yield TrialResult(
+                success=True, restarted=restarted,
+                first_known=0 if restarted else key.known.size,
+                final_known=key.known.size, known_mismatches=len(key.mismatched_indices()),
+                conclusive_total=conclusive + sum(later), kept_total=need * (len(later) + 1),
+                retrieved_correct=retrieved == int(database[target]))
 
 
-def _trial_batch(config: ProtocolConfig, alice, bob, size: int, trials: int,
-                 batch: int) -> tuple[np.ndarray, np.ndarray]:
-    """The `_trial_results` from batch * size on, at most `size` of them and
-    none from `trials` on: their first-attempt known counts, and the sum of
-    each `TrialResult` field over them."""
-    results = _trial_results(config, alice, bob,
-                             range(batch * size, min(trials, (batch + 1) * size)))
-    first_known = np.array([r.first_known for r in results], dtype=np.int64)
-    return first_known, np.array(results, dtype=np.int64).sum(axis=0)
+def _trial_tallies(config: ProtocolConfig, alice, bob, size: int,
+                   trials: range) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The `_trial_results` of `trials`, `size` at a time: per group, their
+    first-attempt known counts and the sum of each `TrialResult` field."""
+    results = iter(_trial_results(config, alice, bob, trials))
+    tallies = []
+    while group := list(islice(results, size)):
+        tallies.append((np.array([r.first_known for r in group], dtype=np.int64),
+                        np.array(group, dtype=np.int64).sum(axis=0)))
+    return tallies
 
 
 def _worker_count(jobs: int, chunks: int, cpus: int | None = None) -> int:
@@ -189,26 +195,22 @@ def _worker_count(jobs: int, chunks: int, cpus: int | None = None) -> int:
     return max(1, min(jobs, cpus, chunks))
 
 
-def _trial_chunk(task) -> list:
-    fn, args, lo, hi = task
-    return [fn(*args, t) for t in range(lo, hi)]
+def _map_trials(fn, args: tuple, count: int, jobs: int) -> list:
+    """The lists fn(*args, span) joined, for range(count) split into one
+    span per process, at most `_worker_count` of them, in order.
 
-
-def _map_trials(fn, args: tuple, trials: int, jobs: int) -> list:
-    """[fn(*args, t) for t in range(trials)], split over at most `_worker_count` processes.
-
-    Every trial seeds its own stream, so the result does not depend on jobs.
+    Every index seeds its own stream, so the result does not depend on jobs.
     """
-    workers = _worker_count(jobs, trials)
+    workers = _worker_count(jobs, count)
     if workers == 1:
-        return _trial_chunk((fn, args, 0, trials))
-    bounds = np.linspace(0, trials, workers + 1, dtype=int)
-    tasks = [(fn, args, int(lo), int(hi)) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return fn(*args, range(count))
+    bounds = np.linspace(0, count, workers + 1, dtype=int).tolist()
+    spans = [range(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
     # Imported here: `concurrent.futures` loads `multiprocessing` and more,
     # which a single-process run never needs.
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [result for part in pool.map(_trial_chunk, tasks) for result in part]
+        return [result for part in pool.map(partial(fn, *args), spans) for result in part]
 
 
 def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000,
@@ -218,9 +220,10 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     The closed forms are the cheating side's `Law` (else the honest one); a
     `known_wrong` of 0 adds the exact retrieval and known-bit soundness checks.
     Each trial owns the stream derived from (config.seed, trial index), so
-    results are identical for any job count and batching: `_trial_batch`
-    makes the first attempts of CHUNK // (n * k) trials as one batch and
-    returns only their first-attempt known counts and field sums. Known-bit
+    results are identical for any job count and batching: `_trial_results`
+    makes the first attempts of CHUNK // (n * k) trials as one batch, and
+    `_trial_tallies` keeps only the first-attempt known counts and the
+    field sums of each such group. Known-bit
     statistics are taken from the first attempt of each run (the
     unconditioned distribution); restart exhaustion counts as a failed trial,
     not a crash. The dispersion interval needs at least two trials; cheating
@@ -230,12 +233,11 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     start = time.perf_counter()
     alice, bob = _strategies(alice, bob)
     size = max(1, CHUNK // config.raw_length)
-    batches = _map_trials(_trial_batch, (config, alice, bob, size, trials),
-                          -(-trials // size), jobs)
-    first_known = np.concatenate([known for known, _ in batches]).astype(float)
+    tallies = _map_trials(_trial_tallies, (config, alice, bob, size), trials, jobs)
+    first_known = np.concatenate([known for known, _ in tallies]).astype(float)
     # Field sums; a failed trial counts no known bit, mismatch or correct
     # retrieval, so the sums over the successes are the sums over all trials.
-    totals = TrialResult._make(np.sum([sums for _, sums in batches], axis=0).tolist())
+    totals = TrialResult._make(np.sum([sums for _, sums in tallies], axis=0).tolist())
     restarted = totals.restarted
     kept_total = totals.kept_total
     conclusive_total = totals.conclusive_total
@@ -416,14 +418,14 @@ def helstrom_experiment(k: int = 7, trials: int = 100_000, seed: int = 0) -> Exp
 
 
 def bb84_attack_experiment(n: int = 1000, k: int = 4, trials: int = 50,
-                           seed: int = 0) -> ExperimentReport:
+                           seed: int = 0, jobs: int = 1) -> ExperimentReport:
     """Memory attack under basis announcements, with the pair-announcement contrast."""
     stats.require_size("trials", trials, 2)
     start = time.perf_counter()
     memory = monte_carlo(ProtocolConfig(n=n, k=k, seed=seed, announcement="bb84"),
-                         alice=Bb84MemoryAlice(), trials=trials)
+                         alice=Bb84MemoryAlice(), trials=trials, jobs=jobs)
     contrast = monte_carlo(ProtocolConfig(n=n, k=k, seed=seed),
-                           alice=Bb84MemoryAlice(), trials=trials)
+                           alice=Bb84MemoryAlice(), trials=trials, jobs=jobs)
     return ExperimentReport(
         experiment="bb84_memory_attack",
         params={"n": n, "k": k, "trials": trials, "seed": seed},
@@ -466,14 +468,17 @@ def combine_known_sets(known_sets: Sequence[Sequence[int]], n: int) -> np.ndarra
     return combined
 
 
-def _combine_trial(config: ProtocolConfig, m: int, trial: int) -> int:
-    rng = np.random.default_rng([config.seed, trial])
+def _combine_trials(config: ProtocolConfig, m: int, trials: range) -> list[int]:
+    """The combined known-bit count of each trial t of `trials`: m keys made
+    one after another on the stream `[seed, t]`."""
+    from ._seeding import streams
+
     database = np.zeros(config.n, dtype=np.uint8)
-    sets = []
-    for _ in range(m):
-        t = run_protocol(config, database, 0, rng=rng)
-        sets.append(t.key.known)
-    return int(combine_known_sets(sets, config.n).size)
+    counts = []
+    for rng in streams(config.seed, trials):
+        sets = [run_protocol(config, database, 0, rng=rng).key.known for _ in range(m)]
+        counts.append(int(combine_known_sets(sets, config.n).size))
+    return counts
 
 
 def multi_string_combine(m: int, n: int, k: int, trials: int = 200,
@@ -488,7 +493,7 @@ def multi_string_combine(m: int, n: int, k: int, trials: int = 200,
     stats.require_size("trials", trials)
     start = time.perf_counter()
     config = ProtocolConfig(n=n, k=k, seed=seed, max_restarts=200)
-    counts = _map_trials(_combine_trial, (config, m), trials, jobs)
+    counts = _map_trials(_combine_trials, (config, m), trials, jobs)
 
     values, freqs = np.unique(np.asarray(counts), return_counts=True)
     distribution = {int(v): int(f) for v, f in zip(values, freqs)}

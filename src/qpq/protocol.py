@@ -50,14 +50,19 @@ Her records keep the table entries packed (`AliceRecords`), which the folds
 `_attempts` makes every attempt but a transcript's replay: each of
 `run_protocol`'s attempts, a batch of `monte_carlo`'s first attempts and
 the known-bit runs of the provider reports. It alone picks how: through
-the user's own `known_final` against `HonestBob` (`UsdAlice`), with no
-records; for the honest pair, streamed in O(n + CHUNK) memory or a batch
-of two or more gathered as one array; else one `_run_attempt` each, which
-holds Bob's code and Alice's packed records at raw length. Every route
-gives the key, counts and generator state of `_run_attempt`. A
-transcript keeps its final attempt's start state and strategies; the
-full-length per-qubit record (`Transcript.records`), which derives every
-posterior whatever the strategy, is made again from them when read.
+the user's own `known_final` against `HonestBob` (`UsdAlice`,
+`Bb84MemoryAlice`), with no records; for the honest pair, streamed in
+O(n + CHUNK) memory or a batch of two or more gathered as one array; else
+one `_run_attempt` each, which holds Bob's code and Alice's packed records
+at raw length. Every route gives the key, counts and generator state of
+`_run_attempt`. A transcript keeps its final attempt's start state and
+strategies; the full-length per-qubit record (`Transcript.records`), which
+derives every posterior whatever the strategy, is made again from them
+when read.
+
+`_generator_at` copies a generator through `_seeding.StateWords`, with
+no `SeedSequence` hash; `_seeding.streams` makes the drivers' per-trial
+streams the same way.
 
 Each strategy class states its closed forms for a config as one `Law`
 (`law`): the chance that a kept qubit is conclusive for Alice, and the
@@ -424,8 +429,11 @@ def _gather_in_place(table: np.ndarray, records: np.ndarray, code: np.ndarray,
 
 
 def _generator_at(state: dict):
-    """A new bit generator of the `numpy.random` kind that `state` names, set to it."""
-    bitgen = getattr(np.random, state["bit_generator"])(0)
+    """A new bit generator of the `numpy.random` kind that `state` names, set
+    to it; made from zeros (`StateWords`), not through a seed's hash."""
+    from ._seeding import StateWords
+
+    bitgen = getattr(np.random, state["bit_generator"])(StateWords())
     bitgen.state = state
     return bitgen
 

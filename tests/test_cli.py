@@ -61,6 +61,24 @@ class TestUsageAndValidation:
     def test_jobs_only_where_a_trial_loop_reads_it(self, command, tmp_path):
         assert run_cli(command + ["--jobs", "1", "--out", str(tmp_path / "r.json")]) == 1
 
+    @pytest.mark.parametrize("strategy,driver", [
+        ("usd", "usd_attack_experiment"), ("bb84", "bb84_attack_experiment")])
+    def test_attack_alice_passes_jobs_to_its_trial_loops(self, strategy, driver, tmp_path,
+                                                         monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def stub(**kwargs):
+            seen.append(kwargs["jobs"])
+            raise Stop
+
+        seen = []
+        monkeypatch.setattr(experiments, driver, stub)
+        with pytest.raises(Stop):
+            run_cli(["attack-alice", "--strategy", strategy, "--jobs", "2",
+                     "--out", str(tmp_path / "r.json")])
+        assert seen == [2]
+
 
 class TestTable1:
     def test_prints_six_rows_and_exits_zero(self, tmp_path, capsys):

@@ -372,10 +372,12 @@ class TestTrialBatches:
         assert (monte_carlo(config, trials=37, jobs=2).to_json()
                 == monte_carlo(config, trials=37, jobs=1).to_json())
 
-    @pytest.mark.parametrize("user", [HonestAlice, UsdAlice], ids=["honest", "usd"])
+    @pytest.mark.parametrize("user", [HonestAlice, UsdAlice, Bb84MemoryAlice],
+                             ids=["honest", "usd", "bb84-memory"])
     def test_honest_subclasses_keep_their_own_seams(self, user):
         """A strategy that overrides a user's `respond` keeps its own seams: the
-        honest routes and `UsdAlice.known_final` serve those classes alone."""
+        honest routes and the `known_final` of `UsdAlice` and of
+        `Bb84MemoryAlice` serve those classes alone."""
         responses = []
 
         class CountingAlice(user):
@@ -463,6 +465,18 @@ class TestAttackExperiments:
         assert report.all_passed()
         assert report.analytic["known_mean_bb84"] == 300.0
 
+    def test_bb84_report_does_not_depend_on_jobs(self, monkeypatch):
+        """Both runs take `jobs`; at n = 40, k = 3 about a third of the
+        contrast's trials restart."""
+        jobs = []
+        map_trials = experiments._map_trials
+        monkeypatch.setattr(experiments, "_map_trials",
+                            lambda fn, args, count, n_jobs: jobs.append(n_jobs)
+                            or map_trials(fn, args, count, n_jobs))
+        two = bb84_attack_experiment(n=40, k=3, trials=30, seed=5, jobs=2).to_json()
+        assert jobs == [2, 2]
+        assert two == bb84_attack_experiment(n=40, k=3, trials=30, seed=5, jobs=1).to_json()
+
     @pytest.mark.parametrize("call, message", [
         (lambda: monte_carlo(ProtocolConfig(n=10, k=1), trials=1), "trials must be >= 2"),
         (lambda: bb84_attack_experiment(n=10, k=1, trials=1), "trials must be >= 2"),
@@ -541,8 +555,8 @@ class TestCombine:
         assert a.to_json() == b.to_json()
 
 
-def _square(base, t):
-    return base + t * t
+def _squares(base, span):
+    return [base + t * t for t in span]
 
 
 class TestKeysStayArrays:
@@ -595,11 +609,11 @@ class TestTrialMapper:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
-        assert experiments._map_trials(_square, (10,), 1, jobs=64) == [10]
-        assert experiments._map_trials(_square, (10,), 4, jobs=1) == [10, 11, 14, 19]
+        assert experiments._map_trials(_squares, (10,), 1, jobs=64) == [10]
+        assert experiments._map_trials(_squares, (10,), 4, jobs=1) == [10, 11, 14, 19]
 
     def test_two_workers_keep_trial_order(self):
-        assert experiments._map_trials(_square, (1,), 5, jobs=2) == [1, 2, 5, 10, 17]
+        assert experiments._map_trials(_squares, (1,), 5, jobs=2) == [1, 2, 5, 10, 17]
 
 
 class TestReportRendering:

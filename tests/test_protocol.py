@@ -1299,11 +1299,30 @@ def known_final_twins(kind, seed, spare: int, count: int) -> tuple[list, list]:
     return twins
 
 
+def assert_attempts_match_materialized(config, alice, mine, refs):
+    """`_attempts` on the generators `mine` gives, per attempt, the key and
+    conclusive count of `_run_attempt` and the folds on its twin in `refs`,
+    and leaves each generator in its twin's state."""
+    got = protocol._attempts(config, alice, HonestBob(), mine)
+    assert len(got) == len(refs)
+    for (key, conclusive), ref in zip(got, refs):
+        att = protocol._run_attempt(config, alice, HonestBob(), ref)
+        want = fold(att.bob_bits, att.alice.packed, config.n, config.k)
+        for field_name in ("bob_key", "known", "bits"):
+            value, expected = getattr(key, field_name), getattr(want, field_name)
+            assert value.dtype == expected.dtype, field_name
+            assert np.array_equal(value, expected), field_name
+        assert conclusive == att.alice.conclusive_count
+    for rng, ref in zip(mine, refs):
+        assert_same_state_and_draws(rng, ref)
+    return got
+
+
 class TestKnownFinalAttempt:
-    """`UsdAlice` defines `known_final`, so `_attempts` makes her attempts
-    against `HonestBob` without records: the same key, conclusive count,
-    generator state and later draws as `_run_attempt` and the folds on twin
-    generators."""
+    """`UsdAlice` and `Bb84MemoryAlice` define `known_final`, so `_attempts`
+    makes their attempts against `HonestBob` without records: the same key,
+    conclusive count, generator state and later draws as `_run_attempt` and
+    the folds on twin generators."""
 
     # id: (bit generator, spare half at entry, n, k, eta, generators in the batch)
     CASES = {
@@ -1323,20 +1342,25 @@ class TestKnownFinalAttempt:
         kind, spare, n, k, eta, batch = self.CASES[name]
         config = ProtocolConfig(n=n, k=k, eta=eta)
         mine, refs = known_final_twins(kind, [n, k], spare, batch)
-        got = protocol._attempts(config, UsdAlice(), HonestBob(), mine)
+        got = assert_attempts_match_materialized(config, UsdAlice(), mine, refs)
         assert len(got) == batch
-        for (key, conclusive), ref in zip(got, refs):
-            att = protocol._run_attempt(config, UsdAlice(), HonestBob(), ref)
-            want = fold(att.bob_bits, att.alice.packed, n, k)
-            for field_name in ("bob_key", "known", "bits"):
-                value, expected = getattr(key, field_name), getattr(want, field_name)
-                assert value.dtype == expected.dtype, field_name
-                assert np.array_equal(value, expected), field_name
-            assert conclusive == att.alice.conclusive_count
-        for rng, ref in zip(mine, refs):
-            assert_same_state_and_draws(rng, ref)
         if name in ("pcg64", "k-1", "chunk-and-odd-piece"):
             assert got[0][0].known.size > 0
+
+    @pytest.mark.parametrize("announcement", ["bb84", "sarg"])
+    @pytest.mark.parametrize("eta", [1.0, 0.6])
+    @pytest.mark.parametrize("n,k,spare", [(40, 3, 1), (1000, 4, 0), (9363, 7, 1)],
+                             ids=["40-3-spare", "1000-4", "9363-7-spare"])
+    def test_memory_attack_matches_the_materialized_one(self, announcement, eta, n, k,
+                                                        spare):
+        """Under basis announcements every position is known and nothing is
+        drawn; against pairs her attempt is `UsdAlice`'s. 9363 * 7 = 65,541
+        raw qubits are one `CHUNK` and an odd piece; a batch of 3 at n = 40."""
+        config = ProtocolConfig(n=n, k=k, eta=eta, announcement=announcement)
+        mine, refs = known_final_twins(np.random.PCG64, [n, k, 5], spare, 3 if n == 40 else 1)
+        got = assert_attempts_match_materialized(config, Bb84MemoryAlice(), mine, refs)
+        if announcement == "bb84":
+            assert all(key.known.size == n and conclusive == n * k for key, conclusive in got)
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -1366,14 +1390,14 @@ class TestKnownFinalAttempt:
         assert report.empirical["restart_fraction"] > 0
         assert calls == []
 
-    def test_the_memory_attack_stays_on_records(self, calls):
-        """`Bb84MemoryAlice` has no `known_final` of its own, so each of her
-        attempts against pairs is one `_run_attempt` through `UsdAlice.respond`."""
-        assert "known_final" not in vars(Bb84MemoryAlice)
+    def test_the_memory_attack_makes_no_records_until_the_final_attempt_is_read(self, calls):
+        """`Bb84MemoryAlice` against pairs takes `UsdAlice.known_final`; her
+        replayed final attempt goes through `UsdAlice.respond`."""
         config = ProtocolConfig(n=40, k=3, seed=4)
         t = run_protocol(config, np.zeros(40, dtype=np.uint8), 0, alice=Bb84MemoryAlice())
-        assert t.restarts > 0
-        assert calls == ["_run_attempt", "respond"] * (t.restarts + 1)
+        assert t.restarts > 0 and calls == []
+        t.records
+        assert calls == ["_run_attempt", "respond"]
 
 
 # (offset, spare, kind): a copy of PCG64 or PCG64DXSM read from each offset,

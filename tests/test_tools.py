@@ -40,8 +40,11 @@ class TestCompareCli:
             "attack-bob", "--strategy", "entangle", "--mode", "honest_basis"]
         assert commands["attack-bob bias fair"] == ["attack-bob", "--strategy", "bias",
                                                     "--phi", "0"]
+        assert commands["attack-alice bb84 jobs 2"] == [
+            "attack-alice", "--strategy", "bb84", "--jobs", "2"]
+        assert commands["combine jobs 2"] == ["combine", "--jobs", "2"]
         assert commands["run"] == ["run"] and commands["combine"] == ["combine"]
-        assert len(commands) == 22
+        assert len(commands) == 24
 
     def test_one_command_against_the_same_tree_matches(self):
         """usd-curve writes a JSON report and a CSV file; two fresh runs agree."""

@@ -44,6 +44,9 @@ TIMEOUT_S = 600.0
 # The two attack-bob layouts key the known-bit runs' attempt: the honest
 # register basis draws Bob's key record as floats, and the bias at phi = 0
 # meets `HonestAlice.respond`'s fair-coin path.
+# The two `--jobs 2` runs split their trials over two processes, each of
+# which seeds the `[seed, t]` streams of its own span in one pass, so they
+# check that the reports do not depend on the process count.
 EXTRA_COMMANDS = {
     "run -v": ["run", "-v"],
     "run -v lossy": ["run", "-v", "--n", "500", "--k", "2", "--eta", "0.5"],
@@ -61,6 +64,8 @@ EXTRA_COMMANDS = {
     "attack-bob entangle honest": ["attack-bob", "--strategy", "entangle", "--mode",
                                    "honest_basis"],
     "attack-bob bias fair": ["attack-bob", "--strategy", "bias", "--phi", "0"],
+    "attack-alice bb84 jobs 2": ["attack-alice", "--strategy", "bb84", "--jobs", "2"],
+    "combine jobs 2": ["combine", "--jobs", "2"],
 }
 
 
