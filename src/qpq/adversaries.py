@@ -589,8 +589,8 @@ def _known_bits_through_runs(bob, n: int, k: int, runs: int, seed: int,
     """
     config = ProtocolConfig(n=runs * n, k=k, seed=seed)
     rng = np.random.default_rng([seed, stream, 1])
-    [(key, _)] = _attempts(config, HonestAlice(), bob, [rng])
-    mean, hw = stats.mean_ci(np.bincount(key.known // n, minlength=runs))
+    keys = _attempts(config, HonestAlice(), bob, [rng])
+    mean, hw = stats.mean_ci(np.bincount(keys.cols // n, minlength=runs))
     return mean, hw, n * bob.law(config).conclusive ** k
 
 

@@ -132,9 +132,12 @@ def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> Iterato
     target. One `_seeding.streams` call makes every stream.
 
     `_attempts` makes the first attempts of each CHUNK // (n * k) trials
-    (at least one) on their streams as one batch. A trial whose first
-    attempt knows no bit goes on along that stream through `run_protocol`
-    with one restart fewer; with no restart left it fails.
+    (at least one) on their streams as one batch, and its record is tallied
+    as whole arrays: each attempt's known count and known-bit mismatches.
+    A trial whose first attempt knows a bit then draws its query place,
+    encrypts and decrypts; one whose first attempt knows no bit goes on
+    along that stream through `run_protocol` with one restart fewer; with
+    no restart left it fails.
     """
     from ._seeding import streams
 
@@ -145,19 +148,26 @@ def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> Iterato
         for rng in batch:
             database = _fair_bits(rng, config.n, np.uint8)
             inputs.append((rng, database, int(rng.integers(config.n))))
-        firsts = _attempts(config, alice, bob, batch)
-        for (rng, database, target), (key, conclusive) in zip(inputs, firsts):
-            restarted = not key.known.size
+        keys = _attempts(config, alice, bob, batch)
+        known = np.bincount(keys.rows, minlength=len(batch))
+        wrong = np.bincount(keys.rows[keys.bits != keys.bob_keys[keys.rows, keys.cols]],
+                            minlength=len(batch))
+        firsts = zip(known.tolist(), (np.cumsum(known) - known).tolist(), wrong.tolist(),
+                     keys.conclusive.tolist())
+        for t, ((rng, database, target), (first, lo, mismatches, conclusive)) in enumerate(
+                zip(inputs, firsts)):
+            final = first
             try:
-                if not restarted:
-                    place, shift = query_shift(key.known, target, config.n, rng)
-                    ciphertext = encrypt_database(database, key.bob_key, shift)
-                    retrieved, later = decrypt_bit(ciphertext, target, key.bits[place]), []
+                if first:
+                    place, shift = query_shift(keys.cols[lo:lo + first], target, config.n, rng)
+                    ciphertext = encrypt_database(database, keys.bob_keys[t], shift)
+                    retrieved = decrypt_bit(ciphertext, target, keys.bits[lo + place])
+                    later = []
                 elif config.max_restarts:
                     fewer = dataclasses.replace(config, max_restarts=config.max_restarts - 1)
                     run = run_protocol(fewer, database, target, alice=alice, bob=bob, rng=rng)
-                    key, retrieved = run.key, run.retrieved_bit
-                    later = run.attempt_conclusive_counts
+                    final, mismatches = run.key.known.size, len(run.key.mismatched_indices())
+                    retrieved, later = run.retrieved_bit, run.attempt_conclusive_counts
                 else:  # no restart left: the trial fails after its first attempt
                     raise RestartLimitExceeded([])
             except RestartLimitExceeded as exc:
@@ -165,10 +175,9 @@ def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> Iterato
                                   need * (exc.attempts + 1), False)
                 continue
             yield TrialResult(
-                success=True, restarted=restarted,
-                first_known=0 if restarted else key.known.size,
-                final_known=key.known.size, known_mismatches=len(key.mismatched_indices()),
-                conclusive_total=conclusive + sum(later), kept_total=need * (len(later) + 1),
+                success=True, restarted=not first, first_known=first, final_known=final,
+                known_mismatches=mismatches, conclusive_total=conclusive + sum(later),
+                kept_total=need * (len(later) + 1),
                 retrieved_correct=retrieved == int(database[target]))
 
 
@@ -221,9 +230,10 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     `known_wrong` of 0 adds the exact retrieval and known-bit soundness checks.
     Each trial owns the stream derived from (config.seed, trial index), so
     results are identical for any job count and batching: `_trial_results`
-    makes the first attempts of CHUNK // (n * k) trials as one batch, and
-    `_trial_tallies` keeps only the first-attempt known counts and the
-    field sums of each such group. Known-bit
+    makes the first attempts of CHUNK // (n * k) trials as one batch and
+    tallies its keys as arrays, building no `ObliviousKey` but for a trial
+    that restarts, and `_trial_tallies` keeps only the first-attempt known
+    counts and the field sums of each such group. Known-bit
     statistics are taken from the first attempt of each run (the
     unconditioned distribution); restart exhaustion counts as a failed trial,
     not a crash. The dispersion interval needs at least two trials; cheating

@@ -44,8 +44,8 @@ Bob's draw, masked to its three used bits, is his one per-qubit array
 in her records, where each chunk becomes her table index,
 code * 4 + basis * 2 + coin, and is gathered in place, two qubits per
 uint16, from one table cached per layout and announcement (`_respond_table`).
-Her records keep the table entries packed (`AliceRecords`), which the folds
-(`_fold_rows`, `_known_key`) read.
+Her records keep the table entries packed (`AliceRecords`), which the fold
+(`_fold_rows`) reads.
 
 `_attempts` makes every attempt but a transcript's replay: each of
 `run_protocol`'s attempts, a batch of `monte_carlo`'s first attempts and
@@ -54,11 +54,14 @@ the user's own `known_final` against `HonestBob` (`UsdAlice`,
 `Bb84MemoryAlice`), with no records; for the honest pair, streamed in
 O(n + CHUNK) memory or a batch of two or more gathered as one array; else
 one `_run_attempt` each, which holds Bob's code and Alice's packed records
-at raw length. Every route gives the key, counts and generator state of
-`_run_attempt`. A transcript keeps its final attempt's start state and
-strategies; the full-length per-qubit record (`Transcript.records`), which
-derives every posterior whatever the strategy, is made again from them
-when read.
+at raw length. Every route gives the keys, counts and generator state of
+`_run_attempt`, as one `AttemptKeys` record per batch: Bob's keys, Alice's
+known positions and bits and her conclusive counts as whole arrays, which
+`monte_carlo` tallies without building an `ObliviousKey`. Only
+`run_protocol` builds one, for its transcript. A transcript keeps its final
+attempt's start state and strategies; the full-length per-qubit record
+(`Transcript.records`), which derives every posterior whatever the
+strategy, is made again from them when read.
 
 `_generator_at` copies a generator through `_seeding.StateWords`, with
 no `SeedSequence` hash; `_seeding.streams` makes the drivers' per-trial
@@ -695,12 +698,6 @@ class AliceRecords:
         bit &= 3
         return bit.view(np.int8) - 1
 
-    @property
-    def conclusive_count(self) -> int:
-        """Number of conclusive qubits, counted `CHUNK` at a time."""
-        return sum(int(np.count_nonzero(self.packed[start:start + CHUNK] & 4))
-                   for start in range(0, self.packed.size, CHUNK))
-
 
 @dataclass(frozen=True)
 class HonestBob:
@@ -774,27 +771,47 @@ def _fold(ufunc: np.ufunc, raw: np.ndarray, n: int, k: int) -> np.ndarray:
     return ufunc.reduce(raw.reshape(raw.shape[:-1] + (k, n)), axis=-2)
 
 
-def _fold_rows(bob_bits: np.ndarray, packed: np.ndarray, n: int,
-               k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's key, his raw bits (the lowest bit of each entry, of any integer
-    dtype) XOR-folded, and Alice's known columns, a bool per key position
-    where the conclusive flag (bit 2) of her `AliceRecords.packed` is set in
-    all k rows; see `_fold`."""
-    bob_key = _fold(np.bitwise_xor, bob_bits, n, k)
-    bob_key &= 1
-    # `!= 0` makes bools, on which `flatnonzero` and `count_nonzero` are
-    # several times faster than on bytes.
-    return bob_key, (_fold(np.bitwise_and, packed, n, k) & 4) != 0
+@dataclass(eq=False)
+class AttemptKeys:
+    """The keys of B attempts as arrays: Bob's, (B, n) uint8; Alice's known
+    positions, `rows` (the attempt) and `cols`, intp in row-major order, and
+    her uint8 `bits` there; her `conclusive` count per attempt, (B,)."""
+
+    bob_keys: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    bits: np.ndarray
+    conclusive: np.ndarray
+
+    def key(self, t: int) -> ObliviousKey:
+        # A lone attempt's entries are all of them: no search (≈2-3 µs).
+        entries = (slice(*self.rows.searchsorted((t, t + 1))) if len(self.bob_keys) > 1
+                   else slice(None))
+        return ObliviousKey(self.bob_keys[t], self.cols[entries], self.bits[entries])
 
 
-def _known_key(bob_key: np.ndarray, known: np.ndarray, packed: np.ndarray, n: int,
-               k: int) -> ObliviousKey:
-    """One attempt's key from its `_fold_rows`: Alice's value of each known
-    column is the XOR of bit 4 of her `packed` records, her raw bit, over
-    the rows, which is folded only there."""
-    idx = np.flatnonzero(known)
-    vals = (np.bitwise_xor.reduce(packed.reshape(k, n)[:, idx], axis=0) >> 4) & 1
-    return ObliviousKey(bob_key, idx, vals)
+def _fold_rows(bob_bits: np.ndarray, packed: np.ndarray, n: int, k: int) -> AttemptKeys:
+    """The keys of attempts from their raw arrays, a row of n * k per attempt:
+    Bob's raw bits (the lowest bit of each entry, of any integer dtype)
+    XOR-folded; Alice's known columns, where the conclusive flag (bit 2) of
+    her `AliceRecords.packed` is set in all k rows, and there the XOR of
+    bit 4, her raw bit, over the rows; her conclusive counts, `CHUNK`
+    columns at a time. See `_fold`."""
+    bob_keys = _fold(np.bitwise_xor, bob_bits, n, k).astype(np.uint8, copy=False)
+    bob_keys &= 1
+    # `!= 0` makes bools, on which `flatnonzero` is several times faster than
+    # on bytes, and than `nonzero` on two axes (4 against 32 µs at n = 10^4).
+    rows, cols = np.divmod(np.flatnonzero((_fold(np.bitwise_and, packed, n, k) & 4) != 0), n)
+    bits = np.bitwise_xor.reduce(packed.reshape(-1, k, n)[rows, :, cols], axis=1)
+    bits >>= 4
+    bits &= 1
+    counts = [0] * len(packed)
+    for start in range(0, packed.shape[1], CHUNK):
+        # Row by row: `count_nonzero` along an axis casts to bool and sums,
+        # 2-3x slower here and a further `CHUNK` bytes.
+        counts = [count + np.count_nonzero(row)
+                  for count, row in zip(counts, packed[:, start:start + CHUNK] & 4)]
+    return AttemptKeys(bob_keys, rows, cols, bits, np.array(counts))
 
 
 # --------------------------------------------------------------------------
@@ -814,11 +831,11 @@ def _state_after(rng: np.random.Generator, count: int) -> None:
     reader.finish(count)
 
 
-def _streamed_attempt(config: ProtocolConfig, rng: np.random.Generator) -> tuple[ObliviousKey, int]:
+def _streamed_attempt(config: ProtocolConfig, rng: np.random.Generator) -> AttemptKeys:
     """One honest attempt against pairs at eta = 1 on a PCG64 or PCG64DXSM
-    generator, with n >= `CHUNK`: its key and Alice's conclusive count,
-    exactly as `_run_attempt` and the folds give them, and the generator
-    left in the same state.
+    generator, with n >= `CHUNK`: its key and Alice's conclusive count as a
+    record of one attempt, exactly as `_run_attempt` and the folds give
+    them, and the generator left in the same state.
 
     No raw-length array is made. Each of the k rows of Bob's draw and of
     Alice's, which follows it, is read through a `_DrawReader`, one column
@@ -872,9 +889,10 @@ def _streamed_attempt(config: ProtocolConfig, rng: np.random.Generator) -> tuple
         bit_parts.append((alice_xor.view(np.uint8)[idx] >> 1) & 1)
         idx_parts.append(idx + start)
     alice[-1].finish(count)
-    bits = _joined(bit_parts)
+    idx, bits = _joined(idx_parts), _joined(bit_parts)
     bits ^= k & 1
-    return ObliviousKey(bob_key, _joined(idx_parts), bits), conclusive
+    return AttemptKeys(bob_key[None], np.zeros(idx.size, np.intp), idx, bits,
+                       np.array([conclusive]))
 
 
 def query_shift(known: np.ndarray, target_index: int, n: int,
@@ -1056,34 +1074,39 @@ def _run_attempt(config: ProtocolConfig, alice, bob, rng: np.random.Generator) -
 
 
 def _attempts(config: ProtocolConfig, alice, bob,
-              rngs: list[np.random.Generator]) -> list[tuple[ObliviousKey, int]]:
-    """One attempt per generator, drawn as `_run_attempt` draws it: its key and
-    Alice's conclusive count. A user whose own class (not a parent) defines
-    `known_final`, against `HonestBob` itself, gives her known final bits
-    and count from it, with no records, and Bob's key is the fold of his
-    `key_bits`, read without her records. The honest pair itself (not a
-    subclass) streams an attempt alone on a PCG64 or PCG64DXSM generator
-    against pairs at eta = 1 with n >= `CHUNK`, and gathers a batch of two
-    or more attempts that fits in `CHUNK` qubits in one array; every other
-    attempt, lone or in a batch, is one `_run_attempt`, and the records of a
-    batch are folded once.
+              rngs: list[np.random.Generator]) -> AttemptKeys:
+    """One attempt per generator, drawn as `_run_attempt` draws it, all in one
+    `AttemptKeys` record: row t holds the key and Alice's conclusive count
+    of the attempt on rngs[t]. A user whose own class (not a parent)
+    defines `known_final`, against `HonestBob` itself, gives her known
+    final bits and count from it, with no records, and each Bob key row is
+    the fold of his `key_bits`, read without her records. The honest pair
+    itself (not a subclass) streams an attempt alone on a PCG64 or
+    PCG64DXSM generator against pairs at eta = 1 with n >= `CHUNK`, and
+    gathers a batch of two or more attempts that fits in `CHUNK` qubits in
+    one array; every other attempt, lone or in a batch, is one
+    `_run_attempt`. The raw arrays of a batch are folded once (`_fold_rows`).
     """
     n, k, need = config.n, config.k, config.raw_length
     if "known_final" in vars(type(alice)) and type(bob) is HonestBob:
-        keys = []
-        for rng in rngs:
+        bob_keys = np.empty((len(rngs), n), dtype=np.uint8)
+        finals = []
+        for bob_key, rng in zip(bob_keys, rngs):
             rounds, _, kept = _send(config, bob, rng)
-            known, bits, conclusive = alice.known_final(rounds, kept, config, rng)
-            bob_key = _fold(np.bitwise_xor, bob.key_bits(rounds, kept, None, config, rng), n, k)
-            bob_key &= 1
-            keys.append((ObliviousKey(bob_key, known, bits), conclusive))
-        return keys
+            finals.append(alice.known_final(rounds, kept, config, rng))
+            raw = bob.key_bits(rounds, kept, None, config, rng)
+            np.bitwise_xor.reduce(raw.reshape(k, n), axis=0, out=bob_key)
+        bob_keys &= 1
+        known, bits, conclusive = zip(*finals)
+        rows = np.repeat(np.arange(len(rngs)), [cols.size for cols in known])
+        return AttemptKeys(bob_keys, rows, np.concatenate(known),
+                           np.concatenate(bits).astype(np.uint8), np.array(conclusive))
     honest = type(alice) is HonestAlice and type(bob) is HonestBob
     # `advance(d)` of PCG64 and PCG64DXSM moves exactly d outputs on.
     if (honest and len(rngs) == 1 and config.eta == 1.0 and config.announcement == "sarg"
             and n >= CHUNK
             and type(rngs[0].bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)):
-        return [_streamed_attempt(config, rngs[0])]
+        return _streamed_attempt(config, rngs[0])
     if honest and len(rngs) > 1 and len(rngs) * need <= CHUNK:
         layout = HONEST_LAYOUTS[config.announcement]
         codes = []
@@ -1105,9 +1128,7 @@ def _attempts(config: ProtocolConfig, alice, bob,
         attempts = [_run_attempt(config, alice, bob, rng) for rng in rngs]
         bob_bits = _joined([att.bob_bits for att in attempts]).reshape(len(rngs), need)
         packed = _joined([att.alice.packed for att in attempts]).reshape(len(rngs), need)
-    bob_keys, known = _fold_rows(bob_bits, packed, n, k)
-    return [(_known_key(*row, n, k), AliceRecords(row[2]).conclusive_count)
-            for row in zip(bob_keys, known, packed)]
+    return _fold_rows(bob_bits, packed, n, k)
 
 
 def _scatter_records(att: _Attempt) -> RawRecords:
@@ -1179,15 +1200,16 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
     conclusive_counts: list[int] = []
     for _ in range(config.max_restarts + 1):
         start = rng.bit_generator.state
-        [(key, conclusive)] = _attempts(config, alice, bob, [rng])
-        known_counts.append(key.known.size)
-        conclusive_counts.append(conclusive)
-        if key.known.size:
+        keys = _attempts(config, alice, bob, [rng])
+        known_counts.append(keys.cols.size)
+        conclusive_counts.append(int(keys.conclusive[0]))
+        if keys.cols.size:
             break
-        key = None  # release this attempt's key before the next one
+        keys = None  # release this attempt's keys before the next one
     else:
         raise RestartLimitExceeded(conclusive_counts)
 
+    key = keys.key(0)
     place, shift = query_shift(key.known, target_index, config.n, rng)
     ciphertext = encrypt_database(x, key.bob_key, shift)
     retrieved = decrypt_bit(ciphertext, target_index, key.bits[place])

@@ -1,5 +1,6 @@
 """Shared helpers: random states, the dense discrimination routines, brute-force
-twins used as oracles, cheat detection and run tallies.
+twins used as oracles (the engine's key fold among them), cheat detection and
+run tallies.
 
 Trace distance, fidelity, the unambiguous-discrimination bound and cheat
 detection run in no command or report of the package, only as the tests'
@@ -31,6 +32,7 @@ from qpq.protocol import (
     CONCLUSIVE_TABLE,
     AliceRecords,
     BobRounds,
+    ObliviousKey,
     ProtocolConfig,
     Transcript,
     run_protocol,
@@ -167,6 +169,23 @@ def cheat_detection(transcripts: Iterable[Transcript], n_check: int) -> float | 
     if not outcomes:
         return None
     return float(np.mean(outcomes))
+
+
+def folded_key(bob_bits: np.ndarray, packed: np.ndarray, n: int,
+               k: int) -> tuple[ObliviousKey, int]:
+    """One attempt's key and Alice's conclusive count, folded on their own from
+    its raw arrays of n * k entries: the oracle of `protocol._fold_rows`.
+
+    Bob's key is the XOR of his raw bits (the lowest bit of each entry) over
+    the k rows; Alice knows the columns whose conclusive flag (bit 2 of her
+    packed records) is set in every row, and her value there is the XOR of
+    her raw bits (bit 4) over the rows.
+    """
+    rows = np.asarray(packed).reshape(k, n)
+    bob_key = np.bitwise_xor.reduce(np.asarray(bob_bits).reshape(k, n), axis=0) & 1
+    known = np.flatnonzero(np.bitwise_and.reduce(rows, axis=0) & 4)
+    bits = (np.bitwise_xor.reduce(rows[:, known], axis=0) >> 4) & 1
+    return ObliviousKey(bob_key, known, bits), int(np.count_nonzero(rows & 4))
 
 
 def honest_category_counts(config: ProtocolConfig, trials: int) -> np.ndarray:

@@ -327,6 +327,35 @@ class TestTrialBatches:
         if config.max_restarts < 3 and empty_firsts:
             assert 0 < sum(not r.success for r in got) < trials
 
+    @pytest.mark.parametrize("announcement", ["bb84", "sarg"], ids=["bases", "pairs"])
+    def test_memory_attack_batches_at_the_audit_size(self, announcement):
+        """`bb84_attack_experiment`'s two runs at its default (1000, 4), 50
+        trials: under bases every trial knows all 1,000 positions, so each
+        batch record holds 16,000 entries in its flat rows and columns."""
+        config = ProtocolConfig(n=1000, k=4, seed=23, announcement=announcement)
+        alice = Bb84MemoryAlice()
+        got = list(experiments._trial_results(config, alice, HonestBob(), range(50)))
+        want = per_trial(config, alice, HonestBob(), range(50))
+        assert got == want
+        assert all(type(a) is type(b) for r, w in zip(got, want) for a, b in zip(r, w))
+        if announcement == "bb84":
+            assert all(r.first_known == 1000 for r in got)
+        else:
+            assert any(r.first_known > 1 for r in got)
+
+    def test_only_restarted_runs_build_a_key(self, monkeypatch):
+        """The batch is tallied as arrays: the only `ObliviousKey`s built are
+        the transcripts' keys of the trials that restarted and succeeded."""
+        config = ProtocolConfig(n=1000, k=4, eta=0.5, seed=23)
+        want = sum(r.restarted and r.success
+                   for r in per_trial(config, HonestAlice(), HonestBob(), range(37)))
+        built = []
+        check = ObliviousKey.__post_init__
+        monkeypatch.setattr(ObliviousKey, "__post_init__",
+                            lambda self: built.append(1) or check(self))
+        monte_carlo(config, trials=37)
+        assert len(built) == want > 0
+
     @pytest.mark.parametrize("n,k,batched", [(CHUNK // 8, 4, True), (CHUNK + 1, 1, False)],
                              ids=["raw-length-chunk", "raw-length-chunk-plus-one"])
     def test_the_honest_gather_stops_past_one_chunk(self, n, k, batched, monkeypatch):

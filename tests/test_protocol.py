@@ -45,7 +45,7 @@ from qpq.protocol import (
     run_protocol,
 )
 
-from conftest import BIT_GENERATORS, honest_category_counts, whole_array_respond
+from conftest import BIT_GENERATORS, folded_key, honest_category_counts, whole_array_respond
 
 
 def three_sigma_count(p, n):
@@ -283,8 +283,8 @@ def seeded_run_records() -> RawRecords:
 
 
 def fold(bob_bits, packed, n, k) -> ObliviousKey:
-    """One attempt's key as the engine folds it: `_fold_rows`, then `_known_key`."""
-    return protocol._known_key(*protocol._fold_rows(bob_bits, packed, n, k), packed, n, k)
+    """One attempt's key as the engine folds it: `_fold_rows` on a batch of one."""
+    return protocol._fold_rows(bob_bits[None], packed[None], n, k).key(0)
 
 
 def reduce(bob_bits, conclusive, alice_bits, n, k) -> ObliviousKey:
@@ -293,8 +293,7 @@ def reduce(bob_bits, conclusive, alice_bits, n, k) -> ObliviousKey:
 
 
 class TestReduceKey:
-    """The engine's k-fold XOR reduction, `_fold_rows` and `_known_key`; -1
-    marks no bit."""
+    """The engine's k-fold XOR reduction, `_fold_rows`; -1 marks no bit."""
 
     def test_k1_is_the_identity_reduction(self):
         key = reduce([1, 0, 0], [True, False, True], [1, -1, 0], n=3, k=1)
@@ -1155,13 +1154,9 @@ class TestStreamedAttempt:
     def test_attempt_matches_the_materialized_one(self, kind, spare, n, k):
         mine, ref = streamed_twins(kind, [n, k], spare)
         config = ProtocolConfig(n=n, k=k)
-        key, conclusive = protocol._streamed_attempt(config, mine)
+        record = protocol._streamed_attempt(config, mine)
         att = protocol._run_attempt(config, HonestAlice(), HonestBob(), ref)
-        want = fold(att.bob_bits, att.alice.packed, n, k)
-        for name in ("bob_key", "known", "bits"):
-            got, expected = getattr(key, name), getattr(want, name)
-            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
-        assert conclusive == att.alice.conclusive_count
+        assert_record_matches(record, [att], n, k)
         assert_same_state_and_draws(mine, ref)
 
     @STREAMED_KINDS
@@ -1274,7 +1269,8 @@ class TestStreamedAttempt:
         monkeypatch.setattr(protocol, "_DrawReader", Reader)
         monkeypatch.setattr(protocol, "_state_after", lambda rng, count: None)
         config = ProtocolConfig(n=bob_bytes.size, k=1)
-        key, conclusive = protocol._streamed_attempt(config, np.random.default_rng(0))
+        record = protocol._streamed_attempt(config, np.random.default_rng(0))
+        key, conclusive = record.key(0), int(record.conclusive[0])
         entries, _ = honest_respond_entries("sarg")
         index = (bob_bytes & 7).astype(np.intp) * 4 + (alice_bytes & 3)
         assert set(index.tolist()) == set(range(32))
@@ -1299,23 +1295,61 @@ def known_final_twins(kind, seed, spare: int, count: int) -> tuple[list, list]:
     return twins
 
 
-def assert_attempts_match_materialized(config, alice, mine, refs):
-    """`_attempts` on the generators `mine` gives, per attempt, the key and
-    conclusive count of `_run_attempt` and the folds on its twin in `refs`,
-    and leaves each generator in its twin's state."""
-    got = protocol._attempts(config, alice, HonestBob(), mine)
-    assert len(got) == len(refs)
-    for (key, conclusive), ref in zip(got, refs):
-        att = protocol._run_attempt(config, alice, HonestBob(), ref)
-        want = fold(att.bob_bits, att.alice.packed, config.n, config.k)
+def assert_record_matches(record, atts, n, k):
+    """An `AttemptKeys` record holds, per attempt in `atts`, the key and
+    conclusive count that `folded_key` folds from its `_run_attempt`
+    arrays, in its stated dtypes; each `key(t)` passes `ObliviousKey`'s own
+    checks and equals the folded key in arrays and dtypes."""
+    assert record.bob_keys.shape == (len(atts), n) and record.bob_keys.dtype == np.uint8
+    for name in ("rows", "cols"):
+        assert getattr(record, name).dtype == np.intp, name
+    assert record.bits.dtype == np.uint8 and record.conclusive.shape == (len(atts),)
+    assert np.array_equal(record.rows, np.sort(record.rows))
+    for t, att in enumerate(atts):
+        key = record.key(t)
+        want, conclusive = folded_key(att.bob_bits, att.alice.packed, n, k)
         for field_name in ("bob_key", "known", "bits"):
             value, expected = getattr(key, field_name), getattr(want, field_name)
             assert value.dtype == expected.dtype, field_name
             assert np.array_equal(value, expected), field_name
-        assert conclusive == att.alice.conclusive_count
+        assert record.conclusive[t] == conclusive
+
+
+def assert_attempts_match_materialized(config, alice, mine, refs, bob=HonestBob()):
+    """`_attempts` on the generators `mine` gives, per attempt, the key and
+    conclusive count of `_run_attempt` and the folds on its twin in `refs`,
+    and leaves each generator in its twin's state."""
+    got = protocol._attempts(config, alice, bob, mine)
+    atts = [protocol._run_attempt(config, alice, bob, ref) for ref in refs]
+    assert_record_matches(got, atts, config.n, config.k)
     for rng, ref in zip(mine, refs):
         assert_same_state_and_draws(rng, ref)
     return got
+
+
+class TestAttemptRecord:
+    """Every route of `_attempts` gives one `AttemptKeys` record whose rows
+    hold the keys and counts of `_run_attempt` and the folds on twin
+    generators (the streamed route: `TestStreamedAttempt`, the `known_final`
+    users: `TestKnownFinalAttempt`)."""
+
+    # id: (alice, bob, n, k, eta, generators in the batch)
+    CASES = {
+        "honest-gathered": (HonestAlice(), HonestBob(), 40, 3, 1.0, 7),
+        "honest-gathered-lossy-odd": (HonestAlice(), HonestBob(), 41, 3, 0.6, 5),
+        "honest-lone": (HonestAlice(), HonestBob(), 300, 3, 0.7, 1),
+        "honest-lone-past-chunk": (HonestAlice(), HonestBob(), CHUNK // 2 + 1, 3, 0.5, 1),
+        "biased-batch": (HonestAlice(), BiasedBob(0.3), 200, 2, 1.0, 6),
+        "register-lone": (HonestAlice(), EntangledBob("honest_basis"), 300, 2, 0.8, 1),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_record_matches_the_materialized_attempts(self, name):
+        alice, bob, n, k, eta, batch = self.CASES[name]
+        config = ProtocolConfig(n=n, k=k, eta=eta)
+        mine, refs = known_final_twins(np.random.PCG64, [n, k, 3], 0, batch)
+        got = assert_attempts_match_materialized(config, alice, mine, refs, bob)
+        assert got.cols.size > 0
 
 
 class TestKnownFinalAttempt:
@@ -1343,9 +1377,9 @@ class TestKnownFinalAttempt:
         config = ProtocolConfig(n=n, k=k, eta=eta)
         mine, refs = known_final_twins(kind, [n, k], spare, batch)
         got = assert_attempts_match_materialized(config, UsdAlice(), mine, refs)
-        assert len(got) == batch
+        assert len(got.bob_keys) == batch
         if name in ("pcg64", "k-1", "chunk-and-odd-piece"):
-            assert got[0][0].known.size > 0
+            assert got.cols.size > 0
 
     @pytest.mark.parametrize("announcement", ["bb84", "sarg"])
     @pytest.mark.parametrize("eta", [1.0, 0.6])
@@ -1360,7 +1394,8 @@ class TestKnownFinalAttempt:
         mine, refs = known_final_twins(np.random.PCG64, [n, k, 5], spare, 3 if n == 40 else 1)
         got = assert_attempts_match_materialized(config, Bb84MemoryAlice(), mine, refs)
         if announcement == "bb84":
-            assert all(key.known.size == n and conclusive == n * k for key, conclusive in got)
+            assert got.cols.size == n * len(mine)
+            assert np.array_equal(got.conclusive, [n * k] * len(mine))
 
     @pytest.fixture
     def calls(self, monkeypatch):
