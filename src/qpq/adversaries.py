@@ -287,9 +287,6 @@ class ProviderRounds:
     p_c: float
     p_b: float              # his bit-guess accuracy, given a conclusive round
     p_c_sigma_rate: float
-    # Register states rebuilt from the rounds; NaN for a class no round fell into.
-    rho_conclusive: np.ndarray | None = None
-    rho_inconclusive: np.ndarray | None = None
 
 
 def _outcome_law(second_prob: np.ndarray) -> np.ndarray:
@@ -486,7 +483,7 @@ def _check_mode(mode: str) -> None:
 
 
 def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> ProviderRounds:
-    """Simulate register rounds; also reconstructs the conditional register states.
+    """Simulate register rounds as counts.
 
     Alice measures her half of the joint state in a random basis; her
     outcome fixes the register state, which Bob then measures in the basis
@@ -508,20 +505,11 @@ def entangled_round_trials(mode: str, trials: int, rng: np.random.Generator) -> 
         p_c_hits = int(counts[(reg_out == 1) == conclusive].sum())
         p_c, p_b = conclusiveness_guess_bound(), 0.5
 
-    per_outcome = counts.sum(axis=(0, 1)).astype(float)
-    outers = np.einsum("oi,oj->oij", ER_REGISTERS, ER_REGISTERS)
-    conc_sel = CONCLUSIVE_TABLE[0]
-    # A class that no round fell into gets a NaN state, without a division.
-    rho_c, rho_n = (np.einsum("o,oij->ij", w, outers) / w.sum() if w.sum()
-                    else np.full((2, 2), np.nan)
-                    for w in (per_outcome * conc_sel, per_outcome * ~conc_sel))
-
     return ProviderRounds(
         trials=trials, conclusive=n_c,
         bit_hits=int(counts[conclusive & (bob_bit == BIT_TABLE[0, alice_outcome])].sum()),
         basis_hits=int(counts[basis_guess == (alice_outcome & 1)].sum()),
-        p_c_hits=p_c_hits, p_c=p_c, p_b=p_b, p_c_sigma_rate=0.5,
-        rho_conclusive=rho_c, rho_inconclusive=rho_n)
+        p_c_hits=p_c_hits, p_c=p_c, p_b=p_b, p_c_sigma_rate=0.5)
 
 
 @dataclass(frozen=True)

@@ -33,9 +33,8 @@ from .protocol import (
     CHUNK,
     HonestAlice,
     ProtocolConfig,
-    RestartLimitExceeded,
-    _attempts,
     _fair_bits,
+    _rounds,
     _strategies,
     decrypt_bit,
     encrypt_database,
@@ -131,54 +130,45 @@ def _trial_results(config: ProtocolConfig, alice, bob, trials: range) -> Iterato
     database (one byte draw's top bits, as `_fair_bits` draws them) and
     target. One `_seeding.streams` call makes every stream.
 
-    `_attempts` makes the first attempts of each CHUNK // (n * k) trials
-    (at least one) on their streams as one batch, and its record is tallied
-    as whole arrays: each attempt's known count and known-bit mismatches.
-    A trial whose first attempt knows a bit then draws its query place,
-    encrypts and decrypts; one whose first attempt knows no bit goes on
-    along that stream through `run_protocol` with one restart fewer; with
-    no restart left it fails.
+    The trials go in batches of CHUNK // (n * k) (at least one) through the
+    engine's restart rounds (`protocol._rounds`). Each round's record gives
+    each attempt's known count and known-bit mismatches as whole arrays, and
+    its conclusive count adds to its trial's. A trial whose attempt knows a
+    bit then draws its query place, encrypts and decrypts on its own stream;
+    one whose every attempt knew no bit fails. No `ObliviousKey` is built.
     """
     from ._seeding import streams
 
     need = config.raw_length
     rngs = streams(config.seed, trials)
     while batch := list(islice(rngs, max(1, CHUNK // need))):
-        inputs = []
-        for rng in batch:
-            database = _fair_bits(rng, config.n, np.uint8)
-            inputs.append((rng, database, int(rng.integers(config.n))))
-        keys = _attempts(config, alice, bob, batch)
-        known = np.bincount(keys.rows, minlength=len(batch))
-        wrong = np.bincount(keys.rows[keys.bits != keys.bob_keys[keys.rows, keys.cols]],
-                            minlength=len(batch))
-        firsts = zip(known.tolist(), (np.cumsum(known) - known).tolist(), wrong.tolist(),
-                     keys.conclusive.tolist())
-        for t, ((rng, database, target), (first, lo, mismatches, conclusive)) in enumerate(
-                zip(inputs, firsts)):
-            final = first
-            try:
-                if first:
-                    place, shift = query_shift(keys.cols[lo:lo + first], target, config.n, rng)
-                    ciphertext = encrypt_database(database, keys.bob_keys[t], shift)
-                    retrieved = decrypt_bit(ciphertext, target, keys.bits[lo + place])
-                    later = []
-                elif config.max_restarts:
-                    fewer = dataclasses.replace(config, max_restarts=config.max_restarts - 1)
-                    run = run_protocol(fewer, database, target, alice=alice, bob=bob, rng=rng)
-                    final, mismatches = run.key.known.size, len(run.key.mismatched_indices())
-                    retrieved, later = run.retrieved_bit, run.attempt_conclusive_counts
-                else:  # no restart left: the trial fails after its first attempt
-                    raise RestartLimitExceeded([])
-            except RestartLimitExceeded as exc:
-                yield TrialResult(False, True, 0, 0, 0, conclusive + sum(exc.conclusive_counts),
-                                  need * (exc.attempts + 1), False)
-                continue
-            yield TrialResult(
-                success=True, restarted=not first, first_known=first, final_known=final,
-                known_mismatches=mismatches, conclusive_total=conclusive + sum(later),
-                kept_total=need * (len(later) + 1),
-                retrieved_correct=retrieved == int(database[target]))
+        inputs = [(_fair_bits(rng, config.n, np.uint8), int(rng.integers(config.n)))
+                  for rng in batch]
+        conclusive = [0] * len(batch)
+        results: list[TrialResult | None] = [None] * len(batch)
+        for attempt, (pending, keys, known) in enumerate(_rounds(config, alice, bob, batch)):
+            wrong = np.bincount(keys.rows[keys.bits != keys.bob_keys[keys.rows, keys.cols]],
+                                minlength=pending.size)
+            rows = zip(pending.tolist(), known.tolist(), wrong.tolist(),
+                       keys.conclusive.tolist())
+            lo = 0  # the row's first entry in the record's flat positions
+            for row, (t, count, mismatches, tally) in enumerate(rows):
+                conclusive[t] += tally
+                if not count:
+                    continue
+                (database, target), rng = inputs[t], batch[t]
+                place, shift = query_shift(keys.cols[lo:lo + count], target, config.n, rng)
+                ciphertext = encrypt_database(database, keys.bob_keys[row], shift)
+                retrieved = decrypt_bit(ciphertext, target, keys.bits[lo + place])
+                results[t] = TrialResult(
+                    success=True, restarted=attempt > 0, first_known=0 if attempt else count,
+                    final_known=count, known_mismatches=mismatches,
+                    conclusive_total=conclusive[t], kept_total=need * (attempt + 1),
+                    retrieved_correct=retrieved == int(database[target]))
+                lo += count
+        for t, result in enumerate(results):
+            yield result or TrialResult(False, True, 0, 0, 0, conclusive[t],
+                                        need * (config.max_restarts + 1), False)
 
 
 def _trial_tallies(config: ProtocolConfig, alice, bob, size: int,
@@ -230,10 +220,10 @@ def monte_carlo(config: ProtocolConfig, alice=None, bob=None, trials: int = 2000
     `known_wrong` of 0 adds the exact retrieval and known-bit soundness checks.
     Each trial owns the stream derived from (config.seed, trial index), so
     results are identical for any job count and batching: `_trial_results`
-    makes the first attempts of CHUNK // (n * k) trials as one batch and
-    tallies its keys as arrays, building no `ObliviousKey` but for a trial
-    that restarts, and `_trial_tallies` keeps only the first-attempt known
-    counts and the field sums of each such group. Known-bit
+    makes the attempts of CHUNK // (n * k) trials round by round as one
+    batch and tallies its keys as arrays, building no `ObliviousKey`, and
+    `_trial_tallies` keeps only the first-attempt known counts and the field
+    sums of each such group. Known-bit
     statistics are taken from the first attempt of each run (the
     unconditioned distribution); restart exhaustion counts as a failed trial,
     not a crash. The dispersion interval needs at least two trials; cheating

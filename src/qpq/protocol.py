@@ -47,10 +47,11 @@ uint16, from one table cached per layout and announcement (`_respond_table`).
 Her records keep the table entries packed (`AliceRecords`), which the fold
 (`_fold_rows`) reads.
 
-`_attempts` makes every attempt but a transcript's replay: each of
-`run_protocol`'s attempts, a batch of `monte_carlo`'s first attempts and
-the known-bit runs of the provider reports. It alone picks how: through
-the user's own `known_final` against `HonestBob` (`UsdAlice`,
+`_attempts` makes every attempt but a transcript's replay: each restart
+round of `_rounds`, the one restart loop, which `run_protocol` and
+`monte_carlo`'s trial batches both iterate, and the known-bit runs of the
+provider reports. It alone picks how: through the user's own
+`known_final` against `HonestBob` (`UsdAlice`,
 `Bb84MemoryAlice`), with no records; for the honest pair, streamed in
 O(n + CHUNK) memory or a batch of two or more gathered as one array; else
 one `_run_attempt` each, which holds Bob's code and Alice's packed records
@@ -97,8 +98,8 @@ class EmptyKnownSet(ProtocolError):
 class RestartLimitExceeded(ProtocolError):
     """Every allowed attempt ended with an empty known set.
 
-    `conclusive_counts` holds Alice's conclusive count of each attempt, so
-    `monte_carlo` still counts the qubits of a failed run.
+    `conclusive_counts` holds Alice's conclusive count of each attempt, so a
+    caller can still count the qubits of a failed run.
     """
 
     def __init__(self, conclusive_counts: list[int]):
@@ -1131,6 +1132,25 @@ def _attempts(config: ProtocolConfig, alice, bob,
     return _fold_rows(bob_bits, packed, n, k)
 
 
+def _rounds(config: ProtocolConfig, alice, bob, rngs: list[np.random.Generator]
+            ) -> Iterator[tuple[np.ndarray, AttemptKeys, np.ndarray]]:
+    """The restart rule over the generators `rngs`: each round, one `_attempts`
+    batch on those whose attempts so far all knew no bit, for at most
+    `max_restarts` + 1 rounds. Yields (pending, keys, known): their indices
+    into `rngs`, the round's record and each attempt's known count. A round
+    is made only when the next one is asked for, so a caller may draw on a
+    generator between rounds once its attempt knew a bit."""
+    pending = np.arange(len(rngs))
+    for _ in range(config.max_restarts + 1):
+        keys = _attempts(config, alice, bob, [rngs[t] for t in pending.tolist()])
+        known = np.bincount(keys.rows, minlength=pending.size)
+        yield pending, keys, known
+        del keys  # released before the next round's attempts
+        pending = pending[known == 0]
+        if not pending.size:
+            return
+
+
 def _scatter_records(att: _Attempt) -> RawRecords:
     total = len(att.rounds)
     pair = att.rounds.pair
@@ -1171,7 +1191,8 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
                  alice=None, bob=None, rng: np.random.Generator | None = None) -> Transcript:
     """Execute attempts until Alice knows a key bit, then retrieve one database bit.
 
-    Raises RestartLimitExceeded when max_restarts + 1 attempts all end with
+    The attempts are the `_rounds` of `rng` alone. Raises
+    RestartLimitExceeded when max_restarts + 1 attempts all end with
     an empty known set. The returned transcript keeps the final attempt's
     start state and strategies, from which its per-qubit record is made on
     first read, plus per-attempt summary counts. The database holds n bools
@@ -1198,14 +1219,14 @@ def run_protocol(config: ProtocolConfig, database, target_index: int,
 
     known_counts: list[int] = []
     conclusive_counts: list[int] = []
-    for _ in range(config.max_restarts + 1):
-        start = rng.bit_generator.state
-        keys = _attempts(config, alice, bob, [rng])
-        known_counts.append(keys.cols.size)
+    start = rng.bit_generator.state
+    for _, keys, known in _rounds(config, alice, bob, [rng]):
+        known_counts.append(int(known[0]))
         conclusive_counts.append(int(keys.conclusive[0]))
-        if keys.cols.size:
+        if known[0]:
             break
         keys = None  # release this attempt's keys before the next one
+        start = rng.bit_generator.state
     else:
         raise RestartLimitExceeded(conclusive_counts)
 

@@ -17,7 +17,6 @@ import pytest
 
 from qpq.adversaries import (
     ER_REGISTER_ONE_PROB,
-    ER_REGISTERS,
     ER_SECOND_PROB,
     HELSTROM_BATCH,
     USD_SUCCESS,
@@ -472,15 +471,7 @@ def entangled_round_trials_per_trial(mode, trials, rng):
         p_c, p_b = 0.25, 1.0
     else:
         p_c, p_b = conclusiveness_guess_bound(), 0.5
-
-    per_outcome = np.bincount(outcome, minlength=4).astype(float)
-    outers = np.einsum("oi,oj->oij", ER_REGISTERS, ER_REGISTERS)
-    conc_sel = CONCLUSIVE_TABLE[0]
-    rho_c = np.einsum("o,oij->ij", per_outcome * conc_sel, outers) / per_outcome[conc_sel].sum()
-    rho_n = np.einsum("o,oij->ij", per_outcome * ~conc_sel, outers) / per_outcome[~conc_sel].sum()
-
-    return ProviderRounds(trials, *counts, p_c=p_c, p_b=p_b, p_c_sigma_rate=0.5,
-                          rho_conclusive=rho_c, rho_inconclusive=rho_n)
+    return ProviderRounds(trials, *counts, p_c=p_c, p_b=p_b, p_c_sigma_rate=0.5)
 
 
 def _enumerated_law(prob, cell, fields, cells):

@@ -451,9 +451,7 @@ def assert_round_record(ev, twin, trials):
 
     The stream-free fields equal the twin's exactly. Each count field is an
     int in [0, trials]; `bit_hits` is at most `conclusive`, and equals it
-    where his guess of a conclusive bit is certain (p_b = 1). A register
-    state is NaN exactly when no round fell into its class, and otherwise a
-    unit-trace, symmetric, positive semidefinite matrix.
+    where his guess of a conclusive bit is certain (p_b = 1).
     """
     for name in ("trials", "p_c", "p_b"):
         got, want = getattr(ev, name), getattr(twin, name)
@@ -464,15 +462,6 @@ def assert_round_record(ev, twin, trials):
     assert ev.bit_hits <= ev.conclusive
     if ev.p_b == 1.0:
         assert ev.bit_hits == ev.conclusive
-    for rho, empty in ((ev.rho_conclusive, ev.conclusive == 0),
-                       (ev.rho_inconclusive, ev.conclusive == trials)):
-        if rho is None:
-            continue
-        assert bool(np.isnan(rho).all()) == empty
-        if not empty:
-            assert abs(np.trace(rho) - 1.0) <= 1e-15
-            np.testing.assert_allclose(rho, rho.T, rtol=0.0, atol=1e-15)
-            assert np.linalg.eigvalsh(rho).min() >= -1e-15
 
 
 class TestRoundBatteryRecords:
@@ -492,7 +481,6 @@ class TestRoundBatteryRecords:
                 assert record.p_c_hits == record.conclusive
                 assert record.p_c_sigma_rate == max(record.conclusive / trials, 1e-9)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in divide")
     @pytest.mark.parametrize("trials", [1, 7, 20_000])
     @pytest.mark.parametrize("mode", ER_MODES)
     def test_entangled_record_matches_the_twin_off_the_stream(self, mode, trials):
@@ -552,9 +540,6 @@ class TestEntangledRegister:
         assert abs(res.p_c_hits / n - 0.8536) <= three_sigma(0.8536, n) + 1e-4
         assert abs(res.bit_hits / res.conclusive - 0.5) <= three_sigma(0.5, res.conclusive)
         assert abs(res.basis_hits / n - 0.5) <= three_sigma(0.5, n)
-        np.testing.assert_allclose(res.rho_conclusive, np.eye(2) / 2, atol=1e-2)
-        np.testing.assert_allclose(res.rho_inconclusive,
-                                   [[0.5, 0.4714], [0.4714, 0.5]], atol=1e-2)
 
     def test_honest_mode_keeps_full_bit_knowledge(self, rng):
         res = entangled_round_trials("honest_basis", 50_000, rng)

@@ -295,7 +295,9 @@ class TestTrialBatches:
         "honest-restarts-0": (None, None, dict(n=7, k=2, eta=0.8, max_restarts=0), 300, True),
         "honest-chunk": (None, None, dict(n=CHUNK // 4, k=4, eta=0.5), 3, False),
         "honest-chunk-plus-one": (None, None, dict(n=CHUNK + 1, k=1, eta=0.5), 3, False),
+        "honest-streamed-restarts": (None, None, dict(n=CHUNK, k=9), 3, True),
         "usd": (UsdAlice(), None, dict(n=40, k=3), 600, True),
+        "usd-exhausts": (UsdAlice(), None, dict(n=7, k=3), 200, True),
         "usd-lossy-past-chunk": (UsdAlice(), None, dict(n=CHUNK // 2 + 1, k=2, eta=0.5), 3,
                                  False),
         "bb84-memory-bases": (Bb84MemoryAlice(), None, dict(n=10, k=2, announcement="bb84"),
@@ -343,18 +345,18 @@ class TestTrialBatches:
         else:
             assert any(r.first_known > 1 for r in got)
 
-    def test_only_restarted_runs_build_a_key(self, monkeypatch):
-        """The batch is tallied as arrays: the only `ObliviousKey`s built are
-        the transcripts' keys of the trials that restarted and succeeded."""
+    def test_no_trial_builds_a_key(self, monkeypatch):
+        """The rounds are tallied as arrays: no `ObliviousKey` is built, not
+        even for the trials that restarted and succeeded."""
         config = ProtocolConfig(n=1000, k=4, eta=0.5, seed=23)
-        want = sum(r.restarted and r.success
+        assert any(r.restarted and r.success
                    for r in per_trial(config, HonestAlice(), HonestBob(), range(37)))
         built = []
         check = ObliviousKey.__post_init__
         monkeypatch.setattr(ObliviousKey, "__post_init__",
                             lambda self: built.append(1) or check(self))
         monte_carlo(config, trials=37)
-        assert len(built) == want > 0
+        assert built == []
 
     @pytest.mark.parametrize("n,k,batched", [(CHUNK // 8, 4, True), (CHUNK + 1, 1, False)],
                              ids=["raw-length-chunk", "raw-length-chunk-plus-one"])

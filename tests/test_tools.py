@@ -18,7 +18,8 @@ class TestCompareCli:
         """The 10 benchmark commands plus `run -v`, a lossy run, an odd
         multi-chunk run, a run with many known bits, a memory attack whose
         contrast restarts, an odd multi-chunk discrimination attack, one
-        shorter than an 8-byte output, three
+        shorter than an 8-byte output, one whose trials use up their
+        restarts, three
         streamed runs: one that restarts, one that starts on a spare half and
         a verbose one, whose records replay its final attempt, and two
         provider attacks: the honest register basis and the bias at phi = 0."""
@@ -33,6 +34,8 @@ class TestCompareCli:
             "attack-alice", "--strategy", "usd", "--n", "9363", "--k", "7", "--trials", "40"]
         assert commands["attack-alice usd tiny"] == [
             "attack-alice", "--strategy", "usd", "--n", "7", "--k", "1", "--trials", "40"]
+        assert commands["attack-alice usd restarts"] == [
+            "attack-alice", "--strategy", "usd", "--n", "7", "--k", "3", "--trials", "200"]
         assert commands["run restarts"] == ["run", "--n", "65536", "--k", "9"]
         assert commands["run odd spare"] == ["run", "--n", "70001", "--k", "3"]
         assert commands["run -v streamed"] == ["run", "-v", "--n", "65536", "--k", "1"]
@@ -44,7 +47,7 @@ class TestCompareCli:
             "attack-alice", "--strategy", "bb84", "--jobs", "2"]
         assert commands["combine jobs 2"] == ["combine", "--jobs", "2"]
         assert commands["run"] == ["run"] and commands["combine"] == ["combine"]
-        assert len(commands) == 24
+        assert len(commands) == 25
 
     def test_one_command_against_the_same_tree_matches(self):
         """usd-curve writes a JSON report and a CSV file; two fresh runs agree."""

@@ -36,7 +36,9 @@ TIMEOUT_S = 600.0
 # discrimination attack of 65,541 raw qubits (one `protocol.CHUNK` and an odd
 # piece) on databases of 9,363 bits, not a whole number of 32-bit words, and
 # one of 7 raw qubits, fewer than one 8-byte output, whose trials run in one
-# batch of known final bits (`UsdAlice.known_final`).
+# batch of known final bits (`UsdAlice.known_final`), and one of 21 raw
+# qubits whose first attempts are mostly empty, so its trials restart round
+# by round and a few use up every attempt.
 # The two plain runs and `run -v streamed` take the streamed honest attempt:
 # at n = 65,536, k = 9 most attempts restart, at n = 70,001 the database
 # draw leaves the spare half of an output, where the first attempt's draw
@@ -58,6 +60,8 @@ EXTRA_COMMANDS = {
                              "--trials", "40"],
     "attack-alice usd tiny": ["attack-alice", "--strategy", "usd", "--n", "7", "--k", "1",
                               "--trials", "40"],
+    "attack-alice usd restarts": ["attack-alice", "--strategy", "usd", "--n", "7", "--k", "3",
+                                  "--trials", "200"],
     "run restarts": ["run", "--n", "65536", "--k", "9"],
     "run odd spare": ["run", "--n", "70001", "--k", "3"],
     "run -v streamed": ["run", "-v", "--n", "65536", "--k", "1"],
